@@ -36,7 +36,7 @@ from .errors import (
 )
 from .georaster import DTYPE_CODES
 
-__all__ = ["Store", "StoreGroup", "StoredArray", "write_region", "read_region", "list_tree"]
+__all__ = ["Store", "StoreGroup", "StoredArray"]
 
 _NAME = re.compile(r"^[A-Za-z0-9._-]+$")
 GROUP_META = ".group.json"
@@ -204,12 +204,6 @@ class StoreGroup:
     def attributes(self) -> dict:
         return _read_json(self.store._dir(self.path) / GROUP_META)["attributes"]
 
-    def set_attributes(self, attributes: dict) -> None:
-        meta_path = self.store._dir(self.path) / GROUP_META
-        meta = _read_json(meta_path)
-        meta["attributes"] = attributes
-        _write_json_atomic(meta_path, meta)
-
 
 class _Lock:
     def __init__(self, directory: Path):
@@ -245,22 +239,12 @@ class StoredArray:
             raise StoreNotFoundError(f"no array at {self.path!r}") from None
 
     @property
-    def meta(self) -> dict:
-        return self._meta()
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(self._meta()["shape"])
 
     @property
     def attributes(self) -> dict:
         return self._meta()["attributes"]
-
-    def set_attributes(self, attributes: dict) -> None:
-        with _Lock(self.dir):
-            meta = self._meta()
-            meta["attributes"] = attributes
-            _write_json_atomic(self.dir / ARRAY_META, meta)
 
     # -- geometry helpers
 
@@ -318,58 +302,37 @@ class StoredArray:
             meta = self._meta()
             data = np.asarray(data)
             offsets, extents = self._check_region(meta, offsets, data.shape)
-            dt = DTYPE_CODES[meta["dtype"]]
-            data = data.astype(dt, copy=False)
-            chunks = tuple(meta["chunks"])
-            lo = [o // c for o, c in zip(offsets, chunks)]
-            hi = [(o + e - 1) // c for o, e, c in zip(offsets, extents, chunks)]
-            for coords in np.ndindex(*[h - l + 1 for l, h in zip(lo, hi)]):
-                cc = tuple(l + c for l, c in zip(lo, coords))
+            data = data.astype(DTYPE_CODES[meta["dtype"]], copy=False)
+            for cc, in_chunk, in_region in _walk_chunks(meta["chunks"], offsets, extents):
                 block = self._load_chunk(meta, cc)
-                c0 = [c * s for c, s in zip(cc, chunks)]
-                src_sel, dst_sel = [], []
-                for axis in range(len(chunks)):
-                    a0 = max(offsets[axis], c0[axis])
-                    a1 = min(offsets[axis] + extents[axis], c0[axis] + chunks[axis])
-                    src_sel.append(slice(a0 - offsets[axis], a1 - offsets[axis]))
-                    dst_sel.append(slice(a0 - c0[axis], a1 - c0[axis]))
-                block[tuple(dst_sel)] = data[tuple(src_sel)]
+                block[in_chunk] = data[in_region]
                 blob = self._encode(meta, block)
-                tmp = self._chunk_file(cc).with_name("tmp-" + self._chunk_file(cc).name)
+                path = self._chunk_file(cc)
+                tmp = path.with_name("tmp-" + path.name)
                 tmp.write_bytes(blob)
-                os.replace(tmp, self._chunk_file(cc))
+                os.replace(tmp, path)
                 meta["checksums"][".".join(str(c) for c in cc)] = zlib.crc32(blob)
             _write_json_atomic(self.dir / ARRAY_META, meta)
 
     def read_region(self, offsets, extents) -> np.ndarray:
         meta = self._meta()
         offsets, extents = self._check_region(meta, offsets, extents)
-        dt = DTYPE_CODES[meta["dtype"]]
-        out = np.full(extents, meta["fill"], dtype=dt)
-        chunks = tuple(meta["chunks"])
-        lo = [o // c for o, c in zip(offsets, chunks)]
-        hi = [(o + e - 1) // c for o, e, c in zip(offsets, extents, chunks)]
-        for coords in np.ndindex(*[h - l + 1 for l, h in zip(lo, hi)]):
-            cc = tuple(l + c for l, c in zip(lo, coords))
-            block = self._load_chunk(meta, cc)
-            c0 = [c * s for c, s in zip(cc, chunks)]
-            src_sel, dst_sel = [], []
-            for axis in range(len(chunks)):
-                a0 = max(offsets[axis], c0[axis])
-                a1 = min(offsets[axis] + extents[axis], c0[axis] + chunks[axis])
-                src_sel.append(slice(a0 - c0[axis], a1 - c0[axis]))
-                dst_sel.append(slice(a0 - offsets[axis], a1 - offsets[axis]))
-            out[tuple(dst_sel)] = block[tuple(src_sel)]
+        out = np.full(extents, meta["fill"], dtype=DTYPE_CODES[meta["dtype"]])
+        for cc, in_chunk, in_region in _walk_chunks(meta["chunks"], offsets, extents):
+            out[in_region] = self._load_chunk(meta, cc)[in_chunk]
         return out
 
 
-def write_region(array: StoredArray, offsets, data) -> None:
-    array.write_region(offsets, data)
-
-
-def read_region(array: StoredArray, offsets, extents) -> np.ndarray:
-    return array.read_region(offsets, extents)
-
-
-def list_tree(store: Store, path: str = ""):
-    return store.list_tree(path)
+def _walk_chunks(chunks, offsets, extents):
+    """Yield (chunk coords, chunk-side slices, region-side slices) for every
+    chunk the region ``offsets`` + ``extents`` touches, in C order."""
+    lo = [o // c for o, c in zip(offsets, chunks)]
+    hi = [(o + e - 1) // c for o, e, c in zip(offsets, extents, chunks)]
+    for coords in np.ndindex(*[h - l + 1 for l, h in zip(lo, hi)]):
+        cc = tuple(l + c for l, c in zip(lo, coords))
+        in_chunk, in_region = [], []
+        for o, e, c, k in zip(offsets, extents, chunks, cc):
+            a0, a1 = max(o, k * c), min(o + e, (k + 1) * c)
+            in_chunk.append(slice(a0 - k * c, a1 - k * c))
+            in_region.append(slice(a0 - o, a1 - o))
+        yield cc, tuple(in_chunk), tuple(in_region)

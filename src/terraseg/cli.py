@@ -71,21 +71,9 @@ def _load_config(args) -> PipelineConfig:
         config = dataclasses.replace(config, seed=args.seed)
     ckpt = getattr(args, "checkpoint", None)
     if ckpt is not None:
-        if args.command == "train":
-            if config.train is None:
-                raise ConfigError("config.train: section required for this command")
-            config = dataclasses.replace(
-                config, train=dataclasses.replace(config.train, checkpoint=ckpt))
-        elif args.command == "evaluate":
-            if config.evaluate is None:
-                raise ConfigError("config.evaluate: section required for this command")
-            config = dataclasses.replace(
-                config, evaluate=dataclasses.replace(config.evaluate, checkpoint=ckpt))
-        elif args.command == "predict":
-            if config.predict is None:
-                raise ConfigError("config.predict: section required for this command")
-            config = dataclasses.replace(
-                config, predict=dataclasses.replace(config.predict, checkpoint=ckpt))
+        section = pipeline._section(config, args.command)
+        config = dataclasses.replace(
+            config, **{args.command: dataclasses.replace(section, checkpoint=ckpt)})
     return config
 
 

@@ -6,6 +6,12 @@ mismatches raise ConfigError carrying the dotted path of the offending node,
 e.g. ``train.optimizer.lr``. A top-level ``seed`` is mandatory: every command
 derives its randomness from it.
 
+The section dataclasses below are the grammar: the parser and the
+serializer read key names, types, defaults and nullability from their
+fields, and keep per-key code only for the few keys whose YAML form differs
+from the field (``_FORMS`` / ``_DUMPS``) and for enumerated values
+(``_CHOICES``).
+
 Sections are optional at parse time; each CLI command demands its own
 section when it runs. `serialize_config` inverts `parse_config` so configs
 round-trip: parse(serialize(c)) == c.
@@ -14,12 +20,14 @@ round-trip: parse(serialize(c)) == c.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError
-from .ops import ActivationKind
+from .errors import ConfigError, ParameterError
+from .georaster import DEFAULT_CLOUD_CLASSES
+from .ops import RELU, ActivationKind
 from .topologies import KINDS, TopologySpec
 
 __all__ = [
@@ -34,72 +42,6 @@ __all__ = [
     "parse_config",
     "serialize_config",
 ]
-
-
-def _type_name(value) -> str:
-    return type(value).__name__
-
-
-def _as_map(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {_type_name(value)}")
-    return value
-
-
-def _no_unknown(mapping: dict, allowed, path: str) -> None:
-    extra = sorted(set(mapping) - set(allowed))
-    if extra:
-        raise ConfigError(f"{path}.{extra[0]}: unknown key")
-
-
-def _scalar(mapping: dict, key: str, kind, path: str, default=..., required=False,
-            nullable=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required key")
-        return default
-    value = mapping[key]
-    if value is None:
-        if nullable:
-            return None
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got null")
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected int, got bool")
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"{path}.{key}: expected {kind.__name__}, got {_type_name(value)}"
-        )
-    return value
-
-
-def _timestamp(mapping: dict, key: str, path: str) -> str | None:
-    """Read a query timestamp, tolerating YAML's implicit datetime tag.
-
-    Bare ISO-8601 stamps like ``2018-06-01T00:00:00.000Z`` parse to datetime
-    objects under safe_load; render those back to the catalog's canonical
-    millisecond Z form instead of demanding quotes in the config file.
-    """
-    value = mapping.get(key)
-    if isinstance(value, datetime.datetime):
-        offset = value.utcoffset()
-        if offset:
-            value = value - offset
-        millis = value.microsecond // 1000
-        return value.strftime("%Y-%m-%dT%H:%M:%S.") + f"{millis:03d}Z"
-    if isinstance(value, datetime.date):
-        return value.strftime("%Y-%m-%dT00:00:00.000Z")
-    return _scalar(mapping, key, str, path, default=None, nullable=True)
-
-
-def _str_list(mapping: dict, key: str, path: str, default=...):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{path}.{key}: expected a list of strings")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -122,7 +64,7 @@ class IngestSection:
     tile_size: int = 32
     label_nodata: int = 255
     class_map: tuple[tuple[int, int], ...] | None = None
-    cloud_classes: tuple[int, ...] = (3, 8, 9)
+    cloud_classes: tuple[int, ...] = DEFAULT_CLOUD_CLASSES
 
 
 @dataclass(frozen=True)
@@ -148,7 +90,6 @@ class TrainSection:
     checkpoint: str | None = None
     history: str | None = None
     inputs: tuple[str, ...] = ("Sentinel-2/MSI/10m",)
-    target: str = "Labels/CLC_10m/labels"
     masks: str | None = "Sentinel-2/MSI/ignore_masks"
     slice_timestamps: tuple[int, int] = (0, 1)
     validation_fold: int | None = None
@@ -197,171 +138,149 @@ class PipelineConfig:
     query: QuerySection | None = None
 
 
-_ACTIVATIONS = ("sigmoid", "tanh", "elu", "relu", "leaky_relu")
+def _type_name(value) -> str:
+    return type(value).__name__
 
 
-def _parse_topology(mapping, path: str) -> TopologySpec:
-    m = _as_map(mapping, path)
-    allowed = ("kind", "depth", "base_channels", "in_channels", "num_classes",
-               "activation", "alpha", "padded")
-    _no_unknown(m, allowed, path)
-    kind = _scalar(m, "kind", str, path, default="unet")
-    if kind not in KINDS:
-        raise ConfigError(f"{path}.kind: unknown topology {kind!r} (know {KINDS})")
-    name = _scalar(m, "activation", str, path, default="relu")
-    if name not in _ACTIVATIONS:
-        raise ConfigError(f"{path}.activation: unknown activation {name!r}")
-    act = ActivationKind(name, alpha=_scalar(m, "alpha", float, path, default=0.1))
-    return TopologySpec(
-        kind=kind,
-        depth=_scalar(m, "depth", int, path, default=2),
-        base_channels=_scalar(m, "base_channels", int, path, default=8),
-        in_channels=_scalar(m, "in_channels", int, path, default=4),
-        num_classes=_scalar(m, "num_classes", int, path, default=4),
-        activation=act,
-        padded=_scalar(m, "padded", bool, path, default=True),
-    )
+def _as_map(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {_type_name(value)}")
+    return value
 
 
-def _parse_optimizer(mapping, path: str) -> OptimizerConfig:
-    m = _as_map(mapping, path)
-    _no_unknown(m, ("kind", "lr", "beta_1", "beta_2", "epsilon"), path)
-    kind = _scalar(m, "kind", str, path, default="adam")
-    if kind not in ("adam", "sgd"):
-        raise ConfigError(f"{path}.kind: unknown optimizer {kind!r}")
-    return OptimizerConfig(
-        kind=kind,
-        lr=_scalar(m, "lr", float, path, default=0.001),
-        beta_1=_scalar(m, "beta_1", float, path, default=0.9),
-        beta_2=_scalar(m, "beta_2", float, path, default=0.999),
-        epsilon=_scalar(m, "epsilon", float, path, default=1e-7),
-    )
+def _check(value, kind: type, path: str):
+    """``value`` as a ``kind`` scalar; ints widen to float, bools are not ints."""
+    if value is None:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got null")
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {_type_name(value)}")
+    return value
 
 
-def _parse_ingest(mapping, path: str) -> IngestSection:
-    m = _as_map(mapping, path)
-    allowed = ("image", "labels", "num_classes", "scl", "coarse_image", "weeks",
-               "tile_size", "label_nodata", "class_map", "cloud_classes")
-    _no_unknown(m, allowed, path)
-    class_map = None
-    if m.get("class_map") is not None:
-        cm = _as_map(m["class_map"], f"{path}.class_map")
-        pairs = []
-        for k, v in cm.items():
-            if not isinstance(k, int) or not isinstance(v, int) \
-                    or isinstance(k, bool) or isinstance(v, bool):
-                raise ConfigError(f"{path}.class_map: keys and values must be ints")
-            pairs.append((k, v))
-        class_map = tuple(sorted(pairs))
-    clouds = m.get("cloud_classes", [3, 8, 9])
-    if not isinstance(clouds, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in clouds):
-        raise ConfigError(f"{path}.cloud_classes: expected a list of ints")
-    return IngestSection(
-        image=_scalar(m, "image", str, path, required=True),
-        labels=_scalar(m, "labels", str, path, required=True),
-        num_classes=_scalar(m, "num_classes", int, path, required=True),
-        scl=_scalar(m, "scl", str, path, default=None, nullable=True),
-        coarse_image=_scalar(m, "coarse_image", str, path, default=None, nullable=True),
-        weeks=_scalar(m, "weeks", int, path, default=1),
-        tile_size=_scalar(m, "tile_size", int, path, default=32),
-        label_nodata=_scalar(m, "label_nodata", int, path, default=255),
-        class_map=class_map,
-        cloud_classes=tuple(clouds),
-    )
+def _value(raw, hint, path: str):
+    """Check one YAML value against a field's type hint.
+
+    ``X | None`` takes null (except for sections, which must be mappings),
+    dataclasses are nested mappings, ``tuple[X, ...]`` is a YAML list of X.
+    """
+    args = get_args(hint)
+    if type(None) in args:
+        hint = next(a for a in args if a is not type(None))
+        if raw is None and not is_dataclass(hint):
+            return None
+    if is_dataclass(hint):
+        return _build(hint, raw, path)
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if not isinstance(raw, list) or not all(
+                isinstance(v, item) and not isinstance(v, bool) for v in raw):
+            raise ConfigError(f"{path}: expected a list of {item.__name__}")
+        return tuple(raw)
+    return _check(raw, hint, path)
 
 
-def _parse_split(mapping, path: str) -> SplitSection:
-    m = _as_map(mapping, path)
-    _no_unknown(m, ("k", "min_pixels"), path)
-    return SplitSection(
-        k=_scalar(m, "k", int, path, default=5),
-        min_pixels=_scalar(m, "min_pixels", int, path, default=1),
-    )
+def _build(cls, raw, path: str, extra_keys=(), **given):
+    """Parse a YAML mapping into dataclass ``cls``.
+
+    Key names, types, required keys and defaults come from the dataclass
+    fields; ``given`` holds fields already parsed from ``extra_keys`` or a
+    YAML form of their own. Values the dataclass itself rejects become
+    ConfigErrors at ``path``.
+    """
+    m = _as_map(raw, path)
+    extra = sorted(set(m) - {f.name for f in fields(cls)} - set(extra_keys))
+    if extra:
+        raise ConfigError(f"{path}.{extra[0]}: unknown key")
+    hints = get_type_hints(cls)
+    values = dict(given)
+    for f in fields(cls):
+        key = f"{path}.{f.name}"
+        if f.name in given:
+            continue
+        if f.name not in m:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{key}: missing required key")
+            continue
+        parse = _FORMS.get((cls, f.name))
+        value = parse(m[f.name], key) if parse else _value(m[f.name], hints[f.name], key)
+        choices = _CHOICES.get((cls, f.name))
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{key}: unknown value {value!r} (know {choices})")
+        values[f.name] = value
+    try:
+        return cls(**values)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_train(mapping, path: str) -> TrainSection:
-    m = _as_map(mapping, path)
-    allowed = ("topology", "optimizer", "loss", "metrics", "epochs", "batch_size",
-               "randomise", "monitor", "min_delta", "early_stop_patience",
-               "plateau_patience", "plateau_factor", "checkpoint", "history",
-               "inputs", "target", "masks", "slice_timestamps", "validation_fold")
-    _no_unknown(m, allowed, path)
-    loss = _scalar(m, "loss", str, path, default="categorical_crossentropy")
-    if loss != "categorical_crossentropy":
-        raise ConfigError(f"{path}.loss: only categorical_crossentropy is supported")
-    slice_ts = m.get("slice_timestamps", [0, 1])
-    if (not isinstance(slice_ts, list) or len(slice_ts) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in slice_ts)):
-        raise ConfigError(f"{path}.slice_timestamps: expected [start, stop] ints")
-    if slice_ts[0] >= slice_ts[1]:
-        raise ConfigError(f"{path}.slice_timestamps: start must be < stop")
-    return TrainSection(
-        topology=_parse_topology(m.get("topology", {}), f"{path}.topology"),
-        optimizer=_parse_optimizer(m.get("optimizer", {}), f"{path}.optimizer"),
-        loss=loss,
-        metrics=_str_list(m, "metrics", path, default=("accuracy", "MIoU")),
-        epochs=_scalar(m, "epochs", int, path, default=100),
-        batch_size=_scalar(m, "batch_size", int, path, default=1),
-        randomise=_scalar(m, "randomise", bool, path, default=True),
-        monitor=_scalar(m, "monitor", str, path, default="val_loss"),
-        min_delta=_scalar(m, "min_delta", float, path, default=0.001),
-        early_stop_patience=_scalar(m, "early_stop_patience", int, path, default=20),
-        plateau_patience=_scalar(m, "plateau_patience", int, path, default=5),
-        plateau_factor=_scalar(m, "plateau_factor", float, path, default=0.2),
-        checkpoint=_scalar(m, "checkpoint", str, path, default=None, nullable=True),
-        history=_scalar(m, "history", str, path, default=None, nullable=True),
-        inputs=_str_list(m, "inputs", path, default=("Sentinel-2/MSI/10m",)),
-        target=_scalar(m, "target", str, path, default="Labels/CLC_10m/labels"),
-        masks=_scalar(m, "masks", str, path,
-                      default="Sentinel-2/MSI/ignore_masks", nullable=True),
-        slice_timestamps=(slice_ts[0], slice_ts[1]),
-        validation_fold=_scalar(m, "validation_fold", int, path,
-                                default=None, nullable=True),
-    )
+def _parse_topology(raw, path: str) -> TopologySpec:
+    """The activation is two flat keys, ``activation`` (a name) and ``alpha``."""
+    m = _as_map(raw, path)
+    name = _check(m.get("activation", RELU.name), str, f"{path}.activation")
+    alpha = _check(m.get("alpha", RELU.alpha), float, f"{path}.alpha")
+    try:
+        act = ActivationKind(name, alpha)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}.activation: {exc}") from None
+    return _build(TopologySpec, m, path, extra_keys=("alpha",), activation=act)
 
 
-def _parse_evaluate(mapping, path: str) -> EvaluateSection:
-    m = _as_map(mapping, path)
-    _no_unknown(m, ("checkpoint", "fold", "out"), path)
-    return EvaluateSection(
-        checkpoint=_scalar(m, "checkpoint", str, path, default=None, nullable=True),
-        fold=_scalar(m, "fold", int, path, default=None, nullable=True),
-        out=_scalar(m, "out", str, path, default=None, nullable=True),
-    )
+def _parse_class_map(raw, path: str):
+    """A YAML mapping of ints, stored as sorted (code, class) pairs."""
+    if raw is None:
+        return None
+    pairs = _as_map(raw, path).items()
+    if not all(isinstance(v, int) and not isinstance(v, bool) for pair in pairs for v in pair):
+        raise ConfigError(f"{path}: keys and values must be ints")
+    return tuple(sorted(pairs))
 
 
-def _parse_predict(mapping, path: str) -> PredictSection:
-    m = _as_map(mapping, path)
-    _no_unknown(m, ("checkpoint", "week", "out", "preview"), path)
-    return PredictSection(
-        checkpoint=_scalar(m, "checkpoint", str, path, default=None, nullable=True),
-        week=_scalar(m, "week", int, path, default=0),
-        out=_scalar(m, "out", str, path, default="prediction"),
-        preview=_scalar(m, "preview", bool, path, default=False),
-    )
+def _parse_slice(raw, path: str) -> tuple[int, int]:
+    if (not isinstance(raw, list) or len(raw) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
+        raise ConfigError(f"{path}: expected [start, stop] ints")
+    if raw[0] >= raw[1]:
+        raise ConfigError(f"{path}: start must be < stop")
+    return (raw[0], raw[1])
 
 
-def _parse_query(mapping, path: str) -> QuerySection:
-    m = _as_map(mapping, path)
-    allowed = ("begin", "end", "platformname", "filename", "producttype",
-               "instrumentshortname", "footprint", "offset", "limit",
-               "sortedby", "order")
-    _no_unknown(m, allowed, path)
-    opt = dict(default=None, nullable=True)
-    return QuerySection(
-        begin=_timestamp(m, "begin", path),
-        end=_timestamp(m, "end", path),
-        platformname=_scalar(m, "platformname", str, path, **opt),
-        filename=_scalar(m, "filename", str, path, **opt),
-        producttype=_scalar(m, "producttype", str, path, **opt),
-        instrumentshortname=_scalar(m, "instrumentshortname", str, path, **opt),
-        footprint=_scalar(m, "footprint", str, path, **opt),
-        offset=_scalar(m, "offset", int, path, default=0),
-        limit=_scalar(m, "limit", int, path, default=25),
-        sortedby=_scalar(m, "sortedby", str, path, default="ingestiondate"),
-        order=_scalar(m, "order", str, path, default="desc"),
-    )
+def _parse_timestamp(raw, path: str) -> str | None:
+    """Read a query timestamp, tolerating YAML's implicit datetime tag.
+
+    Bare ISO-8601 stamps like ``2018-06-01T00:00:00.000Z`` parse to datetime
+    objects under safe_load; render those back to the catalog's canonical
+    millisecond Z form instead of demanding quotes in the config file.
+    """
+    if isinstance(raw, datetime.datetime):
+        offset = raw.utcoffset()
+        if offset:
+            raw = raw - offset
+        millis = raw.microsecond // 1000
+        return raw.strftime("%Y-%m-%dT%H:%M:%S.") + f"{millis:03d}Z"
+    if isinstance(raw, datetime.date):
+        return raw.strftime("%Y-%m-%dT00:00:00.000Z")
+    return None if raw is None else _check(raw, str, path)
+
+
+# fields whose YAML form differs from the dataclass field
+_FORMS = {
+    (TrainSection, "topology"): _parse_topology,
+    (IngestSection, "class_map"): _parse_class_map,
+    (TrainSection, "slice_timestamps"): _parse_slice,
+    (QuerySection, "begin"): _parse_timestamp,
+    (QuerySection, "end"): _parse_timestamp,
+}
+_DUMPS = {
+    (TopologySpec, "activation"): lambda a: {"activation": a.name, "alpha": a.alpha},
+    (IngestSection, "class_map"): lambda cm: {"class_map": None if cm is None else dict(cm)},
+}
+_CHOICES = {
+    (TopologySpec, "kind"): KINDS,
+    (OptimizerConfig, "kind"): ("adam", "sgd"),
+    (TrainSection, "loss"): ("categorical_crossentropy",),
+}
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -369,85 +288,25 @@ def parse_config(text: str) -> PipelineConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
-    if doc is None:
+    return _build(PipelineConfig, {} if doc is None else doc, "config")
+
+
+def _plain(value):
+    """YAML form of a parsed value: dataclasses become maps, tuples lists."""
+    if is_dataclass(value):
         doc = {}
-    m = _as_map(doc, "config")
-    allowed = ("seed", "store", "base_group", "ingest", "split", "train",
-               "evaluate", "predict", "query")
-    _no_unknown(m, allowed, "config")
-    if "seed" not in m:
-        raise ConfigError("config.seed: missing required key (runs must be seeded)")
-    sections = {}
-    for name, parser in (("ingest", _parse_ingest), ("split", _parse_split),
-                         ("train", _parse_train), ("evaluate", _parse_evaluate),
-                         ("predict", _parse_predict), ("query", _parse_query)):
-        if name in m:
-            sections[name] = parser(m[name], f"config.{name}")
-    return PipelineConfig(
-        seed=_scalar(m, "seed", int, "config", required=True),
-        store=_scalar(m, "store", str, "config", required=True),
-        base_group=_scalar(m, "base_group", str, "config", default=""),
-        **sections,
-    )
-
-
-def _topology_map(t: TopologySpec) -> dict:
-    return {
-        "kind": t.kind, "depth": t.depth, "base_channels": t.base_channels,
-        "in_channels": t.in_channels, "num_classes": t.num_classes,
-        "activation": t.activation.name, "alpha": t.activation.alpha,
-        "padded": t.padded,
-    }
+        for f in fields(value):
+            v = getattr(value, f.name)
+            dump = _DUMPS.get((type(value), f.name))
+            doc.update(dump(v) if dump else {f.name: _plain(v)})
+        return doc
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def serialize_config(config: PipelineConfig) -> str:
-    """Inverse of parse_config; optional keys are written as explicit nulls."""
-    doc: dict = {"seed": config.seed, "store": config.store}
-    if config.base_group:
-        doc["base_group"] = config.base_group
-    if config.ingest is not None:
-        i = config.ingest
-        doc["ingest"] = {
-            "image": i.image, "labels": i.labels, "num_classes": i.num_classes,
-            "scl": i.scl, "coarse_image": i.coarse_image, "weeks": i.weeks,
-            "tile_size": i.tile_size, "label_nodata": i.label_nodata,
-            "class_map": dict(i.class_map) if i.class_map is not None else None,
-            "cloud_classes": list(i.cloud_classes),
-        }
-    if config.split is not None:
-        doc["split"] = {"k": config.split.k, "min_pixels": config.split.min_pixels}
-    if config.train is not None:
-        t = config.train
-        doc["train"] = {
-            "topology": _topology_map(t.topology),
-            "optimizer": {"kind": t.optimizer.kind, "lr": t.optimizer.lr,
-                          "beta_1": t.optimizer.beta_1, "beta_2": t.optimizer.beta_2,
-                          "epsilon": t.optimizer.epsilon},
-            "loss": t.loss, "metrics": list(t.metrics), "epochs": t.epochs,
-            "batch_size": t.batch_size, "randomise": t.randomise,
-            "monitor": t.monitor, "min_delta": t.min_delta,
-            "early_stop_patience": t.early_stop_patience,
-            "plateau_patience": t.plateau_patience,
-            "plateau_factor": t.plateau_factor,
-            "checkpoint": t.checkpoint, "history": t.history,
-            "inputs": list(t.inputs), "target": t.target, "masks": t.masks,
-            "slice_timestamps": list(t.slice_timestamps),
-            "validation_fold": t.validation_fold,
-        }
-    if config.evaluate is not None:
-        e = config.evaluate
-        doc["evaluate"] = {"checkpoint": e.checkpoint, "fold": e.fold, "out": e.out}
-    if config.predict is not None:
-        p = config.predict
-        doc["predict"] = {"checkpoint": p.checkpoint, "week": p.week,
-                          "out": p.out, "preview": p.preview}
-    if config.query is not None:
-        q = config.query
-        doc["query"] = {
-            "begin": q.begin, "end": q.end, "platformname": q.platformname,
-            "filename": q.filename, "producttype": q.producttype,
-            "instrumentshortname": q.instrumentshortname,
-            "footprint": q.footprint, "offset": q.offset, "limit": q.limit,
-            "sortedby": q.sortedby, "order": q.order,
-        }
+    """Inverse of parse_config; optional keys are written as explicit nulls,
+    absent sections are left out."""
+    doc = {k: v for k, v in _plain(config).items() if v is not None}
     return yaml.safe_dump(doc, sort_keys=True)

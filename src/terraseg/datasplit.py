@@ -254,10 +254,6 @@ class CrossValResult:
     score: float
     per_theta: list[dict]
 
-    def best_index(self) -> int:
-        means = [t["mean_error"] for t in self.per_theta]
-        return int(np.argmin(means))
-
 
 def cross_validate(train_fn, dataset, k: int, seed: int, hyper_grid) -> CrossValResult:
     """K-fold cross-validation over a hyperparameter grid.

@@ -1,5 +1,5 @@
 """Georeferenced rasters: affine grids, polygon burning, tiling, masks,
-augmentation, and the flat-binary raster format with JSON sidecars.
+and the flat-binary raster format with JSON sidecars.
 
 Geotransform convention (six coefficients, applied to pixel *corners*):
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .tensor import SeededRng, mix_seed
 from .wkt import WktGeometry
 
 __all__ = [
@@ -31,12 +30,10 @@ __all__ = [
     "TileGrid",
     "dtype_code",
     "rasterize",
-    "crop_to_bbox",
     "tile",
     "mosaic",
     "scl_to_ignore_mask",
     "DEFAULT_CLOUD_CLASSES",
-    "augment",
     "write_raster",
     "read_raster",
     "write_pgm",
@@ -94,9 +91,6 @@ class GeoRaster:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-    def is_axis_aligned(self) -> bool:
-        return self.geotransform[2] == 0.0 and self.geotransform[4] == 0.0
 
     def pixel_to_world(self, col: float, row: float) -> tuple[float, float]:
         g = self.geotransform
@@ -164,27 +158,6 @@ def rasterize(shapes, width: int, height: int, geotransform,
             raise ParameterError("shapes must be (value, WktGeometry) pairs")
         _scanline_fill(plane, geom, value, gt)
     return GeoRaster(plane[None, ...], gt, crs, float(nodata))
-
-
-def crop_to_bbox(raster: GeoRaster, minx: float, miny: float,
-                 maxx: float, maxy: float) -> GeoRaster:
-    """Crop to the pixel window covering a world bbox (rounded outward)."""
-    if not (minx < maxx and miny < maxy):
-        raise ParameterError(f"degenerate bbox ({minx}, {miny}, {maxx}, {maxy})")
-    corners = [raster.world_to_pixel(x, y)
-               for x in (minx, maxx) for y in (miny, maxy)]
-    cols = [c for c, _ in corners]
-    rows = [r for _, r in corners]
-    c0, c1 = math.floor(min(cols)), math.ceil(max(cols))
-    r0, r1 = math.floor(min(rows)), math.ceil(max(rows))
-    c0, c1 = max(c0, 0), min(c1, raster.width)
-    r0, r1 = max(r0, 0), min(r1, raster.height)
-    if c0 >= c1 or r0 >= r1:
-        raise DataError("bbox does not intersect the raster extent")
-    ox, oy = raster.pixel_to_world(c0, r0)
-    g = raster.geotransform
-    return GeoRaster(raster.data[:, r0:r1, c0:c1].copy(),
-                     (ox, g[1], g[2], oy, g[4], g[5]), raster.crs, raster.nodata)
 
 
 @dataclass(frozen=True)
@@ -270,47 +243,6 @@ def scl_to_ignore_mask(scl: GeoRaster, cloud_classes=DEFAULT_CLOUD_CLASSES) -> G
         raise ShapeError(f"scene classification must be single-channel, got {scl.channels}")
     bad = np.isin(scl.data, list(cloud_classes)) | (scl.data == scl.nodata)
     return GeoRaster(bad.astype(np.uint8), scl.geotransform, scl.crs, 255.0)
-
-
-def augment(tile_raster: GeoRaster, op, seed: int | None = None) -> GeoRaster:
-    """Apply one spatial augmentation; vacated pixels become nodata.
-
-    ``op`` is "flip_h", "flip_v", ("rot90", k), ("shift", dx, dy), or
-    "random" (seed required), which draws one of the others. The
-    geotransform is kept unchanged: augmented tiles are training inputs, not
-    reprojected rasters.
-    """
-    d = tile_raster.data
-    if op == "random":
-        if seed is None:
-            raise ParameterError("random augmentation needs a seed")
-        rng = SeededRng(mix_seed(seed, "augment"))
-        op = rng.choice([
-            "flip_h", "flip_v",
-            ("rot90", 1), ("rot90", 2), ("rot90", 3),
-            ("shift", int(rng.integers(-2, 3)), int(rng.integers(-2, 3))),
-        ])
-    if op == "flip_h":
-        out = d[:, :, ::-1]
-    elif op == "flip_v":
-        out = d[:, ::-1, :]
-    elif isinstance(op, tuple) and len(op) == 2 and op[0] == "rot90":
-        out = np.rot90(d, int(op[1]), axes=(1, 2))
-    elif isinstance(op, tuple) and len(op) == 3 and op[0] == "shift":
-        _, dx, dy = op
-        h, w = d.shape[1], d.shape[2]
-        if abs(dx) >= w or abs(dy) >= h:
-            raise ParameterError(f"shift ({dx}, {dy}) moves every pixel off a "
-                                 f"{h}x{w} tile")
-        out = np.full_like(d, tile_raster.nodata)
-        sy0, sy1 = max(0, dy), min(h, h + dy)
-        sx0, sx1 = max(0, dx), min(w, w + dx)
-        if sy0 < sy1 and sx0 < sx1:
-            out[:, sy0:sy1, sx0:sx1] = d[:, sy0 - dy : sy1 - dy, sx0 - dx : sx1 - dx]
-    else:
-        raise ParameterError(f"unknown augmentation {op!r}")
-    return GeoRaster(np.ascontiguousarray(out), tile_raster.geotransform,
-                     tile_raster.crs, tile_raster.nodata)
 
 
 # ---------------------------------------------------------------------------

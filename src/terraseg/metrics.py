@@ -29,8 +29,6 @@ __all__ = [
     "jaccard",
     "mean_iou",
     "macro_average",
-    "micro_precision",
-    "micro_recall",
     "report",
     "render_report",
     "report_json",
@@ -161,17 +159,6 @@ def macro_average(per_class: np.ndarray) -> float:
 def mean_iou(cm: ConfusionMatrix) -> float:
     """Macro-average IoU over classes present in truth or prediction."""
     return macro_average(jaccard(cm))
-
-
-def micro_precision(cm: ConfusionMatrix) -> float:
-    total_pred = int(cm.counts.sum())
-    if total_pred == 0:
-        raise UndefinedMetricError("micro precision is undefined on an empty matrix")
-    return float(np.trace(cm.counts) / total_pred)
-
-
-def micro_recall(cm: ConfusionMatrix) -> float:
-    return micro_precision(cm)  # identical for a single-label confusion matrix
 
 
 def report(cm: ConfusionMatrix) -> dict[str, float]:

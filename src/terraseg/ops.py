@@ -40,8 +40,6 @@ __all__ = [
     "conv_output_hw",
     "max_pool2d",
     "max_pool2d_backward",
-    "min_pool2d",
-    "avg_pool2d",
     "unpool_with_indices",
     "unpool_backward",
     "batch_norm",
@@ -261,23 +259,6 @@ class PoolIndices:
     window: int
     stride: int
 
-    def in_window(self) -> bool:
-        """True when every index falls inside its own pooling window."""
-        c, h, w = self.input_shape
-        flat = self.indices
-        cc = flat // (h * w)
-        yy = (flat % (h * w)) // w
-        xx = flat % w
-        oh, ow = flat.shape[1], flat.shape[2]
-        oy = np.arange(oh)[None, :, None] * self.stride
-        ox = np.arange(ow)[None, None, :] * self.stride
-        chans = np.arange(c)[:, None, None]
-        return bool(
-            np.all(cc == chans)
-            and np.all((yy >= oy) & (yy < oy + self.window))
-            and np.all((xx >= ox) & (xx < ox + self.window))
-        )
-
 
 def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     if x.ndim != 3:
@@ -312,16 +293,6 @@ def max_pool2d_backward(g: Tensor, indices: PoolIndices) -> Tensor:
     dx = np.zeros(indices.input_shape)
     np.add.at(dx.reshape(-1), indices.indices.reshape(-1), g.data.reshape(-1))
     return Tensor(dx)
-
-
-def min_pool2d(t: Tensor, window: int, stride: int) -> Tensor:
-    win = _pool_windows(t.data, window, stride)
-    return Tensor(win.min(axis=(-2, -1)).copy())
-
-
-def avg_pool2d(t: Tensor, window: int, stride: int) -> Tensor:
-    win = _pool_windows(t.data, window, stride)
-    return Tensor(win.mean(axis=(-2, -1)).copy())
 
 
 def unpool_with_indices(pooled: Tensor, indices: PoolIndices,

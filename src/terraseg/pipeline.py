@@ -389,12 +389,10 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
             for ix in range(src.ntx):
                 if wanted is not None and (iy, ix) not in wanted:
                     continue
-                label = src.label_plane(iy, ix)
-                _, label_ignore = one_hot(label, src.num_classes, src.nodata)
-                ignore = np.where(src.ignore_plane(w, iy, ix) | label_ignore, 1, 0)
-                probs, _ = graph.forward(src.image(w, iy, ix), training=False)
-                truth = np.where(ignore == 1, 0, label).astype(np.int64)
-                confusion_update(cm, probs.data.argmax(axis=0), truth, ignore)
+                s = src.sample(w, iy, ix)
+                probs, _ = graph.forward(s.image, training=False)
+                confusion_update(cm, probs.data.argmax(axis=0),
+                                 s.target.data.argmax(axis=0), s.ignore)
     values = report(cm)
     base = _resolve(e.out or "report", out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)

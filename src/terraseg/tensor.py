@@ -15,18 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
-__all__ = [
-    "Tensor",
-    "SeededRng",
-    "mix_seed",
-    "tensor_new",
-    "tensor_random",
-    "crop_center",
-    "concat_channels",
-    "pad_zero",
-    "flatten",
-    "reshape",
-]
+__all__ = ["Tensor", "SeededRng", "mix_seed", "crop_center"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,9 +69,6 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]
-
     def spawn(self, *key: int | str) -> "SeededRng":
         return SeededRng(mix_seed(self.seed, *key))
 
@@ -92,9 +78,9 @@ class Tensor:
     """Immutable dense float64 array with optional debug name.
 
     Invariants: every extent >= 1, dtype float64, C-contiguous row-major
-    memory. Construct through :func:`tensor_new` / the ops below, or wrap an
-    existing ndarray (which is reused without copying when already
-    conforming; callers must not mutate it afterwards).
+    memory. Construct through the ops, or wrap an existing ndarray (which is
+    reused without copying when already conforming; callers must not mutate
+    it afterwards).
     """
 
     data: np.ndarray
@@ -120,32 +106,9 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else float(self.data)
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}{list(self.shape)}"
-
-
-def tensor_new(shape: tuple[int, ...], fill: float = 0.0, name: str | None = None) -> Tensor:
-    """Allocate a tensor of the given shape filled with a constant."""
-    _check_shape(shape)
-    return Tensor(np.full(shape, float(fill), dtype=np.float64), name=name)
-
-
-def tensor_random(
-    shape: tuple[int, ...],
-    rng: SeededRng,
-    low: float = 0.0,
-    high: float = 1.0,
-    name: str | None = None,
-) -> Tensor:
-    """Uniform random tensor on [low, high). Bit-identical per (seed, shape)."""
-    _check_shape(shape)
-    if not (low < high):
-        raise ParameterError(f"require low < high, got [{low}, {high})")
-    return Tensor(rng.uniform(low, high, tuple(shape)), name=name)
 
 
 def crop_center(t: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -161,41 +124,3 @@ def crop_center(t: Tensor, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"cannot crop {h}x{w} to {out_h}x{out_w}")
     oy, ox = (h - out_h) // 2, (w - out_w) // 2
     return Tensor(t.data[..., oy : oy + out_h, ox : ox + out_w].copy(), name=t.name)
-
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two [..., C, H, W] tensors along the channel axis."""
-    if a.data.ndim < 3 or b.data.ndim < 3:
-        raise ShapeError("concat_channels needs [C, H, W]-like tensors")
-    if a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]:
-        raise ShapeError(f"spatial dims differ: {a.shape} vs {b.shape}")
-    return Tensor(np.concatenate([a.data, b.data], axis=-3))
-
-
-def pad_zero(t: Tensor, pad_h: int, pad_w: int) -> Tensor:
-    """Zero-pad the trailing two axes symmetrically by (pad_h, pad_w)."""
-    if pad_h < 0 or pad_w < 0:
-        raise ParameterError("padding must be non-negative")
-    if t.data.ndim < 2:
-        raise ShapeError("pad_zero needs at least 2 axes")
-    widths = [(0, 0)] * (t.data.ndim - 2) + [(pad_h, pad_h), (pad_w, pad_w)]
-    return Tensor(np.pad(t.data, widths), name=t.name)
-
-
-def flatten(t: Tensor) -> Tensor:
-    return Tensor(t.data.reshape(-1).copy(), name=t.name)
-
-
-def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    _check_shape(shape)
-    if int(np.prod(shape)) != t.size:
-        raise ShapeError(f"cannot reshape {t.shape} ({t.size} elems) to {shape}")
-    return Tensor(t.data.reshape(shape).copy(), name=t.name)
-
-
-def _check_shape(shape) -> None:
-    if len(shape) == 0:
-        raise ShapeError("shape must have at least one axis")
-    for e in shape:
-        if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or e < 1:
-            raise ShapeError(f"extents must be positive integers, got {tuple(shape)}")

@@ -62,11 +62,6 @@ class TestGroups:
         assert store.group("x").attributes == {}
         assert store.group("x/y").attributes == {"role": "scene"}
 
-    def test_set_attributes(self, store):
-        g = store.create_group("g")
-        g.set_attributes({"epoch": 3})
-        assert store.group("g").attributes == {"epoch": 3}
-
     def test_missing_group(self, store):
         with pytest.raises(StoreNotFoundError):
             store.group("nowhere")

@@ -1,10 +1,25 @@
 """YAML config parsing: defaults, dotted-path error reporting, and the
 parse/serialize round trip."""
 
+import dataclasses
+
 import pytest
 
-from terraseg.config import OptimizerConfig, parse_config, serialize_config
+from terraseg.config import (
+    EvaluateSection,
+    IngestSection,
+    OptimizerConfig,
+    PipelineConfig,
+    PredictSection,
+    QuerySection,
+    SplitSection,
+    TrainSection,
+    parse_config,
+    serialize_config,
+)
 from terraseg.errors import ConfigError
+from terraseg.ops import ActivationKind
+from terraseg.topologies import TopologySpec
 
 MINIMAL = """
 seed: 42
@@ -199,3 +214,47 @@ class TestRoundTrip:
     def test_serialized_form_is_plain_yaml(self):
         text = serialize_config(parse_config(FULL))
         assert "!!" not in text  # no python-object tags
+
+    def test_every_field_survives_the_round_trip(self):
+        train = TrainSection(
+            topology=TopologySpec(kind="resunet", depth=3, base_channels=4,
+                                  in_channels=2, num_classes=3,
+                                  activation=ActivationKind("leaky_relu", 0.3),
+                                  padded=False),
+            optimizer=OptimizerConfig(kind="sgd", lr=0.5, beta_1=0.8,
+                                      beta_2=0.99, epsilon=1e-5),
+            metrics=("F1",), epochs=3, batch_size=2, randomise=False,
+            monitor="loss", min_delta=0.01, early_stop_patience=4,
+            plateau_patience=2, plateau_factor=0.5, checkpoint="m.ckpt",
+            history="h", inputs=("a", "b"), masks=None,
+            slice_timestamps=(1, 3), validation_fold=1)
+        cfg = PipelineConfig(
+            seed=3, store="st", base_group="g",
+            ingest=IngestSection(image="i", labels="l", num_classes=3, scl="s",
+                                 coarse_image="c", weeks=2, tile_size=16,
+                                 label_nodata=7, class_map=((4, 1), (5, 2)),
+                                 cloud_classes=(1,)),
+            split=SplitSection(k=2, min_pixels=3),
+            train=train,
+            evaluate=EvaluateSection(checkpoint="e.ckpt", fold=1, out="r"),
+            predict=PredictSection(checkpoint="p.ckpt", week=2, out="o",
+                                   preview=True),
+            query=QuerySection(begin="2018-06-01T00:00:00.000Z",
+                               end="2018-09-01T00:00:00.000Z",
+                               platformname="Sentinel-3", filename="f",
+                               producttype="p", instrumentshortname="OLCI",
+                               footprint="POLYGON((0 0,1 0,1 1,0 0))",
+                               offset=5, limit=10, sortedby="beginposition",
+                               order="asc"))
+        # a field added later must get a non-default value here too;
+        # loss has a single legal value
+        for section in (cfg, cfg.ingest, cfg.split, train, train.topology,
+                        train.optimizer, cfg.evaluate, cfg.predict, cfg.query):
+            for f in dataclasses.fields(section):
+                if f.name == "loss":
+                    continue
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(section, f.name) != f.default, f.name
+                elif f.default_factory is not dataclasses.MISSING:
+                    assert getattr(section, f.name) != f.default_factory(), f.name
+        assert parse_config(serialize_config(cfg)) == cfg

@@ -210,8 +210,8 @@ class TestCrossValidate:
 
         result = cross_validate(fn, range(10), 2, seed=7, hyper_grid=[0, 1])
         assert result.per_theta[0]["fold_errors"] == [0.2, 0.4]
+        assert result.per_theta[0]["mean_error"] == pytest.approx(0.3)
         assert result.per_theta[1]["mean_error"] == pytest.approx(0.2)
-        assert result.best_index() == 1
 
     def test_each_sample_validated_once_per_theta(self):
         seen: dict[int, list] = {0: [], 1: [], 2: []}

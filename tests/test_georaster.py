@@ -1,5 +1,5 @@
 """Raster geometry: affine transforms, even-odd polygon burning checked
-against a per-pixel ray-cast oracle, tiling/mosaicking, masks, augmentation,
+against a per-pixel ray-cast oracle, tiling/mosaicking, masks,
 and the flat-binary and PNM file formats."""
 
 import numpy as np
@@ -10,8 +10,6 @@ from terraseg.georaster import (
     DEFAULT_CLOUD_CLASSES,
     DTYPE_CODES,
     GeoRaster,
-    augment,
-    crop_to_bbox,
     mosaic,
     rasterize,
     read_pgm,
@@ -56,7 +54,6 @@ def burn_oracle(shapes, width, height, gt, nodata=255):
 class TestGeoRaster:
     def test_affine_round_trip_rotated(self):
         r = GeoRaster(np.zeros((1, 4, 4)), (10.0, 2.0, 0.5, 20.0, -0.3, -2.0))
-        assert not r.is_axis_aligned()
         for col, row in [(0, 0), (3.25, 1.5), (-2, 7)]:
             x, y = r.pixel_to_world(col, row)
             c2, r2 = r.world_to_pixel(x, y)
@@ -135,37 +132,6 @@ class TestRasterize:
             rasterize([], 4, 4, NORTH_UP, dtype="u4")
         with pytest.raises(ParameterError):
             rasterize([(1, "POLYGON((...))")], 4, 4, NORTH_UP)
-
-
-class TestCrop:
-    @pytest.fixture
-    def raster(self, rng):
-        return GeoRaster(rng.integers(0, 100, (2, 10, 10)).astype(np.uint8),
-                         NORTH_UP)
-
-    def test_identity(self, raster):
-        c = crop_to_bbox(raster, 0, 0, 10, 10)
-        assert np.array_equal(c.data, raster.data)
-        assert c.geotransform == raster.geotransform
-
-    def test_west_half(self, raster):
-        c = crop_to_bbox(raster, 0, 0, 5, 10)
-        assert c.data.shape == (2, 10, 5)
-        assert np.array_equal(c.data, raster.data[:, :, :5])
-        assert c.geotransform[0] == 0.0
-
-    def test_interior_window_origin(self, raster):
-        c = crop_to_bbox(raster, 2, 3, 6, 8)
-        assert c.data.shape == (2, 5, 4)
-        assert c.pixel_to_world(0, 0) == (2.0, 8.0)
-
-    def test_disjoint_bbox(self, raster):
-        with pytest.raises(DataError):
-            crop_to_bbox(raster, 20, 20, 30, 30)
-
-    def test_degenerate_bbox(self, raster):
-        with pytest.raises(ParameterError):
-            crop_to_bbox(raster, 5, 5, 5, 9)
 
 
 class TestTileMosaic:
@@ -255,56 +221,6 @@ class TestSclMask:
     def test_multichannel_rejected(self):
         with pytest.raises(ShapeError):
             scl_to_ignore_mask(GeoRaster(np.zeros((2, 2, 2)), NORTH_UP))
-
-
-class TestAugment:
-    @pytest.fixture
-    def patch(self, rng):
-        return GeoRaster(rng.integers(0, 9, (2, 6, 6)).astype(np.uint8),
-                         NORTH_UP, nodata=255.0)
-
-    def test_flips_are_involutions(self, patch):
-        for op in ("flip_h", "flip_v"):
-            twice = augment(augment(patch, op), op)
-            assert np.array_equal(twice.data, patch.data)
-
-    def test_four_quarter_turns_identity(self, patch):
-        out = patch
-        for _ in range(4):
-            out = augment(out, ("rot90", 1))
-        assert np.array_equal(out.data, patch.data)
-
-    def test_half_turn_equals_both_flips(self, patch):
-        a = augment(patch, ("rot90", 2))
-        b = augment(augment(patch, "flip_h"), "flip_v")
-        assert np.array_equal(a.data, b.data)
-
-    def test_shift_right_by_one(self, patch):
-        out = augment(patch, ("shift", 1, 0))
-        assert np.all(out.data[:, :, 0] == 255)
-        assert np.array_equal(out.data[:, :, 1:], patch.data[:, :, :-1])
-
-    def test_shift_up_by_two(self, patch):
-        out = augment(patch, ("shift", 0, -2))
-        assert np.all(out.data[:, 4:, :] == 255)
-        assert np.array_equal(out.data[:, :4, :], patch.data[:, 2:, :])
-
-    def test_oversized_shift_rejected(self, patch):
-        with pytest.raises(ParameterError):
-            augment(patch, ("shift", 6, 0))
-        with pytest.raises(ParameterError):
-            augment(patch, ("shift", 0, -7))
-
-    def test_random_is_seeded(self, patch):
-        a = augment(patch, "random", seed=40)
-        b = augment(patch, "random", seed=40)
-        assert np.array_equal(a.data, b.data)
-        with pytest.raises(ParameterError):
-            augment(patch, "random")
-
-    def test_unknown_op(self, patch):
-        with pytest.raises(ParameterError):
-            augment(patch, "transpose")
 
 
 class TestRasterIO:

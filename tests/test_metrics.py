@@ -199,11 +199,6 @@ class TestAveragesAndReport:
         parsed = json.loads(M.report_json(values))
         assert parsed == pytest.approx(values)
 
-    def test_micro_precision_is_accuracy(self):
-        cm = binary_cm(3, 2, 1, 4)
-        assert M.micro_precision(cm) == M.accuracy(cm)
-        assert M.micro_recall(cm) == M.micro_precision(cm)
-
 
 def test_merge_shape_mismatch():
     with pytest.raises(ShapeError):

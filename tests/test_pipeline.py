@@ -630,6 +630,23 @@ class TestCli:
         assert main(["split", "--config", cfg]) == 4
         assert capsys.readouterr().err.startswith("error[runtime]: ")
 
+    @pytest.mark.parametrize("train, where", [
+        ({"topology": {"depth": 0}}, "config.train.topology: depth"),
+        ({"topology": {"alpha": -1.0}}, "config.train.topology.activation: elu"),
+        ({"target": "Labels/CLC_10m/labels"}, "config.train.target: unknown key"),
+    ])
+    def test_bad_train_values_exit_2(self, tmp_path, capsys, train, where):
+        cfg = self.write_config(tmp_path, train=train)
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config]: {where}")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_checkpoint_override_needs_the_section(self, tmp_path, capsys, command):
+        cfg = self.write_config(tmp_path, **{command: DROP})
+        assert main([command, "--config", cfg, "--checkpoint", "x.ckpt"]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: config.{command}: section required for this command\n")
+
     def test_seed_override_reaches_the_split(self, tmp_path, capsys):
         write_scene(tmp_path)
         cfg = self.write_config(tmp_path)
