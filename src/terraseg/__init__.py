@@ -36,7 +36,6 @@ from .datasplit import (
     cross_validate,
     kfold_partition,
     stratified_kfold_partition,
-    train_test_split,
 )
 from .wkt import WktGeometry, parse_wkt, to_wkt
 from .georaster import GeoRaster, mosaic, rasterize, tile
@@ -59,5 +58,5 @@ __all__ = [
     "evaluate_samples", "exit_code_for", "fit", "grad_check",
     "kfold_partition", "mix_seed", "mosaic", "parse_config", "parse_wkt",
     "rasterize", "report", "serialize_config", "stratified_kfold_partition",
-    "tile", "to_wkt", "train_test_split",
+    "tile", "to_wkt",
 ]

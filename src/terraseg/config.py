@@ -13,7 +13,9 @@ from the field (``_FORMS`` / ``_DUMPS``) and for enumerated values
 (``_CHOICES``).
 
 Sections are optional at parse time; each CLI command demands its own
-section when it runs. `serialize_config` inverts `parse_config` so configs
+section when it runs. Keys that must agree with another section (the tile
+size with the topology depth, the folds with ``split.k``) are checked once
+every section is parsed. `serialize_config` inverts `parse_config` so configs
 round-trip: parse(serialize(c)) == c.
 """
 
@@ -28,7 +30,7 @@ import yaml
 from .errors import ConfigError, ParameterError
 from .georaster import DEFAULT_CLOUD_CLASSES
 from .ops import RELU, ActivationKind
-from .topologies import KINDS, TopologySpec
+from .topologies import KINDS, TopologySpec, _check_input
 
 __all__ = [
     "OptimizerConfig",
@@ -288,7 +290,28 @@ def parse_config(text: str) -> PipelineConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
-    return _build(PipelineConfig, {} if doc is None else doc, "config")
+    config = _build(PipelineConfig, {} if doc is None else doc, "config")
+    _check_across_sections(config)
+    return config
+
+
+def _check_across_sections(config: PipelineConfig) -> None:
+    """Keys that must agree with a key of another section."""
+    if config.ingest is not None and config.train is not None:
+        size = config.ingest.tile_size
+        try:
+            _check_input(config.train.topology, (size, size))
+        except ParameterError as exc:
+            raise ConfigError(f"config.ingest.tile_size: {exc} "
+                              f"(config.train.topology.depth)") from None
+    if config.split is None:
+        return
+    k = config.split.k
+    for section, key in (("train", "validation_fold"), ("evaluate", "fold")):
+        fold = getattr(getattr(config, section), key, None)
+        if fold is not None and not 0 <= fold < k:
+            raise ConfigError(f"config.{section}.{key}: fold {fold} outside "
+                              f"[0, {k}) set by config.split.k")
 
 
 def _plain(value):

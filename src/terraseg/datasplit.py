@@ -1,5 +1,5 @@
-"""Dataset partitioning: hold-out split, K-fold, multilabel-stratified K-fold,
-and the cross-validation driver.
+"""Dataset partitioning: K-fold, multilabel-stratified K-fold, and the
+cross-validation driver.
 
 Sample identity is any hashable id (the pipeline uses tile grid coordinates);
 stratification works on the set of class labels present in each sample.
@@ -19,7 +19,6 @@ __all__ = [
     "SampleRecord",
     "FoldAssignment",
     "presence_labels",
-    "train_test_split",
     "kfold_partition",
     "stratified_kfold_partition",
     "cross_validate",
@@ -81,25 +80,6 @@ class FoldAssignment:
 def _check_k(k: int, n: int) -> None:
     if not (1 < k <= n):
         raise ParameterError(f"need 1 < k <= {n} samples, got k={k}")
-
-
-def train_test_split(ids, fraction: float, seed: int) -> tuple[list, list]:
-    """Disjoint (train, test) covering ``ids``; |test| = round(n * fraction),
-    rounding half up. Outputs preserve the input order."""
-    ids = list(ids)
-    if not (0.0 < fraction < 1.0):
-        raise ParameterError(f"fraction must be in (0, 1), got {fraction}")
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate sample ids")
-    n = len(ids)
-    if n < 2:
-        raise ParameterError(f"need at least 2 samples to split, got {n}")
-    n_test = int(n * fraction + 0.5)
-    picks = SeededRng(mix_seed(seed, "holdout")).permutation(n)[:n_test]
-    test_set = {ids[i] for i in picks}
-    train = [i for i in ids if i not in test_set]
-    test = [i for i in ids if i in test_set]
-    return train, test
 
 
 def kfold_partition(ids, k: int, seed: int) -> FoldAssignment:

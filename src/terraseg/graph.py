@@ -5,9 +5,11 @@ their gradients sum at the producer during backprop. Graphs are built
 programmatically (see topologies.py) and are acyclic by construction: a node
 may only consume nodes added before it.
 
-The graph owns the only mutable numeric state in the package: layer parameter
-buffers (exposed via :meth:`NetworkGraph.parameters`) and batch-norm running
-statistics.
+Activations and gradients are plain float64 ndarrays: the graph coerces its
+input once, and neither it nor its layers ever write into an array they were
+handed. The graph owns the only mutable numeric state in the package: layer
+parameter buffers (exposed via :meth:`NetworkGraph.parameters`) and
+batch-norm running statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import ops
 from .errors import GraphError, ParameterError, ShapeError
 from .ops import ActivationKind, PoolIndices, RunningStats
-from .tensor import SeededRng, Tensor, crop_center
+from .tensor import SeededRng
 
 __all__ = [
     "Layer",
@@ -61,10 +63,10 @@ class Layer:
     def out_shape(self, shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def forward(self, xs: list[Tensor], training: bool, rng: SeededRng | None):
+    def forward(self, xs: list[np.ndarray], training: bool, rng: SeededRng | None):
         raise NotImplementedError
 
-    def backward(self, g: Tensor, ctx) -> tuple[list[Tensor], dict[str, Tensor]]:
+    def backward(self, g: np.ndarray, ctx) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -105,13 +107,11 @@ class Conv2d(Layer):
         return (self.out_ch, oh, ow)
 
     def forward(self, xs, training, rng):
-        y = ops.conv2d(xs[0], Tensor(self.weight), Tensor(self.bias),
-                       self.stride, self.padding)
+        y = ops.conv2d(xs[0], self.weight, self.bias, self.stride, self.padding)
         return y, xs[0]
 
     def backward(self, g, ctx):
-        dx, dw, db = ops.conv2d_backward(g, ctx, Tensor(self.weight),
-                                         self.stride, self.padding)
+        dx, dw, db = ops.conv2d_backward(g, ctx, self.weight, self.stride, self.padding)
         return [dx], {"weight": dw, "bias": db}
 
     def spec(self):
@@ -140,10 +140,10 @@ class TransposeConv2d(Layer):
                 (w - 1) * self.stride + self.kernel)
 
     def forward(self, xs, training, rng):
-        return ops.conv2d_transpose(xs[0], Tensor(self.weight), self.stride), xs[0]
+        return ops.conv2d_transpose(xs[0], self.weight, self.stride), xs[0]
 
     def backward(self, g, ctx):
-        dx, dw = ops.conv2d_transpose_backward(g, ctx, Tensor(self.weight), self.stride)
+        dx, dw = ops.conv2d_transpose_backward(g, ctx, self.weight, self.stride)
         return [dx], {"weight": dw}
 
     def spec(self):
@@ -187,7 +187,7 @@ class UnpoolWithIndices(Layer):
             raise ShapeError(f"unpool channels {c} != pooled channels {pc}")
         return (c, ph, pw)
 
-    def forward_with_indices(self, x: Tensor, indices: PoolIndices):
+    def forward_with_indices(self, x: np.ndarray, indices: PoolIndices):
         return ops.unpool_with_indices(x, indices), indices
 
     def backward(self, g, ctx: PoolIndices):
@@ -216,7 +216,7 @@ class BatchNorm2d(Layer):
         return shapes[0]
 
     def forward(self, xs, training, rng):
-        return ops.batch_norm(xs[0], Tensor(self.gamma), Tensor(self.beta),
+        return ops.batch_norm(xs[0], self.gamma, self.beta,
                               self.stats, self.eps, self.momentum, training)
 
     def backward(self, g, ctx):
@@ -259,7 +259,7 @@ class ActivationLayer(Layer):
         return ops.activate(self.kind, xs[0]), xs[0]
 
     def backward(self, g, ctx):
-        return [Tensor(g.data * ops.activate_grad(self.kind, ctx).data)], {}
+        return [g * ops.activate_grad(self.kind, ctx)], {}
 
     def spec(self):
         return {"kind": "activation", "fn": self.kind.name, "alpha": self.kind.alpha}
@@ -283,6 +283,15 @@ class Softmax(Layer):
 class ConcatCrop(Layer):
     """Channel-concat [main, skip] after center-cropping skip to main's size."""
 
+    @staticmethod
+    def _crop_offsets(skip_hw: tuple[int, int], main_hw: tuple[int, int]) -> tuple[int, int]:
+        """Top-left corner of the centered main-sized window in skip.
+
+        floor((skip - main) / 2) per axis, so an off-by-one surplus lands on
+        the bottom/right side.
+        """
+        return (skip_hw[0] - main_hw[0]) // 2, (skip_hw[1] - main_hw[1]) // 2
+
     def out_shape(self, shapes):
         (c0, h0, w0), (c1, h1, w1) = shapes
         if h1 < h0 or w1 < w0:
@@ -292,17 +301,16 @@ class ConcatCrop(Layer):
     def forward(self, xs, training, rng):
         main, skip = xs
         _, h, w = main.shape
-        cropped = crop_center(skip, h, w)
-        out = np.concatenate([main.data, cropped.data], axis=0)
-        return Tensor(out), (main.shape, skip.shape)
+        oy, ox = self._crop_offsets(skip.shape[1:], (h, w))
+        out = np.concatenate([main, skip[:, oy : oy + h, ox : ox + w]], axis=0)
+        return out, (main.shape, skip.shape)
 
     def backward(self, g, ctx):
         (c0, h0, w0), (c1, h1, w1) = ctx
-        gm = g.data[:c0]
         gs = np.zeros((c1, h1, w1))
-        oy, ox = (h1 - h0) // 2, (w1 - w0) // 2
-        gs[:, oy : oy + h0, ox : ox + w0] = g.data[c0:]
-        return [Tensor(gm.copy()), Tensor(gs)], {}
+        oy, ox = self._crop_offsets((h1, w1), (h0, w0))
+        gs[:, oy : oy + h0, ox : ox + w0] = g[c0:]
+        return [g[:c0], gs], {}
 
     def spec(self):
         return {"kind": "concat_crop"}
@@ -317,10 +325,10 @@ class Add(Layer):
         return shapes[0]
 
     def forward(self, xs, training, rng):
-        return Tensor(xs[0].data + xs[1].data), None
+        return xs[0] + xs[1], None
 
     def backward(self, g, ctx):
-        return [g, Tensor(g.data.copy())], {}
+        return [g, g], {}
 
     def spec(self):
         return {"kind": "add"}
@@ -360,7 +368,7 @@ class _Node:
 class GraphCache:
     """Per-forward intermediate values keyed by node position."""
 
-    outs: list[Tensor]
+    outs: list[np.ndarray]
     ctxs: list[object]
     training: bool
 
@@ -435,11 +443,17 @@ class NetworkGraph:
     def count_parameters(self) -> int:
         return sum(a.size for a in self.parameters().values())
 
-    def forward(self, x: Tensor, training: bool = False,
-                rng: SeededRng | None = None) -> tuple[Tensor, GraphCache]:
+    def forward(self, x: np.ndarray, training: bool = False,
+                rng: SeededRng | None = None) -> tuple[np.ndarray, GraphCache]:
+        """Evaluate every node; ``rng`` seeds the dropout masks in training.
+
+        Each Dropout node draws from ``rng.spawn(node_name)``, so its mask
+        depends only on the seed and the node's name.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != self.input_shape:
             raise ShapeError(f"input shape {x.shape} != graph input {self.input_shape}")
-        outs: list[Tensor] = [None] * len(self.nodes)
+        outs: list[np.ndarray] = [None] * len(self.nodes)
         ctxs: list[object] = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
             xs = [x] if i == 0 else [outs[self._index[d]] for d in node.inputs]
@@ -447,12 +461,13 @@ class NetworkGraph:
                 indices = ctxs[self._index[node.layer.pool]]
                 out, ctx = node.layer.forward_with_indices(xs[0], indices)
             else:
-                node_rng = rng.spawn(node.name) if rng is not None else None
+                draws = rng is not None and isinstance(node.layer, Dropout)
+                node_rng = rng.spawn(node.name) if draws else None
                 out, ctx = node.layer.forward(xs, training, node_rng)
             outs[i], ctxs[i] = out, ctx
         return outs[-1], GraphCache(outs, ctxs, training)
 
-    def backward(self, cache: GraphCache, seeds: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    def backward(self, cache: GraphCache, seeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Backprop from the seeded nodes; returns grads keyed like parameters().
 
         ``seeds`` maps node name -> gradient of the scalar loss w.r.t. that
@@ -464,22 +479,19 @@ class NetworkGraph:
             if g.shape != self._shapes[name]:
                 raise ShapeError(f"seed for {name!r} has shape {g.shape}, "
                                  f"node produces {self._shapes[name]}")
-            grad_at[i] = g.data.copy()
+            grad_at[i] = g
         param_grads: dict[str, np.ndarray] = {}
         for i in range(len(self.nodes) - 1, -1, -1):
             g = grad_at[i]
             node = self.nodes[i]
             if g is None or isinstance(node.layer, Input):
                 continue
-            in_grads, p_grads = node.layer.backward(Tensor(g), cache.ctxs[i])
+            in_grads, p_grads = node.layer.backward(g, cache.ctxs[i])
             for dep, ig in zip(node.inputs, in_grads):
                 j = self._index[dep]
-                if grad_at[j] is None:
-                    grad_at[j] = ig.data.copy()
-                else:
-                    grad_at[j] = grad_at[j] + ig.data
+                grad_at[j] = ig if grad_at[j] is None else grad_at[j] + ig
             for key, pg in p_grads.items():
-                param_grads[f"{node.name}.{key}"] = pg.data
+                param_grads[f"{node.name}.{key}"] = pg
         return param_grads
 
     def descriptor(self) -> dict:
@@ -503,7 +515,7 @@ class NetworkGraph:
         return graph
 
 
-def grad_check(graph: NetworkGraph, x: Tensor, target: Tensor,
+def grad_check(graph: NetworkGraph, x: np.ndarray, target: np.ndarray,
                ignore_mask: np.ndarray | None = None, step: float = 1e-5,
                max_params: int = 10_000) -> float:
     """Compare analytic parameter gradients against central finite differences.

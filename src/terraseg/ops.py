@@ -1,4 +1,8 @@
-"""Neural-network layer primitives on [C, H, W] float64 tensors.
+"""Neural-network layer primitives on [C, H, W] float64 ndarrays.
+
+Ops take and return plain C-contiguous float64 ndarrays and never write into
+their inputs (batch norm's running statistics are the one piece of state an
+op updates).
 
 Every differentiable op comes as a forward function plus a matching
 ``*_backward`` that implements the analytic adjoint; the test suite verifies
@@ -22,7 +26,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .tensor import SeededRng, Tensor
+from .tensor import SeededRng
 
 __all__ = [
     "ActivationKind",
@@ -93,8 +97,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def activate(kind: ActivationKind, t: Tensor) -> Tensor:
-    x = t.data
+def activate(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
     if kind.name == "sigmoid":
         y = _sigmoid(x)
     elif kind.name == "tanh":
@@ -107,16 +110,15 @@ def activate(kind: ActivationKind, t: Tensor) -> Tensor:
         y = x.copy()
         neg = x < 0
         y[neg] = kind.alpha * np.expm1(x[neg])
-    return Tensor(y)
+    return y
 
 
-def activate_grad(kind: ActivationKind, t: Tensor) -> Tensor:
+def activate_grad(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
     """Elementwise derivative of the activation, evaluated at the input.
 
     Branch conventions at zero: relu' -> 0, leaky_relu' -> alpha,
     elu' -> elu(0) + alpha = alpha.
     """
-    x = t.data
     if kind.name == "sigmoid":
         s = _sigmoid(x)
         g = s * (1.0 - s)  # == e^-x / (1 + e^-x)^2
@@ -131,7 +133,7 @@ def activate_grad(kind: ActivationKind, t: Tensor) -> Tensor:
         g = np.ones_like(x)
         le = x <= 0
         g[le] = kind.alpha * np.expm1(x[le]) + kind.alpha
-    return Tensor(g)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +169,23 @@ def _check_conv_args(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
         raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
 
 
-def conv2d(t: Tensor, kernels: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
+           stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate [C,H,W] with kernels [O,C,kh,kw] -> [O,oh,ow]."""
-    x, w = t.data, kernels.data
-    b = None if bias is None else bias.data
-    _check_conv_args(x, w, b)
-    o, c, kh, kw = w.shape
+    _check_conv_args(x, kernels, bias)
+    o, c, kh, kw = kernels.shape
     conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     cols, oh, ow = _im2col(xp, kh, kw, stride)
-    out = (w.reshape(o, -1) @ cols).reshape(o, oh, ow)
-    if b is not None:
-        out += b[:, None, None]
-    return Tensor(out)
+    out = (kernels.reshape(o, -1) @ cols).reshape(o, oh, ow)
+    if bias is not None:
+        out += bias[:, None, None]
+    return out
 
 
-def conv2d_backward(g: Tensor, t: Tensor, kernels: Tensor,
+def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, padding: int = 0):
-    """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream g."""
-    x, w, gy = t.data, kernels.data, g.data
+    """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy."""
     o, c, kh, kw = w.shape
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
     if gy.shape != (o, oh, ow):
@@ -203,16 +202,15 @@ def conv2d_backward(g: Tensor, t: Tensor, kernels: Tensor,
             dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
     h, wd = x.shape[1], x.shape[2]
     dx = dxp[:, padding : padding + h, padding : padding + wd]
-    return Tensor(dx.copy()), Tensor(dw), Tensor(db)
+    return dx.copy(), dw, db
 
 
-def conv2d_transpose(t: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
+def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     """Adjoint of zero-padding conv2d with the same kernels.
 
     Input [K,h,w] and kernels [K,M,kh,kw] give [M, (h-1)*s+kh, (w-1)*s+kw]:
     spatial extents grow by the stride factor.
     """
-    x, w = t.data, kernels.data
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d_transpose wants [K,h,w] and [K,M,kh,kw], got {x.shape}, {w.shape}")
     if w.shape[0] != x.shape[0]:
@@ -227,18 +225,18 @@ def conv2d_transpose(t: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     for i in range(kh):
         for j in range(kw):
             out[:, i : i + stride * h : stride, j : j + stride * wd : stride] += spread[:, i, j]
-    return Tensor(out)
+    return out
 
 
-def conv2d_transpose_backward(g: Tensor, t: Tensor, kernels: Tensor, stride: int = 1):
+def conv2d_transpose_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
+                              stride: int = 1):
     """Gradients of conv2d_transpose w.r.t. (input, kernels)."""
-    x, w, gy = t.data, kernels.data, g.data
     k, m, kh, kw = w.shape
     # d_input is a strided conv of the upstream gradient with the same kernels
     win = sliding_window_view(gy, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     dx = np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
     dw = np.tensordot(x, win, axes=([1, 2], [1, 2]))
-    return Tensor(dx), Tensor(dw)
+    return dx, dw
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +254,6 @@ class PoolIndices:
 
     indices: np.ndarray  # int64, shape [C, oh, ow]
     input_shape: tuple[int, int, int]
-    window: int
-    stride: int
 
 
 def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
@@ -273,8 +269,7 @@ def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     return sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
 
 
-def max_pool2d(t: Tensor, window: int, stride: int) -> tuple[Tensor, PoolIndices]:
-    x = t.data
+def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, PoolIndices]:
     win = _pool_windows(x, window, stride)
     c, oh, ow = win.shape[:3]
     flat = win.reshape(c, oh, ow, window * window)
@@ -285,18 +280,18 @@ def max_pool2d(t: Tensor, window: int, stride: int) -> tuple[Tensor, PoolIndices
     rows = dy + (np.arange(oh) * stride)[None, :, None]
     cols = dx + (np.arange(ow) * stride)[None, None, :]
     idx = (np.arange(c)[:, None, None] * h * w + rows * w + cols).astype(np.int64)
-    return Tensor(out.copy()), PoolIndices(idx, x.shape, window, stride)
+    return out, PoolIndices(idx, x.shape)
 
 
-def max_pool2d_backward(g: Tensor, indices: PoolIndices) -> Tensor:
+def max_pool2d_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:
     """Route upstream gradient to each window's argmax position (summing)."""
     dx = np.zeros(indices.input_shape)
-    np.add.at(dx.reshape(-1), indices.indices.reshape(-1), g.data.reshape(-1))
-    return Tensor(dx)
+    np.add.at(dx.reshape(-1), indices.indices.reshape(-1), g.reshape(-1))
+    return dx
 
 
-def unpool_with_indices(pooled: Tensor, indices: PoolIndices,
-                        out_shape: tuple[int, int, int] | None = None) -> Tensor:
+def unpool_with_indices(vals: np.ndarray, indices: PoolIndices,
+                        out_shape: tuple[int, int, int] | None = None) -> np.ndarray:
     """Scatter pooled values back to their recorded argmax positions.
 
     Everything else is zero. Indices outside the output bounds mean the
@@ -304,7 +299,6 @@ def unpool_with_indices(pooled: Tensor, indices: PoolIndices,
     integrity error.
     """
     out_shape = tuple(out_shape) if out_shape is not None else indices.input_shape
-    vals = pooled.data
     idx = indices.indices
     if vals.shape != idx.shape:
         raise ShapeError(f"pooled shape {vals.shape} != indices shape {idx.shape}")
@@ -316,12 +310,12 @@ def unpool_with_indices(pooled: Tensor, indices: PoolIndices,
         )
     out = np.zeros(n)
     out[flat_idx] = vals.reshape(-1)
-    return Tensor(out.reshape(out_shape))
+    return out.reshape(out_shape)
 
 
-def unpool_backward(g: Tensor, indices: PoolIndices) -> Tensor:
+def unpool_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:
     """Gradient w.r.t. the pooled input: gather at the recorded positions."""
-    return Tensor(g.data.reshape(-1)[indices.indices.reshape(-1)].reshape(indices.indices.shape).copy())
+    return g.reshape(-1)[indices.indices.reshape(-1)].reshape(indices.indices.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +334,7 @@ class RunningStats:
         return cls(np.zeros(channels), np.ones(channels))
 
 
-def batch_norm(t: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
+def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: RunningStats,
                eps: float = 1e-5, momentum: float = 0.1, training: bool = True):
     """Per-channel normalization of [C,H,W], returning (output, cache).
 
@@ -350,7 +344,6 @@ def batch_norm(t: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     inference mode uses ``stats`` unchanged. ``cache`` feeds
     batch_norm_backward.
     """
-    x = t.data
     if x.ndim != 3:
         raise ShapeError(f"batch_norm wants [C,H,W], got {x.shape}")
     c = x.shape[0]
@@ -367,33 +360,32 @@ def batch_norm(t: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
         mu, var = stats.mean, stats.var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu[:, None, None]) * inv_std[:, None, None]
-    y = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
-    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma.data, "training": training}
-    return Tensor(y), cache
+    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "training": training}
+    return y, cache
 
 
-def batch_norm_backward(g: Tensor, cache: dict):
+def batch_norm_backward(gy: np.ndarray, cache: dict):
     """Gradients of batch_norm w.r.t. (input, gamma, beta)."""
-    gy = g.data
     xhat, inv_std, gamma = cache["xhat"], cache["inv_std"], cache["gamma"]
     dgamma = (gy * xhat).sum(axis=(1, 2))
     dbeta = gy.sum(axis=(1, 2))
     dxhat = gy * gamma[:, None, None]
     if not cache["training"]:
-        return Tensor(dxhat * inv_std[:, None, None]), Tensor(dgamma), Tensor(dbeta)
+        return dxhat * inv_std[:, None, None], dgamma, dbeta
     n = xhat.shape[1] * xhat.shape[2]
     # d/dx of (x - mean)/sqrt(var + eps) with mean/var functions of x
     sum_dxhat = dxhat.sum(axis=(1, 2), keepdims=True)
     sum_dxhat_xhat = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
     dx = (inv_std[:, None, None] / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-    return Tensor(dx), Tensor(dgamma), Tensor(dbeta)
+    return dx, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
 # dropout
 
 
-def dropout(t: Tensor, rate: float, rng: SeededRng | None = None, training: bool = True):
+def dropout(x: np.ndarray, rate: float, rng: SeededRng | None = None, training: bool = True):
     """Inverted dropout: zero with probability ``rate``, scale rest by 1/(1-rate).
 
     Returns (output, mask); the mask is None in inference mode, where the op
@@ -402,40 +394,38 @@ def dropout(t: Tensor, rate: float, rng: SeededRng | None = None, training: bool
     if not (0.0 <= rate < 1.0):
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return Tensor(t.data.copy()), None
+        return x, None
     if rng is None:
         raise ParameterError("dropout in training mode needs an rng")
-    mask = (rng.uniform(0.0, 1.0, t.shape) >= rate).astype(np.float64)
-    return Tensor(t.data * mask / (1.0 - rate)), mask
+    mask = (rng.uniform(0.0, 1.0, x.shape) >= rate).astype(np.float64)
+    return x * mask / (1.0 - rate), mask
 
 
-def dropout_backward(g: Tensor, mask: np.ndarray | None, rate: float) -> Tensor:
+def dropout_backward(g: np.ndarray, mask: np.ndarray | None, rate: float) -> np.ndarray:
     if mask is None:
         return g
-    return Tensor(g.data * mask / (1.0 - rate))
+    return g * mask / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------
 # softmax / cross-entropy
 
 
-def softmax(t: Tensor, axis: int = 0) -> Tensor:
+def softmax(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Channel softmax with mandatory max-subtraction for stability."""
-    x = t.data
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
-    return Tensor(e / e.sum(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_backward(g: Tensor, y: Tensor, axis: int = 0) -> Tensor:
-    """JVP of softmax given its output y: dx = y * (g - sum(g*y))."""
-    gy, p = g.data, y.data
+def softmax_backward(gy: np.ndarray, p: np.ndarray, axis: int = 0) -> np.ndarray:
+    """JVP of softmax given its output p: dx = p * (gy - sum(gy*p))."""
     inner = (gy * p).sum(axis=axis, keepdims=True)
-    return Tensor(p * (gy - inner))
+    return p * (gy - inner)
 
 
-def categorical_cross_entropy(probs: Tensor, target: Tensor,
-                              ignore_mask: np.ndarray | Tensor | None = None):
+def categorical_cross_entropy(probs: np.ndarray, target: np.ndarray,
+                              ignore_mask: np.ndarray | None = None):
     """Mean -log p_true over non-ignored pixels, plus the logit gradient.
 
     ``probs`` are channel-softmax outputs [C, ...]; ``target`` is one-hot of
@@ -444,7 +434,7 @@ def categorical_cross_entropy(probs: Tensor, target: Tensor,
     taken w.r.t. the softmax *logits*, folding the softmax jacobian:
     (p - t) / N_valid on scoring pixels, zero elsewhere.
     """
-    p, t = probs.data, target.data
+    p, t = probs, target
     if p.shape != t.shape:
         raise ShapeError(f"probs shape {p.shape} != target shape {t.shape}")
     sums = p.sum(axis=0)
@@ -455,11 +445,10 @@ def categorical_cross_entropy(probs: Tensor, target: Tensor,
     spatial = p.shape[1:]
     if ignore_mask is None:
         valid = np.ones(spatial, dtype=bool)
+    elif ignore_mask.shape != spatial:
+        raise ShapeError(f"ignore mask shape {ignore_mask.shape} != spatial shape {spatial}")
     else:
-        m = ignore_mask.data if isinstance(ignore_mask, Tensor) else np.asarray(ignore_mask)
-        if m.shape != spatial:
-            raise ShapeError(f"ignore mask shape {m.shape} != spatial shape {spatial}")
-        valid = m == 0
+        valid = ignore_mask == 0
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise EmptyLossError("every pixel is ignored; loss is undefined")
@@ -467,4 +456,4 @@ def categorical_cross_entropy(probs: Tensor, target: Tensor,
     logs = -np.log(np.maximum(p_true, np.finfo(np.float64).tiny))
     loss = float(logs[valid].sum() / n_valid)
     grad = (p - t) * valid / n_valid
-    return loss, Tensor(grad)
+    return loss, grad

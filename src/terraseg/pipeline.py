@@ -278,7 +278,7 @@ class _SampleSource:
             if chw.shape[1:] != (self.th, self.tw):
                 chw = _upsample_to(chw, self.th, self.tw)
             planes.append(chw)
-        return Tensor(np.concatenate(planes, axis=0), name="image")
+        return Tensor(np.concatenate(planes, axis=0))
 
     def sample(self, week: int, iy: int, ix: int) -> Sample:
         label = self.label_plane(iy, ix)
@@ -390,8 +390,8 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
                 if wanted is not None and (iy, ix) not in wanted:
                     continue
                 s = src.sample(w, iy, ix)
-                probs, _ = graph.forward(s.image, training=False)
-                confusion_update(cm, probs.data.argmax(axis=0),
+                probs, _ = graph.forward(s.image.data, training=False)
+                confusion_update(cm, probs.argmax(axis=0),
                                  s.target.data.argmax(axis=0), s.ignore)
     values = report(cm)
     base = _resolve(e.out or "report", out_dir)
@@ -420,8 +420,8 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     tiles = []
     for iy in range(src.nty):
         for ix in range(src.ntx):
-            probs, _ = graph.forward(src.image(p.week, iy, ix), training=False)
-            pred = probs.data.argmax(axis=0).astype(np.uint8)
+            probs, _ = graph.forward(src.image(p.week, iy, ix).data, training=False)
+            pred = probs.argmax(axis=0).astype(np.uint8)
             pred[src.ignore_plane(p.week, iy, ix) != 0] = 255
             ox, oy = ref.pixel_to_world(ix * src.tw, iy * src.th)
             tiles.append(GeoRaster(pred[None], (ox, gt[1], gt[2], oy, gt[4], gt[5]),

@@ -56,7 +56,7 @@ def make_tile(seed: int, size: int = 32, channels: int = 4, num_classes: int = 4
     rng = SeededRng(mix_seed(seed, "tile"))
     data = sig[labels].transpose(2, 0, 1).astype(np.float64)
     data += rng.uniform(-noise, noise, (channels, size, size))
-    return Tensor(data, name="image"), labels
+    return Tensor(data), labels
 
 
 def one_hot(labels: np.ndarray, num_classes: int, ignore_value: int = 255):
@@ -69,7 +69,7 @@ def one_hot(labels: np.ndarray, num_classes: int, ignore_value: int = 255):
     h, w = labels.shape
     target[safe, np.arange(h)[:, None], np.arange(w)[None, :]] = 1.0
     # ignored pixels keep an arbitrary valid one-hot; the mask excludes them
-    return Tensor(target, name="target"), ignore
+    return Tensor(target), ignore
 
 
 def make_scene(seed: int, height: int = 64, width: int = 64, channels: int = 4,

@@ -1,21 +1,23 @@
-"""Dense float64 tensors and the deterministic RNG used everywhere.
+"""The validated sample array type and the deterministic RNG used everywhere.
 
-Tensors are immutable value objects: operations return new tensors and never
-write into their inputs. The only mutable numeric state in the package lives
-in the training engine's parameter buffers.
+:class:`Tensor` is the type of a training sample's image and target: it
+checks arrays arriving from the store or from the synthetic generators once,
+at that boundary. The engine itself (ops, layers, graph, loss) works on plain
+float64 ndarrays and never writes into its inputs; the only mutable numeric
+state in the package lives in the training engine's parameter buffers.
 
-Image-like tensors use channel-first [C, H, W] layout throughout.
+Image-like arrays use channel-first [C, H, W] layout throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 
-__all__ = ["Tensor", "SeededRng", "mix_seed", "crop_center"]
+__all__ = ["Tensor", "SeededRng", "mix_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,16 +77,14 @@ class SeededRng:
 
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable dense float64 array with optional debug name.
+    """Immutable dense float64 sample array.
 
     Invariants: every extent >= 1, dtype float64, C-contiguous row-major
-    memory. Construct through the ops, or wrap an existing ndarray (which is
-    reused without copying when already conforming; callers must not mutate
-    it afterwards).
+    memory. Wraps an existing ndarray without copying when it already
+    conforms; callers must not mutate it afterwards.
     """
 
     data: np.ndarray
-    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         arr = self.data
@@ -97,30 +97,3 @@ class Tensor:
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"every extent must be >= 1, got shape {arr.shape}")
         object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def __repr__(self):
-        label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}{list(self.shape)}"
-
-
-def crop_center(t: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Center-crop the trailing two (spatial) axes to out_h x out_w.
-
-    The crop offset is floor((src - dst) / 2) on each axis, so an off-by-one
-    surplus lands on the bottom/right side.
-    """
-    if t.data.ndim < 2:
-        raise ShapeError("crop_center needs at least 2 axes")
-    h, w = t.shape[-2], t.shape[-1]
-    if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
-        raise ShapeError(f"cannot crop {h}x{w} to {out_h}x{out_w}")
-    oy, ox = (h - out_h) // 2, (w - out_w) // 2
-    return Tensor(t.data[..., oy : oy + out_h, ox : ox + out_w].copy(), name=t.name)

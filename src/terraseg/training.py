@@ -121,12 +121,12 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
     cm = M.ConfusionMatrix.zeros(num_classes)
     total_loss, n = 0.0, 0
     for s in samples:
-        probs, _ = graph.forward(s.image, training=False)
-        loss, _ = ops.categorical_cross_entropy(probs, s.target, s.ignore)
+        target = s.target.data
+        probs, _ = graph.forward(s.image.data, training=False)
+        loss, _ = ops.categorical_cross_entropy(probs, target, s.ignore)
         total_loss += loss
         n += 1
-        M.confusion_update(cm, probs.data.argmax(axis=0), s.target.data.argmax(axis=0),
-                           s.ignore)
+        M.confusion_update(cm, probs.argmax(axis=0), target.argmax(axis=0), s.ignore)
     if n == 0:
         raise ParameterError("cannot evaluate on an empty sample list")
     vals = {name: _METRIC_FNS[name](cm) for name in metric_names}
@@ -167,8 +167,8 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
             for si in batch:
                 s = train_data[int(si)]
                 rng = SeededRng(mix_seed(config.seed, "forward", epoch, int(si)))
-                probs, cache = graph.forward(s.image, training=True, rng=rng)
-                loss, glogits = ops.categorical_cross_entropy(probs, s.target, s.ignore)
+                probs, cache = graph.forward(s.image.data, training=True, rng=rng)
+                loss, glogits = ops.categorical_cross_entropy(probs, s.target.data, s.ignore)
                 for name, g in graph.backward(cache, {logits: glogits}).items():
                     if name in grads:
                         grads[name] += g

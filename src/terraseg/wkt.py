@@ -30,11 +30,6 @@ class WktGeometry:
     kind: str
     rings: tuple[tuple[tuple[float, float], ...], ...]
 
-    def bbox(self) -> tuple[float, float, float, float]:
-        xs = [x for ring in self.rings for x, _ in ring]
-        ys = [y for ring in self.rings for _, y in ring]
-        return min(xs), min(ys), max(xs), max(ys)
-
     def area(self) -> float:
         """Absolute shoelace area of the outer ring."""
         ring = self.rings[0]

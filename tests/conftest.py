@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from terraseg.tensor import SeededRng, Tensor
+from terraseg import ops
+from terraseg.tensor import SeededRng
 
 settings.register_profile(
     "suite",
@@ -12,9 +13,24 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def rand_tensor(seed, shape, low=-1.0, high=1.0):
-    """Deterministic random tensor helper shared across test modules."""
-    return Tensor(SeededRng(seed).uniform(low, high, tuple(shape)))
+def rand_array(seed, shape, low=-1.0, high=1.0):
+    """Deterministic random float64 array shared across test modules."""
+    return SeededRng(seed).uniform(low, high, tuple(shape))
+
+
+def assert_plain_arrays(graph, x, target):
+    """Every activation and every gradient of a training step, the graph's
+    and each layer's own, is a float64 C-contiguous ndarray."""
+    probs, cache = graph.forward(x, training=True, rng=SeededRng(1))
+    _, glogits = ops.categorical_cross_entropy(probs, target)
+    arrays = list(cache.outs)
+    arrays += graph.backward(cache, {graph.logits_name(): glogits}).values()
+    for node, out, ctx in zip(graph.nodes[1:], cache.outs[1:], cache.ctxs[1:]):
+        in_grads, param_grads = node.layer.backward(np.ones_like(out), ctx)
+        arrays += [*in_grads, *param_grads.values()]
+    for arr in arrays:
+        assert type(arr) is np.ndarray, type(arr)
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
 
 
 @pytest.fixture

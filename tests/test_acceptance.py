@@ -39,7 +39,7 @@ from terraseg.metrics import ConfusionMatrix, dice, f1, jaccard, precision, reca
 from terraseg.metrics import accuracy as cm_accuracy
 from terraseg.optim import AdamState, adam_step
 from terraseg.pipeline import cmd_evaluate, cmd_ingest, cmd_split, cmd_train
-from terraseg.tensor import SeededRng, Tensor
+from terraseg.tensor import SeededRng
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import Sample, TrainConfig, fit
 from terraseg.wkt import WktGeometry
@@ -190,11 +190,11 @@ def _primitive_graphs():
 
 def _input_and_target(graph, seed):
     rng = SeededRng(seed)
-    x = Tensor(rng.uniform(-1.0, 1.0, graph.input_shape))
+    x = rng.uniform(-1.0, 1.0, graph.input_shape)
     c, h, w = graph.shape_of(graph.output_name)
     labels = ((np.arange(h * w).reshape(h, w) + seed) % c).astype(np.uint8)
     target, _ = synth.one_hot(labels, c)
-    return x, target
+    return x, target.data
 
 
 def _softmax_direct_check():
@@ -202,16 +202,16 @@ def _softmax_direct_check():
     rng = np.random.default_rng(12)
     x = rng.uniform(-1.0, 1.0, (3, 5))
     gy = rng.uniform(-1.0, 1.0, (3, 5))
-    y = ops.softmax(Tensor(x), axis=0)
-    analytic = ops.softmax_backward(Tensor(gy), y, axis=0).data
+    y = ops.softmax(x, axis=0)
+    analytic = ops.softmax_backward(gy, y, axis=0)
     step = 1e-5
     worst = 0.0
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp.flat[i] += step
         xm.flat[i] -= step
-        lp = float((gy * ops.softmax(Tensor(xp), axis=0).data).sum())
-        lm = float((gy * ops.softmax(Tensor(xm), axis=0).data).sum())
+        lp = float((gy * ops.softmax(xp, axis=0)).sum())
+        lm = float((gy * ops.softmax(xm, axis=0)).sum())
         num = (lp - lm) / (2.0 * step)
         a = analytic.flat[i]
         worst = max(worst, abs(a - num) / max(abs(a), abs(num), 1e-6))
@@ -244,15 +244,15 @@ def test_pool_unpool_contract():
         shapes = [(1, 8, 8), (2, 6, 6), (3, 4, 4), (2, 12, 8)]
         for i in range(1000):
             shape = shapes[i % len(shapes)]
-            x = Tensor(rng.uniform(0.5, 1.5, shape))
+            x = rng.uniform(0.5, 1.5, shape)
             pooled, idx = ops.max_pool2d(x, 2, 2)
             up = ops.unpool_with_indices(pooled, idx)
-            flat = up.data.reshape(-1)
+            flat = up.reshape(-1)
             nonzero = np.flatnonzero(flat)
             assert np.array_equal(np.sort(idx.indices.reshape(-1)), nonzero)
             assert np.array_equal(np.sort(flat[nonzero]),
-                                  np.sort(pooled.data.reshape(-1)))
-            total = pooled.data.sum()
+                                  np.sort(pooled.reshape(-1)))
+            total = pooled.sum()
             assert abs(flat.sum() - total) <= 1e-12 * max(1.0, abs(total))
 
     criterion("04 pool/unpool index contract", 10.0, body)

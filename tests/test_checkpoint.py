@@ -24,7 +24,7 @@ from terraseg.graph import (
     Softmax,
 )
 from terraseg.ops import RELU
-from terraseg.tensor import SeededRng, Tensor
+from terraseg.tensor import SeededRng
 
 
 def small_graph(seed=9):
@@ -42,7 +42,7 @@ def small_graph(seed=9):
 def warmed_graph(seed=9):
     """Graph with non-trivial batch-norm running statistics."""
     g = small_graph(seed)
-    x = Tensor(SeededRng(seed + 1).uniform(-1.0, 1.0, (3, 6, 6)))
+    x = SeededRng(seed + 1).uniform(-1.0, 1.0, (3, 6, 6))
     for _ in range(3):
         g.forward(x, training=True, rng=SeededRng(7))
     return g
@@ -60,10 +60,10 @@ class TestRoundTrip:
         assert checkpoint_save(g, path, 0.375)
         g2, monitor = checkpoint_load(path)
         assert monitor == 0.375
-        x = Tensor(SeededRng(33).uniform(-1.0, 1.0, (3, 6, 6)))
+        x = SeededRng(33).uniform(-1.0, 1.0, (3, 6, 6))
         out1, _ = g.forward(x, training=False)
         out2, _ = g2.forward(x, training=False)
-        assert np.array_equal(out1.data, out2.data)
+        assert np.array_equal(out1, out2)
 
     def test_state_arrays_restored_exactly(self, tmp_path):
         g = warmed_graph()

@@ -1,5 +1,5 @@
-"""Partitioning: hold-out split arithmetic, K-fold size laws, multilabel
-stratification tolerance, and the cross-validation accounting."""
+"""Partitioning: K-fold size laws, multilabel stratification tolerance, and
+the cross-validation accounting."""
 
 from collections import Counter
 
@@ -17,7 +17,6 @@ from terraseg.datasplit import (
     kfold_partition,
     presence_labels,
     stratified_kfold_partition,
-    train_test_split,
 )
 from terraseg.errors import DataError, ParameterError
 
@@ -57,46 +56,6 @@ class TestPresenceLabels:
     def test_min_pixels_validation(self):
         with pytest.raises(ParameterError):
             presence_labels(np.zeros((2, 2)), min_pixels=0)
-
-
-class TestTrainTestSplit:
-    def test_ten_samples_fifth_held_out(self):
-        train, test = train_test_split(range(10), 0.2, seed=1)
-        assert len(train) == 8 and len(test) == 2
-
-    def test_rounds_half_up(self):
-        _, test = train_test_split(range(10), 0.25, seed=1)  # 2.5 -> 3
-        assert len(test) == 3
-        _, test = train_test_split(range(10), 0.24, seed=1)  # 2.4 -> 2
-        assert len(test) == 2
-
-    def test_disjoint_exhaustive_order_preserving(self):
-        ids = [f"s{i}" for i in range(23)]
-        train, test = train_test_split(ids, 0.3, seed=5)
-        assert set(train) | set(test) == set(ids)
-        assert set(train) & set(test) == set()
-        assert train == [i for i in ids if i in set(train)]
-        assert test == [i for i in ids if i in set(test)]
-
-    def test_deterministic_and_seed_sensitive(self):
-        a = train_test_split(range(40), 0.25, seed=3)
-        b = train_test_split(range(40), 0.25, seed=3)
-        c = train_test_split(range(40), 0.25, seed=4)
-        assert a == b
-        assert a != c
-
-    def test_fraction_bounds(self):
-        for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ParameterError):
-                train_test_split(range(10), bad, seed=0)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ParameterError):
-            train_test_split(["only"], 0.5, seed=0)
-
-    def test_duplicate_ids(self):
-        with pytest.raises(DataError):
-            train_test_split([1, 1, 2], 0.5, seed=0)
 
 
 class TestKfold:

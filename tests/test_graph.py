@@ -19,10 +19,11 @@ from terraseg.graph import (
     UnpoolWithIndices,
     grad_check,
 )
+from terraseg import ops
 from terraseg.ops import RELU, TANH
-from terraseg.tensor import SeededRng, Tensor
+from terraseg.tensor import SeededRng
 
-from conftest import rand_tensor
+from conftest import assert_plain_arrays, rand_array
 
 
 def one_hot(classes, num_classes):
@@ -30,7 +31,7 @@ def one_hot(classes, num_classes):
     out = np.zeros((num_classes, *classes.shape))
     for c in range(num_classes):
         out[c][classes == c] = 1.0
-    return Tensor(out)
+    return out
 
 
 def identity_graph(channels=2, hw=(4, 4)):
@@ -44,9 +45,9 @@ def identity_graph(channels=2, hw=(4, 4)):
 class TestWiring:
     def test_identity_forward(self):
         g = identity_graph()
-        x = rand_tensor(1, (2, 4, 4))
+        x = rand_array(1, (2, 4, 4))
         y, _ = g.forward(x)
-        assert np.array_equal(y.data, x.data)
+        assert np.array_equal(y, x)
 
     def test_duplicate_name(self):
         g = identity_graph()
@@ -71,7 +72,7 @@ class TestWiring:
     def test_forward_shape_check(self):
         g = identity_graph()
         with pytest.raises(ShapeError):
-            g.forward(rand_tensor(0, (2, 5, 5)))
+            g.forward(rand_array(0, (2, 5, 5)))
 
     def test_unpool_requires_known_pool(self):
         g = NetworkGraph((1, 4, 4))
@@ -89,19 +90,19 @@ class TestWiring:
         g = NetworkGraph((2, 8, 8))
         g.add("conv", Conv2d(2, 3, 3, 1, 1, rng=SeededRng(5)), ["input"])
         g.add("act", ActivationLayer(TANH), ["conv"])
-        x = rand_tensor(9, (2, 8, 8))
+        x = rand_array(9, (2, 8, 8))
         y1, _ = g.forward(x)
         y2, _ = g.forward(x)
-        assert np.array_equal(y1.data, y2.data)
+        assert np.array_equal(y1, y2)
 
 
 class TestBackward:
     def test_zero_seed_means_zero_grads(self):
         g = NetworkGraph((2, 4, 4))
         g.add("conv", Conv2d(2, 3, 3, 1, 1, rng=SeededRng(3)), ["input"])
-        x = rand_tensor(4, (2, 4, 4))
+        x = rand_array(4, (2, 4, 4))
         _, cache = g.forward(x)
-        grads = g.backward(cache, {"conv": Tensor(np.zeros((3, 4, 4)))})
+        grads = g.backward(cache, {"conv": np.zeros((3, 4, 4))})
         assert all(np.all(v == 0) for v in grads.values())
 
     def test_fanout_gradients_sum(self):
@@ -114,8 +115,8 @@ class TestBackward:
             g.add("conv", conv, ["input"])
             return g
 
-        x = rand_tensor(5, (2, 4, 4))
-        seed = rand_tensor(6, (2, 4, 4))
+        x = rand_array(5, (2, 4, 4))
+        seed = rand_array(6, (2, 4, 4))
         g2 = conv_graph()
         g2.add("out", Add(), ["conv", "conv"])
         _, cache2 = g2.forward(x)
@@ -132,19 +133,29 @@ class TestBackward:
         conv = Conv2d(2, 2, 3, 1, 1)  # zero-initialized without an rng
         g.add("conv", conv, ["input"])
         g.add("res", Add(), ["conv", "input"])
-        x = rand_tensor(7, (2, 4, 4), low=0.1, high=1.0)
+        x = rand_array(7, (2, 4, 4), low=0.1, high=1.0)
         y, cache = g.forward(x)
-        assert np.array_equal(y.data, x.data)  # zero conv contributes nothing
-        seed = rand_tensor(8, (2, 4, 4))
+        assert np.array_equal(y, x)  # zero conv contributes nothing
+        seed = rand_array(8, (2, 4, 4))
         grads = g.backward(cache, {"res": seed})
         # conv still learns: its weight gradient comes from the main branch
         assert np.any(grads["conv.weight"] != 0)
 
+    def test_dropout_mask_comes_from_the_node_spawn(self):
+        g = NetworkGraph((2, 4, 4))
+        g.add("conv", Conv2d(2, 3, 3, 1, 1, rng=SeededRng(30)), ["input"])
+        g.add("drop", Dropout(0.4), ["conv"])
+        x = rand_array(31, (2, 4, 4))
+        _, cache = g.forward(x, training=True, rng=SeededRng(32))
+        y, mask = ops.dropout(cache.outs[1], 0.4, SeededRng(32).spawn("drop"))
+        assert np.array_equal(cache.ctxs[2], mask)
+        assert np.array_equal(cache.outs[2], y)
+
     def test_bad_seed_shape(self):
         g = identity_graph()
-        _, cache = g.forward(rand_tensor(0, (2, 4, 4)))
+        _, cache = g.forward(rand_array(0, (2, 4, 4)))
         with pytest.raises(ShapeError):
-            g.backward(cache, {"ident": Tensor(np.zeros((2, 3, 3)))})
+            g.backward(cache, {"ident": np.zeros((2, 3, 3))})
 
 
 class TestDescriptor:
@@ -178,10 +189,10 @@ class TestDescriptor:
         dst = rebuilt.parameters()
         for k, v in g.parameters().items():
             dst[k][...] = v
-        x = rand_tensor(12, (2, 8, 8))
+        x = rand_array(12, (2, 8, 8))
         ya, _ = g.forward(x, training=False)
         yb, _ = rebuilt.forward(x, training=False)
-        assert np.array_equal(ya.data, yb.data)
+        assert np.array_equal(ya, yb)
 
     def test_descriptor_rejects_missing_input(self):
         with pytest.raises(GraphError):
@@ -193,21 +204,22 @@ class TestGradCheck:
         g = NetworkGraph((1, 3, 3))
         g.add("head", Conv2d(1, 2, 1, 1, 0, rng=SeededRng(21)), ["input"])
         g.add("probs", Softmax(), ["head"])
-        x = rand_tensor(22, (1, 3, 3))
+        x = rand_array(22, (1, 3, 3))
         t = one_hot(SeededRng(23).integers(0, 2, (3, 3)), 2)
         assert grad_check(g, x, t) <= 1e-6
 
     def test_mixed_graph(self):
         g = TestDescriptor().build_mixed()
-        x = Tensor(SeededRng(24).uniform(0.1, 1.0, (2, 8, 8)))
+        x = SeededRng(24).uniform(0.1, 1.0, (2, 8, 8))
         t = one_hot(SeededRng(25).integers(0, 3, (8, 8)), 3)
         assert grad_check(g, x, t) <= 1e-4
+        assert_plain_arrays(g, x, t)
 
     def test_with_ignore_mask(self):
         g = NetworkGraph((1, 4, 4))
         g.add("head", Conv2d(1, 2, 3, 1, 1, rng=SeededRng(26)), ["input"])
         g.add("probs", Softmax(), ["head"])
-        x = rand_tensor(27, (1, 4, 4))
+        x = rand_array(27, (1, 4, 4))
         t = one_hot(SeededRng(28).integers(0, 2, (4, 4)), 2)
         mask = np.zeros((4, 4))
         mask[0, :] = 1
@@ -218,5 +230,5 @@ class TestGradCheck:
         g.add("big", Conv2d(8, 64, 5, 1, 2, rng=SeededRng(29)), ["input"])
         g.add("probs", Softmax(), ["big"])
         with pytest.raises(Exception, match="cap"):
-            grad_check(g, rand_tensor(0, (8, 32, 32)),
+            grad_check(g, rand_array(0, (8, 32, 32)),
                        one_hot(np.zeros((32, 32), dtype=int), 64))

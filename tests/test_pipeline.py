@@ -18,7 +18,7 @@ from terraseg.catalog import BASE_URL, CatalogQuery, build_catalog_query
 from terraseg.checkpoint import checkpoint_save
 from terraseg.chunkstore import Store
 from terraseg.cli import main
-from terraseg.config import parse_config
+from terraseg.config import EvaluateSection, parse_config
 from terraseg.errors import ConfigError, DataError, ParameterError
 from terraseg.georaster import GeoRaster, read_pgm, read_raster, write_raster
 from terraseg.metrics import REPORT_KEYS
@@ -469,8 +469,11 @@ class TestEvaluate:
         subset = cmd_evaluate(make_config(root, evaluate={"fold": 0}),
                               out_dir=out)
         assert list(subset) == list(REPORT_KEYS)
+        # parse_config rejects fold >= split.k, so a store whose folds no
+        # longer match the config is the way to reach the empty-fold error
+        empty = dataclasses.replace(config, evaluate=EvaluateSection(fold=7))
         with pytest.raises(DataError, match="fold 7"):
-            cmd_evaluate(make_config(root, evaluate={"fold": 7}), out_dir=out)
+            cmd_evaluate(empty, out_dir=out)
 
     def test_checkpoint_class_count_mismatch(self, trained):
         root, config, out, history = trained
@@ -638,6 +641,18 @@ class TestCli:
     def test_bad_train_values_exit_2(self, tmp_path, capsys, train, where):
         cfg = self.write_config(tmp_path, train=train)
         assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config]: {where}")
+
+    @pytest.mark.parametrize("command, overrides, where", [
+        ("train", {"ingest": {"tile_size": 30}, "train": {"topology": {"depth": 2}}},
+         "config.ingest.tile_size: input 30x30 must be divisible by 2^depth = 4"),
+        ("train", {"train": {"validation_fold": 5}},
+         "config.train.validation_fold: fold 5 outside [0, 2)"),
+        ("evaluate", {"evaluate": {"fold": 5}}, "config.evaluate.fold: fold 5 outside [0, 2)"),
+    ])
+    def test_cross_section_mismatch_exits_2(self, tmp_path, capsys, command, overrides, where):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error[config]: {where}")
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])

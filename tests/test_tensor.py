@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from terraseg.errors import ParameterError, ShapeError
-from terraseg.tensor import SeededRng, Tensor, crop_center, mix_seed
+from terraseg.graph import ConcatCrop
+from terraseg.tensor import SeededRng, Tensor, mix_seed
 
 
 class TestConstruction:
@@ -24,30 +25,42 @@ class TestConstruction:
         assert t.data.dtype == np.float64
 
 
+def concat_crop(main, skip):
+    """The skip half of ConcatCrop's output on [main, skip]."""
+    out, _ = ConcatCrop().forward([main, skip], training=False, rng=None)
+    return out[main.shape[0]:]
+
+
 class TestCropPadConcat:
+    """ConcatCrop's center crop: floor offset, surplus on the bottom/right."""
+
     def test_crop_symmetric_center(self):
-        t = Tensor(np.arange(36, dtype=float).reshape(1, 6, 6))
-        c = crop_center(t, 4, 4)
-        assert np.array_equal(c.data, t.data[:, 1:5, 1:5])
+        skip = np.arange(36, dtype=float).reshape(1, 6, 6)
+        assert np.array_equal(concat_crop(np.zeros((1, 4, 4)), skip), skip[:, 1:5, 1:5])
 
     def test_crop_floor_rule(self):
-        t = Tensor(np.arange(75, dtype=float).reshape(3, 5, 5))
-        c = crop_center(t, 4, 4)
-        assert np.array_equal(c.data, t.data[:, 0:4, 0:4])
+        skip = np.arange(75, dtype=float).reshape(3, 5, 5)
+        assert np.array_equal(concat_crop(np.zeros((2, 4, 4)), skip), skip[:, 0:4, 0:4])
+        layer = ConcatCrop()
+        _, ctx = layer.forward([np.zeros((2, 4, 4)), skip], training=True, rng=None)
+        (gm, gs), _ = layer.backward(np.ones((5, 4, 4)), ctx)
+        assert gm.shape == (2, 4, 4)
+        assert np.array_equal(gs[:, 0:4, 0:4], np.ones((3, 4, 4)))
+        assert not gs[:, 4, :].any() and not gs[:, :, 4].any()
 
     def test_crop_identity(self):
-        t = Tensor(np.arange(16, dtype=float).reshape(1, 4, 4))
-        assert np.array_equal(crop_center(t, 4, 4).data, t.data)
+        skip = np.arange(16, dtype=float).reshape(1, 4, 4)
+        assert np.array_equal(concat_crop(np.zeros((2, 4, 4)), skip), skip)
 
     def test_crop_too_large(self):
         with pytest.raises(ShapeError):
-            crop_center(Tensor(np.zeros((1, 4, 4))), 5, 4)
+            ConcatCrop().out_shape([(1, 4, 4), (1, 3, 4)])
 
     @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**16))
     def test_crop_undoes_pad(self, c, h, w, seed):
-        t = Tensor(SeededRng(seed).uniform(0, 1, (c, h, w)))
-        padded = Tensor(np.pad(t.data, ((0, 0), (2, 2), (1, 1))))
-        assert np.array_equal(crop_center(padded, h, w).data, t.data)
+        x = SeededRng(seed).uniform(0, 1, (c, h, w))
+        padded = np.pad(x, ((0, 0), (2, 2), (1, 1)))
+        assert np.array_equal(concat_crop(x, padded), x)
 
 
 class TestSeeding:

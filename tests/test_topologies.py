@@ -9,7 +9,7 @@ from terraseg.errors import ParameterError
 from terraseg.graph import grad_check
 from terraseg.ops import ELU, RELU
 from terraseg.synth import one_hot
-from terraseg.tensor import SeededRng, Tensor
+from terraseg.tensor import SeededRng
 from terraseg.topologies import (
     TopologySpec,
     build_resunet,
@@ -19,6 +19,8 @@ from terraseg.topologies import (
     count_parameters,
 )
 
+from conftest import assert_plain_arrays
+
 
 def spec_of(kind, depth=2, base=8, **kw):
     return TopologySpec(kind=kind, depth=depth, base_channels=base,
@@ -26,7 +28,7 @@ def spec_of(kind, depth=2, base=8, **kw):
 
 
 def run_inference(graph, seed=21):
-    x = Tensor(SeededRng(seed).uniform(-1.0, 1.0, graph.input_shape))
+    x = SeededRng(seed).uniform(-1.0, 1.0, graph.input_shape)
     out, _ = graph.forward(x, training=False)
     return out
 
@@ -80,8 +82,8 @@ class TestUnet:
         g = build_unet(spec_of("unet"), input_hw=(16, 16))
         out = run_inference(g)
         assert out.shape == (4, 16, 16)
-        assert np.all(out.data >= 0)
-        np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(out >= 0)
+        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
 
     def test_depth1_works_on_2x2(self):
         g = build_unet(spec_of("unet", depth=1, base=2), input_hw=(2, 2))
@@ -149,7 +151,7 @@ class TestSegnet:
     def test_output_is_distribution(self):
         g = build_segnet(spec_of("segnet"), input_hw=(16, 16))
         out = run_inference(g)
-        np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestResunet:
@@ -172,10 +174,10 @@ class TestResunet:
         params = g.parameters()
         params["enc0_conv2.weight"][...] = 0.0
         params["enc0_conv2.bias"][...] = 0.0
-        x = Tensor(SeededRng(6).uniform(0.0, 1.0, (4, 8, 8)))
+        x = SeededRng(6).uniform(0.0, 1.0, (4, 8, 8))
         _, cache = g.forward(x, training=False)
         unit_out = cache.outs[g._index["enc0_act2"]]
-        np.testing.assert_array_equal(unit_out.data, x.data)
+        np.testing.assert_array_equal(unit_out, x)
 
     def test_more_parameters_than_unet(self):
         u = count_parameters(build_unet(spec_of("unet"), (16, 16)))
@@ -185,7 +187,7 @@ class TestResunet:
     def test_output_is_distribution(self):
         g = build_resunet(spec_of("resunet"), input_hw=(16, 16))
         out = run_inference(g)
-        np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestGradients:
@@ -194,10 +196,11 @@ class TestGradients:
         spec = TopologySpec(kind=kind, depth=1, base_channels=2, in_channels=2,
                             num_classes=2, activation=ELU)
         g = build_topology(spec, input_hw=(4, 4), seed=8)
-        x = Tensor(SeededRng(9).uniform(-1.0, 1.0, (2, 4, 4)))
+        x = SeededRng(9).uniform(-1.0, 1.0, (2, 4, 4))
         labels = SeededRng(10).integers(0, 2, (4, 4))
         target, _ = one_hot(labels, 2)
-        assert grad_check(g, x, target) <= 1e-4
+        assert grad_check(g, x, target.data) <= 1e-4
+        assert_plain_arrays(g, x, target.data)
 
 
 class TestPersistence:
@@ -209,4 +212,4 @@ class TestPersistence:
         assert count_parameters(g2) == count_parameters(g)
         out1 = run_inference(g)
         out2 = run_inference(g2)
-        np.testing.assert_array_equal(out1.data, out2.data)
+        np.testing.assert_array_equal(out1, out2)

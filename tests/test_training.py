@@ -9,7 +9,6 @@ import terraseg.training as training_mod
 from terraseg.errors import ParameterError
 from terraseg.optim import AdamState, SgdState
 from terraseg.synth import make_tile, one_hot
-from terraseg.tensor import Tensor
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,

@@ -1,5 +1,5 @@
 """POLYGON reader/writer: grammar conformance, byte-offset error reporting,
-round trips, and the derived bbox/area helpers."""
+round trips, and the derived area helper."""
 
 import pytest
 from hypothesis import given, settings
@@ -113,12 +113,6 @@ class TestRoundTrip:
 
 
 class TestDerived:
-    def test_bbox(self):
-        geom = parse_wkt(REGION)
-        west, south, east, north = geom.bbox()
-        assert (west, south) == (16.58910503349143, 43.400842665330345)
-        assert (east, north) == (26.95841113834191, 49.09541206485471)
-
     def test_area_unit_square(self):
         assert parse_wkt(UNIT_SQUARE).area() == 1.0
 
