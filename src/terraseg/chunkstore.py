@@ -2,17 +2,23 @@
 
 Layout: every group is a directory holding ``.group.json``; every array is a
 directory holding ``.array.json`` plus one file per materialized chunk named
-``c.<i0>.<i1>...`` (grid coordinates). Chunks always cover the full chunk
-shape (edge chunks are fill-padded), are stored little-endian, optionally
-deflate-compressed (zlib level 6, fixed for reproducibility), and carry a
-crc32 over their encoded bytes in the array metadata. Missing chunk files
-read back as fill values, so a freshly created array is all-fill without
-occupying space.
+``c.<key>``, where the key joins the grid coordinates with dots (``0.3.1``).
+Chunks always cover the full chunk shape (edge chunks are fill-padded), are
+stored little-endian and optionally deflate-compressed (zlib level 6, fixed
+for reproducibility). Each chunk file ends in a 4-byte little-endian crc32 of
+the encoded bytes before it, seeded with the crc32 of the chunk key, so a
+chunk file copied to another coordinate fails its check like a corrupt one.
+Missing chunk files read back as fill values, so a freshly created array is
+all-fill without occupying space.
+
+Array metadata is written once, by ``create_array``, and never rewritten; a
+handle reads it once when it opens. It carries ``"format": 2``; arrays
+without that marker predate the chunk trailer and must be re-ingested.
 
 Writers take an advisory lock file (``.lock``, O_EXCL) per array for the
-duration of a write; chunk files and metadata are written to a temp name and
-renamed into place. Nothing in the store depends on time or randomness: two
-identical ingest runs produce byte-identical trees.
+duration of a write. Each chunk is written to a temp name and renamed into
+place, so a chunk replace is one atomic rename. Nothing in the store depends
+on time or randomness: two identical ingest runs produce byte-identical trees.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ _NAME = re.compile(r"^[A-Za-z0-9._-]+$")
 GROUP_META = ".group.json"
 ARRAY_META = ".array.json"
 CODECS = ("raw", "deflate")
+FORMAT = 2
 
 
 def _check_name(name: str) -> None:
@@ -91,14 +98,6 @@ class Store:
             d = d / part
         return d
 
-    def _kind(self, path: str) -> str | None:
-        d = self._dir(path)
-        if (d / GROUP_META).exists():
-            return "group"
-        if (d / ARRAY_META).exists():
-            return "array"
-        return None
-
     def create_group(self, path: str, attributes: dict | None = None) -> "StoreGroup":
         """mkdir -p semantics; re-creating an existing group is a no-op."""
         parts = _split(path)
@@ -118,7 +117,7 @@ class Store:
         return StoreGroup(self, "/".join(parts))
 
     def group(self, path: str) -> "StoreGroup":
-        if self._kind(path) != "group":
+        if not (self._dir(path) / GROUP_META).exists():
             raise StoreNotFoundError(f"no group at {path!r}")
         return StoreGroup(self, "/".join(_split(path)))
 
@@ -149,20 +148,18 @@ class Store:
         d.mkdir(parents=True, exist_ok=True)
         meta = {
             "kind": "array",
+            "format": FORMAT,
             "shape": list(shape),
             "chunks": list(chunks),
             "dtype": dtype,
             "codec": codec,
             "fill": fill,
             "attributes": attributes or {},
-            "checksums": {},
         }
         _write_json_atomic(d / ARRAY_META, meta)
         return StoredArray(self, "/".join(parts))
 
     def array(self, path: str) -> "StoredArray":
-        if self._kind(path) != "array":
-            raise StoreNotFoundError(f"no array at {path!r}")
         return StoredArray(self, "/".join(_split(path)))
 
     def remove(self, path: str) -> None:
@@ -225,106 +222,91 @@ class _Lock:
 
 
 class StoredArray:
-    """Handle on one array; metadata is re-read per operation."""
+    """Handle on one array; its metadata is read once, when the handle opens."""
 
     def __init__(self, store: Store, path: str):
         self.store = store
         self.path = path
         self.dir = store._dir(path)
-
-    def _meta(self) -> dict:
         try:
-            return _read_json(self.dir / ARRAY_META)
+            meta = _read_json(self.dir / ARRAY_META)
         except FileNotFoundError:
-            raise StoreNotFoundError(f"no array at {self.path!r}") from None
+            raise StoreNotFoundError(f"no array at {path!r}") from None
+        if meta.get("format") != FORMAT:
+            raise IntegrityError(
+                f"array {path!r} predates store format {FORMAT}; re-ingest the store")
+        self.shape: tuple[int, ...] = tuple(meta["shape"])
+        self.attributes: dict = meta["attributes"]
+        self._chunks = tuple(meta["chunks"])
+        self._dtype = DTYPE_CODES[meta["dtype"]]
+        self._deflate = meta["codec"] == "deflate"
+        self._fill = meta["fill"]
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self._meta()["shape"])
-
-    @property
-    def attributes(self) -> dict:
-        return self._meta()["attributes"]
-
-    # -- geometry helpers
-
-    @staticmethod
-    def _check_region(meta: dict, offsets, extents) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        shape = tuple(meta["shape"])
+    def _check_region(self, offsets, extents) -> tuple[tuple[int, ...], tuple[int, ...]]:
         offsets = tuple(int(o) for o in offsets)
         extents = tuple(int(e) for e in extents)
-        if len(offsets) != len(shape) or len(extents) != len(shape):
+        if len(offsets) != len(self.shape) or len(extents) != len(self.shape):
             raise ParameterError(
-                f"region rank {len(offsets)}/{len(extents)} != array rank {len(shape)}"
+                f"region rank {len(offsets)}/{len(extents)} != array rank {len(self.shape)}"
             )
-        for o, e, s in zip(offsets, extents, shape):
+        for o, e, s in zip(offsets, extents, self.shape):
             if o < 0 or e < 1 or o + e > s:
                 raise ParameterError(
-                    f"region offset {offsets} extent {extents} outside shape {shape}"
+                    f"region offset {offsets} extent {extents} outside shape {self.shape}"
                 )
         return offsets, extents
 
-    def _chunk_file(self, coords: tuple[int, ...]) -> Path:
-        return self.dir / ("c." + ".".join(str(c) for c in coords))
+    def _encode(self, key: str, block: np.ndarray) -> bytes:
+        raw = np.ascontiguousarray(block, dtype=self._dtype).tobytes()
+        payload = zlib.compress(raw, 6) if self._deflate else raw
+        return payload + _crc(key, payload).to_bytes(4, "little")
 
-    def _encode(self, meta: dict, block: np.ndarray) -> bytes:
-        raw = np.ascontiguousarray(block, dtype=DTYPE_CODES[meta["dtype"]]).tobytes()
-        return zlib.compress(raw, 6) if meta["codec"] == "deflate" else raw
-
-    def _decode(self, meta: dict, blob: bytes) -> np.ndarray:
-        raw = zlib.decompress(blob) if meta["codec"] == "deflate" else blob
-        dt = DTYPE_CODES[meta["dtype"]]
-        chunk_shape = tuple(meta["chunks"])
-        expect = int(np.prod(chunk_shape)) * dt.itemsize
+    def _load_chunk(self, key: str) -> np.ndarray:
+        try:
+            blob = memoryview((self.dir / ("c." + key)).read_bytes())
+        except FileNotFoundError:
+            return np.full(self._chunks, self._fill, dtype=self._dtype)
+        payload = blob[:-4]
+        if len(blob) < 4 or int.from_bytes(blob[-4:], "little") != _crc(key, payload):
+            raise IntegrityError(f"checksum mismatch on chunk {key} of {self.path!r}")
+        raw = zlib.decompress(payload) if self._deflate else payload
+        expect = int(np.prod(self._chunks)) * self._dtype.itemsize
         if len(raw) != expect:
             raise IntegrityError(
                 f"chunk payload is {len(raw)} bytes, expected {expect}"
             )
-        return np.frombuffer(raw, dtype=dt).reshape(chunk_shape)
-
-    def _load_chunk(self, meta: dict, coords: tuple[int, ...]) -> np.ndarray:
-        path = self._chunk_file(coords)
-        key = ".".join(str(c) for c in coords)
-        if not path.exists():
-            return np.full(tuple(meta["chunks"]), meta["fill"],
-                           dtype=DTYPE_CODES[meta["dtype"]])
-        blob = path.read_bytes()
-        recorded = meta["checksums"].get(key)
-        if recorded is None or zlib.crc32(blob) != recorded:
-            raise IntegrityError(f"checksum mismatch on chunk {key} of {self.path!r}")
-        return self._decode(meta, blob).copy()
+        return np.frombuffer(raw, dtype=self._dtype).reshape(self._chunks).copy()
 
     # -- public IO
 
     def write_region(self, offsets, data: np.ndarray) -> None:
         """Write ``data`` at ``offsets`` (read-modify-write partial chunks)."""
+        data = np.asarray(data)
+        offsets, extents = self._check_region(offsets, data.shape)
+        data = data.astype(self._dtype, copy=False)
         with _Lock(self.dir):
-            meta = self._meta()
-            data = np.asarray(data)
-            offsets, extents = self._check_region(meta, offsets, data.shape)
-            data = data.astype(DTYPE_CODES[meta["dtype"]], copy=False)
-            for cc, in_chunk, in_region in _walk_chunks(meta["chunks"], offsets, extents):
-                block = self._load_chunk(meta, cc)
+            for key, in_chunk, in_region in _walk_chunks(self._chunks, offsets, extents):
+                block = self._load_chunk(key)
                 block[in_chunk] = data[in_region]
-                blob = self._encode(meta, block)
-                path = self._chunk_file(cc)
-                tmp = path.with_name("tmp-" + path.name)
-                tmp.write_bytes(blob)
-                os.replace(tmp, path)
-                meta["checksums"][".".join(str(c) for c in cc)] = zlib.crc32(blob)
-            _write_json_atomic(self.dir / ARRAY_META, meta)
+                tmp = self.dir / ("tmp-c." + key)
+                tmp.write_bytes(self._encode(key, block))
+                os.replace(tmp, self.dir / ("c." + key))
 
     def read_region(self, offsets, extents) -> np.ndarray:
-        meta = self._meta()
-        offsets, extents = self._check_region(meta, offsets, extents)
-        out = np.full(extents, meta["fill"], dtype=DTYPE_CODES[meta["dtype"]])
-        for cc, in_chunk, in_region in _walk_chunks(meta["chunks"], offsets, extents):
-            out[in_region] = self._load_chunk(meta, cc)[in_chunk]
+        offsets, extents = self._check_region(offsets, extents)
+        out = np.empty(extents, dtype=self._dtype)
+        for key, in_chunk, in_region in _walk_chunks(self._chunks, offsets, extents):
+            out[in_region] = self._load_chunk(key)[in_chunk]
         return out
 
 
+def _crc(key: str, payload) -> int:
+    """crc32 of a chunk's encoded bytes, seeded with the crc32 of its key."""
+    return zlib.crc32(payload, zlib.crc32(key.encode()))
+
+
 def _walk_chunks(chunks, offsets, extents):
-    """Yield (chunk coords, chunk-side slices, region-side slices) for every
+    """Yield (chunk key, chunk-side slices, region-side slices) for every
     chunk the region ``offsets`` + ``extents`` touches, in C order."""
     lo = [o // c for o, c in zip(offsets, chunks)]
     hi = [(o + e - 1) // c for o, e, c in zip(offsets, extents, chunks)]
@@ -335,4 +317,4 @@ def _walk_chunks(chunks, offsets, extents):
             a0, a1 = max(o, k * c), min(o + e, (k + 1) * c)
             in_chunk.append(slice(a0 - k * c, a1 - k * c))
             in_region.append(slice(a0 - o, a1 - o))
-        yield cc, tuple(in_chunk), tuple(in_region)
+        yield ".".join(map(str, cc)), tuple(in_chunk), tuple(in_region)

@@ -14,9 +14,10 @@ from the field (``_FORMS`` / ``_DUMPS``) and for enumerated values
 
 Sections are optional at parse time; each CLI command demands its own
 section when it runs. Keys that must agree with another section (the tile
-size with the topology depth, the folds with ``split.k``) are checked once
-every section is parsed. `serialize_config` inverts `parse_config` so configs
-round-trip: parse(serialize(c)) == c.
+size with the topology depth, the class counts of ingest and the topology,
+the folds with ``split.k``) are checked once every section is parsed.
+`serialize_config` inverts `parse_config` so configs round-trip:
+parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -304,6 +305,10 @@ def _check_across_sections(config: PipelineConfig) -> None:
         except ParameterError as exc:
             raise ConfigError(f"config.ingest.tile_size: {exc} "
                               f"(config.train.topology.depth)") from None
+        classes = config.train.topology.num_classes
+        if classes != config.ingest.num_classes:
+            raise ConfigError(f"config.train.topology.num_classes: {classes} but "
+                              f"config.ingest.num_classes is {config.ingest.num_classes}")
     if config.split is None:
         return
     k = config.split.k

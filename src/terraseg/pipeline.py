@@ -287,8 +287,14 @@ class _SampleSource:
         return Sample(self.image(week, iy, ix), target, ignore.astype(np.uint8))
 
 
-def _fold_ids(store: Store, config: PipelineConfig) -> np.ndarray:
+def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.ndarray:
+    """Stored fold id per tile, once ``fold`` (config path ``key``) is known
+    to be one of the stored split's folds; the config alone cannot tell when
+    it carries no split section."""
     arr = store.array(_node(config, FOLD_ARRAY))
+    k = int(arr.attributes["k"])
+    if not 0 <= fold < k:
+        raise DataError(f"{key}: fold {fold} outside [0, {k}) of the stored split")
     return arr.read_region((0,), arr.shape)
 
 
@@ -315,7 +321,8 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
 
     folds = None
     if t.validation_fold is not None:
-        folds = _fold_ids(store, config)
+        folds = _fold_ids(store, config, t.validation_fold,
+                          "config.train.validation_fold")
     train_samples, val_samples = [], []
     weeks = src.week_range(*t.slice_timestamps)
     for w in weeks:
@@ -378,11 +385,9 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
 
     wanted = None
     if e.fold is not None:
-        folds = _fold_ids(store, config)
+        folds = _fold_ids(store, config, e.fold, "config.evaluate.fold")
         wanted = {divmod(i, src.ntx) for i in range(folds.size)
                   if folds[i] == e.fold}
-        if not wanted:
-            raise DataError(f"fold {e.fold} holds no tiles")
     cm = ConfusionMatrix.zeros(src.num_classes)
     for w in src.week_range(*t.slice_timestamps):
         for iy in range(src.nty):

@@ -3,6 +3,7 @@ boundaries checked against a dense reference array, integrity checking,
 locking, and byte-level determinism of the on-disk tree."""
 
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -196,6 +197,51 @@ class TestIntegrity:
         (store.root / "a" / "c.0").write_bytes(b"\x00" * 4)
         with pytest.raises(IntegrityError):
             a.read_region((0,), (4,))
+
+    def test_metadata_is_written_once(self, store, rng):
+        a = store.create_array("a", shape=(10, 10), chunks=(4, 4), dtype="f32")
+        meta = store.root / "a" / ".array.json"
+        created = meta.read_bytes()
+        for _ in range(4):
+            off = rng.integers(0, 6, 2)
+            a.write_region(off, rng.uniform(0, 1, (4, 4)))
+        assert meta.read_bytes() == created
+
+    def test_chunk_moved_to_another_coordinate_detected(self, store):
+        a = store.create_array("a", shape=(4, 4), chunks=(2, 2), dtype="u8")
+        a.write_region((0, 0), np.arange(16, dtype=np.uint8).reshape(4, 4))
+        d = store.root / "a"
+        (d / "c.1.1").write_bytes((d / "c.0.0").read_bytes())
+        assert np.array_equal(a.read_region((0, 0), (2, 2)), [[0, 1], [4, 5]])
+        with pytest.raises(IntegrityError, match="checksum mismatch on chunk 1.1"):
+            a.read_region((2, 2), (2, 2))
+
+    @pytest.mark.parametrize("cut", [lambda n: 3, lambda n: n // 2],
+                             ids=["three-bytes", "half"])
+    def test_truncated_chunk_detected(self, store, cut):
+        a = store.create_array("a", shape=(8, 8), chunks=(8, 8), dtype="u16")
+        a.write_region((0, 0), np.arange(64, dtype=np.uint16).reshape(8, 8))
+        chunk = store.root / "a" / "c.0.0"
+        blob = chunk.read_bytes()
+        chunk.write_bytes(blob[: cut(len(blob))])
+        with pytest.raises(IntegrityError, match="checksum"):
+            a.read_region((0, 0), (8, 8))
+
+    def test_metadata_without_format_asks_for_reingest(self, store):
+        store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        meta = store.root / "a" / ".array.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        del doc["format"]
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="re-ingest"):
+            store.array("a")
+
+    def test_handle_sees_writes_made_through_another(self, store):
+        store.create_array("a", shape=(6,), chunks=(4,), dtype="i32", fill=-1)
+        early = store.array("a")
+        assert np.all(early.read_region((0,), (6,)) == -1)
+        store.array("a").write_region((2,), np.arange(4, dtype=np.int32))
+        assert early.read_region((0,), (6,)).tolist() == [-1, -1, 0, 1, 2, 3]
 
     def test_lock_excludes_second_writer(self, store):
         a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")

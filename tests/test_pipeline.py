@@ -365,7 +365,9 @@ class TestTrain:
 
     def test_num_classes_mismatch(self, ingested):
         root, labels, gt, config = ingested
-        bad = make_config(root, train={"topology": {"num_classes": 4}})
+        # without the ingest section the parse-time check cannot see the
+        # mismatch, so the check against the stored labels is what fires
+        bad = make_config(root, ingest=DROP, train={"topology": {"num_classes": 4}})
         with pytest.raises(ConfigError, match="num_classes"):
             cmd_train(bad, out_dir=root)
 
@@ -649,11 +651,40 @@ class TestCli:
         ("train", {"train": {"validation_fold": 5}},
          "config.train.validation_fold: fold 5 outside [0, 2)"),
         ("evaluate", {"evaluate": {"fold": 5}}, "config.evaluate.fold: fold 5 outside [0, 2)"),
+        ("train", {"train": {"topology": {"num_classes": 4}}},
+         "config.train.topology.num_classes: 4 but config.ingest.num_classes is 3"),
     ])
     def test_cross_section_mismatch_exits_2(self, tmp_path, capsys, command, overrides, where):
         cfg = self.write_config(tmp_path, **overrides)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error[config]: {where}")
+
+    def test_fold_outside_the_stored_split_exits_3(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        capsys.readouterr()
+        # with no split section only the stored split can reject the fold
+        cfg = self.write_config(tmp_path, split=DROP, train={"validation_fold": 5})
+        assert main(["train", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error[data]: config.train.validation_fold: fold 5 outside [0, 2) "
+            "of the stored split\n")
+
+    def test_ingest_replaces_a_store_of_the_old_format(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        meta = tmp_path / "store" / LABEL_ARRAY / ".array.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        del doc["format"]
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["split", "--config", cfg]) == 3
+        assert "re-ingest" in capsys.readouterr().err
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
     def test_checkpoint_override_needs_the_section(self, tmp_path, capsys, command):
