@@ -277,16 +277,25 @@ class StoredArray:
             )
         return np.frombuffer(raw, dtype=self._dtype).reshape(self._chunks).copy()
 
+    def _covers(self, key: str, in_chunk) -> bool:
+        """Whether ``in_chunk`` spans every in-bounds cell of chunk ``key``."""
+        return all(s.start == 0 and s.stop == min(c, n - int(k) * c)
+                   for s, c, n, k in zip(in_chunk, self._chunks, self.shape,
+                                         key.split(".")))
+
     # -- public IO
 
     def write_region(self, offsets, data: np.ndarray) -> None:
-        """Write ``data`` at ``offsets`` (read-modify-write partial chunks)."""
+        """Write ``data`` at ``offsets``. A chunk the region covers is
+        replaced without reading it; a partly covered one is read, patched
+        and rewritten."""
         data = np.asarray(data)
         offsets, extents = self._check_region(offsets, data.shape)
         data = data.astype(self._dtype, copy=False)
         with _Lock(self.dir):
             for key, in_chunk, in_region in _walk_chunks(self._chunks, offsets, extents):
-                block = self._load_chunk(key)
+                block = (np.full(self._chunks, self._fill, dtype=self._dtype)
+                         if self._covers(key, in_chunk) else self._load_chunk(key))
                 block[in_chunk] = data[in_region]
                 tmp = self.dir / ("tmp-c." + key)
                 tmp.write_bytes(self._encode(key, block))

@@ -11,6 +11,12 @@ scanline filling tested at pixel centers with the half-open boundary rule:
 crossings use ``(y1 > y) != (y2 > y)`` and a center is inside an interval
 ``[xa, xb)``, so centers exactly on the minimum-coordinate edges of an
 axis-aligned box are in, centers on the maximum edges are out.
+
+Tiling is a reshape: ``tile`` turns a [C, H, W] raster into one block array
+[tiles_y, tiles_x, C, ts, ts] (the store's tile order), padding the bottom
+and right edges with nodata only when ``ts`` does not divide the scene.
+Tiles are addressed by their (ty, tx) index, not by a georeference of their
+own; ``mosaic`` transposes the blocks back and crops the padding.
 """
 
 from __future__ import annotations
@@ -106,6 +112,8 @@ class GeoRaster:
 def _require_axis_aligned(gt: tuple[float, ...]) -> None:
     if gt[2] != 0.0 or gt[4] != 0.0:
         raise ParameterError("rotated geotransforms are not supported")
+    if gt[1] * gt[5] == 0:
+        raise ParameterError("geotransform is singular")
 
 
 def _scanline_fill(plane: np.ndarray, geom: WktGeometry, value,
@@ -116,7 +124,13 @@ def _scanline_fill(plane: np.ndarray, geom: WktGeometry, value,
     for ring in geom.rings:
         for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
             edges.append((x1, y1, x2, y2))
-    for row in range(h):
+    if not edges:
+        return
+    # only rows whose center can lie in the edges' y-span, plus a row of
+    # slack each side for rounding; the crossing test below decides
+    ys = [y for _, y1, _, y2 in edges for y in (y1, y2)]
+    r0, r1 = np.clip(sorted((v - gt[3]) / gt[5] - 0.5 for v in (min(ys), max(ys))), -1, h)
+    for row in range(max(0, math.floor(r0) - 1), min(h, math.ceil(r1) + 2)):
         y = gt[3] + (row + 0.5) * gt[5]
         xs = []
         for x1, y1, x2, y2 in edges:
@@ -162,78 +176,55 @@ def rasterize(shapes, width: int, height: int, geotransform,
 
 @dataclass(frozen=True)
 class TileGrid:
-    """Geometry of a row-major tiling, enough to invert it exactly."""
+    """What a tiling's blocks do not carry: the scene extent and its
+    georeferencing. Tile counts, tile size, channels and dtype are the
+    blocks' shape and dtype."""
 
-    tile_size: int
-    tiles_y: int
-    tiles_x: int
     width: int
     height: int
     geotransform: tuple
     crs: str
     nodata: float
-    channels: int
-    dtype: str
 
 
-def tile(raster: GeoRaster, tile_size: int) -> tuple[TileGrid, list[GeoRaster]]:
-    """Split into ceil-cover tiles, row-major; edge tiles padded with nodata."""
+def tile(raster: GeoRaster, tile_size: int) -> tuple[TileGrid, np.ndarray]:
+    """Cut a [C, H, W] raster into blocks [tiles_y, tiles_x, C, ts, ts].
+
+    The tiles ceil-cover the scene, and ``blocks[ty, tx]`` is the tile whose
+    top-left pixel is (ty * ts, tx * ts). When ``ts`` divides the scene the
+    blocks are a view of ``raster.data``; otherwise the scene is first padded
+    at the bottom and right with its nodata value.
+    """
     if tile_size < 1:
         raise ParameterError(f"tile size must be >= 1, got {tile_size}")
     ts = tile_size
-    nty = -(-raster.height // ts)
-    ntx = -(-raster.width // ts)
-    grid = TileGrid(ts, nty, ntx, raster.width, raster.height,
-                    raster.geotransform, raster.crs, raster.nodata,
-                    raster.channels, dtype_code(raster.data.dtype))
-    tiles = []
-    g = raster.geotransform
-    for ty in range(nty):
-        for tx in range(ntx):
-            block = np.full((raster.channels, ts, ts), raster.nodata,
-                            dtype=raster.data.dtype)
-            y0, x0 = ty * ts, tx * ts
-            ys = min(ts, raster.height - y0)
-            xs = min(ts, raster.width - x0)
-            block[:, :ys, :xs] = raster.data[:, y0 : y0 + ys, x0 : x0 + xs]
-            ox, oy = raster.pixel_to_world(x0, y0)
-            tiles.append(GeoRaster(block, (ox, g[1], g[2], oy, g[4], g[5]),
-                                   raster.crs, raster.nodata))
-    return grid, tiles
+    c, h, w = raster.data.shape
+    nty, ntx = -(-h // ts), -(-w // ts)
+    data = raster.data
+    if (nty * ts, ntx * ts) != (h, w):
+        data = np.full((c, nty * ts, ntx * ts), raster.nodata, dtype=data.dtype)
+        data[:, :h, :w] = raster.data
+    blocks = data.reshape(c, nty, ts, ntx, ts).transpose(1, 3, 0, 2, 4)
+    grid = TileGrid(w, h, raster.geotransform, raster.crs, raster.nodata)
+    return grid, blocks
 
 
-def mosaic(grid: TileGrid, tiles) -> GeoRaster:
-    """Reassemble tiles by their georeferencing; exact inverse of tile().
+def mosaic(grid: TileGrid, blocks: np.ndarray) -> GeoRaster:
+    """Exact inverse of tile(): join blocks [tiles_y, tiles_x, C, th, tw]
+    into one raster and crop the edge padding.
 
-    Tile order does not matter: the grid position comes from each tile's
-    origin. Missing or duplicated positions raise a data error naming the
-    tile coordinates.
+    The blocks must ceil-cover the grid's extent, or a ShapeError is raised.
     """
-    ts = grid.tile_size
-    ref = GeoRaster(np.zeros((1, 1, 1), DTYPE_CODES[grid.dtype]),
-                    grid.geotransform, grid.crs, grid.nodata)
-    out = np.full((grid.channels, grid.tiles_y * ts, grid.tiles_x * ts),
-                  grid.nodata, dtype=DTYPE_CODES[grid.dtype])
-    seen = set()
-    for t in tiles:
-        if t.data.shape != (grid.channels, ts, ts):
-            raise ShapeError(f"tile shape {t.data.shape} does not match the grid")
-        col, row = ref.world_to_pixel(*t.pixel_to_world(0, 0))
-        tx, ty = col / ts, row / ts
-        if abs(tx - round(tx)) > 1e-6 or abs(ty - round(ty)) > 1e-6:
-            raise DataError(f"tile origin not on the grid: ({tx:.3f}, {ty:.3f})")
-        tx, ty = int(round(tx)), int(round(ty))
-        if not (0 <= ty < grid.tiles_y and 0 <= tx < grid.tiles_x):
-            raise DataError(f"tile ({ty}, {tx}) outside the grid")
-        if (ty, tx) in seen:
-            raise DataError(f"duplicate tile ({ty}, {tx})")
-        seen.add((ty, tx))
-        out[:, ty * ts : (ty + 1) * ts, tx * ts : (tx + 1) * ts] = t.data
-    for ty in range(grid.tiles_y):
-        for tx in range(grid.tiles_x):
-            if (ty, tx) not in seen:
-                raise DataError(f"missing tile ({ty}, {tx})")
-    return GeoRaster(out[:, : grid.height, : grid.width].copy(),
+    shape = blocks.shape
+    if len(shape) != 5 or min(shape) < 1:
+        raise ShapeError(f"blocks must be a [tiles_y, tiles_x, C, th, tw] array, "
+                         f"got shape {shape}")
+    nty, ntx, c, th, tw = shape
+    if (nty, ntx) != (-(-grid.height // th), -(-grid.width // tw)):
+        raise ShapeError(f"{nty}x{ntx} tiles of {th}x{tw} do not cover the "
+                         f"{grid.height}x{grid.width} grid")
+    data = blocks.transpose(2, 0, 3, 1, 4).reshape(c, nty * th, ntx * tw)
+    return GeoRaster(np.ascontiguousarray(data[:, : grid.height, : grid.width]),
                      grid.geotransform, grid.crs, grid.nodata)
 
 

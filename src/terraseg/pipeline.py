@@ -125,19 +125,17 @@ def cmd_ingest(config: PipelineConfig) -> Store:
             raise DataError(f"SCL crs {scl.crs!r} != image crs {raster.crs!r}")
         if scl.data.shape[1:] != raster.data.shape[1:]:
             raise DataError("SCL plane does not match the image extent")
-        mask_raster = scl_to_ignore_mask(scl, ing.cloud_classes)
+        mask = scl_to_ignore_mask(scl, ing.cloud_classes).data
     else:
-        mask_raster = GeoRaster(
-            np.zeros((1, raster.height, raster.width), dtype=np.uint8),
-            raster.geotransform, raster.crs, 0.0)
+        mask = np.zeros((1, raster.height, raster.width), dtype=np.uint8)
     # pad value 1 marks synthetic edge pixels as ignored
-    mask_raster = GeoRaster(mask_raster.data, mask_raster.geotransform,
-                            mask_raster.crs, 1.0)
+    mask_raster = GeoRaster(mask, raster.geotransform, raster.crs, 1.0)
 
-    grid, img_tiles = tile(raster, ing.tile_size)
-    _, lbl_tiles = tile(label_raster, ing.tile_size)
-    _, mask_tiles = tile(mask_raster, ing.tile_size)
-    nty, ntx, ts = grid.tiles_y, grid.tiles_x, grid.tile_size
+    # blocks [ty, tx, C, ts, ts], views of the scene unless edge tiles are padded
+    _, img_blocks = tile(raster, ing.tile_size)
+    _, lbl_blocks = tile(label_raster, ing.tile_size)
+    _, mask_blocks = tile(mask_raster, ing.tile_size)
+    nty, ntx, _, ts, _ = img_blocks.shape
     geo_attrs = {
         "geotransform": list(raster.geotransform),
         "crs": raster.crs,
@@ -164,13 +162,10 @@ def cmd_ingest(config: PipelineConfig) -> Store:
         attributes={**geo_attrs, "num_classes": ing.num_classes,
                     "label_nodata": ing.label_nodata})
 
-    for i, (img_t, lbl_t, msk_t) in enumerate(zip(img_tiles, lbl_tiles, mask_tiles)):
-        iy, ix = divmod(i, ntx)
-        lbl.write_region((iy, ix, 0, 0), lbl_t.data[0][None, None])
-        for w in range(ing.weeks):
-            img.write_region((w, iy, ix, 0, 0, 0),
-                             img_t.data.transpose(1, 2, 0)[None, None, None])
-            msk.write_region((w, iy, ix, 0, 0), msk_t.data[0][None, None, None])
+    lbl.write_region((0, 0, 0, 0), lbl_blocks[:, :, 0])
+    for w in range(ing.weeks):
+        img.write_region((w, 0, 0, 0, 0, 0), img_blocks.transpose(0, 1, 3, 4, 2)[None])
+        msk.write_region((w, 0, 0, 0, 0), mask_blocks[:, :, 0][None])
 
     if ing.coarse_image is not None:
         coarse = read_raster(ing.coarse_image)
@@ -187,13 +182,9 @@ def cmd_ingest(config: PipelineConfig) -> Store:
             [1, 1, 1, hc, wc, coarse.channels], "f32",
             attributes={"crs": coarse.crs,
                         "geotransform": list(coarse.geotransform)})
-        for iy in range(nty):
-            for ix in range(ntx):
-                block = coarse.data[:, iy * hc : (iy + 1) * hc,
-                                    ix * wc : (ix + 1) * wc]
-                for w in range(ing.weeks):
-                    arr.write_region((w, iy, ix, 0, 0, 0),
-                                     block.transpose(1, 2, 0)[None, None, None])
+        blocks = coarse.data.reshape(coarse.channels, nty, hc, ntx, wc)
+        for w in range(ing.weeks):
+            arr.write_region((w, 0, 0, 0, 0, 0), blocks.transpose(1, 3, 2, 4, 0)[None])
     log.info("ingested %dx%d tiles of %d into %s", nty, ntx, ts, config.store)
     return store
 
@@ -205,13 +196,9 @@ def cmd_split(config: PipelineConfig):
     lbl = store.array(_node(config, LABEL_ARRAY))
     nty, ntx, th, tw = lbl.shape
     nodata = lbl.attributes.get("label_nodata", 255)
-    records = []
-    for iy in range(nty):
-        for ix in range(ntx):
-            plane = lbl.read_region((iy, ix, 0, 0), (1, 1, th, tw))[0, 0]
-            records.append(SampleRecord(
-                iy * ntx + ix,
-                presence_labels(plane, sp.min_pixels, ignore_value=nodata)))
+    planes = lbl.read_region((0, 0, 0, 0), lbl.shape).reshape(nty * ntx, th, tw)
+    records = [SampleRecord(i, presence_labels(plane, sp.min_pixels, ignore_value=nodata))
+               for i, plane in enumerate(planes)]
     if sp.k > len(records):
         raise ParameterError(f"k={sp.k} exceeds the {len(records)} available tiles")
     assignment = stratified_kfold_partition(records, sp.k,
@@ -416,22 +403,16 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     if not 0 <= p.week < src.weeks:
         raise ParameterError(f"week {p.week} outside the {src.weeks}-week store")
 
-    attrs = store.array(_node(config, IMAGE_ARRAY)).attributes
-    gt = tuple(attrs["geotransform"])
-    grid = TileGrid(src.th, src.nty, src.ntx,
-                    int(attrs["scene_width"]), int(attrs["scene_height"]),
-                    gt, attrs["crs"], 255.0, 1, "u8")
-    ref = GeoRaster(np.zeros((1, 1, 1), dtype=np.uint8), gt, attrs["crs"], 255.0)
-    tiles = []
+    blocks = np.empty((src.nty, src.ntx, 1, src.th, src.tw), dtype=np.uint8)
     for iy in range(src.nty):
         for ix in range(src.ntx):
             probs, _ = graph.forward(src.image(p.week, iy, ix).data, training=False)
-            pred = probs.argmax(axis=0).astype(np.uint8)
-            pred[src.ignore_plane(p.week, iy, ix) != 0] = 255
-            ox, oy = ref.pixel_to_world(ix * src.tw, iy * src.th)
-            tiles.append(GeoRaster(pred[None], (ox, gt[1], gt[2], oy, gt[4], gt[5]),
-                                   attrs["crs"], 255.0))
-    full = mosaic(grid, tiles)
+            ignored = src.ignore_plane(p.week, iy, ix) != 0
+            blocks[iy, ix, 0] = np.where(ignored, 255, probs.argmax(axis=0))
+    attrs = store.array(_node(config, IMAGE_ARRAY)).attributes
+    grid = TileGrid(int(attrs["scene_width"]), int(attrs["scene_height"]),
+                    tuple(attrs["geotransform"]), attrs["crs"], 255.0)
+    full = mosaic(grid, blocks)
     base = _resolve(p.out, out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(full, str(base))

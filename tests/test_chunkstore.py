@@ -198,6 +198,28 @@ class TestIntegrity:
         with pytest.raises(IntegrityError):
             a.read_region((0,), (4,))
 
+    @staticmethod
+    def corrupt(path: Path) -> None:
+        blob = bytearray(path.read_bytes())
+        blob[0] ^= 0xFF
+        path.write_bytes(bytes(blob))
+
+    def test_full_chunk_write_replaces_a_corrupt_chunk(self, store):
+        a = store.create_array("a", shape=(6,), chunks=(4,), dtype="u8")
+        a.write_region((0,), np.arange(6, dtype=np.uint8))
+        self.corrupt(store.root / "a" / "c.0")
+        self.corrupt(store.root / "a" / "c.1")  # edge chunk: 2 cells in bounds
+        a.write_region((0,), np.full(4, 7, dtype=np.uint8))
+        a.write_region((4,), np.full(2, 9, dtype=np.uint8))
+        assert a.read_region((0,), (6,)).tolist() == [7, 7, 7, 7, 9, 9]
+
+    def test_partial_write_over_a_corrupt_chunk_raises(self, store):
+        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        a.write_region((0,), np.arange(4, dtype=np.uint8))
+        self.corrupt(store.root / "a" / "c.0")
+        with pytest.raises(IntegrityError, match="checksum mismatch on chunk 0"):
+            a.write_region((1,), np.zeros(3, dtype=np.uint8))
+
     def test_metadata_is_written_once(self, store, rng):
         a = store.create_array("a", shape=(10, 10), chunks=(4, 4), dtype="f32")
         meta = store.root / "a" / ".array.json"

@@ -113,6 +113,17 @@ class TestRasterize:
             got = rasterize(shapes, w, h, gt)
             want = burn_oracle(shapes, w, h, gt)
             np.testing.assert_array_equal(got.data[0], want, err_msg=f"trial {trial}")
+        # wholly outside the grid (above it, then below-left), and straddling
+        # its top edge at y = h; also on a south-up grid, where y grows by row
+        outside = [(1, box(2, h + 3, 9, h + 8)), (2, box(-9, -9, -1, -2))]
+        straddle = [(3, box(4.5, h - 3.5, 12, h + 6))]
+        for g in (gt, (0.0, 1.0, 0.0, 0.0, 0.0, 1.0)):
+            for shapes in (outside, straddle, outside + straddle):
+                got = rasterize(shapes, w, h, g)
+                np.testing.assert_array_equal(got.data[0], burn_oracle(shapes, w, h, g))
+        assert np.all(rasterize(outside, w, h, gt).data == 255)
+        burned = rasterize(straddle, w, h, gt).data[0] == 3
+        assert burned[:4, 4:12].all() and burned.sum() == 4 * 8
 
     def test_polygon_with_hole(self):
         geom = parse_wkt("POLYGON((0 0, 10 0, 10 10, 0 10, 0 0), "
@@ -132,6 +143,8 @@ class TestRasterize:
             rasterize([], 4, 4, NORTH_UP, dtype="u4")
         with pytest.raises(ParameterError):
             rasterize([(1, "POLYGON((...))")], 4, 4, NORTH_UP)
+        with pytest.raises(ParameterError, match="singular"):
+            rasterize([(1, box(0, 0, 1, 1))], 4, 4, (0, 1, 0, 4, 0, 0))
 
 
 class TestTileMosaic:
@@ -141,60 +154,39 @@ class TestTileMosaic:
 
     def test_divisible_grid(self, rng):
         r = self.make(rng, (3, 8, 8))
-        grid, tiles = tile(r, 4)
-        assert (grid.tiles_y, grid.tiles_x) == (2, 2)
-        assert len(tiles) == 4
-        assert np.array_equal(tiles[1].data, r.data[:, :4, 4:])  # row-major
+        grid, blocks = tile(r, 4)
+        assert blocks.shape == (2, 2, 3, 4, 4)
+        assert (grid.width, grid.height) == (8, 8)
+        assert np.array_equal(blocks[0, 1], r.data[:, :4, 4:])  # row-major
+        assert np.shares_memory(blocks, r.data)  # no padding, no copy
 
     def test_edge_tiles_padded_with_nodata(self, rng):
         r = self.make(rng, (1, 5, 5))
-        grid, tiles = tile(r, 4)
-        assert len(tiles) == 4
-        right = tiles[1].data
+        grid, blocks = tile(r, 4)
+        assert blocks.shape == (2, 2, 1, 4, 4)
+        right = blocks[0, 1]
         assert np.array_equal(right[:, :4, :1], r.data[:, :4, 4:5])
         assert np.all(right[:, :, 1:] == 0)
+        assert np.all(blocks[1, :, :, 1:] == 0)
 
     def test_round_trip_bit_exact(self, rng):
         for shape in [(3, 10, 10), (1, 7, 13), (4, 16, 16)]:
             r = self.make(rng, shape)
-            grid, tiles = tile(r, 4)
-            back = mosaic(grid, tiles)
+            grid, blocks = tile(r, 4)
+            back = mosaic(grid, blocks)
             assert back.data.dtype == r.data.dtype
             assert np.array_equal(back.data, r.data)
             assert back.geotransform == r.geotransform
 
-    def test_order_does_not_matter(self, rng):
-        r = self.make(rng, (2, 9, 9))
-        grid, tiles = tile(r, 4)
-        back = mosaic(grid, list(reversed(tiles)))
-        assert np.array_equal(back.data, r.data)
-
-    def test_duplicate_tile(self, rng):
-        r = self.make(rng, (1, 8, 8))
-        grid, tiles = tile(r, 4)
-        with pytest.raises(DataError, match="duplicate"):
-            mosaic(grid, tiles + [tiles[0]])
-
-    def test_missing_tile(self, rng):
-        r = self.make(rng, (1, 8, 8))
-        grid, tiles = tile(r, 4)
-        with pytest.raises(DataError, match="missing"):
-            mosaic(grid, tiles[:-1])
-
     def test_wrong_shape_tile(self, rng):
         r = self.make(rng, (1, 8, 8))
-        grid, tiles = tile(r, 4)
-        bad = GeoRaster(np.zeros((1, 2, 2), DTYPE_CODES["u16"]), NORTH_UP)
+        grid, blocks = tile(r, 4)
         with pytest.raises(ShapeError):
-            mosaic(grid, tiles[:-1] + [bad])
-
-    def test_off_grid_origin(self, rng):
-        r = self.make(rng, (1, 8, 8))
-        grid, tiles = tile(r, 4)
-        skewed = GeoRaster(tiles[0].data, (0.5, 1.0, 0.0, 10.0, 0.0, -1.0),
-                           nodata=0.0)
-        with pytest.raises(DataError, match="not on the grid"):
-            mosaic(grid, tiles[1:] + [skewed])
+            mosaic(grid, blocks[:, :, :, :2, :2])  # 2x2 tiles of 2 cover 4x4
+        with pytest.raises(ShapeError):
+            mosaic(grid, blocks[:, :-1])  # a tile column missing
+        with pytest.raises(ShapeError):
+            mosaic(grid, blocks[0])  # rank 4
 
     def test_tile_size_validation(self, rng):
         with pytest.raises(ParameterError):

@@ -48,13 +48,13 @@ CLASSES = 3
 DROP = object()
 
 
-def write_scene(root, seed=11):
+def write_scene(root, seed=11, height=SIZE, width=SIZE):
     """Image raster plus label JSON under root; returns (labels, geotransform)."""
     data, labels, gt = synth.make_scene(
-        seed, height=SIZE, width=SIZE, channels=CHANNELS,
+        seed, height=height, width=width, channels=CHANNELS,
         num_classes=CLASSES, block=TILE)
     write_raster(GeoRaster(data, gt, CRS, -9999.0), str(root / "image"))
-    shapes = synth.scene_label_shapes(SIZE, SIZE, CLASSES, TILE, gt)
+    shapes = synth.scene_label_shapes(height, width, CLASSES, TILE, gt)
     (root / "labels.json").write_text(synth.shapes_to_json(shapes),
                                       encoding="utf-8")
     return labels, gt
@@ -526,6 +526,55 @@ class TestPredict:
         bad = make_config(root, predict={"week": 3})
         with pytest.raises(ParameterError, match="week 3"):
             cmd_predict(bad, out_dir=out)
+
+
+class TestRaggedScene:
+    """A 40x24 scene at tile 16: a 2x3 tile grid whose right column and
+    bottom row are padded."""
+
+    H, W = 24, 40
+
+    @pytest.fixture()
+    def ragged(self, tmp_path):
+        labels, gt = write_scene(tmp_path, height=self.H, width=self.W)
+        write_scl(tmp_path, gt, synth.make_scl(self.H, self.W, cloud_rows=4,
+                                               cloud_cols=4))
+        config = make_config(tmp_path, ingest={"scl": str(tmp_path / "scl")},
+                             train={"epochs": 1})
+        return tmp_path, labels, gt, config, cmd_ingest(config)
+
+    def test_edge_tiles_are_padded(self, ragged):
+        root, labels, gt, config, store = ragged
+        pad = np.zeros((2 * TILE, 3 * TILE), dtype=bool)
+        pad[self.H:, :] = pad[:, self.W:] = True
+
+        def scene_of(arr):  # stored [ty, tx, th, tw, ...] -> [H', W', ...]
+            a = arr.read_region((0,) * len(arr.shape), arr.shape)
+            a = a[0] if a.ndim in (5, 6) else a
+            return a.swapaxes(1, 2).reshape(2 * TILE, 3 * TILE, *a.shape[4:])
+
+        img = store.array(IMAGE_ARRAY)
+        assert tuple(img.shape) == (1, 2, 3, TILE, TILE, CHANNELS)
+        image = scene_of(img)
+        assert np.all(image[pad] == -9999.0)
+        raster = read_raster(str(root / "image"))
+        assert np.array_equal(image[:self.H, :self.W], raster.data.transpose(1, 2, 0))
+        lbl = scene_of(store.array(LABEL_ARRAY))
+        assert np.all(lbl[pad] == 255)
+        assert np.array_equal(lbl[:self.H, :self.W], labels)
+        msk = scene_of(store.array(MASK_ARRAY))
+        assert np.all(msk[pad] == 1)
+        assert msk[:4, :4].all() and msk[:self.H, :self.W].sum() == 16
+
+    def test_predict_crops_to_the_scene(self, ragged):
+        root, labels, gt, config, store = ragged
+        out = root / "run"
+        cmd_train(config, out_dir=out)
+        r = read_pgm(str(cmd_predict(config, out_dir=out)))
+        assert r.data.shape == (1, self.H, self.W)
+        assert r.geotransform == gt
+        assert (r.data[0, :4, :4] == 255).all()
+        assert (r.data[0, 4:, 4:] < CLASSES).all()
 
 
 class TestQuery:
