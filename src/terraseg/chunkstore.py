@@ -23,6 +23,7 @@ on time or randomness: two identical ingest runs produce byte-identical trees.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -163,13 +164,17 @@ class Store:
         return StoredArray(self, "/".join(_split(path)))
 
     def remove(self, path: str) -> None:
-        """Delete a group or array subtree (no-op when absent)."""
+        """Delete a group or array subtree (no-op when absent), holding every
+        array's writer lock: a held one raises StoreLockError, deleting nothing."""
         parts = _split(path)
         if not parts:
             raise ParameterError("refusing to remove the store root")
         d = self._dir(path)
         if d.exists():
-            shutil.rmtree(d)
+            with contextlib.ExitStack() as held:
+                for meta in sorted(d.rglob(ARRAY_META)):
+                    held.enter_context(_Lock(meta.parent))
+                shutil.rmtree(d)
 
     def list_tree(self, path: str = "") -> list[tuple[str, str, tuple[int, ...] | None]]:
         """Deterministic sorted listing of (path, kind, shape-or-None)."""
@@ -217,7 +222,7 @@ class _Lock:
     def __exit__(self, *exc):
         if self.fd is not None:
             os.close(self.fd)
-            os.unlink(self.path)
+            self.path.unlink(missing_ok=True)  # gone when Store.remove held it
         return False
 
 

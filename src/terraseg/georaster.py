@@ -98,16 +98,6 @@ class GeoRaster:
     def width(self) -> int:
         return self.data.shape[2]
 
-    def pixel_to_world(self, col: float, row: float) -> tuple[float, float]:
-        g = self.geotransform
-        return (g[0] + col * g[1] + row * g[2], g[3] + col * g[4] + row * g[5])
-
-    def world_to_pixel(self, x: float, y: float) -> tuple[float, float]:
-        g = self.geotransform
-        det = g[1] * g[5] - g[2] * g[4]
-        dx, dy = x - g[0], y - g[3]
-        return ((dx * g[5] - dy * g[2]) / det, (dy * g[1] - dx * g[4]) / det)
-
 
 def _require_axis_aligned(gt: tuple[float, ...]) -> None:
     if gt[2] != 0.0 or gt[4] != 0.0:

@@ -9,9 +9,11 @@ Store layout written by ingest (under the configured base group):
     Labels/CLC_10m/labels           u8  [ty, tx, th, tw]
     Labels/CLC_10m/multilabel_stratified_kfolds   i32 [ty*tx]
 
+Train, evaluate and predict read samples one week block at a time: one read
+per input array and one for the mask per week, and the labels once.
 Training samples concatenate the configured input components channel-wise;
-coarser components are nearest-neighbor upsampled to the first component's
-tile size. Sample ignore masks are the union of the stored (cloud) mask and
+coarser components are nearest-neighbor upsampled to the label tile size.
+Sample ignore masks are the union of the stored (cloud) mask and
 label-nodata pixels. Relative output paths resolve against ``out_dir``.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .catalog import CatalogQuery, build_catalog_query
 from .checkpoint import checkpoint_load
-from .chunkstore import Store, StoredArray
+from .chunkstore import Store
 from .config import PipelineConfig, TrainSection
 from .datasplit import (
     SampleRecord,
@@ -214,21 +216,9 @@ def cmd_split(config: PipelineConfig):
     return assignment
 
 
-def _read_tile_chw(arr: StoredArray, week: int, iy: int, ix: int) -> np.ndarray:
-    _, _, _, h, w, c = arr.shape
-    block = arr.read_region((week, iy, ix, 0, 0, 0), (1, 1, 1, h, w, c))
-    return block[0, 0, 0].transpose(2, 0, 1)
-
-
-def _upsample_to(plane: np.ndarray, th: int, tw: int) -> np.ndarray:
-    c, h, w = plane.shape
-    if th % h or tw % w:
-        raise DataError(f"cannot upsample {h}x{w} tile to {th}x{tw} (non-integer factor)")
-    return np.repeat(np.repeat(plane, th // h, axis=1), tw // w, axis=2)
-
-
 class _SampleSource:
-    """Reads (image, target, ignore) triples out of an ingested store."""
+    """Reads an ingested store one week block at a time: one ``read_region``
+    per input array and one for the mask per week, and the labels once."""
 
     def __init__(self, config: PipelineConfig, store: Store, train: TrainSection):
         self.inputs = [store.array(_node(config, comp)) for comp in train.inputs]
@@ -248,30 +238,44 @@ class _SampleSource:
                 f"slice_timestamps [{lo}, {hi}) outside the {self.weeks}-week store")
         return range(lo, hi)
 
-    def label_plane(self, iy: int, ix: int) -> np.ndarray:
-        return self.labels.read_region((iy, ix, 0, 0), (1, 1, self.th, self.tw))[0, 0]
-
-    def ignore_plane(self, week: int, iy: int, ix: int) -> np.ndarray:
-        if self.masks is None:
-            return np.zeros((self.th, self.tw), dtype=np.uint8)
-        block = self.masks.read_region((week, iy, ix, 0, 0),
-                                       (1, 1, 1, self.th, self.tw))
-        return (block[0, 0, 0] != 0).astype(np.uint8)
-
-    def image(self, week: int, iy: int, ix: int) -> Tensor:
+    def week(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """Week ``w``'s images [ty*tx, C, th, tw] in the stored dtype, coarser
+        inputs nearest-upsampled to the tile, and its ignore mask
+        [ty*tx, th, tw] (u8, 1 = ignored)."""
+        n = self.nty * self.ntx
         planes = []
         for arr in self.inputs:
-            chw = _read_tile_chw(arr, week, iy, ix).astype(np.float64)
-            if chw.shape[1:] != (self.th, self.tw):
-                chw = _upsample_to(chw, self.th, self.tw)
-            planes.append(chw)
-        return Tensor(np.concatenate(planes, axis=0))
+            _, _, _, h, wd, c = arr.shape
+            block = arr.read_region((w, 0, 0, 0, 0, 0), (1,) + arr.shape[1:])
+            block = block.reshape(n, h, wd, c).transpose(0, 3, 1, 2)
+            if (h, wd) != (self.th, self.tw):
+                if self.th % h or self.tw % wd:
+                    raise DataError(f"cannot upsample {h}x{wd} tile to "
+                                    f"{self.th}x{self.tw} (non-integer factor)")
+                block = block.repeat(self.th // h, axis=2).repeat(self.tw // wd, axis=3)
+            planes.append(block)
+        images = planes[0] if len(planes) == 1 else np.concatenate(planes, axis=1)
+        if self.masks is None:
+            return images, np.zeros((n, self.th, self.tw), dtype=np.uint8)
+        mask = self.masks.read_region((w, 0, 0, 0, 0), (1,) + self.masks.shape[1:])
+        return images, (mask.reshape(n, self.th, self.tw) != 0).astype(np.uint8)
 
-    def sample(self, week: int, iy: int, ix: int) -> Sample:
-        label = self.label_plane(iy, ix)
-        target, label_ignore = one_hot(label, self.num_classes, self.nodata)
-        ignore = np.where(self.ignore_plane(week, iy, ix) | label_ignore, 1, 0)
-        return Sample(self.image(week, iy, ix), target, ignore.astype(np.uint8))
+    def samples(self, weeks, keep=None):
+        """Yield (tile index, Sample) over ``weeks`` in (week, tile) C order,
+        skipping tiles where ``keep`` (bool per tile) is false or every pixel
+        is ignored. One week block is held; samples turn float64 one by one."""
+        labels = self.labels.read_region((0,) * 4, self.labels.shape).reshape(-1, self.th, self.tw)
+        for w in weeks:
+            images, ignore = self.week(w)
+            for i, label in enumerate(labels):
+                if keep is not None and not keep[i]:
+                    continue
+                target, label_ignore = one_hot(label, self.num_classes, self.nodata)
+                mask = ignore[i] | label_ignore
+                if mask.all():
+                    log.info("skipping fully ignored tile %d of week %d", i, w)
+                    continue
+                yield i, Sample(Tensor(images[i]), target, mask)
 
 
 def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.ndarray:
@@ -311,18 +315,9 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
         folds = _fold_ids(store, config, t.validation_fold,
                           "config.train.validation_fold")
     train_samples, val_samples = [], []
-    weeks = src.week_range(*t.slice_timestamps)
-    for w in weeks:
-        for iy in range(src.nty):
-            for ix in range(src.ntx):
-                s = src.sample(w, iy, ix)
-                if s.ignore is not None and s.ignore.all():
-                    log.info("skipping fully ignored tile (%d, %d, %d)", w, iy, ix)
-                    continue
-                if folds is not None and folds[iy * src.ntx + ix] == t.validation_fold:
-                    val_samples.append(s)
-                else:
-                    train_samples.append(s)
+    for i, s in src.samples(src.week_range(*t.slice_timestamps)):
+        held = folds is not None and folds[i] == t.validation_fold
+        (val_samples if held else train_samples).append(s)
     if not train_samples:
         raise DataError("no usable training tiles (all ignored or in the validation fold)")
 
@@ -370,21 +365,13 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
             f"config.evaluate: checkpoint predicts {out_classes} classes but the "
             f"store labels carry {src.num_classes}")
 
-    wanted = None
+    keep = None
     if e.fold is not None:
-        folds = _fold_ids(store, config, e.fold, "config.evaluate.fold")
-        wanted = {divmod(i, src.ntx) for i in range(folds.size)
-                  if folds[i] == e.fold}
+        keep = _fold_ids(store, config, e.fold, "config.evaluate.fold") == e.fold
     cm = ConfusionMatrix.zeros(src.num_classes)
-    for w in src.week_range(*t.slice_timestamps):
-        for iy in range(src.nty):
-            for ix in range(src.ntx):
-                if wanted is not None and (iy, ix) not in wanted:
-                    continue
-                s = src.sample(w, iy, ix)
-                probs, _ = graph.forward(s.image.data, training=False)
-                confusion_update(cm, probs.argmax(axis=0),
-                                 s.target.data.argmax(axis=0), s.ignore)
+    for _, s in src.samples(src.week_range(*t.slice_timestamps), keep):
+        probs, _ = graph.forward(s.image.data, training=False)
+        confusion_update(cm, probs.argmax(axis=0), s.target.data.argmax(axis=0), s.ignore)
     values = report(cm)
     base = _resolve(e.out or "report", out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -403,16 +390,15 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     if not 0 <= p.week < src.weeks:
         raise ParameterError(f"week {p.week} outside the {src.weeks}-week store")
 
-    blocks = np.empty((src.nty, src.ntx, 1, src.th, src.tw), dtype=np.uint8)
-    for iy in range(src.nty):
-        for ix in range(src.ntx):
-            probs, _ = graph.forward(src.image(p.week, iy, ix).data, training=False)
-            ignored = src.ignore_plane(p.week, iy, ix) != 0
-            blocks[iy, ix, 0] = np.where(ignored, 255, probs.argmax(axis=0))
+    images, ignore = src.week(p.week)
+    classes = np.empty((len(images), src.th, src.tw), dtype=np.uint8)
+    for i, image in enumerate(images):
+        probs, _ = graph.forward(image, training=False)
+        classes[i] = np.where(ignore[i] == 1, 255, probs.argmax(axis=0))
     attrs = store.array(_node(config, IMAGE_ARRAY)).attributes
     grid = TileGrid(int(attrs["scene_width"]), int(attrs["scene_height"]),
                     tuple(attrs["geotransform"]), attrs["crs"], 255.0)
-    full = mosaic(grid, blocks)
+    full = mosaic(grid, classes.reshape(src.nty, src.ntx, 1, src.th, src.tw))
     base = _resolve(p.out, out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(full, str(base))

@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics as M
 from . import ops
 from .checkpoint import checkpoint_save
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .graph import NetworkGraph
 from .optim import AdamState, SgdState, apply_step
 from .tensor import SeededRng, Tensor, mix_seed
@@ -133,6 +133,11 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
     return total_loss / n, vals, cm
 
 
+def _diverged(epoch: int, what: str) -> DataError:
+    return DataError(f"training diverged at epoch {epoch}: {what} is not finite")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
         val_data=None) -> History:
     """Train in place; returns the per-epoch history.
@@ -141,6 +146,10 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
     validation data the training set doubles as the monitored set (the
     single-tile overfit setup). Checkpoints are written through
     checkpoint_save, so only monitor improvements touch the file.
+    A non-finite training loss, batch gradient (before its optimizer step)
+    or val_loss (before the checkpoint write) raises DataError naming the
+    epoch and samples, in place of numpy's overflow warnings. The monitored
+    metric is not checked: MIoU or precision are NaN when a class is absent.
     """
     if len(train_data) == 0:
         raise ParameterError("training set is empty")
@@ -169,6 +178,8 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
                 rng = SeededRng(mix_seed(config.seed, "forward", epoch, int(si)))
                 probs, cache = graph.forward(s.image.data, training=True, rng=rng)
                 loss, glogits = ops.categorical_cross_entropy(probs, s.target.data, s.ignore)
+                if not np.isfinite(loss):
+                    raise _diverged(epoch, f"the loss of training sample {si}")
                 for name, g in graph.backward(cache, {logits: glogits}).items():
                     if name in grads:
                         grads[name] += g
@@ -179,9 +190,16 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
             if len(batch) > 1:
                 for g in grads.values():
                     g /= len(batch)
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise _diverged(epoch, f"the {name} gradient of samples {batch.tolist()}")
             apply_step(optimizer, params, grads)
         train_loss = epoch_loss / seen
         val_loss, vals, _ = evaluate_samples(graph, val, config.metric_names)
+        if not np.isfinite(val_loss):
+            bad = next(i for i, v in enumerate(val)
+                       if not np.isfinite(evaluate_samples(graph, [v], ())[0]))
+            raise _diverged(epoch, f"the val_loss of validation sample {bad}")
         record = {"epoch": epoch, "lr": optimizer.lr, "train_loss": train_loss,
                   "val_loss": val_loss, **vals}
         if config.monitor not in record:

@@ -308,6 +308,22 @@ class TestTreeOps:
         with pytest.raises(ParameterError):
             store.remove("")
 
+    def test_remove_leaves_a_locked_array_whole(self, store):
+        store.create_array("a/free", (4,), (4,), "u8")
+        held = store.create_array("a/img", (4,), (4,), "u8")
+        held.write_region((0,), np.arange(4, dtype=np.uint8))
+        lock = store.root / "a" / "img" / ".lock"
+        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        before = tree_digest(store.root)
+        for path in ("a/img", "a"):
+            with pytest.raises(StoreLockError):
+                store.remove(path)
+            assert tree_digest(store.root) == before  # no file gone, no lock left taken
+        os.unlink(lock)
+        assert held.read_region((0,), (4,)).tolist() == [0, 1, 2, 3]
+        store.remove("a")  # released lock frees it
+        assert not (store.root / "a").exists()
+
     def test_two_identical_builds_are_byte_identical(self, tmp_path, rng):
         payload = rng.integers(0, 255, (9, 9)).astype(np.uint8)
 

@@ -52,18 +52,6 @@ def burn_oracle(shapes, width, height, gt, nodata=255):
 
 
 class TestGeoRaster:
-    def test_affine_round_trip_rotated(self):
-        r = GeoRaster(np.zeros((1, 4, 4)), (10.0, 2.0, 0.5, 20.0, -0.3, -2.0))
-        for col, row in [(0, 0), (3.25, 1.5), (-2, 7)]:
-            x, y = r.pixel_to_world(col, row)
-            c2, r2 = r.world_to_pixel(x, y)
-            assert abs(c2 - col) < 1e-9 and abs(r2 - row) < 1e-9
-
-    def test_corner_convention(self):
-        r = GeoRaster(np.zeros((1, 10, 10)), NORTH_UP)
-        assert r.pixel_to_world(0, 0) == (0.0, 10.0)
-        assert r.pixel_to_world(10, 10) == (10.0, 0.0)
-
     def test_validation(self):
         with pytest.raises(ShapeError):
             GeoRaster(np.zeros((4, 4)), NORTH_UP)

@@ -6,6 +6,7 @@ the store holds a 2x2 tile grid. Small topologies and epoch counts keep
 the training steps cheap.
 """
 
+import collections
 import dataclasses
 import json
 
@@ -15,13 +16,19 @@ import yaml
 
 from terraseg import synth
 from terraseg.catalog import BASE_URL, CatalogQuery, build_catalog_query
-from terraseg.checkpoint import checkpoint_save
-from terraseg.chunkstore import Store
+from terraseg.checkpoint import checkpoint_load, checkpoint_save
+from terraseg.chunkstore import Store, StoredArray
 from terraseg.cli import main
 from terraseg.config import EvaluateSection, parse_config
 from terraseg.errors import ConfigError, DataError, ParameterError
-from terraseg.georaster import GeoRaster, read_pgm, read_raster, write_raster
-from terraseg.metrics import REPORT_KEYS
+from terraseg.georaster import (
+    GeoRaster,
+    read_pgm,
+    read_raster,
+    scl_to_ignore_mask,
+    write_raster,
+)
+from terraseg.metrics import REPORT_KEYS, ConfusionMatrix, report, report_json
 from terraseg.pipeline import (
     COARSE_ARRAY,
     FOLD_ARRAY,
@@ -577,6 +584,131 @@ class TestRaggedScene:
         assert (r.data[0, 4:, 4:] < CLASSES).all()
 
 
+class TestWeekReader:
+    """What train, evaluate and predict read out of the store, pinned through
+    the public commands: a ragged 40x24 scene at tile 16 (a 2x3 grid with
+    padded edges), an SCL mask that covers tile (0, 0), unlabelled pixels
+    in tile (1, 1), a 2-channel coarse input at 2x2 pixels per tile, and an
+    image that differs by week."""
+
+    H, W = 24, 40
+
+    def build(self, root, weeks):
+        _, gt = write_scene(root, height=self.H, width=self.W)
+        shapes = synth.scene_label_shapes(self.H, self.W, CLASSES, TILE, gt)
+        x0, x1 = gt[0] + 16 * gt[1], gt[0] + 24 * gt[1]
+        y0, y1 = gt[3] + 16 * gt[5], gt[3] + 24 * gt[5]
+        shapes[4] = (shapes[4][0], parse_wkt(  # rows 16:24 now end at col 24, not 32
+            f"POLYGON(({x0} {y0},{x1} {y0},{x1} {y1},{x0} {y1},{x0} {y0}))"))
+        (root / "labels.json").write_text(synth.shapes_to_json(shapes),
+                                          encoding="utf-8")
+        write_scl(root, gt, synth.make_scl(self.H, self.W, cloud_rows=16,
+                                           cloud_cols=20))
+        coarse = np.linspace(-9.0, 9.0, 2 * 4 * 6, dtype=np.float32).reshape(2, 4, 6)
+        write_raster(GeoRaster(coarse, (gt[0], 80.0, 0.0, gt[3], 0.0, -80.0),
+                               CRS, 0.0), str(root / "coarse"))
+        config = make_config(
+            root,
+            ingest={"scl": str(root / "scl"), "coarse_image": str(root / "coarse"),
+                    "weeks": weeks},
+            train={"inputs": [IMAGE_ARRAY, COARSE_ARRAY], "epochs": 1,
+                   "slice_timestamps": [0, weeks], "validation_fold": 0,
+                   "topology": {"in_channels": CHANNELS + 2}},
+            evaluate={"fold": 0}, predict={"out": "mask", "week": weeks - 1})
+        cmd_ingest(config)
+        img = Store(config.store).array(IMAGE_ARRAY)
+        for w in range(1, weeks):  # week w holds the scene's channels rolled by w
+            block = img.read_region((w, 0, 0, 0, 0, 0), (1,) + img.shape[1:])
+            img.write_region((w, 0, 0, 0, 0, 0), np.roll(block, w, axis=-1))
+        cmd_split(config)
+        return config
+
+    def reference(self, root, config):
+        """Week 0's model inputs [6, C, 16, 16], the labels and the cloud
+        and pad mask [6, 16, 16], built from the scene files, not the store."""
+        pad = ((0, 2 * TILE - self.H), (0, 3 * TILE - self.W))
+        image = read_raster(str(root / "image")).data
+        image = np.stack([np.pad(c, pad, constant_values=-9999.0) for c in image])
+        coarse = read_raster(str(root / "coarse")).data
+        coarse = coarse.repeat(TILE // 2, axis=1).repeat(TILE // 2, axis=2)
+        scl = read_raster(str(root / "scl"))
+        ignore = np.pad(scl_to_ignore_mask(scl, config.ingest.cloud_classes).data[0],
+                        pad, constant_values=1)
+        labels = synth.block_labels(self.H, self.W, CLASSES, TILE)
+        labels[16:24, 24:32] = 255
+        labels = np.pad(labels, pad, constant_values=255)
+
+        def tiles(a):  # [..., 32, 48] -> [6, ..., 16, 16]
+            lead = a.shape[:-2]
+            a = a.reshape(*lead, 2, TILE, 3, TILE)
+            a = np.moveaxis(a, (-4, -2), (0, 1))
+            return a.reshape(6, *lead, TILE, TILE)
+
+        return tiles(np.concatenate([image, coarse])), tiles(labels), tiles(ignore)
+
+    def test_predict_and_evaluate_match_a_reference(self, tmp_path):
+        weeks = 3
+        config = self.build(tmp_path, weeks)
+        out = tmp_path / "run"
+        out.mkdir()
+        # an untrained net at this seed predicts all three classes and reacts
+        # to the week, the coarse layout and the input order; one trained for
+        # an epoch here predicts one class everywhere
+        checkpoint_save(build_topology(
+            TopologySpec(kind="unet", depth=1, base_channels=4,
+                         in_channels=CHANNELS + 2, num_classes=CLASSES),
+            input_hw=(TILE, TILE), seed=2), str(out / "model.ckpt"))
+        images, labels, cloud = self.reference(tmp_path, config)
+        graph, _ = checkpoint_load(str(out / "model.ckpt"))
+        predicted = []
+        for w in range(weeks):
+            week = images.copy()
+            week[:, :CHANNELS] = np.roll(week[:, :CHANNELS], w, axis=1)
+            predicted.append(np.stack([graph.forward(x)[0].argmax(axis=0) for x in week]))
+
+        mask = np.where(cloud, 255, predicted[-1]).reshape(2, 3, TILE, TILE)
+        mask = mask.swapaxes(1, 2).reshape(2 * TILE, 3 * TILE)[:self.H, :self.W]
+        got = read_pgm(str(cmd_predict(config, out_dir=out))).data[0]
+        assert (got[:16, :20] == 255).all()
+        assert np.array_equal(got, mask)
+
+        folds = Store(config.store).array(FOLD_ARRAY).read_region((0,), (6,))
+        for fold in (0, None):
+            counts = np.zeros((CLASSES, CLASSES), dtype=np.int64)
+            for w in range(weeks):
+                for i in range(6):
+                    keep = (cloud[i] == 0) & (labels[i] != 255)
+                    if fold is None or folds[i] == fold:
+                        np.add.at(counts, (labels[i][keep], predicted[w][i][keep]), 1)
+            assert counts.sum() > 0
+            want = report(ConfusionMatrix(counts))
+            values = cmd_evaluate(dataclasses.replace(
+                config, evaluate=EvaluateSection(fold=fold)), out_dir=out)
+            assert values.keys() == want.keys()
+            assert (out / "report.json").read_text(encoding="utf-8") == report_json(want)
+
+    def test_each_array_is_read_once_per_week(self, tmp_path, monkeypatch):
+        config = self.build(tmp_path, weeks=4)
+        out = tmp_path / "run"
+        calls = collections.Counter()
+        read_region = StoredArray.read_region
+
+        def counted(arr, offsets, extents):
+            calls[arr.path] += 1
+            return read_region(arr, offsets, extents)
+
+        monkeypatch.setattr(StoredArray, "read_region", counted)
+        per_week = {IMAGE_ARRAY: 4, COARSE_ARRAY: 4, MASK_ARRAY: 4}
+        cmd_train(config, out_dir=out)
+        assert calls == {LABEL_ARRAY: 1, FOLD_ARRAY: 1, **per_week}
+        calls.clear()
+        cmd_evaluate(config, out_dir=out)
+        assert calls == {LABEL_ARRAY: 1, FOLD_ARRAY: 1, **per_week}
+        calls.clear()
+        cmd_predict(config, out_dir=out)
+        assert calls == {IMAGE_ARRAY: 1, COARSE_ARRAY: 1, MASK_ARRAY: 1}
+
+
 class TestQuery:
     def test_product_type_only(self, tmp_path):
         url = cmd_query(make_config(tmp_path))
@@ -707,6 +839,18 @@ class TestCli:
         cfg = self.write_config(tmp_path, **overrides)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error[config]: {where}")
+
+    def test_diverging_train_exits_3_without_a_checkpoint(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path, train={"optimizer": {"kind": "sgd", "lr": 1.0e6}})
+        out = tmp_path / "run"
+        assert main(["ingest", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: training diverged at epoch ")
+        assert err.endswith(" is not finite\n") and err.count("\n") == 1
+        assert not (out / "model.ckpt").exists()
 
     def test_fold_outside_the_stored_split_exits_3(self, tmp_path, capsys):
         write_scene(tmp_path)

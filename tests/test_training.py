@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import terraseg.training as training_mod
-from terraseg.errors import ParameterError
+from terraseg.errors import DataError, ParameterError
 from terraseg.optim import AdamState, SgdState
 from terraseg.synth import make_tile, one_hot
+from terraseg.tensor import Tensor
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,
@@ -212,3 +213,53 @@ class TestEvaluateSamples:
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
             evaluate_samples(tiny_graph(), [tiny_sample()], ("sharpe",))
+
+
+class TestDivergence:
+    """A non-finite training loss, batch gradient or val_loss stops fit
+    before the optimizer step or checkpoint write that would use it."""
+
+    def nan_sample(self):
+        s = tiny_sample()
+        image = s.image.data.copy()
+        image[0, 0, 0] = np.nan
+        return Sample(Tensor(image), s.target, s.ignore)
+
+    def diverge(self, tmp_path, graph, train, val=None):
+        before = {k: v.copy() for k, v in graph.parameters().items()}
+        config = TrainConfig(epochs=2, batch_size=2, seed=11, shuffle=False,
+                             checkpoint_path=str(tmp_path / "m.ckpt"))
+        with pytest.raises(DataError) as err:
+            fit(graph, train, config, SgdState(lr=0.1), val)
+        assert not (tmp_path / "m.ckpt").exists()
+        return str(err.value), before
+
+    def test_non_finite_loss(self, tmp_path):
+        graph = tiny_graph()
+        msg, before = self.diverge(tmp_path, graph, [tiny_sample(), self.nan_sample()])
+        assert msg == "training diverged at epoch 0: the loss of training sample 1 is not finite"
+        for name, value in graph.parameters().items():
+            assert np.array_equal(value, before[name])  # no step was taken
+
+    def test_non_finite_batch_gradient(self, tmp_path):
+        graph = tiny_graph()
+        backward = graph.backward
+        name = sorted(graph.parameters())[0]
+
+        def overflowing(cache, seeds):
+            grads = backward(cache, seeds)
+            grads[name] = np.full_like(grads[name], np.inf)
+            return grads
+
+        graph.backward = overflowing
+        msg, before = self.diverge(tmp_path, graph, [tiny_sample(), tiny_sample(4)])
+        assert msg == (f"training diverged at epoch 0: the {name} gradient of "
+                       f"samples [0, 1] is not finite")
+        for key, value in graph.parameters().items():
+            assert np.array_equal(value, before[key])
+
+    def test_non_finite_val_loss(self, tmp_path):
+        msg, _ = self.diverge(tmp_path, tiny_graph(), [tiny_sample()],
+                              [tiny_sample(4), self.nan_sample()])
+        assert msg == ("training diverged at epoch 0: the val_loss of validation "
+                       "sample 1 is not finite")
