@@ -1,10 +1,11 @@
 """YAML pipeline configuration: parsing, validation, defaults.
 
-The grammar is plain YAML maps/lists/scalars (loaded with yaml.safe_load, so
-no language-object tags). Every key is checked; unknown keys and type
-mismatches raise ConfigError carrying the dotted path of the offending node,
-e.g. ``train.optimizer.lr``. A top-level ``seed`` is mandatory: every command
-derives its randomness from it.
+The grammar is plain YAML maps/lists/scalars, loaded with a yaml.SafeLoader
+(so no language-object tags) that also reads YAML 1.2 exponent floats such
+as ``1e-3``, which YAML 1.1 leaves as strings. Every key is checked; unknown
+keys and type mismatches raise ConfigError carrying the dotted path of the
+offending node, e.g. ``train.optimizer.lr``. A top-level ``seed`` is
+mandatory: every command derives its randomness from it.
 
 The section dataclasses below are the grammar: the parser and the
 serializer read key names, types, defaults and nullability from their
@@ -23,6 +24,7 @@ parse(serialize(c)) == c.
 from __future__ import annotations
 
 import datetime
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -253,7 +255,7 @@ def _parse_timestamp(raw, path: str) -> str | None:
     """Read a query timestamp, tolerating YAML's implicit datetime tag.
 
     Bare ISO-8601 stamps like ``2018-06-01T00:00:00.000Z`` parse to datetime
-    objects under safe_load; render those back to the catalog's canonical
+    objects under the SafeLoader; render those back to the catalog's canonical
     millisecond Z form instead of demanding quotes in the config file.
     """
     if isinstance(raw, datetime.datetime):
@@ -286,9 +288,20 @@ _CHOICES = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also resolves YAML 1.2 floats whose exponent has no
+    dot or no sign (``1e-3``, ``1.0e6``, ``3e+2``)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def parse_config(text: str) -> PipelineConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     config = _build(PipelineConfig, {} if doc is None else doc, "config")

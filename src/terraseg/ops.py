@@ -7,8 +7,12 @@ op updates).
 Every differentiable op comes as a forward function plus a matching
 ``*_backward`` that implements the analytic adjoint; the test suite verifies
 each pair against central finite differences. Convolution is computed as
-cross-correlation via im2col + matmul; the transposed convolution is the
-exact adjoint of ``conv2d`` with shared kernels, i.e.
+cross-correlation via im2col + matmul. Its input gradient, for stride 1, is
+the full convolution of the upstream gradient with the spatially flipped,
+in/out-swapped kernels (Dumoulin & Visin 2016, arXiv 1603.07285), so it is
+one more im2col + matmul; strided convs fall back to accumulating the kh*kw
+column blocks. The transposed convolution is the exact adjoint of
+``conv2d`` with shared kernels, i.e.
 ``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>`` for zero padding.
 """
 
@@ -153,6 +157,15 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
     return num_h // stride + 1, num_w // stride + 1
 
 
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the spatial axes of [C, H, W] (np.pad's per-call overhead
+    is several times the copy at these sizes)."""
+    c, h, w = x.shape
+    out = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    out[:, ph : ph + h, pw : pw + w] = x
+    return out
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
     """[C, Hp, Wp] -> ([C*kh*kw, oh*ow] patch matrix, oh, ow)."""
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
@@ -175,34 +188,54 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
     _check_conv_args(x, kernels, bias)
     o, c, kh, kw = kernels.shape
     conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    cols, oh, ow = _im2col(xp, kh, kw, stride)
+    cols, oh, ow = _im2col(_pad(x, padding, padding), kh, kw, stride)
     out = (kernels.reshape(o, -1) @ cols).reshape(o, oh, ow)
     if bias is not None:
         out += bias[:, None, None]
     return out
 
 
+def _conv2d_input_grad(gy: np.ndarray, w: np.ndarray, hw: tuple[int, int],
+                       stride: int, padding: int) -> np.ndarray:
+    """d conv2d / d input for an [H, W] input; see conv2d_backward."""
+    o, c, kh, kw = w.shape
+    h, wd = hw
+    oh, ow = gy.shape[1:]
+    ph, pw = kh - 1 - padding, kw - 1 - padding
+    if stride == 1 and ph >= 0 and pw >= 0:
+        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        gcols, _, _ = _im2col(_pad(gy, ph, pw), kh, kw, 1)
+        return (wf @ gcols).reshape(c, h, wd)
+    dcols = (w.reshape(o, -1).T @ gy.reshape(o, -1)).reshape(c, kh, kw, oh, ow)
+    dxp = np.zeros((c, h + 2 * padding, wd + 2 * padding))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
+    return dxp[:, padding : padding + h, padding : padding + wd].copy()
+
+
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, padding: int = 0):
-    """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy."""
+    """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy.
+
+    For stride 1 with ``padding <= min(kh, kw) - 1`` the input gradient is a
+    full convolution: ``gy`` zero-padded by ``(kh-1-p, kw-1-p)`` and
+    cross-correlated with the kernels flipped in space and with their in/out
+    axes swapped, i.e. one more im2col + matmul. Other geometries (strided
+    convs) accumulate the kh*kw column blocks into the padded input instead.
+    """
     o, c, kh, kw = w.shape
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
     if gy.shape != (o, oh, ow):
         raise ShapeError(f"upstream grad shape {gy.shape} != {(o, oh, ow)}")
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    cols, _, _ = _im2col(xp, kh, kw, stride)
-    gflat = gy.reshape(o, -1)
-    dw = (gflat @ cols.T).reshape(w.shape)
+    # dx first, so its column matrix is freed before the input's is built:
+    # with both alive, glibc handed the freed heap top back to the kernel on
+    # every call and the next call page-faulted it in again
+    dx = _conv2d_input_grad(gy, w, x.shape[1:], stride, padding)
+    cols, _, _ = _im2col(_pad(x, padding, padding), kh, kw, stride)
+    dw = (gy.reshape(o, -1) @ cols.T).reshape(w.shape)
     db = gy.sum(axis=(1, 2))
-    dcols = (w.reshape(o, -1).T @ gflat).reshape(c, kh, kw, oh, ow)
-    dxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
-    h, wd = x.shape[1], x.shape[2]
-    dx = dxp[:, padding : padding + h, padding : padding + wd]
-    return dx.copy(), dw, db
+    return dx, dw, db
 
 
 def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -254,6 +287,7 @@ class PoolIndices:
 
     indices: np.ndarray  # int64, shape [C, oh, ow]
     input_shape: tuple[int, int, int]
+    overlapping: bool  # windows share cells, so indices may repeat
 
 
 def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
@@ -280,13 +314,20 @@ def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Poo
     rows = dy + (np.arange(oh) * stride)[None, :, None]
     cols = dx + (np.arange(ow) * stride)[None, None, :]
     idx = (np.arange(c)[:, None, None] * h * w + rows * w + cols).astype(np.int64)
-    return out, PoolIndices(idx, x.shape)
+    return out, PoolIndices(idx, x.shape, overlapping=window > stride)
 
 
 def max_pool2d_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:
-    """Route upstream gradient to each window's argmax position (summing)."""
+    """Route upstream gradient to each window's argmax position (summing).
+
+    Disjoint windows have distinct argmax positions, so a plain indexed
+    assignment suffices; overlapping windows sum with ``np.add.at``.
+    """
     dx = np.zeros(indices.input_shape)
-    np.add.at(dx.reshape(-1), indices.indices.reshape(-1), g.reshape(-1))
+    if indices.overlapping:
+        np.add.at(dx.reshape(-1), indices.indices.reshape(-1), g.reshape(-1))
+    else:
+        dx.reshape(-1)[indices.indices.reshape(-1)] = g.reshape(-1)
     return dx
 
 
@@ -438,7 +479,7 @@ def categorical_cross_entropy(probs: np.ndarray, target: np.ndarray,
     if p.shape != t.shape:
         raise ShapeError(f"probs shape {p.shape} != target shape {t.shape}")
     sums = p.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
+    if not np.all(np.abs(sums - 1.0) <= 1e-6):  # NaN sums fail too
         raise DataError("probabilities do not sum to 1 along the channel axis")
     if np.any((t != 0.0) & (t != 1.0)) or np.any(t.sum(axis=0) != 1.0):
         raise DataError("target is not one-hot along the channel axis")

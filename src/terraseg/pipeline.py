@@ -391,8 +391,10 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
         raise ParameterError(f"week {p.week} outside the {src.weeks}-week store")
 
     images, ignore = src.week(p.week)
-    classes = np.empty((len(images), src.th, src.tw), dtype=np.uint8)
+    classes = np.full((len(images), src.th, src.tw), 255, dtype=np.uint8)
     for i, image in enumerate(images):
+        if ignore[i].all():
+            continue  # every pixel would be overwritten with 255
         probs, _ = graph.forward(image, training=False)
         classes[i] = np.where(ignore[i] == 1, 255, probs.argmax(axis=0))
     attrs = store.array(_node(config, IMAGE_ARRAY)).attributes

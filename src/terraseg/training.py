@@ -148,7 +148,8 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
     checkpoint_save, so only monitor improvements touch the file.
     A non-finite training loss, batch gradient (before its optimizer step)
     or val_loss (before the checkpoint write) raises DataError naming the
-    epoch and samples, in place of numpy's overflow warnings. The monitored
+    epoch and samples, in place of numpy's overflow warnings; a loss is
+    non-finite where the forward's probabilities are. The monitored
     metric is not checked: MIoU or precision are NaN when a class is absent.
     """
     if len(train_data) == 0:
@@ -177,9 +178,12 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
                 s = train_data[int(si)]
                 rng = SeededRng(mix_seed(config.seed, "forward", epoch, int(si)))
                 probs, cache = graph.forward(s.image.data, training=True, rng=rng)
-                loss, glogits = ops.categorical_cross_entropy(probs, s.target.data, s.ignore)
-                if not np.isfinite(loss):
-                    raise _diverged(epoch, f"the loss of training sample {si}")
+                try:
+                    loss, glogits = ops.categorical_cross_entropy(probs, s.target.data, s.ignore)
+                except DataError:
+                    if np.isfinite(probs).all():
+                        raise
+                    raise _diverged(epoch, f"the loss of training sample {si}") from None
                 for name, g in graph.backward(cache, {logits: glogits}).items():
                     if name in grads:
                         grads[name] += g
@@ -195,11 +199,15 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
                     raise _diverged(epoch, f"the {name} gradient of samples {batch.tolist()}")
             apply_step(optimizer, params, grads)
         train_loss = epoch_loss / seen
-        val_loss, vals, _ = evaluate_samples(graph, val, config.metric_names)
-        if not np.isfinite(val_loss):
-            bad = next(i for i, v in enumerate(val)
-                       if not np.isfinite(evaluate_samples(graph, [v], ())[0]))
-            raise _diverged(epoch, f"the val_loss of validation sample {bad}")
+        try:
+            val_loss, vals, _ = evaluate_samples(graph, val, config.metric_names)
+        except DataError:
+            bad = next((i for i, v in enumerate(val)
+                        if not np.isfinite(graph.forward(v.image.data, training=False)[0]).all()),
+                       None)
+            if bad is None:
+                raise
+            raise _diverged(epoch, f"the val_loss of validation sample {bad}") from None
         record = {"epoch": epoch, "lr": optimizer.lr, "train_loss": train_loss,
                   "val_loss": val_loss, **vals}
         if config.monitor not in record:

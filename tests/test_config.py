@@ -105,6 +105,19 @@ class TestDefaults:
         assert cfg.predict.preview is True
         assert cfg.query.limit == 50
 
+    @pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("1.0e6", 1.0e6),
+                                             ("3e+2", 300.0), ("-2E-1", -0.2)])
+    def test_exponent_floats_without_dot_or_sign(self, text, value):
+        # YAML 1.1 reads these as strings; the loader follows YAML 1.2
+        cfg = parse_config(MINIMAL + f"train:\n  optimizer: {{lr: {text}}}\n")
+        assert cfg.train.optimizer.lr == value
+
+    def test_quoted_exponent_stays_a_string(self):
+        with pytest.raises(ConfigError, match=r"config\.train\.optimizer\.lr: expected float, got str"):
+            parse_config(MINIMAL + 'train:\n  optimizer: {lr: "1e-3"}\n')
+        cfg = parse_config(MINIMAL.replace("/data/run1", '"1e3"'))
+        assert cfg.store == "1e3"
+
     def test_query_timestamps_accept_bare_yaml_stamps(self):
         # safe_load turns unquoted ISO stamps into datetime objects
         cfg = parse_config(MINIMAL + (

@@ -83,6 +83,19 @@ def conv2d_naive(x, w, b, stride, padding):
     return out
 
 
+def conv2d_input_grad_naive(gy, x_shape, w, stride, padding):
+    """Adjoint of conv2d_naive's loops: each output pixel spreads gy * kernel
+    over the padded input window it read, then the padding is cropped."""
+    o, c, kh, kw = w.shape
+    _, h, wd = x_shape
+    dxp = np.zeros((c, h + 2 * padding, wd + 2 * padding))
+    for oc in range(o):
+        for i in range(gy.shape[1]):
+            for j in range(gy.shape[2]):
+                dxp[:, i * stride : i * stride + kh, j * stride : j * stride + kw] += gy[oc, i, j] * w[oc]
+    return dxp[:, padding : padding + h, padding : padding + wd]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = rand_array(3, (2, 5, 5))
@@ -136,6 +149,26 @@ class TestConv2d:
         assert max_rel_err(dx, numeric_grad(loss, x)) < TOL
         assert max_rel_err(dw, numeric_grad(loss, w)) < TOL
         assert max_rel_err(db, numeric_grad(loss, b)) < TOL
+
+    @pytest.mark.parametrize("kh,kw,stride,padding,hw", [
+        # stride 1 with padding <= k-1: the flipped-kernel convolution
+        *[(k, k, 1, p, (7, 9)) for k in (1, 3, 5) for p in range(k)],
+        *[(3, 5, 1, p, (6, 8)) for p in range(3)],
+        (5, 3, 1, 1, (9, 5)),
+        # strided or over-padded convs: the column accumulate
+        (3, 3, 2, 1, (7, 9)),
+        (3, 5, 2, 0, (7, 9)),
+        (1, 1, 1, 1, (4, 3)),
+        (3, 3, 1, 3, (4, 5)),
+    ])
+    def test_input_grad_matches_naive_loops(self, kh, kw, stride, padding, hw):
+        x = rand_array(61, (3, *hw))
+        w = rand_array(62, (4, 3, kh, kw))
+        gy = rand_array(63, ops.conv2d(x, w, None, stride, padding).shape)
+        dx = ops.conv2d_backward(gy, x, w, stride, padding)[0]
+        assert dx.shape == x.shape and dx.flags.c_contiguous
+        expected = conv2d_input_grad_naive(gy, x.shape, w, stride, padding)
+        assert np.allclose(dx, expected, rtol=0, atol=1e-12)
 
 
 class TestConvTranspose:
@@ -224,6 +257,19 @@ class TestPooling:
 
         dx = ops.max_pool2d_backward(gw, idx)
         assert max_rel_err(dx, numeric_grad(loss, x)) < TOL
+
+    def test_overlapping_windows_sum_their_gradients(self):
+        # window 3, stride 1: the peak at (2, 2) wins all nine windows of the
+        # 5x5 input, so it collects the whole upstream gradient
+        x = np.zeros((1, 5, 5))
+        x[0, 2, 2] = 1.0
+        out, idx = ops.max_pool2d(x, 3, 1)
+        assert idx.overlapping and out.shape == (1, 3, 3)
+        g = rand_array(43, out.shape)
+        dx = ops.max_pool2d_backward(g, idx)
+        expected = np.zeros_like(x)
+        expected[0, 2, 2] = g.sum()
+        assert np.allclose(dx, expected, rtol=0, atol=1e-15)
 
 
 class TestUnpool:
@@ -542,6 +588,13 @@ class TestCrossEntropy:
         t = one_hot_from([[0]], 2)
         with pytest.raises(DataError):
             ops.categorical_cross_entropy(np.full((2, 1, 1), 0.7), t)
+
+    def test_rejects_nan_probabilities(self):
+        t = one_hot_from([[0, 1]], 2)
+        p = np.full((2, 1, 2), 0.5)
+        p[0, 0, 1] = np.nan
+        with pytest.raises(DataError, match="do not sum to 1"):
+            ops.categorical_cross_entropy(p, t)
 
     def test_rejects_non_one_hot(self):
         p = np.full((2, 1, 1), 0.5)

@@ -28,6 +28,7 @@ from terraseg.georaster import (
     scl_to_ignore_mask,
     write_raster,
 )
+from terraseg.graph import NetworkGraph
 from terraseg.metrics import REPORT_KEYS, ConfusionMatrix, report, report_json
 from terraseg.pipeline import (
     COARSE_ARRAY,
@@ -623,6 +624,12 @@ class TestWeekReader:
         cmd_split(config)
         return config
 
+    def save_untrained(self, out):
+        checkpoint_save(build_topology(
+            TopologySpec(kind="unet", depth=1, base_channels=4,
+                         in_channels=CHANNELS + 2, num_classes=CLASSES),
+            input_hw=(TILE, TILE), seed=2), str(out / "model.ckpt"))
+
     def reference(self, root, config):
         """Week 0's model inputs [6, C, 16, 16], the labels and the cloud
         and pad mask [6, 16, 16], built from the scene files, not the store."""
@@ -654,10 +661,7 @@ class TestWeekReader:
         # an untrained net at this seed predicts all three classes and reacts
         # to the week, the coarse layout and the input order; one trained for
         # an epoch here predicts one class everywhere
-        checkpoint_save(build_topology(
-            TopologySpec(kind="unet", depth=1, base_channels=4,
-                         in_channels=CHANNELS + 2, num_classes=CLASSES),
-            input_hw=(TILE, TILE), seed=2), str(out / "model.ckpt"))
+        self.save_untrained(out)
         images, labels, cloud = self.reference(tmp_path, config)
         graph, _ = checkpoint_load(str(out / "model.ckpt"))
         predicted = []
@@ -686,6 +690,25 @@ class TestWeekReader:
                 config, evaluate=EvaluateSection(fold=fold)), out_dir=out)
             assert values.keys() == want.keys()
             assert (out / "report.json").read_text(encoding="utf-8") == report_json(want)
+
+    def test_predict_skips_fully_ignored_tiles(self, tmp_path, monkeypatch):
+        config = self.build(tmp_path, weeks=1)
+        out = tmp_path / "run"
+        out.mkdir()
+        self.save_untrained(out)
+        calls = []
+        forward = NetworkGraph.forward
+
+        def counted(graph, x, *args, **kwargs):
+            calls.append(1)
+            return forward(graph, x, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkGraph, "forward", counted)
+        got = read_pgm(str(cmd_predict(config, out_dir=out))).data[0]
+        # the SCL mask covers tile (0, 0) whole; the other five are predicted
+        assert len(calls) == 5
+        assert (got[:16, :16] == 255).all()
+        assert (got[16:, :16] != 255).any()
 
     def test_each_array_is_read_once_per_week(self, tmp_path, monkeypatch):
         config = self.build(tmp_path, weeks=4)

@@ -258,6 +258,10 @@ class TestDivergence:
         for key, value in graph.parameters().items():
             assert np.array_equal(value, before[key])
 
+    def test_evaluate_samples_rejects_a_non_finite_forward(self):
+        with pytest.raises(DataError, match="do not sum to 1"):
+            evaluate_samples(tiny_graph(), [tiny_sample(), self.nan_sample()])
+
     def test_non_finite_val_loss(self, tmp_path):
         msg, _ = self.diverge(tmp_path, tiny_graph(), [tiny_sample()],
                               [tiny_sample(4), self.nan_sample()])
