@@ -254,6 +254,11 @@ def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarra
     _, h, wd = x.shape
     oh, ow = (h - 1) * stride + kh, (wd - 1) * stride + kw
     spread = np.tensordot(w, x, axes=([0], [0]))  # [M, kh, kw, h, w]
+    if kh == kw == stride:  # windows tile the output without overlap or gap
+        out = np.empty((m, oh, ow))
+        # + 0.0 turns -0.0 into +0.0, as accumulating into zeros does
+        np.add(spread.transpose(0, 3, 1, 4, 2), 0.0, out=out.reshape(m, h, kh, wd, kw))
+        return out
     out = np.zeros((m, oh, ow))
     for i in range(kh):
         for j in range(kw):
@@ -290,31 +295,48 @@ class PoolIndices:
     overlapping: bool  # windows share cells, so indices may repeat
 
 
-def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+def _pool_output_hw(x: np.ndarray, window: int, stride: int) -> tuple[int, int]:
     if x.ndim != 3:
         raise ShapeError(f"pooling wants [C,H,W], got {x.shape}")
-    c, h, w = x.shape
+    _, h, w = x.shape
     if window < 1 or stride < 1:
         raise ParameterError(f"bad pooling window/stride ({window}, {stride})")
     if window > h or window > w or (h - window) % stride or (w - window) % stride:
         raise ShapeError(
             f"pooling window {window} stride {stride} does not tile input {h}x{w}"
         )
-    return sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+    return (h - window) // stride + 1, (w - window) // stride + 1
 
 
 def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, PoolIndices]:
-    win = _pool_windows(x, window, stride)
-    c, oh, ow = win.shape[:3]
-    flat = win.reshape(c, oh, ow, window * window)
-    arg = flat.argmax(axis=-1)  # first max wins, row-major within the window
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    dy, dx = arg // window, arg % window
-    h, w = x.shape[1], x.shape[2]
-    rows = dy + (np.arange(oh) * stride)[None, :, None]
-    cols = dx + (np.arange(ow) * stride)[None, None, :]
-    idx = (np.arange(c)[:, None, None] * h * w + rows * w + cols).astype(np.int64)
-    return out, PoolIndices(idx, x.shape, overlapping=window > stride)
+    """Max over each window, and the flat input index of its first maximum in
+    row-major window order.
+
+    Disjoint windows (``window == stride``, every pool the topologies build)
+    compare their cells as strided views of ``x``, one cell position at a
+    time; other geometries, and inputs holding NaN (argmax picks the first
+    NaN), argmax over a copy of the windows.
+    """
+    oh, ow = _pool_output_hw(x, window, stride)
+    c, h, w = x.shape
+    # off: flat [H, W] offset of each window's winner from the window origin
+    if window == stride and not np.isnan(x).any():
+        cells = x.reshape(c, oh, window, ow, window)
+        best = cells[:, :, 0, :, 0].copy()
+        off = np.zeros((c, oh, ow), dtype=np.int64)
+        for p in range(1, window * window):
+            dy, dx = divmod(p, window)
+            v = cells[:, :, dy, :, dx]
+            # offsets grow with p, so a strict win keeps the first of tied cells
+            np.maximum(off, (v > best) * (dy * w + dx), out=off)
+            np.maximum(best, v, out=best)
+    else:
+        win = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+        arg = win.reshape(c, oh, ow, window * window).argmax(axis=-1)
+        off = arg // window * w + arg % window
+    idx = (np.arange(c)[:, None, None] * (h * w) + (np.arange(oh) * (stride * w))[:, None]
+           + np.arange(ow) * stride + off).astype(np.int64, copy=False)
+    return np.take(x, idx), PoolIndices(idx, x.shape, overlapping=window > stride)
 
 
 def max_pool2d_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:

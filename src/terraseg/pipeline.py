@@ -1,13 +1,16 @@
 """Command implementations behind the CLI: ingest, split, train, evaluate,
 predict, query.
 
-Store layout written by ingest (under the configured base group):
+Store layout written by ingest (under the configured base group). Every
+tiled array holds one row of tiles per chunk; Sentinel-3 only when
+``ingest.coarse_image`` is set:
 
-    Sentinel-2/MSI/10m              f32 [weeks, ty, tx, th, tw, ch]
-    Sentinel-2/MSI/ignore_masks     u8  [weeks, ty, tx, th, tw]
-    Sentinel-3/OLCI/300m            f32 [weeks, ty, tx, hc, wc, cc]  (optional)
-    Labels/CLC_10m/labels           u8  [ty, tx, th, tw]
-    Labels/CLC_10m/multilabel_stratified_kfolds   i32 [ty*tx]
+    array                           dtype, shape                     chunk
+    Sentinel-2/MSI/10m              f32 [weeks, ty, tx, th, tw, ch]  [1, 1, tx, th, tw, ch]
+    Sentinel-2/MSI/ignore_masks     u8  [weeks, ty, tx, th, tw]      [1, 1, tx, th, tw]
+    Sentinel-3/OLCI/300m            f32 [weeks, ty, tx, hc, wc, cc]  [1, 1, tx, hc, wc, cc]
+    Labels/CLC_10m/labels           u8  [ty, tx, th, tw]             [1, tx, th, tw]
+    Labels/CLC_10m/multilabel_stratified_kfolds   i32 [ty*tx]        [ty*tx] (raw codec)
 
 Train, evaluate and predict read samples one week block at a time: one read
 per input array and one for the mask per week, and the labels once.
@@ -153,14 +156,14 @@ def cmd_ingest(config: PipelineConfig) -> Store:
     img = store.create_array(
         _node(config, IMAGE_ARRAY),
         [ing.weeks, nty, ntx, ts, ts, raster.channels],
-        [1, 1, 1, ts, ts, raster.channels], "f32",
+        [1, 1, ntx, ts, ts, raster.channels], "f32",
         attributes={**geo_attrs, "weeks": ing.weeks, "nodata": raster.nodata})
     msk = store.create_array(
         _node(config, MASK_ARRAY),
-        [ing.weeks, nty, ntx, ts, ts], [1, 1, 1, ts, ts], "u8", fill=1)
+        [ing.weeks, nty, ntx, ts, ts], [1, 1, ntx, ts, ts], "u8", fill=1)
     lbl = store.create_array(
         _node(config, LABEL_ARRAY),
-        [nty, ntx, ts, ts], [1, 1, ts, ts], "u8", fill=ing.label_nodata,
+        [nty, ntx, ts, ts], [1, ntx, ts, ts], "u8", fill=ing.label_nodata,
         attributes={**geo_attrs, "num_classes": ing.num_classes,
                     "label_nodata": ing.label_nodata})
 
@@ -181,7 +184,7 @@ def cmd_ingest(config: PipelineConfig) -> Store:
         arr = store.create_array(
             _node(config, COARSE_ARRAY),
             [ing.weeks, nty, ntx, hc, wc, coarse.channels],
-            [1, 1, 1, hc, wc, coarse.channels], "f32",
+            [1, 1, ntx, hc, wc, coarse.channels], "f32",
             attributes={"crs": coarse.crs,
                         "geotransform": list(coarse.geotransform)})
         blocks = coarse.data.reshape(coarse.channels, nty, hc, ntx, wc)

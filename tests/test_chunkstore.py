@@ -5,12 +5,13 @@ locking, and byte-level determinism of the on-disk tree."""
 import hashlib
 import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from terraseg.chunkstore import Store
+from terraseg.chunkstore import Store, StoredArray
 from terraseg.georaster import DTYPE_CODES
 from terraseg.errors import (
     IntegrityError,
@@ -124,6 +125,39 @@ class TestRegionIO:
         data = rng.uniform(0, 100, (20, 20)).astype(DTYPE_CODES[dtype])
         a.write_region((0, 0), data)
         assert np.array_equal(a.read_region((0, 0), (20, 20)), data)
+
+    @pytest.mark.parametrize("dtype", sorted(DTYPE_CODES))
+    def test_deflate_stores_shuffled_bytes(self, store, rng, dtype):
+        # a 5x7 array in 4x4 chunks: chunk 1.1 holds one row of three cells,
+        # the rest is fill padding
+        dt = DTYPE_CODES[dtype]
+        a = store.create_array(dtype, shape=(5, 7), chunks=(4, 4), dtype=dtype, fill=3)
+        if dt.kind == "f":
+            data = rng.normal(0, 1e3, (5, 7)).astype(dt)
+        else:
+            info = np.iinfo(dt)
+            data = rng.integers(info.min, info.max, (5, 7), endpoint=True).astype(dt)
+        a.write_region((0, 0), data)
+        assert a.read_region((0, 0), (5, 7)).tobytes() == data.tobytes()
+        blob = (store.root / dtype / "c.1.1").read_bytes()
+        chunk = np.full((4, 4), 3, dtype=dt)
+        chunk[:1, :3] = data[4:, 4:]
+        shuffled = chunk.view(np.uint8).reshape(16, dt.itemsize).T.tobytes()
+        assert zlib.decompress(blob[:-4]) == shuffled
+        if dt.itemsize == 1:
+            assert shuffled == chunk.tobytes()
+
+    def test_read_inside_one_chunk(self, store, rng, monkeypatch):
+        a = store.create_array("a", shape=(2, 3, 8, 8), chunks=(1, 3, 8, 8), dtype="f32")
+        data = rng.uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32)
+        a.write_region((0, 0, 0, 0), data)
+        loaded = []
+        load = StoredArray._load_chunk
+        monkeypatch.setattr(StoredArray, "_load_chunk",
+                            lambda self, key: loaded.append(key) or load(self, key))
+        got = a.read_region((1, 1, 2, 3), (1, 2, 4, 5))
+        assert np.array_equal(got, data[1:2, 1:3, 2:6, 3:8])
+        assert loaded == ["1.0.0.0"]
 
     def test_region_straddling_four_chunks(self, store, rng):
         a = store.create_array("a", shape=(30, 30), chunks=(10, 10), dtype="i32",
@@ -256,6 +290,17 @@ class TestIntegrity:
         del doc["format"]
         meta.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(IntegrityError, match="re-ingest"):
+            store.array("a")
+
+    def test_format_2_metadata_asks_for_reingest(self, store):
+        store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        meta = store.root / "a" / ".array.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        assert doc["format"] == 3
+        doc["format"] = 2  # chunks deflated without the byte-shuffle
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(IntegrityError,
+                           match="'a' predates store format 3; re-ingest the store"):
             store.array("a")
 
     def test_handle_sees_writes_made_through_another(self, store):

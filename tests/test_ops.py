@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from terraseg import ops
 from terraseg.errors import (
@@ -94,6 +95,32 @@ def conv2d_input_grad_naive(gy, x_shape, w, stride, padding):
             for j in range(gy.shape[2]):
                 dxp[:, i * stride : i * stride + kh, j * stride : j * stride + kw] += gy[oc, i, j] * w[oc]
     return dxp[:, padding : padding + h, padding : padding + wd]
+
+
+def conv2d_transpose_loop(x, w, stride):
+    """conv2d_transpose as a kh*kw strided accumulate into zeros."""
+    _, m, kh, kw = w.shape
+    _, h, wd = x.shape
+    spread = np.tensordot(w, x, axes=([0], [0]))
+    out = np.zeros((m, (h - 1) * stride + kh, (wd - 1) * stride + kw))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, i : i + stride * h : stride, j : j + stride * wd : stride] += spread[:, i, j]
+    return out
+
+
+def max_pool2d_windows(x, window, stride):
+    """Max pool as an argmax over a [C, oh, ow, k*k] copy of the windows:
+    (values, flat input index of each window's first maximum)."""
+    win = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+    c, oh, ow = win.shape[:3]
+    flat = win.reshape(c, oh, ow, window * window)
+    arg = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    rows = arg // window + (np.arange(oh) * stride)[:, None]
+    cols = arg % window + np.arange(ow) * stride
+    h, w = x.shape[1:]
+    return out, np.arange(c)[:, None, None] * h * w + rows * w + cols
 
 
 class TestConv2d:
@@ -207,6 +234,21 @@ class TestConvTranspose:
         assert max_rel_err(dx, numeric_grad(loss, x)) < TOL
         assert max_rel_err(dw, numeric_grad(loss, w)) < TOL
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_disjoint_windows_match_the_accumulate(self, k):
+        x = rand_array(61, (3, 4, 5))
+        w = rand_array(62, (3, 2, k, k))
+        y = ops.conv2d_transpose(x, w, stride=k)
+        assert y.tobytes() == conv2d_transpose_loop(x, w, k).tobytes()
+
+    def test_disjoint_windows_leave_no_negative_zero(self):
+        # the products underflow to -0.0; accumulating into zeros gives +0.0
+        x = np.full((2, 3, 3), -1e-200)
+        w = np.full((2, 2, 2, 2), 1e-200)
+        y = ops.conv2d_transpose(x, w, stride=2)
+        assert np.all(y == 0.0) and not np.signbit(y).any()
+        assert y.tobytes() == conv2d_transpose_loop(x, w, 2).tobytes()
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             ops.conv2d_transpose(rand_array(0, (2, 3, 3)), rand_array(1, (3, 2, 2, 2)))
@@ -237,6 +279,30 @@ class TestPooling:
             for i in range(3):
                 for j in range(3):
                     assert y[c, i, j] == x[c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
+
+    @pytest.mark.parametrize("window,shape", [
+        (2, (3, 8, 8)), (2, (5, 6, 10)), (3, (2, 9, 6)), (4, (1, 8, 12))])
+    def test_disjoint_windows_match_the_window_copy(self, rng, window, shape):
+        # five distinct values force ties, and -0.0 ties with +0.0
+        x = rng.integers(-2, 3, shape).astype(float)
+        x[rng.random(shape) < 0.3] = -0.0
+        out, idx = ops.max_pool2d(x, window, window)
+        ref_out, ref_idx = max_pool2d_windows(x, window, window)
+        assert out.tobytes() == ref_out.tobytes()
+        assert idx.indices.dtype == np.int64
+        assert np.array_equal(idx.indices, ref_idx)
+
+    @pytest.mark.parametrize("window,stride,shape,nan", [
+        (2, 2, (2, 6, 8), True), (3, 1, (2, 7, 9), False), (3, 2, (2, 7, 9), True)])
+    def test_nan_and_overlapping_windows_match_the_window_copy(self, rng, window, stride,
+                                                              shape, nan):
+        x = rng.integers(-2, 3, shape).astype(float)
+        if nan:  # argmax picks a window's first NaN
+            x[rng.random(x.shape) < 0.2] = np.nan
+        out, idx = ops.max_pool2d(x, window, stride)
+        ref_out, ref_idx = max_pool2d_windows(x, window, stride)
+        assert out.tobytes() == ref_out.tobytes()
+        assert np.array_equal(idx.indices, ref_idx)
 
     def test_window_larger_than_input(self):
         with pytest.raises(ShapeError):

@@ -265,6 +265,25 @@ class TestIngest:
         block = arr.read_region((0, 1, 0, 0, 0, 0), (1, 1, 1, 2, 2, 2))[0, 0, 0]
         assert np.array_equal(block.transpose(2, 0, 1), coarse[:, 2:4, 0:2])
 
+    def test_one_chunk_file_per_tile_row(self, tmp_path):
+        # a 2x3 tile grid over 3 weeks: each array-week holds 2 chunk files,
+        # each a row of 3 tiles
+        _, gt = write_scene(tmp_path, height=24, width=40)
+        coarse = np.zeros((2, 4, 6), dtype=np.float32)
+        write_raster(GeoRaster(coarse, gt, CRS, 0.0), str(tmp_path / "coarse"))
+        store = cmd_ingest(make_config(tmp_path, ingest={
+            "weeks": 3, "coarse_image": str(tmp_path / "coarse")}))
+
+        def chunk_files(rel):
+            return sorted(p.name for p in (store.root / rel).iterdir()
+                          if p.name.startswith("c."))
+
+        weekly = [f"c.{w}.{r}.0.0.0" for w in range(3) for r in range(2)]
+        assert chunk_files(IMAGE_ARRAY) == [f"{c}.0" for c in weekly]
+        assert chunk_files(COARSE_ARRAY) == [f"{c}.0" for c in weekly]
+        assert chunk_files(MASK_ARRAY) == weekly
+        assert chunk_files(LABEL_ARRAY) == ["c.0.0.0.0", "c.1.0.0.0"]
+
     def test_coarse_extent_must_divide_the_grid(self, scene):
         root, labels, gt = scene
         coarse = np.zeros((2, 3, 3), dtype=np.float32)
@@ -900,6 +919,25 @@ class TestCli:
         assert "re-ingest" in capsys.readouterr().err
         assert main(["ingest", "--config", cfg]) == 0
         assert main(["split", "--config", cfg]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_format_2_store_exits_3_until_reingested(self, tmp_path, capsys, command):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path, train={"epochs": 1})
+        out = str(tmp_path / "run")
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--out", out]) == 0
+        for meta in (tmp_path / "store").rglob(".array.json"):
+            doc = json.loads(meta.read_text(encoding="utf-8"))
+            meta.write_text(json.dumps({**doc, "format": 2}), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: array ") and err.count("\n") == 1
+        assert err.endswith(" predates store format 3; re-ingest the store\n")
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main([command, "--config", cfg, "--out", out]) == 0
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
