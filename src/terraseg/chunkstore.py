@@ -21,9 +21,11 @@ without that marker predate the byte-shuffled deflate codec (or the chunk
 trailer) and must be re-ingested.
 
 Writers take an advisory lock file (``.lock``, O_EXCL) per array for the
-duration of a write. Each chunk is written to a temp name and renamed into
-place, so a chunk replace is one atomic rename. Nothing in the store depends
-on time or randomness: two identical ingest runs produce byte-identical trees.
+duration of a write. It holds the writer's pid, so a held lock is reported
+with its pid and whether that process still runs. Each chunk is written to
+a temp name and renamed into place, so a chunk replace is one atomic rename.
+Nothing in the store depends on time or randomness: two identical ingest
+runs produce byte-identical trees.
 """
 
 from __future__ import annotations
@@ -213,6 +215,8 @@ class StoreGroup:
 
 
 class _Lock:
+    """O_EXCL lock file holding its writer's pid, so a held lock names its owner."""
+
     def __init__(self, directory: Path):
         self.path = directory / ".lock"
         self.fd: int | None = None
@@ -221,8 +225,29 @@ class _Lock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise StoreLockError(f"another writer holds {self.path}") from None
+            raise StoreLockError(self._held()) from None
+        try:
+            os.write(self.fd, str(os.getpid()).encode())
+        except OSError:
+            self.__exit__()
+            raise
         return self
+
+    def _held(self) -> str:
+        """Why the lock cannot be taken, naming the holder's pid when it left one."""
+        try:
+            pid = int(self.path.read_text(encoding="ascii"))
+        except (OSError, ValueError):
+            pid = 0
+        if pid <= 0:  # gone, taken but not yet written, or not a pid
+            return f"another writer holds {self.path}"
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return f"stale lock {self.path}: its writer, pid {pid}, is not running"
+        except PermissionError:  # running, as another user
+            pass
+        return f"writer pid {pid} holds {self.path}"
 
     def __exit__(self, *exc):
         if self.fd is not None:

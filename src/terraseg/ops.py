@@ -7,13 +7,21 @@ op updates).
 Every differentiable op comes as a forward function plus a matching
 ``*_backward`` that implements the analytic adjoint; the test suite verifies
 each pair against central finite differences. Convolution is computed as
-cross-correlation via im2col + matmul. Its input gradient, for stride 1, is
-the full convolution of the upstream gradient with the spatially flipped,
-in/out-swapped kernels (Dumoulin & Visin 2016, arXiv 1603.07285), so it is
-one more im2col + matmul; strided convs fall back to accumulating the kh*kw
-column blocks. The transposed convolution is the exact adjoint of
-``conv2d`` with shared kernels, i.e.
-``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>`` for zero padding.
+cross-correlation by per-tap GEMMs, without a patch (im2col) matrix: the
+input is zero-padded once into a flat [C, L] buffer of row pitch
+``wp = W + 2p``, so tap (i, j) of wide output column ``m = r*wp + q`` reads
+position ``i*wp + j + stride*m`` and each tap's operand is a slice of that
+buffer. The per-tap products accumulate into an [O, oh*wp] wide output whose
+columns ``q >= ow`` are cropped (Vasudevan, Anderson & Gregg 2017, arXiv
+1704.04428; Anderson et al. 2017, arXiv 1709.03395). The kernel gradient is
+one GEMM per tap of the widened upstream gradient with the same slices. The
+input gradient, for stride 1, is the full convolution of the upstream
+gradient with the spatially flipped, in/out-swapped kernels (Dumoulin &
+Visin 2016, arXiv 1603.07285), the same tap walk again; strided convs
+scatter-add each tap's product into a zeroed padded input instead. The
+transposed convolution is the exact adjoint of ``conv2d`` with shared
+kernels, i.e. ``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>`` for zero
+padding.
 """
 
 from __future__ import annotations
@@ -157,20 +165,59 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
     return num_h // stride + 1, num_w // stride + 1
 
 
-def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad the spatial axes of [C, H, W] (np.pad's per-call overhead
-    is several times the copy at these sizes)."""
+def _flat_pad(x: np.ndarray, ph: int, pw: int, kh: int, kw: int, stride: int,
+              wp: int | None = None) -> tuple[np.ndarray, int, int]:
+    """Zero-pad [C, H, W] by (ph, pw) into a flat [C, L] buffer of row pitch
+    ``wp`` (default ``W + 2*pw``), for a kh x kw correlation at ``stride``.
+
+    Returns ``(flat, wp, n)``. The wide output has ``n = oh*wp`` columns, and
+    the zeros past the padded image make L long enough for every tap to read
+    a full n-column slice. Any pitch from ``W + pw`` up works, as a row's
+    right padding may overlap the next row's left padding. (np.pad's
+    per-call overhead is several times the copy at these sizes.)
+    """
     c, h, w = x.shape
-    out = np.zeros((c, h + 2 * ph, w + 2 * pw))
-    out[:, ph : ph + h, pw : pw + w] = x
-    return out
+    hp, wp = h + 2 * ph, wp or w + 2 * pw
+    n = ((hp - kh) // stride + 1) * wp
+    flat = np.zeros((c, (kh - 1) * wp + kw + stride * (n - 1)))
+    flat[:, : hp * wp].reshape(c, hp, wp)[:, ph : ph + h, pw : pw + w] = x
+    return flat, wp, n
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    """[C, Hp, Wp] -> ([C*kh*kw, oh*ow] patch matrix, oh, ow)."""
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    c, oh, ow = win.shape[:3]
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow), oh, ow
+def _taps(flat: np.ndarray, kh: int, kw: int, wp: int, n: int, stride: int):
+    """Each tap's [C, n] operand in a flat buffer of row pitch wp, in tap order.
+
+    Tap (i, j) of wide output column ``m = r*wp + q`` reads position
+    ``i*wp + j + stride*m``, so its operand is a basic slice: a view (a
+    writable one into a writable buffer), with unit column stride for
+    stride 1. The wide columns ``q >= ow`` are the ones callers crop or hold
+    at zero.
+    """
+    span = stride * (n - 1) + 1
+    for i in range(kh):
+        for j in range(kw):
+            off = i * wp + j
+            yield flat[:, off : off + span : stride]
+
+
+def _tap_kernels(w: np.ndarray) -> np.ndarray:
+    """[A, B, kh, kw] -> contiguous per-tap [kh*kw, A, B] (with the strided
+    ``w[:, :, i, j]`` numpy's matmul falls back to its loop without BLAS)."""
+    a, b, kh, kw = w.shape
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, a, b)
+
+
+def _correlate(flat: np.ndarray, wt: np.ndarray, kh: int, kw: int, wp: int,
+               n: int, stride: int) -> np.ndarray:
+    """Sum over taps of ``wt[t] @ tap_t``: the wide [O, n] result."""
+    acc, tmp = np.empty((wt.shape[1], n)), None
+    for t, tap in enumerate(_taps(flat, kh, kw, wp, n, stride)):
+        if t == 0:
+            np.matmul(wt[0], tap, out=acc)
+        else:
+            tmp = np.matmul(wt[t], tap, out=tmp)
+            acc += tmp
+    return acc
 
 
 def _check_conv_args(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
@@ -187,55 +234,65 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
     """Cross-correlate [C,H,W] with kernels [O,C,kh,kw] -> [O,oh,ow]."""
     _check_conv_args(x, kernels, bias)
     o, c, kh, kw = kernels.shape
-    conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
-    cols, oh, ow = _im2col(_pad(x, padding, padding), kh, kw, stride)
-    out = (kernels.reshape(o, -1) @ cols).reshape(o, oh, ow)
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
-
-
-def _conv2d_input_grad(gy: np.ndarray, w: np.ndarray, hw: tuple[int, int],
-                       stride: int, padding: int) -> np.ndarray:
-    """d conv2d / d input for an [H, W] input; see conv2d_backward."""
-    o, c, kh, kw = w.shape
-    h, wd = hw
-    oh, ow = gy.shape[1:]
-    ph, pw = kh - 1 - padding, kw - 1 - padding
-    if stride == 1 and ph >= 0 and pw >= 0:
-        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        gcols, _, _ = _im2col(_pad(gy, ph, pw), kh, kw, 1)
-        return (wf @ gcols).reshape(c, h, wd)
-    dcols = (w.reshape(o, -1).T @ gy.reshape(o, -1)).reshape(c, kh, kw, oh, ow)
-    dxp = np.zeros((c, h + 2 * padding, wd + 2 * padding))
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
-    return dxp[:, padding : padding + h, padding : padding + wd].copy()
+    oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
+    flat, wp, n = _flat_pad(x, padding, padding, kh, kw, stride)
+    y = _correlate(flat, _tap_kernels(kernels), kh, kw, wp, n, stride)
+    y = y.reshape(o, oh, wp)[:, :, :ow]
+    if bias is None:
+        return y.copy()
+    return y + bias[:, None, None]  # the crop and the bias in one pass
 
 
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, padding: int = 0):
     """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy.
 
-    For stride 1 with ``padding <= min(kh, kw) - 1`` the input gradient is a
-    full convolution: ``gy`` zero-padded by ``(kh-1-p, kw-1-p)`` and
-    cross-correlated with the kernels flipped in space and with their in/out
-    axes swapped, i.e. one more im2col + matmul. Other geometries (strided
-    convs) accumulate the kh*kw column blocks into the padded input instead.
+    ``gy`` and the padded input share one row pitch, with ``gy`` zero in the
+    extra columns, and each tap's kernel gradient is one GEMM of ``gy`` with
+    that tap's slice of the input. For stride 1 with
+    ``padding <= min(kh, kw) - 1`` the input gradient is a full convolution:
+    ``gy`` zero-padded by ``(kh-1-p, kw-1-p)`` and cross-correlated with the
+    kernels flipped in space and with their in/out axes swapped. Other
+    geometries (strided convs) scatter-add each tap's ``W_t^T @ gy`` into
+    the zeroed padded input.
     """
     o, c, kh, kw = w.shape
-    oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
+    h, wd = x.shape[1:]
+    oh, ow = conv_output_hw(h, wd, kh, kw, stride, padding)
     if gy.shape != (o, oh, ow):
         raise ShapeError(f"upstream grad shape {gy.shape} != {(o, oh, ow)}")
-    # dx first, so its column matrix is freed before the input's is built:
-    # with both alive, glibc handed the freed heap top back to the kernel on
-    # every call and the next call page-faulted it in again
-    dx = _conv2d_input_grad(gy, w, x.shape[1:], stride, padding)
-    cols, _, _ = _im2col(_pad(x, padding, padding), kh, kw, stride)
-    dw = (gy.reshape(o, -1) @ cols.T).reshape(w.shape)
-    db = gy.sum(axis=(1, 2))
-    return dx, dw, db
+    full = stride == 1 and padding < min(kh, kw)
+    gk = (kh, kw) if full else (1, 1)
+    gph, gpw = (kh - 1 - padding, kw - 1 - padding) if full else (0, 0)
+    # gy padded for dx's correlation (or only widened) at x's row pitch, which
+    # is at least ``ow + gpw``; a slice of it is the widened gy that dw needs
+    wp = wd + 2 * padding
+    gflat, _, gn = _flat_pad(gy, gph, gpw, *gk, 1, wp)
+    gw = gflat[:, gph * wp + gpw : gph * wp + gpw + oh * wp]
+    if full:
+        # dx first, so its temporaries are freed before x's buffer is made
+        # and that buffer reuses their heap: with both alive, glibc handed
+        # more of the freed heap top back to the kernel on each call, and
+        # the next call page-faulted it in again
+        wt = _tap_kernels(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        dx = _correlate(gflat, wt, kh, kw, wp, gn, 1).reshape(c, h, wp)[:, :, :wd].copy()
+        del wt
+    flat, _, n = _flat_pad(x, padding, padding, kh, kw, stride)
+    dwt = np.empty((kh * kw, o, c))
+    for t, tap in enumerate(_taps(flat, kh, kw, wp, n, stride)):
+        np.matmul(gw, tap.T, out=dwt[t])
+    dw = dwt.reshape(kh, kw, o, c).transpose(2, 3, 0, 1).copy()
+    if not full:
+        # scatter-add into x's zeroed buffer; np.add with out= adds into the
+        # strided tap in place, where ``flat[...] += tmp`` would copy it back
+        flat.fill(0.0)
+        wt, tmp = _tap_kernels(w.transpose(1, 0, 2, 3)), None
+        for t, dst in enumerate(_taps(flat, kh, kw, wp, n, stride)):
+            tmp = np.matmul(wt[t], gw, out=tmp)
+            np.add(dst, tmp, out=dst)
+        hp = h + 2 * padding
+        dx = flat[:, : hp * wp].reshape(c, hp, wp)[:, padding : padding + h, padding : padding + wd].copy()
+    return dx, dw, gy.sum(axis=(1, 2))
 
 
 def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -268,8 +325,22 @@ def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarra
 
 def conv2d_transpose_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                               stride: int = 1):
-    """Gradients of conv2d_transpose w.r.t. (input, kernels)."""
+    """Gradients of conv2d_transpose w.r.t. (input, kernels).
+
+    With ``kh == kw == stride`` (the windows tile the output) ``gy`` regroups
+    with one transpose copy into ``g = [M*kh*kw, h*w]``, and each gradient is
+    one GEMM with it; other geometries contract over gy's strided windows.
+    """
     k, m, kh, kw = w.shape
+    _, h, wd = x.shape
+    expected = (m, (h - 1) * stride + kh, (wd - 1) * stride + kw)
+    if gy.shape != expected:
+        raise ShapeError(f"upstream grad shape {gy.shape} != {expected}")
+    if kh == kw == stride:
+        g = gy.reshape(m, h, kh, wd, kw).transpose(0, 2, 4, 1, 3).reshape(m * kh * kw, h * wd)
+        dx = (w.reshape(k, -1) @ g).reshape(x.shape)
+        dw = (x.reshape(k, -1) @ g.T).reshape(w.shape)
+        return dx, dw
     # d_input is a strided conv of the upstream gradient with the same kernels
     win = sliding_window_view(gy, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     dx = np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))

@@ -5,6 +5,8 @@ locking, and byte-level determinism of the on-disk tree."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -321,6 +323,58 @@ class TestIntegrity:
             os.unlink(store.root / "a" / ".lock")
         a.write_region((0,), np.ones(4, dtype=np.uint8))  # released lock frees it
         assert np.all(a.read_region((0,), (4,)) == 1)
+
+    def test_held_lock_names_a_running_writer(self, store):
+        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        (store.root / "a" / ".lock").write_text(str(os.getpid()), encoding="ascii")
+        with pytest.raises(StoreLockError, match=rf"^writer pid {os.getpid()} holds .*\.lock$"):
+            a.write_region((0,), np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("content", ["-1", "not a pid"])
+    def test_lock_without_a_pid_names_no_writer(self, store, content):
+        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        (store.root / "a" / ".lock").write_text(content, encoding="ascii")
+        with pytest.raises(StoreLockError, match=r"^another writer holds .*\.lock$"):
+            a.write_region((0,), np.zeros(4, dtype=np.uint8))
+
+    def test_lock_whose_pid_write_fails_is_released(self, store, monkeypatch):
+        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+
+        def write(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", write)
+        with pytest.raises(OSError, match="No space left"):
+            a.write_region((0,), np.zeros(4, dtype=np.uint8))
+        assert not (store.root / "a" / ".lock").exists()
+
+    def test_stale_lock_names_its_dead_writer(self, store):
+        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        a.write_region((0,), np.ones(4, dtype=np.uint8))
+        before = tree_digest(store.root)
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped, so its pid names no process
+        (store.root / "a" / ".lock").write_text(str(child.pid), encoding="ascii")
+        with pytest.raises(StoreLockError,
+                           match=rf"stale lock .*\.lock: its writer, pid {child.pid}, is not running"):
+            a.write_region((0,), np.zeros(4, dtype=np.uint8))
+        os.unlink(store.root / "a" / ".lock")
+        assert tree_digest(store.root) == before
+        assert np.all(a.read_region((0,), (4,)) == 1)
+
+    def test_lock_holds_the_writer_pid_only_while_writing(self, store, monkeypatch):
+        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        seen = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            seen.append((store.root / "a" / ".lock").read_text(encoding="ascii"))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        a.write_region((0,), np.ones(4, dtype=np.uint8))
+        assert seen == [str(os.getpid())]
+        assert not (store.root / "a" / ".lock").exists()
 
 
 class TestTreeOps:

@@ -84,17 +84,22 @@ def conv2d_naive(x, w, b, stride, padding):
     return out
 
 
-def conv2d_input_grad_naive(gy, x_shape, w, stride, padding):
+def conv2d_backward_naive(gy, x, w, stride, padding):
     """Adjoint of conv2d_naive's loops: each output pixel spreads gy * kernel
-    over the padded input window it read, then the padding is cropped."""
+    over the padded input window it read (then the padding is cropped), and
+    gy * window into the kernel gradient."""
     o, c, kh, kw = w.shape
-    _, h, wd = x_shape
-    dxp = np.zeros((c, h + 2 * padding, wd + 2 * padding))
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
     for oc in range(o):
         for i in range(gy.shape[1]):
             for j in range(gy.shape[2]):
-                dxp[:, i * stride : i * stride + kh, j * stride : j * stride + kw] += gy[oc, i, j] * w[oc]
-    return dxp[:, padding : padding + h, padding : padding + wd]
+                rows = slice(i * stride, i * stride + kh)
+                cols = slice(j * stride, j * stride + kw)
+                dxp[:, rows, cols] += gy[oc, i, j] * w[oc]
+                dw[oc] += gy[oc, i, j] * xp[:, rows, cols]
+    return dxp[:, padding : padding + h, padding : padding + wd], dw, gy.sum(axis=(1, 2))
 
 
 def conv2d_transpose_loop(x, w, stride):
@@ -107,6 +112,37 @@ def conv2d_transpose_loop(x, w, stride):
         for j in range(kw):
             out[:, i : i + stride * h : stride, j : j + stride * wd : stride] += spread[:, i, j]
     return out
+
+
+def conv2d_transpose_backward_windows(gy, x, w, stride):
+    """conv2d_transpose_backward as contractions over gy's strided windows."""
+    _, _, kh, kw = w.shape
+    win = sliding_window_view(gy, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return (np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4])),
+            np.tensordot(x, win, axes=([1, 2], [1, 2])))
+
+
+@st.composite
+def conv_cases(draw):
+    """A valid conv geometry with random operands: C, O in 1..5, kernels
+    1..4 (square or not), stride 1..3, padding 0..max(kh, kw), and input
+    extents from the smallest the geometry allows (the kernel size, or less
+    with padding) up."""
+    c, o = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, max(kh, kw)))
+
+    def extent(k):
+        low = max(k - 2 * padding, 1)
+        low += -(low + 2 * padding - k) % stride  # whole output steps
+        return low + stride * draw(st.integers(0, 3))
+
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = rand_array(seed, (c, extent(kh), extent(kw)))
+    w = rand_array(seed + 1, (o, c, kh, kw))
+    b = rand_array(seed + 2, (o,))
+    return x, w, b, stride, padding
 
 
 def max_pool2d_windows(x, window, stride):
@@ -194,8 +230,28 @@ class TestConv2d:
         gy = rand_array(63, ops.conv2d(x, w, None, stride, padding).shape)
         dx = ops.conv2d_backward(gy, x, w, stride, padding)[0]
         assert dx.shape == x.shape and dx.flags.c_contiguous
-        expected = conv2d_input_grad_naive(gy, x.shape, w, stride, padding)
+        expected = conv2d_backward_naive(gy, x, w, stride, padding)[0]
         assert np.allclose(dx, expected, rtol=0, atol=1e-12)
+
+
+class TestConvProperties:
+    @given(conv_cases())
+    def test_forward_matches_naive_loops(self, case):
+        x, w, b, stride, padding = case
+        y = ops.conv2d(x, w, b, stride, padding)
+        assert y.flags.c_contiguous
+        assert np.allclose(y, conv2d_naive(x, w, b, stride, padding), rtol=0, atol=1e-12)
+
+    @given(conv_cases())
+    def test_backward_matches_loop_adjoint(self, case):
+        # stride 1 with padding < min(kh, kw) takes the flipped-kernel
+        # correlation, everything else the strided scatter-add
+        x, w, _, stride, padding = case
+        gy = rand_array(7, ops.conv2d(x, w, None, stride, padding).shape)
+        got = ops.conv2d_backward(gy, x, w, stride, padding)
+        for g, ref, arr in zip(got, conv2d_backward_naive(gy, x, w, stride, padding), (x, w, gy[:, 0, 0])):
+            assert g.shape == arr.shape and g.flags.c_contiguous
+            assert np.allclose(g, ref, rtol=0, atol=1e-12)
 
 
 class TestConvTranspose:
@@ -252,6 +308,26 @@ class TestConvTranspose:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             ops.conv2d_transpose(rand_array(0, (2, 3, 3)), rand_array(1, (3, 2, 2, 2)))
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("hw", [(1, 1), (3, 4), (5, 2)])
+    def test_backward_matches_the_window_contractions(self, k, stride, hw):
+        x = rand_array(71, (3, *hw))
+        w = rand_array(72, (3, 2, k, k))
+        gy = rand_array(73, ops.conv2d_transpose(x, w, stride).shape)
+        dx, dw = ops.conv2d_transpose_backward(gy, x, w, stride)
+        ref_dx, ref_dw = conv2d_transpose_backward_windows(gy, x, w, stride)
+        assert dx.flags.c_contiguous and dw.flags.c_contiguous
+        assert np.allclose(dx, ref_dx, rtol=0, atol=1e-12)
+        assert np.allclose(dw, ref_dw, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_backward_rejects_a_wrong_grad_shape(self, stride):
+        x, w = rand_array(81, (2, 3, 3)), rand_array(82, (2, 4, 2, 2))
+        gy = ops.conv2d_transpose(x, w, stride)
+        for bad in (gy[:, :-1], gy[:-1], gy[None]):
+            with pytest.raises(ShapeError, match="upstream grad shape"):
+                ops.conv2d_transpose_backward(np.ascontiguousarray(bad), x, w, stride)
 
 
 class TestPooling:
