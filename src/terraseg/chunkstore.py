@@ -243,6 +243,8 @@ class _Lock:
             return f"another writer holds {self.path}"
         try:
             os.kill(pid, 0)
+        except OverflowError:  # too large for a pid, so not one
+            return f"another writer holds {self.path}"
         except ProcessLookupError:
             return f"stale lock {self.path}: its writer, pid {pid}, is not running"
         except PermissionError:  # running, as another user

@@ -9,19 +9,20 @@ Every differentiable op comes as a forward function plus a matching
 each pair against central finite differences. Convolution is computed as
 cross-correlation by per-tap GEMMs, without a patch (im2col) matrix: the
 input is zero-padded once into a flat [C, L] buffer of row pitch
-``wp = W + 2p``, so tap (i, j) of wide output column ``m = r*wp + q`` reads
-position ``i*wp + j + stride*m`` and each tap's operand is a slice of that
-buffer. The per-tap products accumulate into an [O, oh*wp] wide output whose
-columns ``q >= ow`` are cropped (Vasudevan, Anderson & Gregg 2017, arXiv
-1704.04428; Anderson et al. 2017, arXiv 1709.03395). The kernel gradient is
-one GEMM per tap of the widened upstream gradient with the same slices. The
-input gradient, for stride 1, is the full convolution of the upstream
-gradient with the spatially flipped, in/out-swapped kernels (Dumoulin &
-Visin 2016, arXiv 1603.07285), the same tap walk again; strided convs
-scatter-add each tap's product into a zeroed padded input instead. The
-transposed convolution is the exact adjoint of ``conv2d`` with shared
-kernels, i.e. ``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>`` for zero
-padding.
+``wp = W + 2p``, so at stride 1 tap (i, j) of wide output column
+``m = r*wp + q`` reads position ``i*wp + j + m`` and each tap's operand is a
+slice of that buffer. The per-tap products accumulate into an [O, oh*wp]
+wide output whose columns ``q >= ow`` are cropped (Vasudevan, Anderson &
+Gregg 2017, arXiv 1704.04428; Anderson et al. 2017, arXiv 1709.03395).
+Strided convs copy each tap's window into one reused [C, oh*ow] buffer
+instead. The kernel gradient is one GEMM per tap of the upstream gradient,
+at the output's pitch, with the same operands. The input gradient, for
+stride 1, is the full convolution of the upstream gradient with the
+spatially flipped, in/out-swapped kernels (Dumoulin & Visin 2016, arXiv
+1603.07285), the same tap walk again; strided convs scatter-add each tap's
+product into a zeroed padded input instead. The transposed convolution is
+the exact adjoint of ``conv2d`` with shared kernels, i.e.
+``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>`` for zero padding.
 """
 
 from __future__ import annotations
@@ -165,39 +166,61 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
     return num_h // stride + 1, num_w // stride + 1
 
 
-def _flat_pad(x: np.ndarray, ph: int, pw: int, kh: int, kw: int, stride: int,
-              wp: int | None = None) -> tuple[np.ndarray, int, int]:
+def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int,
+              wp: int | None = None) -> tuple[np.ndarray, int]:
     """Zero-pad [C, H, W] by (ph, pw) into a flat [C, L] buffer of row pitch
-    ``wp`` (default ``W + 2*pw``), for a kh x kw correlation at ``stride``.
+    ``wp`` (default ``W + 2*pw``), for a correlation kw taps wide.
 
-    Returns ``(flat, wp, n)``. The wide output has ``n = oh*wp`` columns, and
-    the zeros past the padded image make L long enough for every tap to read
-    a full n-column slice. Any pitch from ``W + pw`` up works, as a row's
-    right padding may overlap the next row's left padding. (np.pad's
-    per-call overhead is several times the copy at these sizes.)
+    Returns ``(flat, wp)``. The kw - 1 zeros past the padded image make L
+    long enough for every stride-1 tap to read a full oh*wp-column slice.
+    Any pitch from ``W + pw`` up works, as a row's right padding may overlap
+    the next row's left padding. (np.pad's per-call overhead is several times
+    the copy at these sizes.)
     """
     c, h, w = x.shape
     hp, wp = h + 2 * ph, wp or w + 2 * pw
-    n = ((hp - kh) // stride + 1) * wp
-    flat = np.zeros((c, (kh - 1) * wp + kw + stride * (n - 1)))
+    flat = np.zeros((c, hp * wp + kw - 1))
     flat[:, : hp * wp].reshape(c, hp, wp)[:, ph : ph + h, pw : pw + w] = x
-    return flat, wp, n
+    return flat, wp
 
 
-def _taps(flat: np.ndarray, kh: int, kw: int, wp: int, n: int, stride: int):
-    """Each tap's [C, n] operand in a flat buffer of row pitch wp, in tap order.
+def _taps(flat: np.ndarray, kh: int, kw: int, wp: int, oh: int, ow: int, stride: int):
+    """Each tap's window on a flat buffer of row pitch wp, in tap order: a
+    view, and a writable one into a writable buffer.
 
-    Tap (i, j) of wide output column ``m = r*wp + q`` reads position
-    ``i*wp + j + stride*m``, so its operand is a basic slice: a view (a
-    writable one into a writable buffer), with unit column stride for
-    stride 1. The wide columns ``q >= ow`` are the ones callers crop or hold
-    at zero.
+    At stride 1, tap (i, j) of wide output column ``m = r*wp + q`` reads
+    position ``i*wp + j + m``, so its window is the [C, oh*wp] slice from
+    ``i*wp + j``, which BLAS takes without a copy; the wide columns
+    ``q >= ow`` are the ones callers crop or hold at zero. At a larger stride
+    that slice would have column step ``stride`` and ``stride`` times the
+    columns kept, so the window is instead the [C, oh, ow] view of every
+    ``stride``-th row and column from (i, j), and the output's pitch is ow.
     """
-    span = stride * (n - 1) + 1
+    if stride == 1:
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                yield flat[:, off : off + oh * wp]
+        return
+    rows, cols = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    img = flat[:, : (rows + kh - 1) * wp].reshape(flat.shape[0], -1, wp)
     for i in range(kh):
         for j in range(kw):
-            off = i * wp + j
-            yield flat[:, off : off + span : stride]
+            yield img[:, i : i + rows : stride, j : j + cols : stride]
+
+
+def _operands(flat: np.ndarray, kh: int, kw: int, wp: int, oh: int, ow: int, stride: int):
+    """Each tap's 2-D GEMM operand: the window itself at stride 1, else its
+    copy in one reused [C, oh*ow] buffer (numpy's matmul runs a strided
+    operand in its own loop, without BLAS)."""
+    if stride == 1:
+        yield from _taps(flat, kh, kw, wp, oh, ow, 1)
+        return
+    buf = np.empty((flat.shape[0], oh * ow))
+    box = buf.reshape(-1, oh, ow)
+    for win in _taps(flat, kh, kw, wp, oh, ow, stride):
+        np.copyto(box, win)
+        yield buf
 
 
 def _tap_kernels(w: np.ndarray) -> np.ndarray:
@@ -208,12 +231,13 @@ def _tap_kernels(w: np.ndarray) -> np.ndarray:
 
 
 def _correlate(flat: np.ndarray, wt: np.ndarray, kh: int, kw: int, wp: int,
-               n: int, stride: int) -> np.ndarray:
-    """Sum over taps of ``wt[t] @ tap_t``: the wide [O, n] result."""
-    acc, tmp = np.empty((wt.shape[1], n)), None
-    for t, tap in enumerate(_taps(flat, kh, kw, wp, n, stride)):
+               oh: int, ow: int, stride: int) -> np.ndarray:
+    """Sum over taps of ``wt[t] @ tap_t``: the [O, oh*pitch] result, with the
+    pitch wp at stride 1 and ow otherwise."""
+    acc, tmp = None, None
+    for t, tap in enumerate(_operands(flat, kh, kw, wp, oh, ow, stride)):
         if t == 0:
-            np.matmul(wt[0], tap, out=acc)
+            acc = np.matmul(wt[0], tap)
         else:
             tmp = np.matmul(wt[t], tap, out=tmp)
             acc += tmp
@@ -235,9 +259,9 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
     _check_conv_args(x, kernels, bias)
     o, c, kh, kw = kernels.shape
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
-    flat, wp, n = _flat_pad(x, padding, padding, kh, kw, stride)
-    y = _correlate(flat, _tap_kernels(kernels), kh, kw, wp, n, stride)
-    y = y.reshape(o, oh, wp)[:, :, :ow]
+    flat, wp = _flat_pad(x, padding, padding, kw)
+    y = _correlate(flat, _tap_kernels(kernels), kh, kw, wp, oh, ow, stride)
+    y = y.reshape(o, oh, -1)[:, :, :ow]
     if bias is None:
         return y.copy()
     return y + bias[:, None, None]  # the crop and the bias in one pass
@@ -247,9 +271,10 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, padding: int = 0):
     """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy.
 
-    ``gy`` and the padded input share one row pitch, with ``gy`` zero in the
-    extra columns, and each tap's kernel gradient is one GEMM of ``gy`` with
-    that tap's slice of the input. For stride 1 with
+    Each tap's kernel gradient is one GEMM of ``gy`` with that tap's operand
+    of the input: at stride 1 ``gy`` takes the padded input's row pitch, zero
+    in the extra columns, and at a larger stride the copied taps take gy's
+    own. For stride 1 with
     ``padding <= min(kh, kw) - 1`` the input gradient is a full convolution:
     ``gy`` zero-padded by ``(kh-1-p, kw-1-p)`` and cross-correlated with the
     kernels flipped in space and with their in/out axes swapped. Other
@@ -262,24 +287,27 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
     if gy.shape != (o, oh, ow):
         raise ShapeError(f"upstream grad shape {gy.shape} != {(o, oh, ow)}")
     full = stride == 1 and padding < min(kh, kw)
-    gk = (kh, kw) if full else (1, 1)
-    gph, gpw = (kh - 1 - padding, kw - 1 - padding) if full else (0, 0)
-    # gy padded for dx's correlation (or only widened) at x's row pitch, which
-    # is at least ``ow + gpw``; a slice of it is the widened gy that dw needs
     wp = wd + 2 * padding
-    gflat, _, gn = _flat_pad(gy, gph, gpw, *gk, 1, wp)
-    gw = gflat[:, gph * wp + gpw : gph * wp + gpw + oh * wp]
+    if stride == 1:
+        # gy padded for dx's correlation (or only widened) at x's row pitch,
+        # which is at least ``ow + gpw``; a slice of it is the widened gy
+        # that dw needs
+        gph, gpw = (kh - 1 - padding, kw - 1 - padding) if full else (0, 0)
+        gflat, _ = _flat_pad(gy, gph, gpw, kw if full else 1, wp)
+        gw = gflat[:, gph * wp + gpw : gph * wp + gpw + oh * wp]
+    else:  # strided taps are compact, at the output's own pitch
+        gw = gy.reshape(o, oh * ow)
     if full:
         # dx first, so its temporaries are freed before x's buffer is made
         # and that buffer reuses their heap: with both alive, glibc handed
         # more of the freed heap top back to the kernel on each call, and
         # the next call page-faulted it in again
         wt = _tap_kernels(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        dx = _correlate(gflat, wt, kh, kw, wp, gn, 1).reshape(c, h, wp)[:, :, :wd].copy()
+        dx = _correlate(gflat, wt, kh, kw, wp, h, wd, 1).reshape(c, h, wp)[:, :, :wd].copy()
         del wt
-    flat, _, n = _flat_pad(x, padding, padding, kh, kw, stride)
+    flat, _ = _flat_pad(x, padding, padding, kw)
     dwt = np.empty((kh * kw, o, c))
-    for t, tap in enumerate(_taps(flat, kh, kw, wp, n, stride)):
+    for t, tap in enumerate(_operands(flat, kh, kw, wp, oh, ow, stride)):
         np.matmul(gw, tap.T, out=dwt[t])
     dw = dwt.reshape(kh, kw, o, c).transpose(2, 3, 0, 1).copy()
     if not full:
@@ -287,9 +315,9 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
         # strided tap in place, where ``flat[...] += tmp`` would copy it back
         flat.fill(0.0)
         wt, tmp = _tap_kernels(w.transpose(1, 0, 2, 3)), None
-        for t, dst in enumerate(_taps(flat, kh, kw, wp, n, stride)):
+        for t, dst in enumerate(_taps(flat, kh, kw, wp, oh, ow, stride)):
             tmp = np.matmul(wt[t], gw, out=tmp)
-            np.add(dst, tmp, out=dst)
+            np.add(dst, tmp.reshape(dst.shape), out=dst)
         hp = h + 2 * padding
         dx = flat[:, : hp * wp].reshape(c, hp, wp)[:, padding : padding + h, padding : padding + wd].copy()
     return dx, dw, gy.sum(axis=(1, 2))

@@ -330,7 +330,7 @@ class TestIntegrity:
         with pytest.raises(StoreLockError, match=rf"^writer pid {os.getpid()} holds .*\.lock$"):
             a.write_region((0,), np.zeros(4, dtype=np.uint8))
 
-    @pytest.mark.parametrize("content", ["-1", "not a pid"])
+    @pytest.mark.parametrize("content", ["-1", "not a pid", "99999999999999999999"])
     def test_lock_without_a_pid_names_no_writer(self, store, content):
         a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
         (store.root / "a" / ".lock").write_text(content, encoding="ascii")
