@@ -22,7 +22,6 @@ own; ``mosaic`` transposes the blocks back and crops the padding.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,40 +105,67 @@ def _require_axis_aligned(gt: tuple[float, ...]) -> None:
         raise ParameterError("geotransform is singular")
 
 
-def _scanline_fill(plane: np.ndarray, geom: WktGeometry, value,
-                   gt: tuple[float, ...]) -> None:
-    """Even-odd fill of one polygon into a [H, W] plane (axis-aligned grid)."""
-    h, w = plane.shape
-    edges = []
-    for ring in geom.rings:
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-            edges.append((x1, y1, x2, y2))
-    if not edges:
+def _check_value(value, dt: np.dtype, what: str) -> None:
+    """A burn or nodata value must be one the plane's dtype holds exactly."""
+    if dt.kind == "f":
         return
-    # only rows whose center can lie in the edges' y-span, plus a row of
-    # slack each side for rounding; the crossing test below decides
-    ys = [y for _, y1, _, y2 in edges for y in (y1, y2)]
-    r0, r1 = np.clip(sorted((v - gt[3]) / gt[5] - 0.5 for v in (min(ys), max(ys))), -1, h)
-    for row in range(max(0, math.floor(r0) - 1), min(h, math.ceil(r1) + 2)):
-        y = gt[3] + (row + 0.5) * gt[5]
-        xs = []
-        for x1, y1, x2, y2 in edges:
-            if (y1 > y) != (y2 > y):
-                xs.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
-        if not xs:
-            continue
-        xs.sort()
-        for i in range(0, len(xs) - 1, 2):
-            xa, xb = xs[i], xs[i + 1]
-            t1 = (xa - gt[0]) / gt[1] - 0.5
-            t2 = (xb - gt[0]) / gt[1] - 0.5
-            if gt[1] > 0:
-                lo, hi = math.ceil(t1), math.ceil(t2) - 1
-            else:
-                lo, hi = math.floor(t2) + 1, math.floor(t1)
-            lo, hi = max(lo, 0), min(hi, w - 1)
-            if lo <= hi:
-                plane[row, lo : hi + 1] = value
+    info = np.iinfo(dt)
+    try:
+        fits = float(value).is_integer() and info.min <= value <= info.max
+    except (TypeError, ValueError):
+        fits = False
+    if not fits:
+        raise ParameterError(f"{what} {value!r} does not fit dtype {dt}")
+
+
+def _breaks(*keys) -> np.ndarray:
+    """True where any of the equal-length ``keys`` differs from the position
+    before; the first position is always a break."""
+    out = np.zeros(len(keys[0]), dtype=bool)
+    out[:1] = True
+    for k in keys:
+        out[1:] |= k[1:] != k[:-1]
+    return out
+
+
+def _spans(edges, owner, height: int, width: int, gt):
+    """Even-odd column spans [lo, hi] of every shape on every row, as arrays
+    (shape, row, lo, hi) sorted by shape, then row, then lo.
+
+    ``edges`` is [E, 4] (x1, y1, x2, y2) and ``owner[e]`` the shape of edge e.
+    Each edge is tested only on the rows whose center can lie in its y-span
+    (plus a row of slack each side for rounding); the crossing test decides.
+    """
+    x1, y1, x2, y2 = edges.T
+    ta = (y1 - gt[3]) / gt[5] - 0.5
+    tb = (y2 - gt[3]) / gt[5] - 0.5
+    r0 = np.clip(np.floor(np.minimum(ta, tb)) - 1, 0, height).astype(np.int64)
+    r1 = np.clip(np.ceil(np.maximum(ta, tb)) + 2, 0, height).astype(np.int64)
+    counts = r1 - r0
+    edge = np.repeat(np.arange(len(counts)), counts)
+    row = np.repeat(r0 - np.cumsum(counts) + counts, counts) + np.arange(len(edge))
+    y = gt[3] + (row + 0.5) * gt[5]
+    cross = (y1[edge] > y) != (y2[edge] > y)
+    edge, row, y = edge[cross], row[cross], y[cross]
+    x = x1[edge] + (y - y1[edge]) * (x2[edge] - x1[edge]) / (y2[edge] - y1[edge])
+    shape = owner[edge]
+    order = np.lexsort((x, row, shape))
+    x, row, shape = x[order], row[order], shape[order]
+    # pair crossings 0-1, 2-3, ... within each (shape, row); an odd last is dropped
+    new = _breaks(shape, row)
+    starts = np.flatnonzero(new)
+    rank = np.arange(len(x)) - np.repeat(starts, np.diff(np.r_[starts, len(x)]))
+    first = np.flatnonzero((rank[:-1] % 2 == 0) & ~new[1:])
+    t1 = (x[first] - gt[0]) / gt[1] - 0.5
+    t2 = (x[first + 1] - gt[0]) / gt[1] - 0.5
+    if gt[1] > 0:
+        lo, hi = np.ceil(t1), np.ceil(t2) - 1
+    else:
+        lo, hi = np.floor(t2) + 1, np.floor(t1)
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, width - 1)
+    keep = lo <= hi
+    return (shape[first][keep], row[first][keep],
+            lo[keep].astype(np.int64), hi[keep].astype(np.int64))
 
 
 def rasterize(shapes, width: int, height: int, geotransform,
@@ -147,8 +173,13 @@ def rasterize(shapes, width: int, height: int, geotransform,
               dtype: str = "u8") -> GeoRaster:
     """Burn (value, polygon) pairs onto a grid; later shapes overwrite.
 
-    Untouched pixels keep ``nodata``. Only axis-aligned geotransforms are
-    accepted.
+    The edges of every polygon form one array. Each edge is expanded to the
+    rows it can cross, and the crossings of all shapes are sorted once by
+    (shape, row, x) and paired into column spans, which are painted in shape
+    order, so a later shape overwrites an earlier one. Untouched pixels keep
+    ``nodata``. A value or ``nodata`` the dtype cannot hold raises
+    ParameterError, as do non-finite vertices. Only axis-aligned
+    geotransforms are accepted.
     """
     if width < 1 or height < 1:
         raise ParameterError(f"grid extents must be positive, got {width}x{height}")
@@ -156,11 +187,31 @@ def rasterize(shapes, width: int, height: int, geotransform,
     _require_axis_aligned(gt)
     if dtype not in DTYPE_CODES:
         raise ParameterError(f"unknown dtype code {dtype!r}")
-    plane = np.full((height, width), nodata, dtype=DTYPE_CODES[dtype])
-    for value, geom in shapes:
+    dt = DTYPE_CODES[dtype]
+    _check_value(nodata, dt, "nodata")
+    plane = np.full((height, width), nodata, dtype=dt)
+    values, edges, owner = [], [], []
+    for i, (value, geom) in enumerate(shapes):
         if not isinstance(geom, WktGeometry):
             raise ParameterError("shapes must be (value, WktGeometry) pairs")
-        _scanline_fill(plane, geom, value, gt)
+        values.append(value)
+        for ring in geom.rings:
+            edges += [(*a, *b) for a, b in zip(ring, ring[1:])]
+            owner += [i] * (len(ring) - 1)
+    for value in set(values):
+        _check_value(value, dt, "burn value")
+    if edges:
+        edges = np.array(edges, dtype=np.float64)
+        if not np.isfinite(edges).all():
+            raise ParameterError("polygon vertices must be finite")
+        shape, row, lo, hi = _spans(edges, np.array(owner), height, width, gt)
+        # a run of one shape's spans on consecutive rows with equal [lo, hi]
+        # (a vertical stretch of its outline) is painted as one rectangle
+        run = np.flatnonzero(_breaks(shape, row - np.arange(len(row)), lo, hi))
+        rows = np.diff(np.r_[run, len(row)])
+        for s, r, n, a, b in zip(*(v.tolist() for v in (shape[run], row[run], rows,
+                                                         lo[run], hi[run] + 1))):
+            plane[r : r + n, a:b] = values[s]
     return GeoRaster(plane[None, ...], gt, crs, float(nodata))
 
 

@@ -104,6 +104,8 @@ def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
         if not isinstance(entry, dict) or "class" not in entry or "wkt" not in entry:
             raise DataError(f"label entry {i} needs 'class' and 'wkt' keys")
         code = entry["class"]
+        if isinstance(code, bool):  # an int to isinstance, and a key equal to 0 or 1
+            raise DataError(f"label entry {i}: class {json.dumps(code)} is not an integer")
         if remap is not None:
             if code not in remap:
                 raise DataError(f"label entry {i}: class code {code} not in class_map")

@@ -23,6 +23,12 @@ __all__ = ["WktGeometry", "parse_wkt", "to_wkt"]
 
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _KEYWORD = re.compile(r"[A-Za-z]+")
+_SPACE = re.compile(r"\s*")  # \s is exactly what str.isspace() accepts
+# a point whose numbers are set apart by whitespace and which ends at
+# whitespace, ',' or ')', with the ',' that follows it if one does: where it
+# matches, it reads what the token path (two ``_Scanner.number`` calls, then
+# ``peek``/``expect``) reads
+_POINT = re.compile(rf"\s*({_NUMBER.pattern})\s+({_NUMBER.pattern})(?=[\s,)])\s*(,?)")
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,7 @@ class _Scanner:
         return len(self.text[:p].encode("utf-8"))
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def expect(self, char: str) -> None:
         self.skip_ws()
@@ -97,22 +102,25 @@ def _ring(sc: _Scanner) -> tuple[tuple[float, float], ...]:
     sc.skip_ws()
     start = sc.byte_offset()
     sc.expect("(")
-    points = [_point(sc)]
-    while sc.peek() == ",":
-        sc.expect(",")
-        points.append(_point(sc))
+    points = []
+    while True:
+        m = _POINT.match(sc.text, sc.pos)
+        if m:
+            sc.pos = m.end()
+            points.append((float(m[1]), float(m[2])))
+            if not m[3]:
+                break
+        else:  # the token path, which also places every parse error
+            points.append((sc.number(), sc.number()))
+            if sc.peek() != ",":
+                break
+            sc.expect(",")
     sc.expect(")")
     if len(points) < 4:
         raise WktParseError(f"ring has {len(points)} vertices, need at least 4", start)
     if points[0] != points[-1]:
         raise WktParseError("ring is not closed (first vertex != last)", start)
     return tuple(points)
-
-
-def _point(sc: _Scanner) -> tuple[float, float]:
-    x = sc.number()
-    y = sc.number()
-    return (x, y)
 
 
 def to_wkt(geom: WktGeometry) -> str:

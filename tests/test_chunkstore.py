@@ -187,6 +187,34 @@ class TestRegionIO:
         assert np.array_equal(a.read_region((0, 0), (10, 13)), data)
         assert np.array_equal(a.read_region((8, 12), (2, 1)), data[8:, 12:])
 
+    @pytest.mark.parametrize("codec", ["raw", "deflate"])
+    def test_one_call_writes_what_one_call_per_chunk_writes(self, tmp_path, rng, codec):
+        # 4 x 3 x 2 chunks, edge chunks padded on every axis, written by the
+        # threads of one call against one chunk per call, in reverse C order
+        shape, chunks = (7, 11, 5), (2, 4, 3)
+        data = rng.normal(0, 1e3, shape).astype(np.float32)
+        one = Store(tmp_path / "one").create_array("a", shape, chunks, "f32", codec, fill=-1)
+        one.write_region((0, 0, 0), data)
+        per = Store(tmp_path / "per").create_array("a", shape, chunks, "f32", codec, fill=-1)
+        for idx in reversed(list(np.ndindex(4, 3, 2))):
+            lo = [i * c for i, c in zip(idx, chunks)]
+            region = tuple(slice(o, min(o + c, n)) for o, c, n in zip(lo, chunks, shape))
+            per.write_region(lo, data[region])
+        files = sorted(p.name for p in (tmp_path / "one" / "a").iterdir())
+        assert len([f for f in files if f.startswith("c.")]) == 24
+        assert files == sorted(p.name for p in (tmp_path / "per" / "a").iterdir())
+        for name in files:
+            assert ((tmp_path / "one" / "a" / name).read_bytes()
+                    == (tmp_path / "per" / "a" / name).read_bytes()), name
+
+    def test_full_chunk_is_encoded_from_the_region(self, store, rng, monkeypatch):
+        a = store.create_array("a", shape=(8, 6), chunks=(4, 6), dtype="u16", fill=9)
+        data = rng.integers(0, 999, (8, 6)).astype(np.uint16)
+        monkeypatch.setattr(np, "full", lambda *a, **k: pytest.fail("np.full called"))
+        a.write_region((0, 0), data)
+        monkeypatch.undo()
+        assert np.array_equal(a.read_region((0, 0), (8, 6)), data)
+
     def test_overwrites_accumulate(self, store, rng):
         a = store.create_array("a", shape=(16,), chunks=(4,), dtype="f64")
         dense = np.zeros(16)
@@ -255,6 +283,18 @@ class TestIntegrity:
         self.corrupt(store.root / "a" / "c.0")
         with pytest.raises(IntegrityError, match="checksum mismatch on chunk 0"):
             a.write_region((1,), np.zeros(3, dtype=np.uint8))
+
+    def test_multi_chunk_write_over_corrupt_partial_chunks_raises_the_first(self, store):
+        # chunks 0 and 2 are corrupt and only partly covered; 1 is covered
+        a = store.create_array("a", shape=(16,), chunks=(4,), dtype="u8")
+        a.write_region((0,), np.arange(16, dtype=np.uint8))
+        self.corrupt(store.root / "a" / "c.0")
+        self.corrupt(store.root / "a" / "c.2")
+        with pytest.raises(IntegrityError, match="checksum mismatch on chunk 0 of"):
+            a.write_region((2,), np.zeros(8, dtype=np.uint8))
+        left = sorted(p.name for p in (store.root / "a").iterdir())
+        assert left == [".array.json", "c.0", "c.1", "c.2", "c.3"]  # no .lock, no tmp-c.*
+        a.write_region((0,), np.zeros(16, dtype=np.uint8))  # the lock was released
 
     def test_metadata_is_written_once(self, store, rng):
         a = store.create_array("a", shape=(10, 10), chunks=(4, 4), dtype="f32")

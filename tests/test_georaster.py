@@ -2,8 +2,12 @@
 against a per-pixel ray-cast oracle, tiling/mosaicking, masks,
 and the flat-binary and PNM file formats."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terraseg.errors import DataError, ParameterError, ShapeError
 from terraseg.georaster import (
@@ -49,6 +53,66 @@ def burn_oracle(shapes, width, height, gt, nodata=255):
                 if hits % 2:
                     out[row, col] = value
     return out
+
+
+def scanline_reference(shapes, width, height, gt, nodata=255, dtype="u8"):
+    """The row-by-row rasterizer ``rasterize`` replaced: for each polygon,
+    for each row its y-span can reach, even-odd pairs of sorted crossings."""
+    plane = np.full((height, width), nodata, dtype=DTYPE_CODES[dtype])
+    h, w = plane.shape
+    for value, geom in shapes:
+        edges = []
+        for ring in geom.rings:
+            for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+                edges.append((x1, y1, x2, y2))
+        if not edges:
+            continue
+        ys = [y for _, y1, _, y2 in edges for y in (y1, y2)]
+        r0, r1 = np.clip(sorted((v - gt[3]) / gt[5] - 0.5 for v in (min(ys), max(ys))), -1, h)
+        for row in range(max(0, math.floor(r0) - 1), min(h, math.ceil(r1) + 2)):
+            y = gt[3] + (row + 0.5) * gt[5]
+            xs = []
+            for x1, y1, x2, y2 in edges:
+                if (y1 > y) != (y2 > y):
+                    xs.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
+            xs.sort()
+            for i in range(0, len(xs) - 1, 2):
+                t1 = (xs[i] - gt[0]) / gt[1] - 0.5
+                t2 = (xs[i + 1] - gt[0]) / gt[1] - 0.5
+                if gt[1] > 0:
+                    lo, hi = math.ceil(t1), math.ceil(t2) - 1
+                else:
+                    lo, hi = math.floor(t2) + 1, math.floor(t1)
+                lo, hi = max(lo, 0), min(hi, w - 1)
+                if lo <= hi:
+                    plane[row, lo : hi + 1] = value
+    return plane
+
+
+# pixel coordinates: half-integers put vertices on pixel edges and centres and
+# make horizontal edges and shared rows common; floats fall anywhere
+coordinate = st.one_of(st.integers(-12, 44).map(lambda k: k / 2),
+                       st.floats(-6.0, 22.0, allow_nan=False))
+
+
+@st.composite
+def scenes(draw):
+    """A grid, a geotransform of either sign on either axis, and overlapping
+    shapes of one or more rings (some left open) that may leave the grid."""
+    w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    sx = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
+    sy = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
+    gt = (draw(st.sampled_from([0.0, 3.25, -100.0])), sx, 0.0,
+          draw(st.sampled_from([0.0, 7.5, 1000.0])), 0.0, sy)
+    shapes = []
+    for value in range(1, draw(st.integers(1, 4)) + 1):
+        rings = []
+        for _ in range(draw(st.integers(1, 3))):
+            pts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=7))
+            ring = [(gt[0] + px * sx, gt[3] + py * sy) for px, py in pts]
+            rings.append(tuple(ring + ring[:1] if draw(st.booleans()) or value > 1 else ring))
+        shapes.append((value, WktGeometry("POLYGON", tuple(rings))))
+    return shapes, w, h, gt
 
 
 class TestGeoRaster:
@@ -112,6 +176,49 @@ class TestRasterize:
         assert np.all(rasterize(outside, w, h, gt).data == 255)
         burned = rasterize(straddle, w, h, gt).data[0] == 3
         assert burned[:4, 4:12].all() and burned.sum() == 4 * 8
+
+    @given(scenes())
+    @settings(max_examples=200)
+    def test_equals_the_scanline_reference(self, scene):
+        shapes, w, h, gt = scene
+        got = rasterize(shapes, w, h, gt)
+        assert got.data[0].tobytes() == scanline_reference(shapes, w, h, gt).tobytes()
+
+    def test_reference_cases(self):
+        """One case per feature the random scenes draw: a hole, vertices on
+        pixel and row centres, horizontal edges, shapes off the grid,
+        overlaps, and every geotransform sign."""
+        hole = parse_wkt("POLYGON((0 0, 8 0, 8 8, 0 8, 0 0), (2.5 2.5, 5.5 2.5, 5.5 5.5, "
+                         "2.5 5.5, 2.5 2.5))")
+        centres = WktGeometry("POLYGON", (((1.5, 0.5), (6.5, 3.5), (1.5, 6.5), (1.5, 0.5)),))
+        off_grid = box(-5, 3, 2, 20)
+        for sx in (1.0, -1.0):
+            for sy in (1.0, -1.0):
+                gt = (0.0 if sx > 0 else 8.0, sx, 0.0, 0.0 if sy > 0 else 8.0, 0.0, sy)
+                shapes = [(1, hole), (2, centres), (3, off_grid), (4, box(30, 30, 40, 40))]
+                got = rasterize(shapes, 8, 8, gt).data[0]
+                np.testing.assert_array_equal(got, scanline_reference(shapes, 8, 8, gt))
+                assert (got == 3).any() and not (got == 4).any()
+
+    @pytest.mark.parametrize("dtype, value", [("u8", 300), ("u8", -1), ("u8", 1.5),
+                                              ("u16", 70000), ("i32", 2**31)])
+    def test_value_the_dtype_cannot_hold(self, dtype, value):
+        with pytest.raises(ParameterError, match="does not fit"):
+            rasterize([(value, box(0, 0, 4, 4))], 4, 4, NORTH_UP, dtype=dtype)
+        with pytest.raises(ParameterError, match="nodata"):
+            rasterize([], 4, 4, NORTH_UP, nodata=value, dtype=dtype)
+
+    def test_values_that_fit(self):
+        r = rasterize([(254, box(0, 6, 2, 10)), (0.0, box(2, 6, 4, 10))], 4, 4, NORTH_UP)
+        assert r.data[0, 0].tolist() == [254, 254, 0, 0]
+        r = rasterize([(-2.5, box(0, 6, 2, 10))], 4, 4, NORTH_UP, nodata=0, dtype="f32")
+        assert r.data[0, 0].tolist() == [-2.5, -2.5, 0.0, 0.0]
+
+    def test_non_finite_vertex_rejected(self):
+        inf = WktGeometry("POLYGON", (((0.0, 0.0), (float("inf"), 0.0), (0.0, 4.0),
+                                       (0.0, 0.0)),))
+        with pytest.raises(ParameterError, match="finite"):
+            rasterize([(1, inf)], 4, 4, NORTH_UP)
 
     def test_polygon_with_hole(self):
         geom = parse_wkt("POLYGON((0 0, 10 0, 10 10, 0 10, 0 0), "

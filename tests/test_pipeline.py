@@ -851,6 +851,17 @@ class TestCli:
         assert main(["ingest", "--config", cfg]) == 3
         assert capsys.readouterr().err.startswith("error[data]: ")
 
+    @pytest.mark.parametrize("class_map", [None, {0: 0, 1: 1}])
+    def test_boolean_class_exits_3(self, tmp_path, capsys, class_map):
+        write_scene(tmp_path)
+        doc = json.loads((tmp_path / "labels.json").read_text(encoding="utf-8"))
+        doc[1]["class"] = True  # isinstance(True, int), and True == 1 as a map key
+        (tmp_path / "labels.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = self.write_config(tmp_path, ingest={"class_map": class_map})
+        assert main(["ingest", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == "error[data]: label entry 1: class true is not an integer\n"
+
     def test_parameter_error_exits_4(self, tmp_path, capsys):
         write_scene(tmp_path)
         cfg = self.write_config(tmp_path, split={"k": 9})

@@ -1,6 +1,8 @@
 """POLYGON reader/writer: grammar conformance, byte-offset error reporting,
 round trips, and the derived area helper."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,11 @@ class TestParsing:
         assert geom.rings[0][1] == (100.0, -2.0)
         assert geom.rings[0][2][1] == 32.5
 
+    def test_numbers_not_set_apart_by_whitespace(self):
+        # a sign or a second '.' ends a number, as a space would
+        geom = parse_wkt("POLYGON((0 0,4-1 ,4+4, .5.5,0\t0))")
+        assert geom.rings[0] == ((0, 0), (4, -1), (4, 4), (0.5, 0.5), (0, 0))
+
     def test_polygon_with_hole(self):
         geom = parse_wkt("POLYGON((0 0, 4 0, 4 4, 0 4, 0 0), "
                          "(1 1, 2 1, 2 2, 1 2, 1 1))")
@@ -76,6 +83,18 @@ class TestErrors:
     def test_expected_number(self):
         with pytest.raises(WktParseError, match="number"):
             parse_wkt("POLYGON((0 0, 1 x, 1 1, 0 0))")
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("POLYGON((0 0, 1 0x, 1 1, 0 0))", "expected ')'", 17),
+        ("POLYGON((0 0, 1 0 2, 1 1, 0 0))", "expected ')'", 18),
+        ("POLYGON((0 0, 1 0, 1e, 0 0))", "expected a number", 20),
+        ("POLYGON((0 0, 1 0,, 1 1, 0 0))", "expected a number", 18),
+        ("POLYGON((0 0, 1 0, 1 1, 0 0, ))", "expected a number", 29),
+    ])
+    def test_errors_after_whole_points(self, text, message, offset):
+        with pytest.raises(WktParseError, match=re.escape(message)) as err:
+            parse_wkt(text)
+        assert err.value.offset == offset
 
     def test_missing_paren(self):
         with pytest.raises(WktParseError, match=r"expected '\('"):
