@@ -24,25 +24,18 @@ Writers take an advisory lock file (``.lock``, O_EXCL) per array for the
 duration of a write. It holds the writer's pid, so a held lock is reported
 with its pid and whether that process still runs. Each chunk is written to
 a temp name and renamed into place, so a chunk replace is one atomic rename.
-A write that spans several chunks compresses and writes them concurrently
-on a thread pool inside the lock, one thread per usable core (the process's
-CPU affinity); there is no setting for it. zlib and file IO release the GIL,
-and each chunk's bytes depend only on its own data, so the pool size never
-changes what is written. Reads stay serial.
 Nothing in the store depends on time or randomness: two identical ingest
 runs produce byte-identical trees.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import json
 import os
 import re
 import shutil
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -300,27 +293,10 @@ class StoredArray:
                 )
         return offsets, extents
 
-    def _chunk_bytes(self, key: str, in_chunk, part: np.ndarray) -> bytes:
-        """Chunk ``key`` with ``part`` at ``in_chunk``, as the bytes its codec
-        compresses (byte-shuffled for deflate). A chunk the region covers
-        whole is one contiguous copy of ``part``."""
-        if part.shape == self._chunks:
-            block = np.ascontiguousarray(part)
-        else:
-            block = (np.full(self._chunks, self._fill, dtype=self._dtype)
-                     if self._covers(key, in_chunk) else self._load_chunk(key))
-            block[in_chunk] = part
-        return _shuffle(block) if self._deflate else block.tobytes()
-
-    def _put_chunk(self, key: str, raw: bytes) -> None:
-        """Compress a chunk's bytes and write them, then their crc, to a temp
-        file that is renamed into place."""
-        payload = _compress(raw) if self._deflate else raw
-        tmp = self.dir / ("tmp-c." + key)
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(_crc(key, payload).to_bytes(4, "little"))
-        os.replace(tmp, self.dir / ("c." + key))
+    def _encode(self, key: str, block: np.ndarray) -> bytes:
+        raw = np.ascontiguousarray(block, dtype=self._dtype)
+        payload = _compress(_shuffle(raw)) if self._deflate else raw.tobytes()
+        return payload + _crc(key, payload).to_bytes(4, "little")
 
     def _load_chunk(self, key: str) -> np.ndarray:
         try:
@@ -351,27 +327,23 @@ class StoredArray:
     def write_region(self, offsets, data: np.ndarray) -> None:
         """Write ``data`` at ``offsets``. A chunk the region covers is
         replaced without reading it; a partly covered one is read, patched
-        and rewritten.
-
-        The calling thread builds each chunk's bytes, and a pool of one
-        thread per usable core compresses and writes them, with at most one
-        chunk per thread waiting. The chunk buffers are allocated by the
-        caller, so the pool threads' malloc arenas stay small. When a chunk
-        fails, no further chunk is started, and its exception is raised once
-        the running ones are done, before the lock is released."""
+        and rewritten; one it covers whole is encoded straight from the
+        region."""
         data = np.asarray(data)
         offsets, extents = self._check_region(offsets, data.shape)
         data = data.astype(self._dtype, copy=False)
-        workers = _usable_cores()
-        with _Lock(self.dir), ThreadPoolExecutor(workers) as pool:
-            running = collections.deque()
+        with _Lock(self.dir):
             for key, in_chunk, in_region in _walk_chunks(self._chunks, offsets, extents):
-                raw = self._chunk_bytes(key, in_chunk, data[in_region])
-                running.append(pool.submit(self._put_chunk, key, raw))
-                if len(running) > workers:
-                    running.popleft().result()
-            for put in running:
-                put.result()
+                part = data[in_region]
+                if part.shape == self._chunks:
+                    block = part
+                else:
+                    block = (np.full(self._chunks, self._fill, dtype=self._dtype)
+                             if self._covers(key, in_chunk) else self._load_chunk(key))
+                    block[in_chunk] = part
+                tmp = self.dir / ("tmp-c." + key)
+                tmp.write_bytes(self._encode(key, block))
+                os.replace(tmp, self.dir / ("c." + key))
 
     def read_region(self, offsets, extents) -> np.ndarray:
         offsets, extents = self._check_region(offsets, extents)
@@ -379,15 +351,6 @@ class StoredArray:
         for key, in_chunk, in_region in _walk_chunks(self._chunks, offsets, extents):
             out[in_region] = self._load_chunk(key)[in_chunk]
         return out
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's core count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _crc(key: str, payload) -> int:

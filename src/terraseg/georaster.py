@@ -118,29 +118,40 @@ def _check_value(value, dt: np.dtype, what: str) -> None:
         raise ParameterError(f"{what} {value!r} does not fit dtype {dt}")
 
 
-def _breaks(*keys) -> np.ndarray:
-    """True where any of the equal-length ``keys`` differs from the position
-    before; the first position is always a break."""
-    out = np.zeros(len(keys[0]), dtype=bool)
-    out[:1] = True
-    for k in keys:
-        out[1:] |= k[1:] != k[:-1]
-    return out
+# edge-row pairs one _spans call tests (about 4 MB of temporaries)
+_BATCH_ROWS = 1 << 16
 
 
-def _spans(edges, owner, height: int, width: int, gt):
-    """Even-odd column spans [lo, hi] of every shape on every row, as arrays
-    (shape, row, lo, hi) sorted by shape, then row, then lo.
-
-    ``edges`` is [E, 4] (x1, y1, x2, y2) and ``owner[e]`` the shape of edge e.
-    Each edge is tested only on the rows whose center can lie in its y-span
-    (plus a row of slack each side for rounding); the crossing test decides.
-    """
-    x1, y1, x2, y2 = edges.T
+def _row_range(y1, y2, height: int, gt):
+    """Rows [r0, r1) each edge (y1, y2) is tested on: those whose center can
+    lie in its y-span, plus a row of slack each side for rounding."""
     ta = (y1 - gt[3]) / gt[5] - 0.5
     tb = (y2 - gt[3]) / gt[5] - 0.5
     r0 = np.clip(np.floor(np.minimum(ta, tb)) - 1, 0, height).astype(np.int64)
     r1 = np.clip(np.ceil(np.maximum(ta, tb)) + 2, 0, height).astype(np.int64)
+    return r0, r1
+
+
+def _batches(owner, rows):
+    """Edge ranges [a, b) of whole shapes, each testing about _BATCH_ROWS
+    edge-row pairs (one shape with more is a batch of its own). ``owner``
+    is sorted."""
+    first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    batch = np.r_[0, np.cumsum(rows)][first] // _BATCH_ROWS
+    cuts = first[np.r_[True, batch[1:] != batch[:-1]]].tolist()
+    return zip(cuts, cuts[1:] + [len(owner)])
+
+
+def _spans(chain, owner, r0, r1, width: int, gt):
+    """Even-odd column spans [lo, hi] of every shape on every row, as arrays
+    (shape, row, lo, hi) sorted by shape, then row, then lo.
+
+    ``chain`` is [E + 1, 2] vertices, and edge e runs from ``chain[e]`` to
+    ``chain[e + 1]``; ``owner[e]`` is its shape and [r0[e], r1[e]) the rows
+    it is tested on (none for a pair of vertices that is not an edge). The
+    crossing test decides.
+    """
+    (x1, y1), (x2, y2) = chain[:-1].T, chain[1:].T
     counts = r1 - r0
     edge = np.repeat(np.arange(len(counts)), counts)
     row = np.repeat(r0 - np.cumsum(counts) + counts, counts) + np.arange(len(edge))
@@ -152,7 +163,7 @@ def _spans(edges, owner, height: int, width: int, gt):
     order = np.lexsort((x, row, shape))
     x, row, shape = x[order], row[order], shape[order]
     # pair crossings 0-1, 2-3, ... within each (shape, row); an odd last is dropped
-    new = _breaks(shape, row)
+    new = np.r_[True, (shape[1:] != shape[:-1]) | (row[1:] != row[:-1])]
     starts = np.flatnonzero(new)
     rank = np.arange(len(x)) - np.repeat(starts, np.diff(np.r_[starts, len(x)]))
     first = np.flatnonzero((rank[:-1] % 2 == 0) & ~new[1:])
@@ -168,17 +179,47 @@ def _spans(edges, owner, height: int, width: int, gt):
             lo[keep].astype(np.int64), hi[keep].astype(np.int64))
 
 
+def _paint(plane, values, shape, row, lo, hi) -> None:
+    """Paint span k with ``values[shape[k]]`` on ``plane``, which holds
+    nodata everywhere; the spans come in shape order, and where two overlap
+    the later one's value stays.
+
+    The spans of rows where none overlap are painted by one run-length decode
+    of the whole plane. Spans on rows where shapes overlap are then painted
+    one slice each, in shape order.
+    """
+    h, w = plane.shape
+    start = row * w + lo
+    order = np.argsort(start, kind="stable")
+    start, end, srow = start[order], start[order] + (hi - lo + 1)[order], row[order]
+    clash = np.zeros(h, dtype=bool)
+    clash[srow[1:][start[1:] < end[:-1]]] = True
+    ok = ~clash[srow]
+    runs = np.diff(np.r_[0, np.stack((start[ok], end[ok]), axis=1).ravel(), h * w])
+    fill = np.full(len(runs), plane.flat[0], dtype=plane.dtype)  # gaps keep nodata
+    fill[1::2] = np.array(values, dtype=plane.dtype)[shape[order][ok]]
+    plane.ravel()[:] = np.repeat(fill, runs)
+    late = np.flatnonzero(clash[row])
+    for s, r, a, b in zip(*(v.tolist() for v in (shape[late], row[late], lo[late],
+                                                 hi[late] + 1))):
+        plane[r, a:b] = values[s]
+
+
 def rasterize(shapes, width: int, height: int, geotransform,
               crs: str = "EPSG:4326", nodata: int = 255,
               dtype: str = "u8") -> GeoRaster:
     """Burn (value, polygon) pairs onto a grid; later shapes overwrite.
 
-    The edges of every polygon form one array. Each edge is expanded to the
-    rows it can cross, and the crossings of all shapes are sorted once by
-    (shape, row, x) and paired into column spans, which are painted in shape
-    order, so a later shape overwrites an earlier one. Untouched pixels keep
-    ``nodata``. A value or ``nodata`` the dtype cannot hold raises
-    ParameterError, as do non-finite vertices. Only axis-aligned
+    The vertices of every polygon form one array. Each edge is expanded to
+    the rows it can cross, and the crossings are sorted by (shape, row, x)
+    and paired into column spans, which are painted so that a later shape
+    overwrites an earlier one. The expansion runs over batches of whole
+    shapes, so its temporaries stay about 4 MB however many edges there
+    are; what grows with the input is about 80 bytes per edge at the peak
+    (the vertex array and a few words per edge), less than the polygons
+    themselves take as Python tuples, plus 32 bytes per span. Untouched
+    pixels keep ``nodata``. A value or ``nodata`` the dtype cannot hold
+    raises ParameterError, as do non-finite vertices. Only axis-aligned
     geotransforms are accepted.
     """
     if width < 1 or height < 1:
@@ -190,28 +231,29 @@ def rasterize(shapes, width: int, height: int, geotransform,
     dt = DTYPE_CODES[dtype]
     _check_value(nodata, dt, "nodata")
     plane = np.full((height, width), nodata, dtype=dt)
-    values, edges, owner = [], [], []
+    values, points, ring_len, ring_owner = [], [], [], []
     for i, (value, geom) in enumerate(shapes):
         if not isinstance(geom, WktGeometry):
             raise ParameterError("shapes must be (value, WktGeometry) pairs")
         values.append(value)
-        for ring in geom.rings:
-            edges += [(*a, *b) for a, b in zip(ring, ring[1:])]
-            owner += [i] * (len(ring) - 1)
+        for ring in filter(None, geom.rings):
+            points += ring
+            ring_len.append(len(ring))
+            ring_owner.append(i)
     for value in set(values):
         _check_value(value, dt, "burn value")
-    if edges:
-        edges = np.array(edges, dtype=np.float64)
-        if not np.isfinite(edges).all():
+    if len(points) > len(ring_len):  # some ring has an edge
+        points = np.array(points, dtype=np.float64)
+        if not np.isfinite(points).all():
             raise ParameterError("polygon vertices must be finite")
-        shape, row, lo, hi = _spans(edges, np.array(owner), height, width, gt)
-        # a run of one shape's spans on consecutive rows with equal [lo, hi]
-        # (a vertical stretch of its outline) is painted as one rectangle
-        run = np.flatnonzero(_breaks(shape, row - np.arange(len(row)), lo, hi))
-        rows = np.diff(np.r_[run, len(row)])
-        for s, r, n, a, b in zip(*(v.tolist() for v in (shape[run], row[run], rows,
-                                                         lo[run], hi[run] + 1))):
-            plane[r : r + n, a:b] = values[s]
+        # vertex pair (j, j + 1) is an edge unless j is the last of its ring
+        owner = np.repeat(ring_owner, ring_len)[:-1]
+        r0, r1 = _row_range(points[:-1, 1], points[1:, 1], height, gt)
+        gap = np.cumsum(ring_len)[:-1] - 1
+        r1[gap] = r0[gap]
+        spans = [_spans(points[a : b + 1], owner[a:b], r0[a:b], r1[a:b], width, gt)
+                 for a, b in _batches(owner, r1 - r0)]
+        _paint(plane, values, *(np.concatenate(v) for v in zip(*spans)))
     return GeoRaster(plane[None, ...], gt, crs, float(nodata))
 
 

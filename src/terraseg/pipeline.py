@@ -38,7 +38,7 @@ from .datasplit import (
     presence_labels,
     stratified_kfold_partition,
 )
-from .errors import ConfigError, DataError, ParameterError
+from .errors import ConfigError, DataError, ParameterError, WktParseError
 from .georaster import (
     GeoRaster,
     TileGrid,
@@ -114,7 +114,10 @@ def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
             raise DataError(
                 f"label entry {i}: class index {code} outside [0, {num_classes})"
             )
-        shapes.append((code, parse_wkt(entry["wkt"])))
+        try:
+            shapes.append((code, parse_wkt(entry["wkt"])))
+        except WktParseError as exc:
+            raise DataError(f"label entry {i}: {exc}") from None
     return shapes
 
 

@@ -8,12 +8,14 @@ tokens):
     point   := number number
 
 Rings must repeat their first vertex last (closed) and contain at least four
-vertices including the closure. Parse failures raise WktParseError carrying
-the byte offset of the offending character.
+vertices including the closure. A number too large for a float (``1e999``)
+is rejected, not read as infinity. Parse failures raise WktParseError
+carrying the byte offset of the offending character.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -72,8 +74,11 @@ class _Scanner:
         m = _NUMBER.match(self.text, self.pos)
         if not m:
             raise WktParseError("expected a number", self.byte_offset())
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise WktParseError(f"number {m.group()} overflows a float", self.byte_offset())
         self.pos = m.end()
-        return float(m.group())
+        return value
 
 
 def parse_wkt(text: str) -> WktGeometry:
@@ -105,9 +110,10 @@ def _ring(sc: _Scanner) -> tuple[tuple[float, float], ...]:
     points = []
     while True:
         m = _POINT.match(sc.text, sc.pos)
-        if m:
+        x, y = (float(m[1]), float(m[2])) if m else (math.nan, math.nan)
+        if math.isfinite(x) and math.isfinite(y):
             sc.pos = m.end()
-            points.append((float(m[1]), float(m[2])))
+            points.append((x, y))
             if not m[3]:
                 break
         else:  # the token path, which also places every parse error

@@ -189,8 +189,8 @@ class TestRegionIO:
 
     @pytest.mark.parametrize("codec", ["raw", "deflate"])
     def test_one_call_writes_what_one_call_per_chunk_writes(self, tmp_path, rng, codec):
-        # 4 x 3 x 2 chunks, edge chunks padded on every axis, written by the
-        # threads of one call against one chunk per call, in reverse C order
+        # 4 x 3 x 2 chunks, edge chunks padded on every axis, written by one
+        # call against one chunk per call, in reverse C order
         shape, chunks = (7, 11, 5), (2, 4, 3)
         data = rng.normal(0, 1e3, shape).astype(np.float32)
         one = Store(tmp_path / "one").create_array("a", shape, chunks, "f32", codec, fill=-1)

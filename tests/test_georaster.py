@@ -3,12 +3,14 @@ against a per-pixel ray-cast oracle, tiling/mosaicking, masks,
 and the flat-binary and PNM file formats."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terraseg import georaster
 from terraseg.errors import DataError, ParameterError, ShapeError
 from terraseg.georaster import (
     DEFAULT_CLOUD_CLASSES,
@@ -98,7 +100,8 @@ coordinate = st.one_of(st.integers(-12, 44).map(lambda k: k / 2),
 @st.composite
 def scenes(draw):
     """A grid, a geotransform of either sign on either axis, and overlapping
-    shapes of one or more rings (some left open) that may leave the grid."""
+    shapes of one or more rings (some left open, some with fewer than three
+    vertices) that may leave the grid."""
     w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
     sx = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
     sy = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
@@ -108,7 +111,7 @@ def scenes(draw):
     for value in range(1, draw(st.integers(1, 4)) + 1):
         rings = []
         for _ in range(draw(st.integers(1, 3))):
-            pts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=7))
+            pts = draw(st.lists(st.tuples(coordinate, coordinate), max_size=7))
             ring = [(gt[0] + px * sx, gt[3] + py * sy) for px, py in pts]
             rings.append(tuple(ring + ring[:1] if draw(st.booleans()) or value > 1 else ring))
         shapes.append((value, WktGeometry("POLYGON", tuple(rings))))
@@ -177,11 +180,12 @@ class TestRasterize:
         burned = rasterize(straddle, w, h, gt).data[0] == 3
         assert burned[:4, 4:12].all() and burned.sum() == 4 * 8
 
-    @given(scenes())
+    @given(scenes(), st.one_of(st.just(georaster._BATCH_ROWS), st.integers(1, 40)))
     @settings(max_examples=200)
-    def test_equals_the_scanline_reference(self, scene):
+    def test_equals_the_scanline_reference(self, scene, batch_rows):
         shapes, w, h, gt = scene
-        got = rasterize(shapes, w, h, gt)
+        with mock.patch.object(georaster, "_BATCH_ROWS", batch_rows):
+            got = rasterize(shapes, w, h, gt)
         assert got.data[0].tobytes() == scanline_reference(shapes, w, h, gt).tobytes()
 
     def test_reference_cases(self):

@@ -862,6 +862,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error[data]: label entry 1: class true is not an integer\n"
 
+    def test_overflowing_label_vertex_exits_3(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        doc = json.loads((tmp_path / "labels.json").read_text(encoding="utf-8"))
+        doc[2]["wkt"] = "POLYGON((0 0, 1e999 0, 0 1, 0 0))"  # off the grid but for the inf
+        (tmp_path / "labels.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error[data]: label entry 2: number 1e999 overflows a float "
+                       "(byte offset 14)\n")
+
     def test_parameter_error_exits_4(self, tmp_path, capsys):
         write_scene(tmp_path)
         cfg = self.write_config(tmp_path, split={"k": 9})

@@ -96,6 +96,17 @@ class TestErrors:
             parse_wkt(text)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("text, number, offset", [
+        ("POLYGON((0 0, 1e999 0, 0 1, 0 0))", "1e999", 14),
+        ("POLYGON((0 0, 1 -1e999, 0 1, 0 0))", "-1e999", 16),
+        ("POLYGON((1e999 0, 1 0, 0 1, 0 0))", "1e999", 9),
+        ("POLYGON((0 0,1 0,0 1,0 0),(0 0,2 1E400,0 1,0 0))", "1E400", 33),
+    ])
+    def test_number_overflowing_a_float(self, text, number, offset):
+        with pytest.raises(WktParseError, match=re.escape(f"number {number} overflows")) as err:
+            parse_wkt(text)
+        assert err.value.offset == offset
+
     def test_missing_paren(self):
         with pytest.raises(WktParseError, match=r"expected '\('"):
             parse_wkt("POLYGON 0 0, 1 0, 1 1, 0 0")
