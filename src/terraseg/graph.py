@@ -136,6 +136,8 @@ class TransposeConv2d(Layer):
         c, h, w = shapes[0]
         if c != self.in_ch:
             raise ShapeError(f"transpose conv expects {self.in_ch} channels, got {c}")
+        if self.kernel < 1 or self.stride < 1:
+            raise ParameterError(f"bad transpose conv kernel/stride ({self.kernel}, {self.stride})")
         return (self.out_ch, (h - 1) * self.stride + self.kernel,
                 (w - 1) * self.stride + self.kernel)
 

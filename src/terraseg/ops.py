@@ -6,23 +6,35 @@ op updates).
 
 Every differentiable op comes as a forward function plus a matching
 ``*_backward`` that implements the analytic adjoint; the test suite verifies
-each pair against central finite differences. Convolution is computed as
-cross-correlation by per-tap GEMMs, without a patch (im2col) matrix: the
-input is zero-padded once into a flat [C, L] buffer of row pitch
-``wp = W + 2p``, so at stride 1 tap (i, j) of wide output column
-``m = r*wp + q`` reads position ``i*wp + j + m`` and each tap's operand is a
-slice of that buffer. The per-tap products accumulate into an [O, oh*wp]
-wide output whose columns ``q >= ow`` are cropped (Vasudevan, Anderson &
-Gregg 2017, arXiv 1704.04428; Anderson et al. 2017, arXiv 1709.03395).
-Strided convs copy each tap's window into one reused [C, oh*ow] buffer
-instead. The kernel gradient is one GEMM per tap of the upstream gradient,
-at the output's pitch, with the same operands. The input gradient, for
-stride 1, is the full convolution of the upstream gradient with the
-spatially flipped, in/out-swapped kernels (Dumoulin & Visin 2016, arXiv
-1603.07285), the same tap walk again; strided convs scatter-add each tap's
-product into a zeroed padded input instead. The transposed convolution is
-the exact adjoint of ``conv2d`` with shared kernels, i.e.
-``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>`` for zero padding.
+each pair against central finite differences.
+
+Every convolution runs on one engine, a stride-1 cross-correlation by
+per-tap GEMMs without a patch (im2col) matrix: the input is zero-padded once
+into a flat [C, L] buffer of row pitch ``wp = W + 2p``, so tap (i, j) of
+wide output column ``m = r*wp + q`` reads position ``i*wp + j + m`` and each
+tap's operand is a slice of that buffer. The per-tap products accumulate
+into an [O, rows*wp] wide output whose columns past the output's width are
+cropped (Vasudevan, Anderson & Gregg 2017, arXiv 1704.04428; Anderson et al.
+2017, arXiv 1709.03395). The other convolutions reduce to it (Dumoulin &
+Visin 2016, arXiv 1603.07285, section 4):
+
+- a strided conv is the stride-1 correlation subsampled every s-th row and
+  column, so it does s^2 times the work;
+- a conv's gradients are the stride-1 conv's for the upstream gradient
+  zero-dilated by the stride. The input gradient correlates that dilated
+  gradient, padded by ``k-1-p`` per axis, with the kernels flipped in space
+  and their in/out axes swapped; where ``p > k - 1`` it is not padded on
+  that axis, and the correlation's result is cropped by ``p-k+1`` on each
+  side instead. The kernel gradient is one GEMM per tap of the dilated
+  gradient, a slice of the same buffer, with that tap's slice of the input;
+- the transposed convolution is the conv's input gradient at padding 0, the
+  exact adjoint of ``conv2d`` with shared kernels,
+  ``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>``; its input gradient
+  is a strided conv and its kernel gradient the conv's.
+
+The one other form is for a transposed conv whose windows tile its output
+(``kh == kw == stride``, the topologies' up-convs): one regrouping copy and
+one GEMM per op, which measured faster there than the walker.
 """
 
 from __future__ import annotations
@@ -155,8 +167,8 @@ def activate_grad(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
 
 def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
     """Output spatial extents of conv2d; raises unless they are whole and positive."""
-    if stride < 1 or padding < 0:
-        raise ParameterError(f"bad stride/padding ({stride}, {padding})")
+    if kh < 1 or kw < 1 or stride < 1 or padding < 0:
+        raise ParameterError(f"bad kernel/stride/padding ({kh}x{kw}, {stride}, {padding})")
     num_h, num_w = h + 2 * padding - kh, w + 2 * padding - kw
     if num_h < 0 or num_w < 0 or num_h % stride or num_w % stride:
         raise ShapeError(
@@ -167,60 +179,37 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
 
 
 def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int,
-              wp: int | None = None) -> tuple[np.ndarray, int]:
-    """Zero-pad [C, H, W] by (ph, pw) into a flat [C, L] buffer of row pitch
-    ``wp`` (default ``W + 2*pw``), for a correlation kw taps wide.
+              wp: int | None = None, dilate: int = 1) -> tuple[np.ndarray, int]:
+    """Zero-pad [C, H, W], with ``dilate - 1`` zeros between its rows and
+    between its columns, by (ph, pw) into a flat [C, L] buffer of row pitch
+    ``wp`` (default the padded width), for a correlation kw taps wide.
 
     Returns ``(flat, wp)``. The kw - 1 zeros past the padded image make L
-    long enough for every stride-1 tap to read a full oh*wp-column slice.
-    Any pitch from ``W + pw`` up works, as a row's right padding may overlap
-    the next row's left padding. (np.pad's per-call overhead is several times
-    the copy at these sizes.)
+    long enough for every tap to read a full rows*wp-column slice. Any pitch
+    from the dilated width plus pw up works, as a row's right padding may
+    overlap the next row's left padding. (np.pad's per-call overhead is
+    several times the copy at these sizes.)
     """
     c, h, w = x.shape
+    h, w = (h - 1) * dilate + 1, (w - 1) * dilate + 1
     hp, wp = h + 2 * ph, wp or w + 2 * pw
     flat = np.zeros((c, hp * wp + kw - 1))
-    flat[:, : hp * wp].reshape(c, hp, wp)[:, ph : ph + h, pw : pw + w] = x
+    flat[:, : hp * wp].reshape(c, hp, wp)[:, ph : ph + h : dilate, pw : pw + w : dilate] = x
     return flat, wp
 
 
-def _taps(flat: np.ndarray, kh: int, kw: int, wp: int, oh: int, ow: int, stride: int):
-    """Each tap's window on a flat buffer of row pitch wp, in tap order: a
-    view, and a writable one into a writable buffer.
+def _taps(flat: np.ndarray, kh: int, kw: int, wp: int, rows: int):
+    """Each tap's window on a flat buffer of row pitch wp, in tap order.
 
-    At stride 1, tap (i, j) of wide output column ``m = r*wp + q`` reads
-    position ``i*wp + j + m``, so its window is the [C, oh*wp] slice from
-    ``i*wp + j``, which BLAS takes without a copy; the wide columns
-    ``q >= ow`` are the ones callers crop or hold at zero. At a larger stride
-    that slice would have column step ``stride`` and ``stride`` times the
-    columns kept, so the window is instead the [C, oh, ow] view of every
-    ``stride``-th row and column from (i, j), and the output's pitch is ow.
+    Tap (i, j) of wide output column ``m = r*wp + q`` reads position
+    ``i*wp + j + m``, so its window is the [C, rows*wp] slice from
+    ``i*wp + j``, a view that BLAS takes without a copy. The wide columns
+    past the output's width are the ones callers crop or hold at zero.
     """
-    if stride == 1:
-        for i in range(kh):
-            for j in range(kw):
-                off = i * wp + j
-                yield flat[:, off : off + oh * wp]
-        return
-    rows, cols = stride * (oh - 1) + 1, stride * (ow - 1) + 1
-    img = flat[:, : (rows + kh - 1) * wp].reshape(flat.shape[0], -1, wp)
     for i in range(kh):
         for j in range(kw):
-            yield img[:, i : i + rows : stride, j : j + cols : stride]
-
-
-def _operands(flat: np.ndarray, kh: int, kw: int, wp: int, oh: int, ow: int, stride: int):
-    """Each tap's 2-D GEMM operand: the window itself at stride 1, else its
-    copy in one reused [C, oh*ow] buffer (numpy's matmul runs a strided
-    operand in its own loop, without BLAS)."""
-    if stride == 1:
-        yield from _taps(flat, kh, kw, wp, oh, ow, 1)
-        return
-    buf = np.empty((flat.shape[0], oh * ow))
-    box = buf.reshape(-1, oh, ow)
-    for win in _taps(flat, kh, kw, wp, oh, ow, stride):
-        np.copyto(box, win)
-        yield buf
+            off = i * wp + j
+            yield flat[:, off : off + rows * wp]
 
 
 def _tap_kernels(w: np.ndarray) -> np.ndarray:
@@ -231,17 +220,47 @@ def _tap_kernels(w: np.ndarray) -> np.ndarray:
 
 
 def _correlate(flat: np.ndarray, wt: np.ndarray, kh: int, kw: int, wp: int,
-               oh: int, ow: int, stride: int) -> np.ndarray:
-    """Sum over taps of ``wt[t] @ tap_t``: the [O, oh*pitch] result, with the
-    pitch wp at stride 1 and ow otherwise."""
+               rows: int) -> np.ndarray:
+    """Sum over taps of ``wt[t] @ tap_t``: the stride-1 [O, rows*wp] result."""
     acc, tmp = None, None
-    for t, tap in enumerate(_operands(flat, kh, kw, wp, oh, ow, stride)):
+    for t, tap in enumerate(_taps(flat, kh, kw, wp, rows)):
         if t == 0:
             acc = np.matmul(wt[0], tap)
         else:
             tmp = np.matmul(wt[t], tap, out=tmp)
             acc += tmp
     return acc
+
+
+def _input_grad(gy: np.ndarray, w: np.ndarray, h: int, wd: int,
+                stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input gradient of conv2d for an [h, wd] input, and the operand of its
+    kernel gradient: ``gy`` dilated by the stride at the padded input's row
+    pitch, zero past the output's width, which is a slice of dx's buffer
+    (``gy`` padded by ``k-1-p``, or 0 where dx is cropped by ``p-k+1``)."""
+    c, kh, kw = w.shape[1:]
+    wp = wd + 2 * padding
+    eh, ew = max(padding - kh + 1, 0), max(padding - kw + 1, 0)
+    gph, gpw = max(kh - 1 - padding, 0), max(kw - 1 - padding, 0)
+    gflat, _ = _flat_pad(gy, gph, gpw, kw, wp, stride)
+    wt = _tap_kernels(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    dx = _correlate(gflat, wt, kh, kw, wp, h + 2 * eh)
+    dx = dx.reshape(c, -1, wp)[:, eh : eh + h, ew : ew + wd].copy()
+    start, rows = gph * wp + gpw, (gy.shape[1] - 1) * stride + 1
+    return dx, gflat[:, start : start + rows * wp]
+
+
+def _kernel_grad(gw: np.ndarray, x: np.ndarray, kh: int, kw: int,
+                 padding: int) -> np.ndarray:
+    """Kernel gradient of conv2d: one GEMM per tap of the stride-1 upstream
+    gradient ``gw`` [O, rows*wp], at the padded input's row pitch and zero
+    past the output's width, with that tap's window of the padded input."""
+    flat, wp = _flat_pad(x, padding, padding, kw)
+    o, c = gw.shape[0], x.shape[0]
+    dwt = np.empty((kh * kw, o, c))
+    for t, tap in enumerate(_taps(flat, kh, kw, wp, gw.shape[1] // wp)):
+        np.matmul(gw, tap.T, out=dwt[t])
+    return dwt.reshape(kh, kw, o, c).transpose(2, 3, 0, 1).copy()
 
 
 def _check_conv_args(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
@@ -260,8 +279,10 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
     o, c, kh, kw = kernels.shape
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
     flat, wp = _flat_pad(x, padding, padding, kw)
-    y = _correlate(flat, _tap_kernels(kernels), kh, kw, wp, oh, ow, stride)
-    y = y.reshape(o, oh, -1)[:, :, :ow]
+    rows = (oh - 1) * stride + 1
+    y = _correlate(flat, _tap_kernels(kernels), kh, kw, wp, rows)
+    # a strided conv keeps every s-th row and column of the stride-1 result
+    y = y.reshape(o, rows, wp)[:, ::stride, : (ow - 1) * stride + 1 : stride]
     if bias is None:
         return y.copy()
     return y + bias[:, None, None]  # the crop and the bias in one pass
@@ -271,93 +292,60 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, padding: int = 0):
     """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy.
 
-    Each tap's kernel gradient is one GEMM of ``gy`` with that tap's operand
-    of the input: at stride 1 ``gy`` takes the padded input's row pitch, zero
-    in the extra columns, and at a larger stride the copied taps take gy's
-    own. For stride 1 with
-    ``padding <= min(kh, kw) - 1`` the input gradient is a full convolution:
-    ``gy`` zero-padded by ``(kh-1-p, kw-1-p)`` and cross-correlated with the
-    kernels flipped in space and with their in/out axes swapped. Other
-    geometries (strided convs) scatter-add each tap's ``W_t^T @ gy`` into
-    the zeroed padded input.
+    Both are the stride-1 conv's gradients for ``gy`` zero-dilated by the
+    stride, on the one tap walker: dx correlates the dilated ``gy``, padded
+    by ``k-1-p`` per axis, with the flipped, in/out-swapped kernels, and is
+    cropped by ``p-k+1`` on an axis where ``p > k - 1`` instead; each tap's
+    kernel gradient is one GEMM of the dilated ``gy`` with that tap's slice
+    of the padded input.
     """
     o, c, kh, kw = w.shape
     h, wd = x.shape[1:]
     oh, ow = conv_output_hw(h, wd, kh, kw, stride, padding)
     if gy.shape != (o, oh, ow):
         raise ShapeError(f"upstream grad shape {gy.shape} != {(o, oh, ow)}")
-    full = stride == 1 and padding < min(kh, kw)
-    wp = wd + 2 * padding
-    if stride == 1:
-        # gy padded for dx's correlation (or only widened) at x's row pitch,
-        # which is at least ``ow + gpw``; a slice of it is the widened gy
-        # that dw needs
-        gph, gpw = (kh - 1 - padding, kw - 1 - padding) if full else (0, 0)
-        gflat, _ = _flat_pad(gy, gph, gpw, kw if full else 1, wp)
-        gw = gflat[:, gph * wp + gpw : gph * wp + gpw + oh * wp]
-    else:  # strided taps are compact, at the output's own pitch
-        gw = gy.reshape(o, oh * ow)
-    if full:
-        # dx first, so its temporaries are freed before x's buffer is made
-        # and that buffer reuses their heap: with both alive, glibc handed
-        # more of the freed heap top back to the kernel on each call, and
-        # the next call page-faulted it in again
-        wt = _tap_kernels(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        dx = _correlate(gflat, wt, kh, kw, wp, h, wd, 1).reshape(c, h, wp)[:, :, :wd].copy()
-        del wt
-    flat, _ = _flat_pad(x, padding, padding, kw)
-    dwt = np.empty((kh * kw, o, c))
-    for t, tap in enumerate(_operands(flat, kh, kw, wp, oh, ow, stride)):
-        np.matmul(gw, tap.T, out=dwt[t])
-    dw = dwt.reshape(kh, kw, o, c).transpose(2, 3, 0, 1).copy()
-    if not full:
-        # scatter-add into x's zeroed buffer; np.add with out= adds into the
-        # strided tap in place, where ``flat[...] += tmp`` would copy it back
-        flat.fill(0.0)
-        wt, tmp = _tap_kernels(w.transpose(1, 0, 2, 3)), None
-        for t, dst in enumerate(_taps(flat, kh, kw, wp, oh, ow, stride)):
-            tmp = np.matmul(wt[t], gw, out=tmp)
-            np.add(dst, tmp.reshape(dst.shape), out=dst)
-        hp = h + 2 * padding
-        dx = flat[:, : hp * wp].reshape(c, hp, wp)[:, padding : padding + h, padding : padding + wd].copy()
-    return dx, dw, gy.sum(axis=(1, 2))
+    # dx first, so its temporaries are freed before x's buffer is made and
+    # that buffer reuses their heap: with both alive, glibc handed more of
+    # the freed heap top back to the kernel on each call, and the next call
+    # page-faulted it in again
+    dx, gw = _input_grad(gy, w, h, wd, stride, padding)
+    return dx, _kernel_grad(gw, x, kh, kw, padding), gy.sum(axis=(1, 2))
 
 
 def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     """Adjoint of zero-padding conv2d with the same kernels.
 
     Input [K,h,w] and kernels [K,M,kh,kw] give [M, (h-1)*s+kh, (w-1)*s+kw]:
-    spatial extents grow by the stride factor.
+    spatial extents grow by the stride factor. This is the input gradient of
+    the conv that maps the output's shape to x's, for upstream ``x``.
     """
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d_transpose wants [K,h,w] and [K,M,kh,kw], got {x.shape}, {w.shape}")
     if w.shape[0] != x.shape[0]:
         raise ShapeError(f"kernel leading channels {w.shape[0]} != input channels {x.shape[0]}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
     k, m, kh, kw = w.shape
+    if kh < 1 or kw < 1 or stride < 1:
+        raise ParameterError(f"bad kernel/stride ({kh}x{kw}, {stride})")
     _, h, wd = x.shape
     oh, ow = (h - 1) * stride + kh, (wd - 1) * stride + kw
-    spread = np.tensordot(w, x, axes=([0], [0]))  # [M, kh, kw, h, w]
     if kh == kw == stride:  # windows tile the output without overlap or gap
+        spread = np.tensordot(w, x, axes=([0], [0]))  # [M, kh, kw, h, w]
         out = np.empty((m, oh, ow))
         # + 0.0 turns -0.0 into +0.0, as accumulating into zeros does
         np.add(spread.transpose(0, 3, 1, 4, 2), 0.0, out=out.reshape(m, h, kh, wd, kw))
         return out
-    out = np.zeros((m, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            out[:, i : i + stride * h : stride, j : j + stride * wd : stride] += spread[:, i, j]
-    return out
+    return _input_grad(x, w, oh, ow, stride, 0)[0]
 
 
 def conv2d_transpose_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                               stride: int = 1):
     """Gradients of conv2d_transpose w.r.t. (input, kernels).
 
-    With ``kh == kw == stride`` (the windows tile the output) ``gy`` regroups
-    with one transpose copy into ``g = [M*kh*kw, h*w]``, and each gradient is
-    one GEMM with it; other geometries contract over gy's strided windows.
+    As the transposed conv is a conv's input gradient, dx is that conv,
+    ``conv2d(gy, w, stride)``, and dw its kernel gradient for input ``gy``
+    and upstream ``x``. With ``kh == kw == stride`` (the windows tile the
+    output) ``gy`` instead regroups with one transpose copy into
+    ``g = [M*kh*kw, h*w]``, and each gradient is one GEMM with it.
     """
     k, m, kh, kw = w.shape
     _, h, wd = x.shape
@@ -369,11 +357,9 @@ def conv2d_transpose_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
         dx = (w.reshape(k, -1) @ g).reshape(x.shape)
         dw = (x.reshape(k, -1) @ g.T).reshape(w.shape)
         return dx, dw
-    # d_input is a strided conv of the upstream gradient with the same kernels
-    win = sliding_window_view(gy, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    dx = np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
-    dw = np.tensordot(x, win, axes=([1, 2], [1, 2]))
-    return dx, dw
+    # x dilated by the stride at gy's row pitch is that conv's upstream
+    gw, _ = _flat_pad(x, 0, 0, 1, gy.shape[2], stride)
+    return conv2d(gy, w, stride=stride), _kernel_grad(gw, gy, kh, kw, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ serialization, and finite-difference checks on small mixed graphs."""
 import numpy as np
 import pytest
 
-from terraseg.errors import GraphError, ShapeError
+from terraseg.errors import GraphError, ParameterError, ShapeError
 from terraseg.graph import (
     ActivationLayer,
     Add,
@@ -63,6 +63,18 @@ class TestWiring:
         g = NetworkGraph((3, 4, 4))
         with pytest.raises(GraphError, match="bad_conv"):
             g.add("bad_conv", Conv2d(5, 2, 3, 1, 1), ["input"])
+
+    @pytest.mark.parametrize("layer", [
+        Conv2d(2, 3, kernel=0, stride=2),
+        TransposeConv2d(2, 3, kernel=0),
+        TransposeConv2d(2, 3, stride=-1),
+        TransposeConv2d(2, 3, stride=0),
+    ])
+    def test_invalid_conv_geometry_fails_at_add(self, layer):
+        g = NetworkGraph((2, 4, 4))
+        with pytest.raises(ParameterError, match="kernel"):
+            g.add("bad", layer, ["input"])
+        assert [n.name for n in g.nodes] == ["input"]
 
     def test_default_input_is_previous_node(self):
         g = NetworkGraph((1, 4, 4))
@@ -193,6 +205,17 @@ class TestDescriptor:
         ya, _ = g.forward(x, training=False)
         yb, _ = rebuilt.forward(x, training=False)
         assert np.array_equal(ya, yb)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "conv2d", "kernel": 0, "stride": 2, "padding": 0},
+        {"kind": "transpose_conv2d", "kernel": 0, "stride": 2},
+        {"kind": "transpose_conv2d", "kernel": 2, "stride": -1},
+    ])
+    def test_descriptor_rejects_invalid_conv_geometry(self, spec):
+        desc = NetworkGraph((2, 4, 4)).descriptor()
+        desc["nodes"].append({"name": "bad", "inputs": ["input"], "in_ch": 2, "out_ch": 3, **spec})
+        with pytest.raises(ParameterError, match="kernel"):
+            NetworkGraph.from_descriptor(desc)
 
     def test_descriptor_rejects_missing_input(self):
         with pytest.raises(GraphError):

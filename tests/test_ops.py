@@ -145,6 +145,19 @@ def conv_cases(draw):
     return x, w, b, stride, padding
 
 
+@st.composite
+def transpose_cases(draw):
+    """A transposed conv geometry with random operands: channels 1..3,
+    kernels 1..4 (square or not), stride 1..4 (above the kernel the output
+    has gaps) and input extents 1..5."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 4))
+    h, wd = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rand_array(seed, (k, h, wd)), rand_array(seed + 1, (k, m, kh, kw)), stride
+
+
 def max_pool2d_windows(x, window, stride):
     """Max pool as an argmax over a [C, oh, ow, k*k] copy of the windows:
     (values, flat input index of each window's first maximum)."""
@@ -218,11 +231,12 @@ class TestConv2d:
         *[(k, k, 1, p, (7, 9)) for k in (1, 3, 5) for p in range(k)],
         *[(3, 5, 1, p, (6, 8)) for p in range(3)],
         (5, 3, 1, 1, (9, 5)),
-        # strided or over-padded convs: the column accumulate
+        # strided convs (gy dilated) or over-padded ones (the result cropped)
         (3, 3, 2, 1, (7, 9)),
         (3, 5, 2, 0, (7, 9)),
         (1, 1, 1, 1, (4, 3)),
         (3, 3, 1, 3, (4, 5)),
+        (1, 5, 1, 1, (6, 7)),  # rows cropped, columns padded
     ])
     def test_input_grad_matches_naive_loops(self, kh, kw, stride, padding, hw):
         x = rand_array(61, (3, *hw))
@@ -244,8 +258,8 @@ class TestConvProperties:
 
     @given(conv_cases())
     def test_backward_matches_loop_adjoint(self, case):
-        # stride 1 with padding < min(kh, kw) takes the flipped-kernel
-        # correlation, everything else the strided scatter-add
+        # strided convs correlate the dilated gy, and an axis with
+        # padding > k - 1 crops the correlation's result
         x, w, _, stride, padding = case
         gy = rand_array(7, ops.conv2d(x, w, None, stride, padding).shape)
         got = ops.conv2d_backward(gy, x, w, stride, padding)
@@ -320,6 +334,23 @@ class TestConvTranspose:
         assert dx.flags.c_contiguous and dw.flags.c_contiguous
         assert np.allclose(dx, ref_dx, rtol=0, atol=1e-12)
         assert np.allclose(dw, ref_dw, rtol=0, atol=1e-12)
+
+    @given(transpose_cases())
+    def test_transpose_property_forward_matches_the_loop(self, case):
+        x, w, stride = case
+        y = ops.conv2d_transpose(x, w, stride)
+        ref = conv2d_transpose_loop(x, w, stride)
+        assert y.shape == ref.shape and y.flags.c_contiguous
+        assert np.allclose(y, ref, rtol=0, atol=1e-12)
+
+    @given(transpose_cases())
+    def test_transpose_property_backward_matches_the_windows(self, case):
+        x, w, stride = case
+        gy = rand_array(7, ops.conv2d_transpose(x, w, stride).shape)
+        got = ops.conv2d_transpose_backward(gy, x, w, stride)
+        for g, ref, arr in zip(got, conv2d_transpose_backward_windows(gy, x, w, stride), (x, w)):
+            assert g.shape == arr.shape and g.flags.c_contiguous
+            assert np.allclose(g, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_backward_rejects_a_wrong_grad_shape(self, stride):
