@@ -10,8 +10,11 @@ channels and 4 classes. Every distinct shape of conv, transpose conv, max
 pool and batch norm among their layers is one case. For each case and
 direction the script makes one untimed warm-up call, then N timed calls,
 and prints the minimum and median microseconds per call and the minor page
-faults per timed call (``ru_minflt``). It gates nothing. BLAS runs on one
-thread unless the environment already sets its thread count.
+faults per timed call (``ru_minflt``). Operands, kernels and batch-norm
+state are in the dtype the pipeline runs its graphs in
+(``pipeline.ENGINE_DTYPE``), which the header line names. It gates nothing.
+BLAS runs on one thread unless the environment already sets its thread
+count.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np  # noqa: E402
 
 from terraseg import ops  # noqa: E402
 from terraseg.graph import BatchNorm2d, Conv2d, MaxPool2d, TransposeConv2d  # noqa: E402
+from terraseg.pipeline import ENGINE_DTYPE  # noqa: E402
 from terraseg.tensor import SeededRng  # noqa: E402
 from terraseg.topologies import TopologySpec, build_topology  # noqa: E402
 
@@ -63,29 +67,32 @@ def cases() -> dict[tuple, list[str]]:
 
 def calls(kind: str, shape: tuple[int, int, int], geom: tuple, rng: SeededRng):
     """(forward, backward) zero-argument callables for one case."""
-    x = rng.uniform(-1.0, 1.0, shape)
+    def uniform(low, high, shape):
+        return rng.uniform(low, high, shape).astype(ENGINE_DTYPE)
+
+    x = uniform(-1.0, 1.0, shape)
     c = shape[0]
     if kind == "conv2d":
         o, k, s, p = geom
-        w, b = rng.uniform(-0.1, 0.1, (o, c, k, k)), rng.uniform(-0.1, 0.1, (o,))
-        gy = rng.uniform(-1.0, 1.0, ops.conv2d(x, w, b, s, p).shape)
+        w, b = uniform(-0.1, 0.1, (o, c, k, k)), uniform(-0.1, 0.1, (o,))
+        gy = uniform(-1.0, 1.0, ops.conv2d(x, w, b, s, p).shape)
         return (lambda: ops.conv2d(x, w, b, s, p),
                 lambda: ops.conv2d_backward(gy, x, w, s, p))
     if kind == "conv2d_transpose":
         m, k, s = geom
-        w = rng.uniform(-0.1, 0.1, (c, m, k, k))
-        gy = rng.uniform(-1.0, 1.0, ops.conv2d_transpose(x, w, s).shape)
+        w = uniform(-0.1, 0.1, (c, m, k, k))
+        gy = uniform(-1.0, 1.0, ops.conv2d_transpose(x, w, s).shape)
         return (lambda: ops.conv2d_transpose(x, w, s),
                 lambda: ops.conv2d_transpose_backward(gy, x, w, s))
     if kind == "max_pool2d":
         k, s = geom
         y, idx = ops.max_pool2d(x, k, s)
-        gy = rng.uniform(-1.0, 1.0, y.shape)
+        gy = uniform(-1.0, 1.0, y.shape)
         return lambda: ops.max_pool2d(x, k, s), lambda: ops.max_pool2d_backward(gy, idx)
-    gamma, beta = rng.uniform(0.5, 1.5, (c,)), rng.uniform(-0.5, 0.5, (c,))
-    stats = ops.RunningStats.zeros(c)
+    gamma, beta = uniform(0.5, 1.5, (c,)), uniform(-0.5, 0.5, (c,))
+    stats = ops.RunningStats(np.zeros(c, ENGINE_DTYPE), np.ones(c, ENGINE_DTYPE))
     _, cache = ops.batch_norm(x, gamma, beta, stats)
-    gy = rng.uniform(-1.0, 1.0, shape)
+    gy = uniform(-1.0, 1.0, shape)
     return (lambda: ops.batch_norm(x, gamma, beta, stats),
             lambda: ops.batch_norm_backward(gy, cache))
 
@@ -112,7 +119,7 @@ def main() -> int:
 
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} cpus, OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}, "
-          f"{args.repeat} timed calls per row")
+          f"{np.dtype(ENGINE_DTYPE).name} operands, {args.repeat} timed calls per row")
     print(f"{'op':<28} {'input':>9} {'geometry':>10} {'min_us':>9} {'median_us':>9} "
           f"{'minflt/call':>11}  topologies")
     rng = SeededRng(0)

@@ -11,7 +11,8 @@ Layout (all integers little-endian):
     then N records:
         u16  name length, then the name (UTF-8)
         u8   ndim, then ndim x u32 extents
-        f64  payload, C-order
+        f64  payload, C-order (a float32 graph's values, which f64 holds
+             exactly, so save -> load -> cast gives back the same bits)
     trailer    u32  crc32 over every preceding byte
 
 Records cover the learnable parameters followed by non-learnable state
@@ -31,7 +32,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CheckpointFormatError, ParameterError
+from .errors import CheckpointFormatError, ParameterError, TerrasegError
 from .graph import NetworkGraph
 
 __all__ = ["checkpoint_save", "checkpoint_load", "read_monitor"]
@@ -137,7 +138,13 @@ def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:
         desc = json.loads(desc_raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointFormatError("descriptor is not valid JSON", desc_off) from None
-    graph = NetworkGraph.from_descriptor(desc)
+    try:
+        graph = NetworkGraph.from_descriptor(desc)
+    except (TerrasegError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        # a node missing a field, a field of the wrong type, or a geometry
+        # the graph rejects: the file is what is malformed
+        raise CheckpointFormatError(
+            f"descriptor does not build a graph: {type(exc).__name__}: {exc}", desc_off) from None
     targets = dict(graph.parameters())
     targets.update(graph.state_arrays())
     (n_arrays,) = r.unpack("<I", "array count")

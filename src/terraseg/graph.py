@@ -5,11 +5,13 @@ their gradients sum at the producer during backprop. Graphs are built
 programmatically (see topologies.py) and are acyclic by construction: a node
 may only consume nodes added before it.
 
-Activations and gradients are plain float64 ndarrays: the graph coerces its
-input once, and neither it nor its layers ever write into an array they were
-handed. The graph owns the only mutable numeric state in the package: layer
-parameter buffers (exposed via :meth:`NetworkGraph.parameters`) and
-batch-norm running statistics.
+Activations and gradients are plain ndarrays in the dtype of the graph's
+parameters: a graph builds float64, :meth:`NetworkGraph.set_dtype` converts
+it (the pipeline runs float32), and the graph coerces its input to that
+dtype once, as the ops follow their input's dtype. Neither the graph nor its
+layers ever write into an array they were handed. The graph owns the only
+mutable numeric state in the package: layer parameter buffers (exposed via
+:meth:`NetworkGraph.parameters`) and batch-norm running statistics.
 """
 
 from __future__ import annotations
@@ -309,7 +311,7 @@ class ConcatCrop(Layer):
 
     def backward(self, g, ctx):
         (c0, h0, w0), (c1, h1, w1) = ctx
-        gs = np.zeros((c1, h1, w1))
+        gs = np.zeros((c1, h1, w1), dtype=g.dtype)
         oy, ox = self._crop_offsets((h1, w1), (h0, w0))
         gs[:, oy : oy + h0, ox : ox + w0] = g[c0:]
         return [g[:c0], gs], {}
@@ -445,6 +447,25 @@ class NetworkGraph:
     def count_parameters(self) -> int:
         return sum(a.size for a in self.parameters().values())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which the graph computes in (float64 when
+        it has no parameters)."""
+        arrays = (a for node in self.nodes for a in node.layer.params().values())
+        return next(arrays, np.zeros(0)).dtype
+
+    def set_dtype(self, dtype) -> None:
+        """Convert every parameter and running-stat array to ``dtype`` in place
+        (the layers' buffers are replaced; earlier ``parameters()`` dicts go
+        stale)."""
+        for node in self.nodes:
+            layer = node.layer
+            for key, arr in layer.params().items():  # keys are attribute names
+                setattr(layer, key, arr.astype(dtype))
+            if isinstance(layer, BatchNorm2d):
+                layer.stats = RunningStats(layer.stats.mean.astype(dtype),
+                                           layer.stats.var.astype(dtype))
+
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: SeededRng | None = None) -> tuple[np.ndarray, GraphCache]:
         """Evaluate every node; ``rng`` seeds the dropout masks in training.
@@ -452,7 +473,7 @@ class NetworkGraph:
         Each Dropout node draws from ``rng.spawn(node_name)``, so its mask
         depends only on the seed and the node's name.
         """
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=self.dtype)
         if x.shape != self.input_shape:
             raise ShapeError(f"input shape {x.shape} != graph input {self.input_shape}")
         outs: list[np.ndarray] = [None] * len(self.nodes)

@@ -1,8 +1,10 @@
-"""Neural-network layer primitives on [C, H, W] float64 ndarrays.
+"""Neural-network layer primitives on [C, H, W] float ndarrays.
 
-Ops take and return plain C-contiguous float64 ndarrays and never write into
-their inputs (batch norm's running statistics are the one piece of state an
-op updates).
+Ops take and return plain C-contiguous ndarrays and never write into their
+inputs (batch norm's running statistics are the one piece of state an op
+updates). Every op follows its input's dtype: each buffer it makes takes
+that dtype and nothing in it promotes to float64, so a float32 graph runs in
+float32 end to end while float64 stays what the gradient checks use.
 
 Every differentiable op comes as a forward function plus a matching
 ``*_backward`` that implements the analytic adjoint; the test suite verifies
@@ -151,9 +153,9 @@ def activate_grad(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
         th = np.tanh(x)
         g = 1.0 - th * th
     elif kind.name == "relu":
-        g = (x > 0).astype(np.float64)
+        g = (x > 0).astype(x.dtype)
     elif kind.name == "leaky_relu":
-        g = np.where(x > 0, 1.0, kind.alpha)
+        g = np.where(x > 0, x.dtype.type(1.0), x.dtype.type(kind.alpha))
     else:  # elu: derivative is elu(x) + alpha on x <= 0, else 1
         g = np.ones_like(x)
         le = x <= 0
@@ -193,7 +195,7 @@ def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int,
     c, h, w = x.shape
     h, w = (h - 1) * dilate + 1, (w - 1) * dilate + 1
     hp, wp = h + 2 * ph, wp or w + 2 * pw
-    flat = np.zeros((c, hp * wp + kw - 1))
+    flat = np.zeros((c, hp * wp + kw - 1), dtype=x.dtype)
     flat[:, : hp * wp].reshape(c, hp, wp)[:, ph : ph + h : dilate, pw : pw + w : dilate] = x
     return flat, wp
 
@@ -257,7 +259,7 @@ def _kernel_grad(gw: np.ndarray, x: np.ndarray, kh: int, kw: int,
     past the output's width, with that tap's window of the padded input."""
     flat, wp = _flat_pad(x, padding, padding, kw)
     o, c = gw.shape[0], x.shape[0]
-    dwt = np.empty((kh * kw, o, c))
+    dwt = np.empty((kh * kw, o, c), dtype=gw.dtype)
     for t, tap in enumerate(_taps(flat, kh, kw, wp, gw.shape[1] // wp)):
         np.matmul(gw, tap.T, out=dwt[t])
     return dwt.reshape(kh, kw, o, c).transpose(2, 3, 0, 1).copy()
@@ -330,7 +332,7 @@ def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarra
     oh, ow = (h - 1) * stride + kh, (wd - 1) * stride + kw
     if kh == kw == stride:  # windows tile the output without overlap or gap
         spread = np.tensordot(w, x, axes=([0], [0]))  # [M, kh, kw, h, w]
-        out = np.empty((m, oh, ow))
+        out = np.empty((m, oh, ow), dtype=spread.dtype)
         # + 0.0 turns -0.0 into +0.0, as accumulating into zeros does
         np.add(spread.transpose(0, 3, 1, 4, 2), 0.0, out=out.reshape(m, h, kh, wd, kw))
         return out
@@ -430,7 +432,7 @@ def max_pool2d_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:
     Disjoint windows have distinct argmax positions, so a plain indexed
     assignment suffices; overlapping windows sum with ``np.add.at``.
     """
-    dx = np.zeros(indices.input_shape)
+    dx = np.zeros(indices.input_shape, dtype=g.dtype)
     if indices.overlapping:
         np.add.at(dx.reshape(-1), indices.indices.reshape(-1), g.reshape(-1))
     else:
@@ -456,7 +458,7 @@ def unpool_with_indices(vals: np.ndarray, indices: PoolIndices,
         raise IntegrityError(
             f"pool index {int(flat_idx.max())} outside output of {n} elements"
         )
-    out = np.zeros(n)
+    out = np.zeros(n, dtype=vals.dtype)
     out[flat_idx] = vals.reshape(-1)
     return out.reshape(out_shape)
 
@@ -502,8 +504,11 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: Runnin
     if training:
         mu = x.mean(axis=(1, 2))
         var = x.var(axis=(1, 2))
-        stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
-        stats.var = (1.0 - momentum) * stats.var + momentum * var
+        # in place, so the statistics keep their dtype (and the graph's arrays)
+        stats.mean *= 1.0 - momentum
+        stats.mean += momentum * mu
+        stats.var *= 1.0 - momentum
+        stats.var += momentum * var
     else:
         mu, var = stats.mean, stats.var
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -545,7 +550,7 @@ def dropout(x: np.ndarray, rate: float, rng: SeededRng | None = None, training: 
         return x, None
     if rng is None:
         raise ParameterError("dropout in training mode needs an rng")
-    mask = (rng.uniform(0.0, 1.0, x.shape) >= rate).astype(np.float64)
+    mask = (rng.uniform(0.0, 1.0, x.shape) >= rate).astype(x.dtype)
     return x * mask / (1.0 - rate), mask
 
 
@@ -580,16 +585,22 @@ def categorical_cross_entropy(probs: np.ndarray, target: np.ndarray,
     the same shape; ``ignore_mask`` (spatial shape, nonzero = ignore) drops
     pixels from both the mean and the gradient. The returned gradient is
     taken w.r.t. the softmax *logits*, folding the softmax jacobian:
-    (p - t) / N_valid on scoring pixels, zero elsewhere.
+    (p - t) / N_valid on scoring pixels, zero elsewhere, in ``probs``' dtype.
+
+    The probabilities must sum to 1 within 1e-6, or within C * eps of their
+    dtype where that is larger (float32 beyond 8 classes): rounding in the
+    softmax and in the sum grows with the class count C.
     """
     p, t = probs, target
     if p.shape != t.shape:
         raise ShapeError(f"probs shape {p.shape} != target shape {t.shape}")
     sums = p.sum(axis=0)
-    if not np.all(np.abs(sums - 1.0) <= 1e-6):  # NaN sums fail too
+    tol = max(1e-6, p.shape[0] * float(np.finfo(p.dtype).eps))
+    if not np.all(np.abs(sums - 1.0) <= tol):  # NaN sums fail too
         raise DataError("probabilities do not sum to 1 along the channel axis")
     if np.any((t != 0.0) & (t != 1.0)) or np.any(t.sum(axis=0) != 1.0):
         raise DataError("target is not one-hot along the channel axis")
+    t = t.astype(p.dtype, copy=False)  # exact: every entry is 0 or 1
     spatial = p.shape[1:]
     if ignore_mask is None:
         valid = np.ones(spatial, dtype=bool)
@@ -601,7 +612,7 @@ def categorical_cross_entropy(probs: np.ndarray, target: np.ndarray,
     if n_valid == 0:
         raise EmptyLossError("every pixel is ignored; loss is undefined")
     p_true = (p * t).sum(axis=0)
-    logs = -np.log(np.maximum(p_true, np.finfo(np.float64).tiny))
+    logs = -np.log(np.maximum(p_true, np.finfo(p.dtype).tiny))
     loss = float(logs[valid].sum() / n_valid)
     grad = (p - t) * valid / n_valid
     return loss, grad

@@ -18,6 +18,11 @@ Training samples concatenate the configured input components channel-wise;
 coarser components are nearest-neighbor upsampled to the label tile size.
 Sample ignore masks are the union of the stored (cloud) mask and
 label-nodata pixels. Relative output paths resolve against ``out_dir``.
+
+Samples hold float64 :class:`Tensor` images and targets; every graph the
+commands make (built by train, loaded by evaluate and predict) is converted
+to ``ENGINE_DTYPE``, float32, and casts each image to it on the way in.
+Checkpoints store float64, which holds every float32 value exactly.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ MASK_ARRAY = "Sentinel-2/MSI/ignore_masks"
 COARSE_ARRAY = "Sentinel-3/OLCI/300m"
 LABEL_ARRAY = "Labels/CLC_10m/labels"
 FOLD_ARRAY = "Labels/CLC_10m/multilabel_stratified_kfolds"
+
+# the dtype train, evaluate and predict run their graphs in
+ENGINE_DTYPE = np.float32
 
 __all__ = [
     "IMAGE_ARRAY", "MASK_ARRAY", "COARSE_ARRAY", "LABEL_ARRAY", "FOLD_ARRAY",
@@ -271,7 +279,8 @@ class _SampleSource:
     def samples(self, weeks, keep=None):
         """Yield (tile index, Sample) over ``weeks`` in (week, tile) C order,
         skipping tiles where ``keep`` (bool per tile) is false or every pixel
-        is ignored. One week block is held; samples turn float64 one by one."""
+        is ignored. One week block is held; samples turn float64 Tensors one
+        by one, and the graph casts each image to ``ENGINE_DTYPE``."""
         labels = self.labels.read_region((0,) * 4, self.labels.shape).reshape(-1, self.th, self.tw)
         for w in weeks:
             images, ignore = self.week(w)
@@ -331,6 +340,7 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
 
     graph = build_topology(t.topology, input_hw=(src.th, src.tw),
                            seed=mix_seed(config.seed, "init"))
+    graph.set_dtype(ENGINE_DTYPE)
     ckpt = str(_resolve(t.checkpoint, out_dir)) if t.checkpoint else None
     if ckpt:
         Path(ckpt).parent.mkdir(parents=True, exist_ok=True)
@@ -367,6 +377,7 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
     store = Store(config.store)
     src = _SampleSource(config, store, t)
     graph, _ = checkpoint_load(str(_checkpoint_path(config, e, out_dir)))
+    graph.set_dtype(ENGINE_DTYPE)
     out_classes = graph.shape_of(graph.output_name)[0]
     if out_classes != src.num_classes:
         raise ConfigError(
@@ -395,6 +406,7 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     store = Store(config.store)
     src = _SampleSource(config, store, t)
     graph, _ = checkpoint_load(str(_checkpoint_path(config, p, out_dir)))
+    graph.set_dtype(ENGINE_DTYPE)
     if not 0 <= p.week < src.weeks:
         raise ParameterError(f"week {p.week} outside the {src.weeks}-week store")
 

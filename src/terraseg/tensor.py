@@ -3,8 +3,10 @@
 :class:`Tensor` is the type of a training sample's image and target: it
 checks arrays arriving from the store or from the synthetic generators once,
 at that boundary. The engine itself (ops, layers, graph, loss) works on plain
-float64 ndarrays and never writes into its inputs; the only mutable numeric
-state in the package lives in the training engine's parameter buffers.
+ndarrays in the dtype of the graph's parameters (float32 in the pipeline),
+casting a sample's image to it on the way in, and never writes into its
+inputs; the only mutable numeric state in the package lives in the training
+engine's parameter buffers.
 
 Image-like arrays use channel-first [C, H, W] layout throughout.
 """

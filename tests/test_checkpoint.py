@@ -6,6 +6,7 @@ layout documented in the module: any edit is followed by recomputing the
 crc32 trailer so the edited field itself is what the loader trips on.
 """
 
+import json
 import math
 import struct
 import zlib
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from terraseg.checkpoint import checkpoint_load, checkpoint_save, read_monitor
-from terraseg.errors import CheckpointFormatError, ParameterError
+from terraseg.errors import CheckpointFormatError, ParameterError, exit_code_for
 from terraseg.graph import (
     ActivationLayer,
     BatchNorm2d,
@@ -95,6 +96,25 @@ class TestRoundTrip:
         checkpoint_save(g, path)
         g2, _ = checkpoint_load(path)
         assert g2.count_parameters() == g.count_parameters()
+
+
+    def test_float32_graph_round_trips_bit_for_bit(self, tmp_path):
+        g = warmed_graph()
+        g.set_dtype(np.float32)
+        g.forward(SeededRng(5).uniform(-1.0, 1.0, (3, 6, 6)), training=True, rng=SeededRng(6))
+        p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        checkpoint_save(g, p1, 0.25)
+        g2, _ = checkpoint_load(p1)
+        g2.set_dtype(np.float32)
+        for mine, theirs in ((g.parameters(), g2.parameters()),
+                             (g.state_arrays(), g2.state_arrays())):
+            for name, arr in mine.items():
+                assert theirs[name].dtype == np.float32
+                assert theirs[name].tobytes() == arr.tobytes()
+        x = SeededRng(7).uniform(-1.0, 1.0, (3, 6, 6))
+        assert g.forward(x)[0].tobytes() == g2.forward(x)[0].tobytes()
+        checkpoint_save(g2, p2, 0.25)
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 class TestImprovementGate:
@@ -217,6 +237,46 @@ class TestCorruption:
         buf, tmp = blob
         with pytest.raises(CheckpointFormatError, match="trailing"):
             self.load_bytes(refix(buf[:-4] + b"\x00\x00\x00\x00" + buf[-4:]), tmp)
+
+    @staticmethod
+    def with_descriptor(buf, edit):
+        """``buf`` with its descriptor passed through ``edit`` (a function of
+        the parsed JSON), the length field and crc recomputed."""
+        (desc_len,) = struct.unpack_from("<Q", buf, 16)
+        desc = json.loads(buf[24 : 24 + desc_len])
+        edit(desc)
+        raw = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()
+        return refix(buf[:16] + struct.pack("<Q", len(raw)) + raw + buf[24 + desc_len :])
+
+    @staticmethod
+    def node(desc, name):
+        return next(nd for nd in desc["nodes"] if nd["name"] == name)
+
+    def assert_bad_descriptor(self, blob, edit, cause):
+        buf, tmp = blob
+        with pytest.raises(CheckpointFormatError, match=f"descriptor.*{cause}") as err:
+            self.load_bytes(self.with_descriptor(buf, edit), tmp)
+        assert err.value.offset == 24
+        assert exit_code_for(err.value) == 3
+
+    def test_descriptor_node_without_inputs(self, blob):
+        self.assert_bad_descriptor(
+            blob, lambda d: self.node(d, "bn").pop("inputs"), "KeyError")
+
+    def test_descriptor_conv_without_in_ch(self, blob):
+        self.assert_bad_descriptor(
+            blob, lambda d: self.node(d, "conv").pop("in_ch"), "KeyError")
+
+    def test_descriptor_conv_with_kernel_zero(self, blob):
+        self.assert_bad_descriptor(
+            blob, lambda d: self.node(d, "head").update(kernel=0), "ParameterError")
+
+    def test_descriptor_unknown_layer_kind(self, blob):
+        self.assert_bad_descriptor(
+            blob, lambda d: self.node(d, "act").update(kind="gelu"), "GraphError")
+
+    def test_descriptor_without_nodes(self, blob):
+        self.assert_bad_descriptor(blob, lambda d: d["nodes"].clear(), "GraphError")
 
     def test_read_monitor_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "not.ckpt"
