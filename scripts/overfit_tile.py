@@ -10,7 +10,7 @@ import argparse
 import time
 
 from terraseg.optim import AdamState
-from terraseg.synth import make_tile, one_hot
+from terraseg.synth import make_tile
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import Sample, TrainConfig, evaluate_samples, fit
 
@@ -27,8 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     image, labels = make_tile(args.seed, size=args.size)
-    target, ignore = one_hot(labels, 4)
-    sample = Sample(image, target, ignore)
+    sample = Sample(image, labels)
     spec = TopologySpec(kind=args.kind, depth=2, base_channels=args.base_channels,
                         in_channels=4, num_classes=4)
     graph = build_topology(spec, input_hw=(args.size, args.size), seed=args.seed)

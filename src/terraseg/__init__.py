@@ -23,7 +23,7 @@ from .errors import (
     WktParseError,
     exit_code_for,
 )
-from .tensor import SeededRng, Tensor, mix_seed
+from .tensor import SeededRng, mix_seed
 from .graph import NetworkGraph, grad_check
 from .optim import AdamState, SgdState, apply_step
 from .checkpoint import checkpoint_load, checkpoint_save
@@ -51,8 +51,8 @@ __all__ = [
     "GeoRaster", "GraphError", "History", "IntegrityError", "NetworkGraph",
     "ParameterError", "PipelineConfig", "Sample", "SampleRecord", "SeededRng",
     "SgdState", "ShapeError", "Store", "StoreConflictError", "StoreLockError",
-    "StoreNotFoundError", "Tensor", "TerrasegError", "TopologySpec",
-    "TrainConfig", "UndefinedMetricError", "WktGeometry", "WktParseError",
+    "StoreNotFoundError", "TerrasegError", "TopologySpec", "TrainConfig",
+    "UndefinedMetricError", "WktGeometry", "WktParseError",
     "apply_step", "build_catalog_query", "build_topology", "checkpoint_load",
     "checkpoint_save", "confusion_update", "cross_validate",
     "evaluate_samples", "exit_code_for", "fit", "grad_check",

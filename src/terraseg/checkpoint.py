@@ -102,10 +102,8 @@ def checkpoint_save(graph: NetworkGraph, path: str, monitor_value: float | None 
     return True
 
 
-def read_monitor(path: str) -> float:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-    r = _Reader(head)
+def _header(r: _Reader) -> float:
+    """Check the magic and the version; return the stored monitor value."""
     if r.take(4, "magic") != MAGIC:
         raise CheckpointFormatError("not a checkpoint file (bad magic)", 0)
     (version,) = r.unpack("<I", "version")
@@ -113,6 +111,11 @@ def read_monitor(path: str) -> float:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}", 4)
     (monitor,) = r.unpack("<d", "monitor value")
     return monitor
+
+
+def read_monitor(path: str) -> float:
+    with open(path, "rb") as fh:
+        return _header(_Reader(fh.read(16)))
 
 
 def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:
@@ -125,12 +128,7 @@ def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:
     if zlib.crc32(buf[:-4]) != stored_crc:
         raise CheckpointFormatError("checksum mismatch", len(buf) - 4)
     r = _Reader(buf[:-4])
-    if r.take(4, "magic") != MAGIC:
-        raise CheckpointFormatError("not a checkpoint file (bad magic)", 0)
-    (version,) = r.unpack("<I", "version")
-    if version != VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}", 4)
-    (monitor,) = r.unpack("<d", "monitor value")
+    monitor = _header(r)
     (desc_len,) = r.unpack("<Q", "descriptor length")
     desc_off = r.off
     desc_raw = r.take(int(desc_len), "descriptor")

@@ -374,7 +374,6 @@ class GraphCache:
 
     outs: list[np.ndarray]
     ctxs: list[object]
-    training: bool
 
 
 class NetworkGraph:
@@ -488,7 +487,7 @@ class NetworkGraph:
                 node_rng = rng.spawn(node.name) if draws else None
                 out, ctx = node.layer.forward(xs, training, node_rng)
             outs[i], ctxs[i] = out, ctx
-        return outs[-1], GraphCache(outs, ctxs, training)
+        return outs[-1], GraphCache(outs, ctxs)
 
     def backward(self, cache: GraphCache, seeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Backprop from the seeded nodes; returns grads keyed like parameters().
@@ -538,13 +537,13 @@ class NetworkGraph:
         return graph
 
 
-def grad_check(graph: NetworkGraph, x: np.ndarray, target: np.ndarray,
+def grad_check(graph: NetworkGraph, x: np.ndarray, labels: np.ndarray,
                ignore_mask: np.ndarray | None = None, step: float = 1e-5,
                max_params: int = 10_000) -> float:
     """Compare analytic parameter gradients against central finite differences.
 
     The loss is the categorical cross-entropy of the graph's softmax output
-    against ``target``. Returns the maximum relative error
+    against the class ids ``labels``. Returns the maximum relative error
     |a - n| / max(|a|, |n|, 1e-6) over every parameter element. Keep the
     graph small: the cost is two forwards per parameter.
     """
@@ -556,12 +555,12 @@ def grad_check(graph: NetworkGraph, x: np.ndarray, target: np.ndarray,
     def loss_of() -> float:
         rng = SeededRng(0xD0)  # fixed so dropout masks repeat across evals
         probs, _ = graph.forward(x, training=True, rng=rng)
-        loss, _ = ops.categorical_cross_entropy(probs, target, ignore_mask)
+        loss, _ = ops.categorical_cross_entropy(probs, labels, ignore_mask)
         return loss
 
     rng = SeededRng(0xD0)
     probs, cache = graph.forward(x, training=True, rng=rng)
-    _, glogits = ops.categorical_cross_entropy(probs, target, ignore_mask)
+    _, glogits = ops.categorical_cross_entropy(probs, labels, ignore_mask)
     analytic = graph.backward(cache, {logits: glogits})
 
     worst = 0.0

@@ -577,31 +577,31 @@ def softmax_backward(gy: np.ndarray, p: np.ndarray, axis: int = 0) -> np.ndarray
     return p * (gy - inner)
 
 
-def categorical_cross_entropy(probs: np.ndarray, target: np.ndarray,
+def categorical_cross_entropy(probs: np.ndarray, labels: np.ndarray,
                               ignore_mask: np.ndarray | None = None):
     """Mean -log p_true over non-ignored pixels, plus the logit gradient.
 
-    ``probs`` are channel-softmax outputs [C, ...]; ``target`` is one-hot of
-    the same shape; ``ignore_mask`` (spatial shape, nonzero = ignore) drops
-    pixels from both the mean and the gradient. The returned gradient is
-    taken w.r.t. the softmax *logits*, folding the softmax jacobian:
-    (p - t) / N_valid on scoring pixels, zero elsewhere, in ``probs``' dtype.
+    ``probs`` are channel-softmax outputs [C, ...]; ``labels`` are integer
+    class ids in [0, C) of the spatial shape; ``ignore_mask`` (spatial shape,
+    nonzero = ignore) drops pixels from both the mean and the gradient. The
+    returned gradient is taken w.r.t. the softmax *logits*, folding the
+    softmax jacobian: p minus 1 at each pixel's label, / N_valid on scoring
+    pixels, zero elsewhere, in ``probs``' dtype.
 
     The probabilities must sum to 1 within 1e-6, or within C * eps of their
     dtype where that is larger (float32 beyond 8 classes): rounding in the
     softmax and in the sum grows with the class count C.
     """
-    p, t = probs, target
-    if p.shape != t.shape:
-        raise ShapeError(f"probs shape {p.shape} != target shape {t.shape}")
+    p = probs
+    spatial = p.shape[1:]
+    if labels.shape != spatial:
+        raise ShapeError(f"labels shape {labels.shape} != spatial shape {spatial}")
     sums = p.sum(axis=0)
     tol = max(1e-6, p.shape[0] * float(np.finfo(p.dtype).eps))
     if not np.all(np.abs(sums - 1.0) <= tol):  # NaN sums fail too
         raise DataError("probabilities do not sum to 1 along the channel axis")
-    if np.any((t != 0.0) & (t != 1.0)) or np.any(t.sum(axis=0) != 1.0):
-        raise DataError("target is not one-hot along the channel axis")
-    t = t.astype(p.dtype, copy=False)  # exact: every entry is 0 or 1
-    spatial = p.shape[1:]
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= p.shape[0]:
+        raise DataError(f"labels are not integer class ids in [0, {p.shape[0]})")
     if ignore_mask is None:
         valid = np.ones(spatial, dtype=bool)
     elif ignore_mask.shape != spatial:
@@ -611,8 +611,12 @@ def categorical_cross_entropy(probs: np.ndarray, target: np.ndarray,
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise EmptyLossError("every pixel is ignored; loss is undefined")
-    p_true = (p * t).sum(axis=0)
+    # flat index of each pixel's label channel: take_along_axis and
+    # put_along_axis build index grids on every call and cost more per tile
+    at = labels.reshape(-1).astype(np.intp) * labels.size + np.arange(labels.size)
+    p_true = p.reshape(-1)[at]
     logs = -np.log(np.maximum(p_true, np.finfo(p.dtype).tiny))
-    loss = float(logs[valid].sum() / n_valid)
-    grad = (p - t) * valid / n_valid
-    return loss, grad
+    loss = float(logs[valid.reshape(-1)].sum() / n_valid)
+    grad = p.copy()
+    grad.reshape(-1)[at] = p_true - 1
+    return loss, grad * valid / n_valid

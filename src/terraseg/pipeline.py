@@ -19,10 +19,11 @@ coarser components are nearest-neighbor upsampled to the label tile size.
 Sample ignore masks are the union of the stored (cloud) mask and
 label-nodata pixels. Relative output paths resolve against ``out_dir``.
 
-Samples hold float64 :class:`Tensor` images and targets; every graph the
-commands make (built by train, loaded by evaluate and predict) is converted
-to ``ENGINE_DTYPE``, float32, and casts each image to it on the way in.
-Checkpoints store float64, which holds every float32 value exactly.
+Samples hold the store's float32 images and u8 class labels, label-nodata
+pixels as class 0 under the ignore mask. Every graph the commands make
+(built by train, loaded by evaluate and predict) is converted to
+``ENGINE_DTYPE``, float32. Checkpoints store float64, which holds every
+float32 value exactly.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ from .georaster import (
 )
 from .metrics import ConfusionMatrix, confusion_update, render_report, report, report_json
 from .optim import AdamState, SgdState
-from .synth import one_hot
-from .tensor import Tensor, mix_seed
+from .tensor import mix_seed
 from .topologies import build_topology
 from .training import History, Sample, TrainConfig, fit
 from .wkt import parse_wkt
@@ -279,20 +279,20 @@ class _SampleSource:
     def samples(self, weeks, keep=None):
         """Yield (tile index, Sample) over ``weeks`` in (week, tile) C order,
         skipping tiles where ``keep`` (bool per tile) is false or every pixel
-        is ignored. One week block is held; samples turn float64 Tensors one
-        by one, and the graph casts each image to ``ENGINE_DTYPE``."""
+        is ignored. Each sample's image is a view of its week block."""
         labels = self.labels.read_region((0,) * 4, self.labels.shape).reshape(-1, self.th, self.tw)
+        nodata = labels == self.nodata
+        labels = np.where(nodata, 0, labels)
         for w in weeks:
             images, ignore = self.week(w)
-            for i, label in enumerate(labels):
+            masks = ignore | nodata
+            for i, mask in enumerate(masks):
                 if keep is not None and not keep[i]:
                     continue
-                target, label_ignore = one_hot(label, self.num_classes, self.nodata)
-                mask = ignore[i] | label_ignore
                 if mask.all():
                     log.info("skipping fully ignored tile %d of week %d", i, w)
                     continue
-                yield i, Sample(Tensor(images[i]), target, mask)
+                yield i, Sample(images[i], labels[i], mask)
 
 
 def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.ndarray:
@@ -389,8 +389,8 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
         keep = _fold_ids(store, config, e.fold, "config.evaluate.fold") == e.fold
     cm = ConfusionMatrix.zeros(src.num_classes)
     for _, s in src.samples(src.week_range(*t.slice_timestamps), keep):
-        probs, _ = graph.forward(s.image.data, training=False)
-        confusion_update(cm, probs.argmax(axis=0), s.target.data.argmax(axis=0), s.ignore)
+        probs, _ = graph.forward(s.image, training=False)
+        confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
     values = report(cm)
     base = _resolve(e.out or "report", out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)

@@ -11,15 +11,13 @@ import json
 
 import numpy as np
 
-from .errors import DataError
-from .tensor import SeededRng, Tensor, mix_seed
+from .tensor import SeededRng, mix_seed
 from .wkt import WktGeometry, to_wkt
 
 __all__ = [
     "class_signatures",
     "block_labels",
     "make_tile",
-    "one_hot",
     "make_scene",
     "scene_label_shapes",
     "shapes_to_json",
@@ -46,7 +44,7 @@ def block_labels(height: int, width: int, num_classes: int, block: int) -> np.nd
 
 def make_tile(seed: int, size: int = 32, channels: int = 4, num_classes: int = 4,
               noise: float = 0.05):
-    """One training tile: (image Tensor [C,H,W], labels u8 [H,W]).
+    """One training tile: (image f64 [C,H,W], labels u8 [H,W]).
 
     The label plane is a 2x2 quadrant layout (block = size//2) so every
     class is present; pixels carry the class signature plus uniform noise.
@@ -56,20 +54,7 @@ def make_tile(seed: int, size: int = 32, channels: int = 4, num_classes: int = 4
     rng = SeededRng(mix_seed(seed, "tile"))
     data = sig[labels].transpose(2, 0, 1).astype(np.float64)
     data += rng.uniform(-noise, noise, (channels, size, size))
-    return Tensor(data), labels
-
-
-def one_hot(labels: np.ndarray, num_classes: int, ignore_value: int = 255):
-    """(target Tensor [num_classes,H,W], ignore u8 [H,W]) from a label plane."""
-    ignore = (labels == ignore_value).astype(np.uint8)
-    safe = np.where(ignore == 1, 0, labels).astype(np.int64)
-    if safe.min() < 0 or safe.max() >= num_classes:
-        raise DataError(f"labels outside [0, {num_classes}) and not ignore")
-    target = np.zeros((num_classes,) + labels.shape, dtype=np.float64)
-    h, w = labels.shape
-    target[safe, np.arange(h)[:, None], np.arange(w)[None, :]] = 1.0
-    # ignored pixels keep an arbitrary valid one-hot; the mask excludes them
-    return Tensor(target), ignore
+    return data, labels
 
 
 def make_scene(seed: int, height: int = 64, width: int = 64, channels: int = 4,

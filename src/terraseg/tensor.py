@@ -1,14 +1,8 @@
-"""The validated sample array type and the deterministic RNG used everywhere.
+"""The deterministic RNG and seed mixing used everywhere.
 
-:class:`Tensor` is the type of a training sample's image and target: it
-checks arrays arriving from the store or from the synthetic generators once,
-at that boundary. The engine itself (ops, layers, graph, loss) works on plain
-ndarrays in the dtype of the graph's parameters (float32 in the pipeline),
-casting a sample's image to it on the way in, and never writes into its
-inputs; the only mutable numeric state in the package lives in the training
-engine's parameter buffers.
-
-Image-like arrays use channel-first [C, H, W] layout throughout.
+The engine (ops, layers, graph, loss) works on plain ndarrays in the dtype
+of the graph's parameters (float32 in the pipeline) and never writes into
+its inputs; image-like arrays use channel-first [C, H, W] layout throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
-__all__ = ["Tensor", "SeededRng", "mix_seed"]
+__all__ = ["SeededRng", "mix_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,7 +73,8 @@ class SeededRng:
 
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable dense float64 sample array.
+    """Immutable dense float64 array. No code path makes one; it stays only
+    because ``perfbench/tracer.py`` wraps ``__post_init__`` to count them.
 
     Invariants: every extent >= 1, dtype float64, C-contiguous row-major
     memory. Wraps an existing ndarray without copying when it already

@@ -38,7 +38,6 @@ __all__ = [
     "build_segnet",
     "build_resunet",
     "build_topology",
-    "count_parameters",
 ]
 
 KINDS = ("unet", "segnet", "resunet")
@@ -193,8 +192,3 @@ _BUILDERS = {"unet": build_unet, "segnet": build_segnet, "resunet": build_resune
 def build_topology(spec: TopologySpec, input_hw: tuple[int, int] = (32, 32),
                    seed: int = 0) -> NetworkGraph:
     return _BUILDERS[spec.kind](spec, input_hw, seed)
-
-
-def count_parameters(graph: NetworkGraph) -> int:
-    """Total learnable scalars (running statistics excluded)."""
-    return graph.count_parameters()

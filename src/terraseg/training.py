@@ -20,17 +20,18 @@ from .checkpoint import checkpoint_save
 from .errors import DataError, ParameterError
 from .graph import NetworkGraph
 from .optim import AdamState, SgdState, apply_step
-from .tensor import SeededRng, Tensor, mix_seed
+from .tensor import SeededRng, mix_seed
 
 __all__ = ["Sample", "TrainConfig", "History", "fit", "evaluate_samples"]
 
 
 @dataclass(frozen=True)
 class Sample:
-    """One training example: image, one-hot target, optional ignore mask."""
+    """One training example. The graph's forward casts the image to its own
+    dtype and checks its shape; the loss checks the labels and the mask."""
 
-    image: Tensor  # [C, H, W]
-    target: Tensor  # [num_classes, H, W], one-hot
+    image: np.ndarray  # [C, H, W], any float dtype
+    labels: np.ndarray  # [H, W], integer class ids in [0, num_classes)
     ignore: np.ndarray | None = None  # [H, W], nonzero = excluded from loss
 
 
@@ -121,12 +122,11 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
     cm = M.ConfusionMatrix.zeros(num_classes)
     total_loss, n = 0.0, 0
     for s in samples:
-        target = s.target.data
-        probs, _ = graph.forward(s.image.data, training=False)
-        loss, _ = ops.categorical_cross_entropy(probs, target, s.ignore)
+        probs, _ = graph.forward(s.image, training=False)
+        loss, _ = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
         total_loss += loss
         n += 1
-        M.confusion_update(cm, probs.argmax(axis=0), target.argmax(axis=0), s.ignore)
+        M.confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
     if n == 0:
         raise ParameterError("cannot evaluate on an empty sample list")
     vals = {name: _METRIC_FNS[name](cm) for name in metric_names}
@@ -177,9 +177,9 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
             for si in batch:
                 s = train_data[int(si)]
                 rng = SeededRng(mix_seed(config.seed, "forward", epoch, int(si)))
-                probs, cache = graph.forward(s.image.data, training=True, rng=rng)
+                probs, cache = graph.forward(s.image, training=True, rng=rng)
                 try:
-                    loss, glogits = ops.categorical_cross_entropy(probs, s.target.data, s.ignore)
+                    loss, glogits = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
                 except DataError:
                     if np.isfinite(probs).all():
                         raise
@@ -203,7 +203,7 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
             val_loss, vals, _ = evaluate_samples(graph, val, config.metric_names)
         except DataError:
             bad = next((i for i, v in enumerate(val)
-                        if not np.isfinite(graph.forward(v.image.data, training=False)[0]).all()),
+                        if not np.isfinite(graph.forward(v.image, training=False)[0]).all()),
                        None)
             if bad is None:
                 raise

@@ -24,11 +24,11 @@ def rand_array(seed, shape, low=-1.0, high=1.0):
     return SeededRng(seed).uniform(low, high, tuple(shape))
 
 
-def assert_plain_arrays(graph, x, target):
+def assert_plain_arrays(graph, x, labels):
     """Every activation and every gradient of a training step, the graph's
     and each layer's own, is a float64 C-contiguous ndarray."""
     probs, cache = graph.forward(x, training=True, rng=SeededRng(1))
-    _, glogits = ops.categorical_cross_entropy(probs, target)
+    _, glogits = ops.categorical_cross_entropy(probs, labels)
     arrays = list(cache.outs)
     arrays += graph.backward(cache, {graph.logits_name(): glogits}).values()
     for node, out, ctx in zip(graph.nodes[1:], cache.outs[1:], cache.ctxs[1:]):

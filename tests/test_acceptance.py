@@ -193,8 +193,7 @@ def _input_and_target(graph, seed):
     x = rng.uniform(-1.0, 1.0, graph.input_shape)
     c, h, w = graph.shape_of(graph.output_name)
     labels = ((np.arange(h * w).reshape(h, w) + seed) % c).astype(np.uint8)
-    target, _ = synth.one_hot(labels, c)
-    return x, target.data
+    return x, labels
 
 
 def _softmax_direct_check():
@@ -405,8 +404,7 @@ def test_overfit_one_tile():
     def body():
         image, labels = synth.make_tile(seed=3, size=32, channels=4,
                                         num_classes=4)
-        target, ignore = synth.one_hot(labels, 4)
-        sample = Sample(image, target, ignore)
+        sample = Sample(image, labels)
         spec = TopologySpec(kind="unet", depth=2, base_channels=8,
                             in_channels=4, num_classes=4, activation=ops.ELU)
 

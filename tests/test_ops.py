@@ -706,70 +706,89 @@ def one_hot_from(classes, num_classes):
 
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        t = one_hot_from([[0, 1], [1, 0]], 2)
-        loss, grad = ops.categorical_cross_entropy(t, t)
+        labels = np.array([[0, 1], [1, 0]])
+        loss, grad = ops.categorical_cross_entropy(one_hot_from(labels, 2), labels)
         assert loss == 0.0
         assert np.allclose(grad, 0.0)
 
     def test_uniform_prediction_ln_c(self):
-        t = one_hot_from([[0, 1], [2, 3]], 4)
         p = np.full((4, 2, 2), 0.25)
-        loss, _ = ops.categorical_cross_entropy(p, t)
+        loss, _ = ops.categorical_cross_entropy(p, np.array([[0, 1], [2, 3]]))
         assert loss == pytest.approx(1.3862943611198906, abs=1e-15)
         assert loss == pytest.approx(math.log(4))
 
     def test_all_ignored_raises(self):
-        t = one_hot_from([[0]], 2)
         p = np.full((2, 1, 1), 0.5)
         with pytest.raises(EmptyLossError):
-            ops.categorical_cross_entropy(p, t, np.ones((1, 1)))
+            ops.categorical_cross_entropy(p, np.array([[0]]), np.ones((1, 1)))
 
     def test_gradient_is_p_minus_t_over_n(self):
         logits = rand_array(95, (3, 2, 2), low=-2, high=2)
         p = ops.softmax(logits, axis=0)
-        t = one_hot_from([[0, 1], [2, 0]], 3)
+        labels = np.array([[0, 1], [2, 0]])
         mask = np.array([[0, 1], [0, 0]])
-        _, grad = ops.categorical_cross_entropy(p, t, mask)
+        _, grad = ops.categorical_cross_entropy(p, labels, mask)
         valid = (mask == 0)
-        expected = (p - t) * valid / valid.sum()
+        expected = (p - one_hot_from(labels, 3)) * valid / valid.sum()
         assert np.allclose(grad, expected, atol=1e-15)
         assert np.all(grad[:, 0, 1] == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_one_hot_formula_bit_for_bit(self, dtype, masked):
+        """The label form gives the bytes of the one-hot formula: -log of
+        sum(p * t) over channels, and (p - t) * valid / n_valid."""
+        p = ops.softmax(rand_array(99, (4, 5, 6), low=-3, high=3).astype(dtype), axis=0)
+        labels = SeededRng(100).integers(0, 4, (5, 6)).astype(np.uint8)
+        mask = (SeededRng(101).integers(0, 3, (5, 6)) == 0).astype(np.uint8) if masked else None
+        loss, grad = ops.categorical_cross_entropy(p, labels, mask)
+        t = one_hot_from(labels, 4).astype(dtype)
+        valid = np.ones((5, 6), dtype=bool) if mask is None else mask == 0
+        n = int(valid.sum())
+        logs = -np.log(np.maximum((p * t).sum(axis=0), np.finfo(dtype).tiny))
+        want = (p - t) * valid / n
+        assert loss == float(logs[valid].sum() / n)
+        assert grad.dtype == dtype and grad.tobytes() == want.tobytes()
 
     def test_masked_pixels_do_not_change_loss(self):
         logits = rand_array(96, (3, 2, 2))
         p = ops.softmax(logits, axis=0)
-        t = one_hot_from([[0, 1], [2, 0]], 3)
+        labels = np.array([[0, 1], [2, 0]])
         mask = np.array([[0, 1], [0, 0]])
-        loss_masked, _ = ops.categorical_cross_entropy(p, t, mask)
-        p_true = (p * t).sum(axis=0)
+        loss_masked, _ = ops.categorical_cross_entropy(p, labels, mask)
+        p_true = (p * one_hot_from(labels, 3)).sum(axis=0)
         manual = -np.log(p_true)[mask == 0].mean()
         assert loss_masked == pytest.approx(manual)
 
     def test_grad_matches_finite_difference_through_softmax(self):
         logits = rand_array(97, (3, 3, 3), low=-1, high=1)
-        t = one_hot_from(SeededRng(98).integers(0, 3, (3, 3)), 3)
+        labels = SeededRng(98).integers(0, 3, (3, 3))
 
         def loss():
             p = ops.softmax(logits, axis=0)
-            return ops.categorical_cross_entropy(p, t)[0]
+            return ops.categorical_cross_entropy(p, labels)[0]
 
         p = ops.softmax(logits, axis=0)
-        _, grad = ops.categorical_cross_entropy(p, t)
+        _, grad = ops.categorical_cross_entropy(p, labels)
         assert max_rel_err(grad, numeric_grad(loss, logits)) < TOL
 
     def test_rejects_non_distribution(self):
-        t = one_hot_from([[0]], 2)
         with pytest.raises(DataError):
-            ops.categorical_cross_entropy(np.full((2, 1, 1), 0.7), t)
+            ops.categorical_cross_entropy(np.full((2, 1, 1), 0.7), np.array([[0]]))
 
     def test_rejects_nan_probabilities(self):
-        t = one_hot_from([[0, 1]], 2)
         p = np.full((2, 1, 2), 0.5)
         p[0, 0, 1] = np.nan
         with pytest.raises(DataError, match="do not sum to 1"):
-            ops.categorical_cross_entropy(p, t)
+            ops.categorical_cross_entropy(p, np.array([[0, 1]]))
 
-    def test_rejects_non_one_hot(self):
-        p = np.full((2, 1, 1), 0.5)
-        with pytest.raises(DataError):
-            ops.categorical_cross_entropy(p, np.full((2, 1, 1), 0.5))
+    def test_rejects_labels_outside_classes(self):
+        p = np.full((2, 1, 2), 0.5)
+        for bad in ([[0, 2]], [[-1, 0]], [[0.0, 1.0]]):
+            with pytest.raises(DataError, match=r"class ids in \[0, 2\)"):
+                ops.categorical_cross_entropy(p, np.array(bad))
+
+    def test_rejects_label_shape_mismatch(self):
+        p = np.full((2, 1, 2), 0.5)
+        with pytest.raises(ShapeError, match="labels shape"):
+            ops.categorical_cross_entropy(p, np.zeros((2, 1), dtype=int))

@@ -36,6 +36,7 @@ from terraseg.pipeline import (
     IMAGE_ARRAY,
     LABEL_ARRAY,
     MASK_ARRAY,
+    _SampleSource,
     cmd_evaluate,
     cmd_ingest,
     cmd_predict,
@@ -709,6 +710,25 @@ class TestWeekReader:
                 config, evaluate=EvaluateSection(fold=fold)), out_dir=out)
             assert values.keys() == want.keys()
             assert (out / "report.json").read_text(encoding="utf-8") == report_json(want)
+
+    def test_samples_hold_the_stored_image_and_class_labels(self, tmp_path):
+        """A sample is the store's float32 image and its u8 label plane; a
+        label-nodata pixel is class 0 there and masked."""
+        config = self.build(tmp_path, weeks=2)
+        images, labels, cloud = self.reference(tmp_path, config)
+        assert ((labels == 255) & (cloud == 0)).any()  # unlabelled, not cloudy
+        src = _SampleSource(config, Store(config.store), config.train)
+        got = list(src.samples(range(2)))
+        # the SCL mask covers tile (0, 0) whole, so it is skipped each week
+        assert [i for i, _ in got] == [1, 2, 3, 4, 5] * 2
+        for w, (i, s) in zip([0] * 5 + [1] * 5, got):
+            want = images[i].copy()
+            want[:CHANNELS] = np.roll(want[:CHANNELS], w, axis=0)
+            assert s.image.dtype == np.float32 and np.array_equal(s.image, want)
+            nodata = labels[i] == 255
+            assert s.labels.dtype == np.uint8
+            assert np.array_equal(s.labels, np.where(nodata, 0, labels[i]))
+            assert np.array_equal(s.ignore, (cloud[i] != 0) | nodata)
 
     def test_predict_skips_fully_ignored_tiles(self, tmp_path, monkeypatch):
         config = self.build(tmp_path, weeks=1)

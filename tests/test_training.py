@@ -8,8 +8,7 @@ import pytest
 import terraseg.training as training_mod
 from terraseg.errors import DataError, ParameterError
 from terraseg.optim import AdamState, SgdState
-from terraseg.synth import make_tile, one_hot
-from terraseg.tensor import Tensor
+from terraseg.synth import make_tile
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,
@@ -23,8 +22,7 @@ from terraseg.training import (
 
 def tiny_sample(seed=3):
     image, labels = make_tile(seed, size=8, channels=2, num_classes=2)
-    target, ignore = one_hot(labels, 2)
-    return Sample(image, target, ignore)
+    return Sample(image, labels)
 
 
 def tiny_graph(seed=1):
@@ -221,9 +219,9 @@ class TestDivergence:
 
     def nan_sample(self):
         s = tiny_sample()
-        image = s.image.data.copy()
+        image = s.image.copy()
         image[0, 0, 0] = np.nan
-        return Sample(Tensor(image), s.target, s.ignore)
+        return Sample(image, s.labels, s.ignore)
 
     def diverge(self, tmp_path, graph, train, val=None):
         before = {k: v.copy() for k, v in graph.parameters().items()}
