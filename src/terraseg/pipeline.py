@@ -10,7 +10,7 @@ tiled array holds one row of tiles per chunk; Sentinel-3 only when
     Sentinel-2/MSI/ignore_masks     u8  [weeks, ty, tx, th, tw]      [1, 1, tx, th, tw]
     Sentinel-3/OLCI/300m            f32 [weeks, ty, tx, hc, wc, cc]  [1, 1, tx, hc, wc, cc]
     Labels/CLC_10m/labels           u8  [ty, tx, th, tw]             [1, tx, th, tw]
-    Labels/CLC_10m/multilabel_stratified_kfolds   i32 [ty*tx]        [ty*tx] (raw codec)
+    Labels/CLC_10m/multilabel_stratified_kfolds   i32 [ty*tx]        [ty*tx]
 
 Train, evaluate and predict read samples one week block at a time: one read
 per input array and one for the mask per week, and the labels once.
@@ -224,7 +224,7 @@ def cmd_split(config: PipelineConfig):
     store.remove(_node(config, FOLD_ARRAY))
     n = len(records)
     arr = store.create_array(
-        _node(config, FOLD_ARRAY), [n], [n], "i32", codec="raw",
+        _node(config, FOLD_ARRAY), [n], [n], "i32",
         attributes=fold_manifest(assignment, records, config.seed))
     arr.write_region((0,), np.array([assignment.fold_of(i) for i in range(n)],
                                     dtype=np.int32))

@@ -376,19 +376,18 @@ def test_round_trips(tmp_path):
 
         store = Store(str(tmp_path / "rt_store"))
         cases = [
-            ("a/raw64", "f64", "raw", (7, 13), (4, 5)),
-            ("a/z32", "f32", "deflate", (20, 20, 3), (8, 8, 2)),
-            ("a/zu16", "u16", "deflate", (9,), (4,)),
+            ("a/raw64", "f64", (7, 13), (4, 5)),
+            ("a/z32", "f32", (20, 20, 3), (8, 8, 2)),
+            ("a/zu16", "u16", (9,), (4,)),
         ]
         payloads = {}
-        for path, dt, codec, shape, chunks in cases:
+        for path, dt, shape, chunks in cases:
             if dt == "u16":
                 data = rng.integers(0, 65536, size=shape).astype(np.uint16)
             else:
                 data = rng.uniform(-1.0, 1.0, size=shape).astype(
                     np.float64 if dt == "f64" else np.float32)
-            arr = store.create_array(path, list(shape), list(chunks), dt,
-                                     codec=codec)
+            arr = store.create_array(path, list(shape), list(chunks), dt)
             arr.write_region((0,) * len(shape), data)
             payloads[path] = (shape, data)
         reopened = Store(str(tmp_path / "rt_store"))

@@ -5,6 +5,7 @@ locking, and byte-level determinism of the on-disk tree."""
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import zlib
@@ -12,8 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from terraseg.chunkstore import Store, StoredArray
+from terraseg import synth
+from terraseg.chunkstore import PROBE_BYTES, Store, StoredArray
 from terraseg.georaster import DTYPE_CODES
 from terraseg.errors import (
     IntegrityError,
@@ -27,6 +31,29 @@ from terraseg.errors import (
 @pytest.fixture
 def store(tmp_path):
     return Store(tmp_path / "store")
+
+
+def plane_table(blob: bytes, itemsize: int) -> list[tuple[int, int]]:
+    """(flag, stored length) of each byte plane of an encoded chunk file."""
+    return list(struct.iter_unpack("<BI", blob[: 5 * itemsize]))
+
+
+def planes_of(blob: bytes, itemsize: int) -> list[bytes]:
+    """The decoded byte planes of an encoded chunk file: flag 0 is raw,
+    flag 1 deflated; the bodies follow the table and end at the crc."""
+    at, out = 5 * itemsize, []
+    for flag, length in plane_table(blob, itemsize):
+        body = blob[at : at + length]
+        at += length
+        assert flag in (0, 1)
+        out.append(zlib.decompress(body) if flag else body)
+    assert at == len(blob) - 4
+    return out
+
+
+def with_crc(key: str, payload: bytes) -> bytes:
+    """A chunk file whose crc32 trailer (seeded with the key's) matches."""
+    return payload + zlib.crc32(payload, zlib.crc32(key.encode())).to_bytes(4, "little")
 
 
 def tree_digest(root: Path) -> str:
@@ -100,8 +127,6 @@ class TestArrayCreation:
             store.create_array("a", (10, 0), (2, 2), "u8")
         with pytest.raises(ParameterError):
             store.create_array("a", (10, 10), (4, 4), "c64")
-        with pytest.raises(ParameterError):
-            store.create_array("a", (10, 10), (4, 4), "u8", codec="lz4")
 
     def test_conflicts(self, store):
         store.create_array("a", (8, 8), (4, 4), "u8")
@@ -120,13 +145,83 @@ class TestArrayCreation:
 
 class TestRegionIO:
     @pytest.mark.parametrize("dtype", ["u8", "u16", "i32", "f32", "f64"])
-    @pytest.mark.parametrize("codec", ["raw", "deflate"])
-    def test_round_trip_bit_exact(self, store, rng, dtype, codec):
-        a = store.create_array(f"{codec}/{dtype}", shape=(20, 20), chunks=(8, 8),
-                               dtype=dtype, codec=codec)
-        data = rng.uniform(0, 100, (20, 20)).astype(DTYPE_CODES[dtype])
+    @pytest.mark.parametrize("planes", ["raw", "deflate"])
+    def test_round_trip_bit_exact(self, store, rng, dtype, planes):
+        # random bytes store every plane of a full chunk raw, a few small
+        # integers deflate every one
+        dt = DTYPE_CODES[dtype]
+        a = store.create_array(f"{planes}/{dtype}", shape=(20, 20), chunks=(8, 8),
+                               dtype=dtype)
+        if planes == "raw":
+            data = rng.integers(0, 256, 400 * dt.itemsize, dtype=np.uint8).view(dt)
+        else:
+            data = rng.integers(0, 4, 400).astype(dt)
+        data = data.reshape(20, 20)
         a.write_region((0, 0), data)
-        assert np.array_equal(a.read_region((0, 0), (20, 20)), data)
+        assert a.read_region((0, 0), (20, 20)).tobytes() == data.tobytes()
+        blob = (store.root / planes / dtype / "c.0.0").read_bytes()
+        flags = [f for f, _ in plane_table(blob, dt.itemsize)]
+        assert flags == [planes == "deflate"] * dt.itemsize
+
+    @given(data=st.data(), dtype=st.sampled_from(sorted(DTYPE_CODES)),
+           shape=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           kinds=st.lists(st.sampled_from(["constant", "noise", "runs", "noisy-tail"]),
+                          min_size=8, max_size=8),
+           long_planes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_any_planes_round_trip_bit_exact(self, tmp_path_factory, data, dtype,
+                                             shape, kinds, long_planes, seed):
+        # each byte plane of the data is constant, noise, long runs, or
+        # constant over the probed prefix and noise after it, so a chunk mixes
+        # raw and deflated planes; chunks are fill-padded at the edges, and a
+        # long array has planes longer than the probed prefix
+        dt = DTYPE_CODES[dtype]
+        if long_planes:
+            shape = [PROBE_BYTES + 1 + shape[0] * 97]
+        chunks = [data.draw(st.integers(1, n)) for n in shape]
+        if long_planes:
+            chunks = [shape[0] - data.draw(st.integers(0, 50))]
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(shape))
+        cols = []
+        for kind in kinds[: dt.itemsize]:
+            noise = rng.integers(0, 256, n, dtype=np.uint8)
+            if kind == "constant":
+                col = np.full(n, rng.integers(0, 256), np.uint8)
+            elif kind == "noise":
+                col = noise
+            elif kind == "runs":
+                col = np.repeat(noise[: n // 64 + 1], 64)[:n]
+            else:
+                col = np.where(np.arange(n) < PROBE_BYTES, noise[0], noise)
+            cols.append(col)
+        values = np.stack(cols, axis=1).reshape(-1).view(dt).reshape(shape)
+        root = tmp_path_factory.mktemp("store")
+        a = Store(root).create_array("a", shape, chunks, dtype,
+                                     fill=data.draw(st.integers(0, 100)))
+        a.write_region((0,) * len(shape), values)
+        again = Store(root).array("a").read_region((0,) * len(shape), shape)
+        assert again.dtype == dt and again.tobytes() == values.tobytes()
+
+    def test_plane_choice_follows_each_planes_bytes(self, store):
+        # one tile row of 8 tiles of a 4-channel float32 scene: 32,768
+        # elements, each plane twice the probed prefix
+        data, _, _ = synth.make_scene(4, 64, 256, 4)
+        scenes = {"noise": data, "integer": np.round(data * 1e4).astype(np.float32)}
+        flags = {}
+        for name, scene in scenes.items():
+            blocks = scene.reshape(4, 2, 32, 8, 32).transpose(1, 3, 2, 4, 0)[None]
+            a = store.create_array(name, blocks.shape, (1, 1, 8, 32, 32, 4), "f32")
+            a.write_region((0,) * 6, blocks)
+            assert a.read_region((0,) * 6, blocks.shape).tobytes() == blocks.tobytes()
+            blob = (store.root / name / "c.0.0.0.0.0.0").read_bytes()
+            flags[name] = [f for f, _ in plane_table(blob, 4)]
+        # noise leaves the low mantissa planes incompressible; an
+        # integer-valued scene's low planes compress, so the same dtype
+        # gets a different choice per plane
+        assert flags["noise"][:2] == [0, 0]
+        assert flags["integer"][:2] == [1, 1]
+        assert flags["noise"][3] == flags["integer"][3] == 1  # sign and exponent
 
     @pytest.mark.parametrize("dtype", sorted(DTYPE_CODES))
     def test_deflate_stores_shuffled_bytes(self, store, rng, dtype):
@@ -144,10 +239,10 @@ class TestRegionIO:
         blob = (store.root / dtype / "c.1.1").read_bytes()
         chunk = np.full((4, 4), 3, dtype=dt)
         chunk[:1, :3] = data[4:, 4:]
-        shuffled = chunk.view(np.uint8).reshape(16, dt.itemsize).T.tobytes()
-        assert zlib.decompress(blob[:-4]) == shuffled
+        shuffled = chunk.view(np.uint8).reshape(16, dt.itemsize).T
+        assert planes_of(blob, dt.itemsize) == [p.tobytes() for p in shuffled]
         if dt.itemsize == 1:
-            assert shuffled == chunk.tobytes()
+            assert shuffled.tobytes() == chunk.tobytes()
 
     def test_read_inside_one_chunk(self, store, rng, monkeypatch):
         a = store.create_array("a", shape=(2, 3, 8, 8), chunks=(1, 3, 8, 8), dtype="f32")
@@ -187,15 +282,17 @@ class TestRegionIO:
         assert np.array_equal(a.read_region((0, 0), (10, 13)), data)
         assert np.array_equal(a.read_region((8, 12), (2, 1)), data[8:, 12:])
 
-    @pytest.mark.parametrize("codec", ["raw", "deflate"])
-    def test_one_call_writes_what_one_call_per_chunk_writes(self, tmp_path, rng, codec):
+    @pytest.mark.parametrize("planes", ["raw", "deflate"])
+    def test_one_call_writes_what_one_call_per_chunk_writes(self, tmp_path, rng, planes):
         # 4 x 3 x 2 chunks, edge chunks padded on every axis, written by one
-        # call against one chunk per call, in reverse C order
+        # call against one chunk per call, in reverse C order; noise stores
+        # its planes raw, a constant deflates them
         shape, chunks = (7, 11, 5), (2, 4, 3)
-        data = rng.normal(0, 1e3, shape).astype(np.float32)
-        one = Store(tmp_path / "one").create_array("a", shape, chunks, "f32", codec, fill=-1)
+        data = (rng.normal(0, 1e3, shape) if planes == "raw"
+                else np.full(shape, 2.5)).astype(np.float32)
+        one = Store(tmp_path / "one").create_array("a", shape, chunks, "f32", fill=-1)
         one.write_region((0, 0, 0), data)
-        per = Store(tmp_path / "per").create_array("a", shape, chunks, "f32", codec, fill=-1)
+        per = Store(tmp_path / "per").create_array("a", shape, chunks, "f32", fill=-1)
         for idx in reversed(list(np.ndindex(4, 3, 2))):
             lo = [i * c for i, c in zip(idx, chunks)]
             region = tuple(slice(o, min(o + c, n)) for o, c, n in zip(lo, chunks, shape))
@@ -206,6 +303,8 @@ class TestRegionIO:
         for name in files:
             assert ((tmp_path / "one" / "a" / name).read_bytes()
                     == (tmp_path / "per" / "a" / name).read_bytes()), name
+        blob = (tmp_path / "one" / "a" / "c.0.0.0").read_bytes()
+        assert {f for f, _ in plane_table(blob, 4)} == {planes == "deflate"}
 
     def test_full_chunk_is_encoded_from_the_region(self, store, rng, monkeypatch):
         a = store.create_array("a", shape=(8, 6), chunks=(4, 6), dtype="u16", fill=9)
@@ -338,12 +437,44 @@ class TestIntegrity:
         store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
         meta = store.root / "a" / ".array.json"
         doc = json.loads(meta.read_text(encoding="utf-8"))
-        assert doc["format"] == 3
-        doc["format"] = 2  # chunks deflated without the byte-shuffle
-        meta.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(IntegrityError,
-                           match="'a' predates store format 3; re-ingest the store"):
-            store.array("a")
+        assert doc["format"] == 4
+        # 2: chunks deflated without the byte-shuffle; 3: the shuffled chunk
+        # deflated as one stream, without the plane table
+        for old in (2, 3):
+            meta.write_text(json.dumps({**doc, "format": old}), encoding="utf-8")
+            with pytest.raises(IntegrityError,
+                               match="'a' predates store format 4; re-ingest the store"):
+                store.array("a")
+
+    RAW4 = b"\x00\x04\x00\x00\x00"  # table entry of a raw 4-byte plane
+
+    @pytest.mark.parametrize("payload, why", [
+        pytest.param(b"\x00\x04\x00\x00", "4 bytes cannot hold its plane table",
+                     id="short-table"),
+        pytest.param(b"\x01\x03\x00\x00\x00" + RAW4 * 3 + b"abc" + bytes(12),
+                     "plane 0: Error -3 while decompressing", id="bad-deflate-stream"),
+        pytest.param(b"\x07\x04\x00\x00\x00" + RAW4 * 3 + bytes(16),
+                     "plane 0 has unknown flag 7", id="unknown-flag"),
+        pytest.param(RAW4 * 3 + b"\x00\x05\x00\x00\x00" + bytes(16),
+                     "plane 3 runs past the payload", id="plane-past-payload"),
+        pytest.param(b"\x00\x03\x00\x00\x00" + RAW4 * 3 + bytes(15),
+                     "plane 0 holds 3 bytes, expected 4", id="short-raw-plane"),
+        pytest.param(b"\x01\x0b\x00\x00\x00" + RAW4 * 3 + zlib.compress(bytes(5)) + bytes(12),
+                     "plane 0 holds 5 bytes, expected 4", id="long-deflated-plane"),
+        pytest.param(RAW4 * 4 + bytes(17), "1 bytes follow the last plane",
+                     id="bytes-after-last-plane"),
+    ])
+    def test_undecodable_chunk_with_a_valid_crc_detected(self, store, payload, why):
+        # a 4-element f32 chunk is four 4-byte planes
+        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="f32")
+        (store.root / "a" / "c.0").write_bytes(with_crc("0", payload))
+        with pytest.raises(IntegrityError) as raised:
+            a.read_region((0,), (4,))
+        assert str(raised.value).startswith(f"undecodable chunk 0 of 'a': {why}")
+        with pytest.raises(IntegrityError, match=r"^undecodable chunk 0 of 'a': "):
+            a.write_region((1,), np.zeros(2, dtype=np.float32))
+        a.write_region((0,), np.arange(4, dtype=np.float32))  # a full write replaces it
+        assert a.read_region((0,), (4,)).tolist() == [0, 1, 2, 3]
 
     def test_handle_sees_writes_made_through_another(self, store):
         store.create_array("a", shape=(6,), chunks=(4,), dtype="i32", fill=-1)

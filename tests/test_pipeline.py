@@ -9,6 +9,7 @@ the training steps cheap.
 import collections
 import dataclasses
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -970,17 +971,33 @@ class TestCli:
         out = str(tmp_path / "run")
         assert main(["ingest", "--config", cfg]) == 0
         assert main(["train", "--config", cfg, "--out", out]) == 0
-        for meta in (tmp_path / "store").rglob(".array.json"):
-            doc = json.loads(meta.read_text(encoding="utf-8"))
-            meta.write_text(json.dumps({**doc, "format": 2}), encoding="utf-8")
-        capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", out]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error[data]: array ") and err.count("\n") == 1
-        assert err.endswith(" predates store format 3; re-ingest the store\n")
+        for old in (2, 3):  # 3: shuffled chunks deflated without a plane table
+            for meta in (tmp_path / "store").rglob(".array.json"):
+                doc = json.loads(meta.read_text(encoding="utf-8"))
+                meta.write_text(json.dumps({**doc, "format": old}), encoding="utf-8")
+            capsys.readouterr()
+            assert main([command, "--config", cfg, "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error[data]: array ") and err.count("\n") == 1
+            assert err.endswith(" predates store format 4; re-ingest the store\n")
+            assert main(["ingest", "--config", cfg]) == 0
+            assert main([command, "--config", cfg, "--out", out]) == 0
+            capsys.readouterr()
+
+    def test_undecodable_chunk_exits_3_in_one_line(self, tmp_path, capsys):
+        # a label chunk whose crc holds but whose one plane is no deflate stream
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
         assert main(["ingest", "--config", cfg]) == 0
-        assert main([command, "--config", cfg, "--out", out]) == 0
+        payload = b"\x01\x03\x00\x00\x00abc"
+        crc = zlib.crc32(payload, zlib.crc32(b"0.0.0.0"))
+        chunk = tmp_path / "store" / LABEL_ARRAY / "c.0.0.0.0"
+        chunk.write_bytes(payload + crc.to_bytes(4, "little"))
         capsys.readouterr()
+        assert main(["split", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: undecodable chunk 0.0.0.0 of ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
     def test_checkpoint_override_needs_the_section(self, tmp_path, capsys, command):
