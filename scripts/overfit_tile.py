@@ -9,10 +9,10 @@ reports the final loss and per-class agreement.
 import argparse
 import time
 
-from terraseg.optim import AdamState
+from terraseg.config import TrainSection
 from terraseg.synth import make_tile
 from terraseg.topologies import TopologySpec, build_topology
-from terraseg.training import Sample, TrainConfig, evaluate_samples, fit
+from terraseg.training import Sample, evaluate_samples, fit
 
 REPORT_METRICS = ("accuracy", "MIoU", "F1")
 
@@ -33,11 +33,11 @@ def main() -> int:
     graph = build_topology(spec, input_hw=(args.size, args.size), seed=args.seed)
     print(f"{args.kind}: {graph.count_parameters()} parameters")
 
-    config = TrainConfig(epochs=args.epochs, seed=args.seed,
-                         early_stop_patience=None, plateau_patience=None,
-                         metric_names=("accuracy", "MIoU"))
+    # patiences of ``epochs`` never fire: every epoch runs at the Adam defaults
+    train = TrainSection(epochs=args.epochs, early_stop_patience=args.epochs,
+                         plateau_patience=args.epochs)
     t0 = time.time()
-    history = fit(graph, [sample], config, AdamState())
+    history = fit(graph, [sample], train, seed=args.seed)
     print(history.table(), end="")
     loss, metrics, _ = evaluate_samples(graph, [sample], REPORT_METRICS)
     line = "  ".join(f"{k}={v:.4f}" for k, v in metrics.items())

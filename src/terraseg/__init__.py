@@ -27,7 +27,7 @@ from .tensor import SeededRng, mix_seed
 from .graph import NetworkGraph, grad_check
 from .optim import AdamState, SgdState, apply_step
 from .checkpoint import checkpoint_load, checkpoint_save
-from .training import History, Sample, TrainConfig, evaluate_samples, fit
+from .training import History, Sample, evaluate_samples, fit
 from .topologies import TopologySpec, build_topology
 from .metrics import ConfusionMatrix, confusion_update, report
 from .datasplit import (
@@ -51,7 +51,7 @@ __all__ = [
     "GeoRaster", "GraphError", "History", "IntegrityError", "NetworkGraph",
     "ParameterError", "PipelineConfig", "Sample", "SampleRecord", "SeededRng",
     "SgdState", "ShapeError", "Store", "StoreConflictError", "StoreLockError",
-    "StoreNotFoundError", "TerrasegError", "TopologySpec", "TrainConfig",
+    "StoreNotFoundError", "TerrasegError", "TopologySpec",
     "UndefinedMetricError", "WktGeometry", "WktParseError",
     "apply_step", "build_catalog_query", "build_topology", "checkpoint_load",
     "checkpoint_save", "confusion_update", "cross_validate",

@@ -336,10 +336,13 @@ class StoredArray:
                 raise undecodable(f"plane {j} runs past the payload")
             body, at = payload[at:at + length], at + length
             if flag == _DEFLATE:
+                inflate = zlib.decompressobj()
                 try:
-                    body = zlib.decompress(body, bufsize=n)
+                    body = inflate.decompress(body)
                 except zlib.error as exc:
                     raise undecodable(f"plane {j}: {exc}") from None
+                if not inflate.eof or inflate.unused_data:
+                    raise undecodable(f"plane {j} is not one whole deflate stream")
             elif flag != _RAW:
                 raise undecodable(f"plane {j} has unknown flag {flag}")
             if len(body) != n:

@@ -13,6 +13,11 @@ fields, and keep per-key code only for the few keys whose YAML form differs
 from the field (``_FORMS`` / ``_DUMPS``) and for enumerated values
 (``_CHOICES``).
 
+Each section checks its own values in ``__post_init__``, so a bad value
+fails the parse as a ConfigError at the section's path, and a section built
+in Python (``fit`` takes a ``TrainSection``) meets the same rules. Only the
+checks that need the store wait for a command.
+
 Sections are optional at parse time; each CLI command demands its own
 section when it runs. Keys that must agree with another section (the tile
 size with the topology depth, the class counts of ingest and the topology,
@@ -32,7 +37,9 @@ import yaml
 
 from .errors import ConfigError, ParameterError
 from .georaster import DEFAULT_CLOUD_CLASSES
+from .metrics import REPORT_KEYS
 from .ops import RELU, ActivationKind
+from .optim import AdamState, SgdState
 from .topologies import KINDS, TopologySpec, _check_input
 
 __all__ = [
@@ -57,6 +64,25 @@ class OptimizerConfig:
     beta_2: float = 0.999
     epsilon: float = 1e-7
 
+    def __post_init__(self):
+        self.state()
+
+    def state(self) -> SgdState | AdamState:
+        """A fresh optimizer state with these settings."""
+        if self.kind == "sgd":
+            return SgdState(lr=self.lr)
+        if self.kind == "adam":
+            return AdamState(lr=self.lr, beta1=self.beta_1, beta2=self.beta_2,
+                             eps=self.epsilon)
+        raise ParameterError(f"unknown optimizer kind {self.kind!r}")
+
+
+def _at_least(low: int, **values) -> None:
+    """Raise ParameterError naming the first of ``values`` below ``low``."""
+    for name, value in values.items():
+        if value < low:
+            raise ParameterError(f"{name} must be >= {low}, got {value}")
+
 
 @dataclass(frozen=True)
 class IngestSection:
@@ -71,11 +97,21 @@ class IngestSection:
     class_map: tuple[tuple[int, int], ...] | None = None
     cloud_classes: tuple[int, ...] = DEFAULT_CLOUD_CLASSES
 
+    def __post_init__(self):
+        _at_least(1, weeks=self.weeks, tile_size=self.tile_size)
+        _at_least(2, num_classes=self.num_classes)
+        if not 0 <= self.label_nodata <= 255:  # the label array is u8
+            raise ParameterError(f"label_nodata must be in [0, 255], got {self.label_nodata}")
+
 
 @dataclass(frozen=True)
 class SplitSection:
     k: int = 5
     min_pixels: int = 1
+
+    def __post_init__(self):
+        _at_least(2, k=self.k)
+        _at_least(1, min_pixels=self.min_pixels)
 
 
 @dataclass(frozen=True)
@@ -99,6 +135,20 @@ class TrainSection:
     slice_timestamps: tuple[int, int] = (0, 1)
     validation_fold: int | None = None
 
+    def __post_init__(self):  # a patience of ``epochs`` or more never fires
+        _at_least(1, epochs=self.epochs, batch_size=self.batch_size)
+        _at_least(0, early_stop_patience=self.early_stop_patience,
+                  plateau_patience=self.plateau_patience, min_delta=self.min_delta)
+        if not 0 < self.plateau_factor < 1:
+            raise ParameterError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
+        for name in self.metrics:
+            if name not in REPORT_KEYS:
+                raise ParameterError(f"unknown metric {name!r} (know {REPORT_KEYS})")
+        record = ("epoch", "lr", "train_loss", "val_loss") + self.metrics
+        if self.monitor not in record:
+            raise ParameterError(f"monitor {self.monitor!r} is not a key of the "
+                                 f"epoch record {record}")
+
 
 @dataclass(frozen=True)
 class EvaluateSection:
@@ -113,6 +163,9 @@ class PredictSection:
     week: int = 0
     out: str = "prediction"
     preview: bool = False
+
+    def __post_init__(self):
+        _at_least(0, week=self.week)
 
 
 @dataclass(frozen=True)
@@ -246,6 +299,8 @@ def _parse_slice(raw, path: str) -> tuple[int, int]:
     if (not isinstance(raw, list) or len(raw) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
         raise ConfigError(f"{path}: expected [start, stop] ints")
+    if raw[0] < 0:
+        raise ConfigError(f"{path}: start must be >= 0")
     if raw[0] >= raw[1]:
         raise ConfigError(f"{path}: start must be < stop")
     return (raw[0], raw[1])
@@ -303,7 +358,10 @@ def parse_config(text: str) -> PipelineConfig:
     try:
         doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from None
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"config is not valid YAML: {problem}{where}") from None
     config = _build(PipelineConfig, {} if doc is None else doc, "config")
     _check_across_sections(config)
     return config

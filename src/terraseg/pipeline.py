@@ -28,6 +28,7 @@ float32 value exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -57,10 +58,9 @@ from .georaster import (
     write_ppm,
 )
 from .metrics import ConfusionMatrix, confusion_update, render_report, report, report_json
-from .optim import AdamState, SgdState
 from .tensor import mix_seed
 from .topologies import build_topology
-from .training import History, Sample, TrainConfig, fit
+from .training import History, Sample, fit
 from .wkt import parse_wkt
 
 log = logging.getLogger("terraseg")
@@ -306,13 +306,6 @@ def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.n
     return arr.read_region((0,), arr.shape)
 
 
-def _make_optimizer(opt_config):
-    if opt_config.kind == "sgd":
-        return SgdState(lr=opt_config.lr)
-    return AdamState(lr=opt_config.lr, beta1=opt_config.beta_1,
-                     beta2=opt_config.beta_2, eps=opt_config.epsilon)
-
-
 def cmd_train(config: PipelineConfig, out_dir=".") -> History:
     """Build samples from the store, train the configured topology."""
     t = _section(config, "train")
@@ -341,17 +334,11 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
     graph = build_topology(t.topology, input_hw=(src.th, src.tw),
                            seed=mix_seed(config.seed, "init"))
     graph.set_dtype(ENGINE_DTYPE)
-    ckpt = str(_resolve(t.checkpoint, out_dir)) if t.checkpoint else None
-    if ckpt:
-        Path(ckpt).parent.mkdir(parents=True, exist_ok=True)
-    tc = TrainConfig(
-        epochs=t.epochs, batch_size=t.batch_size, seed=config.seed,
-        shuffle=t.randomise, monitor=t.monitor, min_delta=t.min_delta,
-        early_stop_patience=t.early_stop_patience,
-        plateau_patience=t.plateau_patience, plateau_factor=t.plateau_factor,
-        checkpoint_path=ckpt, metric_names=t.metrics)
-    history = fit(graph, train_samples, tc, _make_optimizer(t.optimizer),
-                  val_samples or None)
+    if t.checkpoint:
+        ckpt = _resolve(t.checkpoint, out_dir)
+        ckpt.parent.mkdir(parents=True, exist_ok=True)
+        t = dataclasses.replace(t, checkpoint=str(ckpt))
+    history = fit(graph, train_samples, t, config.seed, val_samples or None)
     base = _resolve(t.history or "history", out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)
     base.with_suffix(".txt").write_text(history.table(), encoding="utf-8")
@@ -407,7 +394,7 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     src = _SampleSource(config, store, t)
     graph, _ = checkpoint_load(str(_checkpoint_path(config, p, out_dir)))
     graph.set_dtype(ENGINE_DTYPE)
-    if not 0 <= p.week < src.weeks:
+    if p.week >= src.weeks:  # config.predict checks week >= 0
         raise ParameterError(f"week {p.week} outside the {src.weeks}-week store")
 
     images, ignore = src.week(p.week)

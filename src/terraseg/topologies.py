@@ -9,7 +9,8 @@ units (ResUNet).
 
 With ``padded=False`` the U-Net runs unpadded convolutions, so feature maps
 shrink and the skip crop becomes a real crop; the output is then smaller
-than the input (the padded default keeps them equal).
+than the input (the padded default keeps them equal). SegNet and ResUNet
+take padded convolutions only.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ class TopologySpec:
             raise ParameterError(f"need at least 2 classes, got {self.num_classes}")
         if not isinstance(self.activation, ActivationKind):
             raise ParameterError("activation must be an ActivationKind")
+        if not self.padded and self.kind != "unet":
+            # the SegNet mirror and the residual sums need equal shapes
+            raise ParameterError(f"padded=False needs kind 'unet', got {self.kind!r}")
 
 
 def _check_input(spec: TopologySpec, input_hw: tuple[int, int]) -> None:
@@ -75,49 +79,70 @@ def _check_input(spec: TopologySpec, input_hw: tuple[int, int]) -> None:
         )
 
 
-def _conv_act(g: NetworkGraph, name: str, prev: str, cin: int, cout: int,
-              act: ActivationKind, pad: int, rng: SeededRng, kernel: int = 3) -> str:
-    g.add(f"{name}", Conv2d(cin, cout, kernel, 1, pad, rng=rng.spawn(name)), [prev])
-    return g.add(f"{name}_act", ActivationLayer(act), [f"{name}"])
+def _conv_pair(g: NetworkGraph, name: str, prev: str, cin: int, cout: int,
+               spec: TopologySpec, rng: SeededRng) -> str:
+    """The U-Net unit: two 3x3 conv+act."""
+    pad = 1 if spec.padded else 0
+    for conv, c in ((f"{name}_conv1", cin), (f"{name}_conv2", cout)):
+        g.add(conv, Conv2d(c, cout, 3, 1, pad, rng=rng.spawn(conv)), [prev])
+        prev = g.add(f"{conv}_act", ActivationLayer(spec.activation), [conv])
+    return prev
 
 
-def build_unet(spec: TopologySpec, input_hw: tuple[int, int] = (32, 32),
-               seed: int = 0) -> NetworkGraph:
-    """Two 3x3 conv+act per stage; transpose-conv upsampling; crop+concat skips."""
+def _res_unit(g: NetworkGraph, name: str, prev: str, cin: int, cout: int,
+              spec: TopologySpec, rng: SeededRng) -> str:
+    """act(conv(act(conv(x))) + shortcut(x)); 1x1 projection when cin != cout."""
+    act = spec.activation
+    a = g.add(f"{name}_conv1", Conv2d(cin, cout, 3, 1, 1, rng=rng.spawn(f"{name}c1")), [prev])
+    a = g.add(f"{name}_act1", ActivationLayer(act), [a])
+    b = g.add(f"{name}_conv2", Conv2d(cout, cout, 3, 1, 1, rng=rng.spawn(f"{name}c2")), [a])
+    if cin == cout:
+        shortcut = prev
+    else:
+        shortcut = g.add(f"{name}_proj", Conv2d(cin, cout, 1, 1, 0, rng=rng.spawn(f"{name}p")),
+                         [prev])
+    s = g.add(f"{name}_add", Add(), [b, shortcut])
+    return g.add(f"{name}_act2", ActivationLayer(act), [s])
+
+
+def _unet_scaffold(spec: TopologySpec, input_hw: tuple[int, int], seed: int,
+                   unit) -> NetworkGraph:
+    """Encoder, middle and decoder stages each run ``unit`` (``_conv_pair``
+    or ``_res_unit``); transpose-conv upsampling; crop+concat skips."""
     _check_input(spec, input_hw)
     rng = SeededRng(seed)
-    pad = 1 if spec.padded else 0
     g = NetworkGraph((spec.in_channels, *input_hw))
     prev, cin = "input", spec.in_channels
     skips: list[str] = []
     for i in range(spec.depth):
         ch = spec.base_channels << i
-        prev = _conv_act(g, f"enc{i}_conv1", prev, cin, ch, spec.activation, pad, rng)
-        prev = _conv_act(g, f"enc{i}_conv2", prev, ch, ch, spec.activation, pad, rng)
+        prev = unit(g, f"enc{i}", prev, cin, ch, spec, rng)
         skips.append(prev)
         prev = g.add(f"enc{i}_pool", MaxPool2d(2, 2), [prev])
         cin = ch
     ch = spec.base_channels << spec.depth
-    prev = _conv_act(g, "mid_conv1", prev, cin, ch, spec.activation, pad, rng)
-    prev = _conv_act(g, "mid_conv2", prev, ch, ch, spec.activation, pad, rng)
+    prev = unit(g, "mid", prev, cin, ch, spec, rng)
     for i in range(spec.depth - 1, -1, -1):
         cout = spec.base_channels << i
         prev = g.add(f"dec{i}_up", TransposeConv2d(ch, cout, 2, 2, rng=rng.spawn(f"dec{i}_up")),
                      [prev])
         prev = g.add(f"dec{i}_cat", ConcatCrop(), [prev, skips[i]])
-        prev = _conv_act(g, f"dec{i}_conv1", prev, 2 * cout, cout, spec.activation, pad, rng)
-        prev = _conv_act(g, f"dec{i}_conv2", prev, cout, cout, spec.activation, pad, rng)
+        prev = unit(g, f"dec{i}", prev, 2 * cout, cout, spec, rng)
         ch = cout
     prev = g.add("head", Conv2d(ch, spec.num_classes, 1, 1, 0, rng=rng.spawn("head")), [prev])
     g.add("probs", Softmax(), [prev])
     return g
 
 
+def build_unet(spec: TopologySpec, input_hw: tuple[int, int] = (32, 32),
+               seed: int = 0) -> NetworkGraph:
+    """Two 3x3 conv+act per stage; transpose-conv upsampling; crop+concat skips."""
+    return _unet_scaffold(spec, input_hw, seed, _conv_pair)
+
+
 def build_segnet(spec: TopologySpec, input_hw: tuple[int, int] = (32, 32),
                  seed: int = 0) -> NetworkGraph:
     """conv-BN-act-pool stages; decoder unpools with the saved indices (LIFO)."""
-    if not spec.padded:
-        raise ParameterError("the SegNet mirror needs padded convolutions")
     _check_input(spec, input_hw)
     rng = SeededRng(seed)
     g = NetworkGraph((spec.in_channels, *input_hw))
@@ -141,49 +166,10 @@ def build_segnet(spec: TopologySpec, input_hw: tuple[int, int] = (32, 32),
     return g
 
 
-def _res_unit(g: NetworkGraph, name: str, prev: str, cin: int, cout: int,
-              act: ActivationKind, rng: SeededRng) -> str:
-    """act(conv(act(conv(x))) + shortcut(x)); 1x1 projection when cin != cout."""
-    a = g.add(f"{name}_conv1", Conv2d(cin, cout, 3, 1, 1, rng=rng.spawn(f"{name}c1")), [prev])
-    a = g.add(f"{name}_act1", ActivationLayer(act), [a])
-    b = g.add(f"{name}_conv2", Conv2d(cout, cout, 3, 1, 1, rng=rng.spawn(f"{name}c2")), [a])
-    if cin == cout:
-        shortcut = prev
-    else:
-        shortcut = g.add(f"{name}_proj", Conv2d(cin, cout, 1, 1, 0, rng=rng.spawn(f"{name}p")),
-                         [prev])
-    s = g.add(f"{name}_add", Add(), [b, shortcut])
-    return g.add(f"{name}_act2", ActivationLayer(act), [s])
-
-
 def build_resunet(spec: TopologySpec, input_hw: tuple[int, int] = (32, 32),
                   seed: int = 0) -> NetworkGraph:
     """U-Net scaffold whose conv pairs are residual units."""
-    if not spec.padded:
-        raise ParameterError("residual units need padded convolutions")
-    _check_input(spec, input_hw)
-    rng = SeededRng(seed)
-    g = NetworkGraph((spec.in_channels, *input_hw))
-    prev, cin = "input", spec.in_channels
-    skips: list[str] = []
-    for i in range(spec.depth):
-        ch = spec.base_channels << i
-        prev = _res_unit(g, f"enc{i}", prev, cin, ch, spec.activation, rng)
-        skips.append(prev)
-        prev = g.add(f"enc{i}_pool", MaxPool2d(2, 2), [prev])
-        cin = ch
-    ch = spec.base_channels << spec.depth
-    prev = _res_unit(g, "mid", prev, cin, ch, spec.activation, rng)
-    for i in range(spec.depth - 1, -1, -1):
-        cout = spec.base_channels << i
-        prev = g.add(f"dec{i}_up", TransposeConv2d(ch, cout, 2, 2, rng=rng.spawn(f"dec{i}_up")),
-                     [prev])
-        prev = g.add(f"dec{i}_cat", ConcatCrop(), [prev, skips[i]])
-        prev = _res_unit(g, f"dec{i}", prev, 2 * cout, cout, spec.activation, rng)
-        ch = cout
-    prev = g.add("head", Conv2d(ch, spec.num_classes, 1, 1, 0, rng=rng.spawn("head")), [prev])
-    g.add("probs", Softmax(), [prev])
-    return g
+    return _unet_scaffold(spec, input_hw, seed, _res_unit)
 
 
 _BUILDERS = {"unet": build_unet, "segnet": build_segnet, "resunet": build_resunet}

@@ -17,12 +17,13 @@ import numpy as np
 from . import metrics as M
 from . import ops
 from .checkpoint import checkpoint_save
+from .config import TrainSection
 from .errors import DataError, ParameterError
 from .graph import NetworkGraph
-from .optim import AdamState, SgdState, apply_step
+from .optim import apply_step
 from .tensor import SeededRng, mix_seed
 
-__all__ = ["Sample", "TrainConfig", "History", "fit", "evaluate_samples"]
+__all__ = ["Sample", "History", "fit", "evaluate_samples"]
 
 
 @dataclass(frozen=True)
@@ -33,29 +34,6 @@ class Sample:
     image: np.ndarray  # [C, H, W], any float dtype
     labels: np.ndarray  # [H, W], integer class ids in [0, num_classes)
     ignore: np.ndarray | None = None  # [H, W], nonzero = excluded from loss
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 1
-    seed: int = 42
-    shuffle: bool = True
-    monitor: str = "val_loss"
-    min_delta: float = 0.001
-    early_stop_patience: int | None = 20
-    plateau_patience: int | None = 5
-    plateau_factor: float = 0.2
-    checkpoint_path: str | None = None
-    metric_names: tuple[str, ...] = ("accuracy", "MIoU")
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ParameterError("epochs and batch_size must be >= 1")
-        if self.min_delta < 0:
-            raise ParameterError("min_delta must be >= 0")
-        if self.plateau_patience is not None and not (0 < self.plateau_factor < 1):
-            raise ParameterError(f"plateau factor must be in (0, 1), got {self.plateau_factor}")
 
 
 @dataclass
@@ -99,16 +77,6 @@ def monitor_mode(name: str) -> str:
     return "min" if "loss" in name else "max"
 
 
-_METRIC_FNS = {
-    "accuracy": M.accuracy,
-    "precision": lambda cm: M.macro_average(M.precision(cm)),
-    "recall": lambda cm: M.macro_average(M.recall(cm)),
-    "MIoU": M.mean_iou,
-    "F1": lambda cm: M.macro_average(M.f1(cm)),
-    "Dice": lambda cm: M.macro_average(M.dice(cm)),
-}
-
-
 def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MIoU")):
     """Mean loss plus aggregate confusion-matrix metrics, inference mode.
 
@@ -116,7 +84,7 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
     confusion matrix across every non-ignored pixel of every sample.
     """
     for name in metric_names:
-        if name not in _METRIC_FNS:
+        if name not in M.REPORT_KEYS:
             raise ParameterError(f"unknown metric {name!r}")
     num_classes = graph.shape_of(graph.output_name)[0]
     cm = M.ConfusionMatrix.zeros(num_classes)
@@ -129,7 +97,8 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
         M.confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
     if n == 0:
         raise ParameterError("cannot evaluate on an empty sample list")
-    vals = {name: _METRIC_FNS[name](cm) for name in metric_names}
+    scores = M.report(cm)
+    vals = {name: scores[name] for name in metric_names}
     return total_loss / n, vals, cm
 
 
@@ -138,14 +107,15 @@ def _diverged(epoch: int, what: str) -> DataError:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
+def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
         val_data=None) -> History:
-    """Train in place; returns the per-epoch history.
+    """Train in place on a fresh ``train.optimizer``; returns the history.
 
     ``train_data``/``val_data`` are sequences of :class:`Sample`. Without
     validation data the training set doubles as the monitored set (the
-    single-tile overfit setup). Checkpoints are written through
-    checkpoint_save, so only monitor improvements touch the file.
+    single-tile overfit setup). ``seed`` drives the shuffles and dropout.
+    Checkpoints go to ``train.checkpoint`` through checkpoint_save, so
+    only monitor improvements touch the file.
     A non-finite training loss, batch gradient (before its optimizer step)
     or val_loss (before the checkpoint write) raises DataError naming the
     epoch and samples, in place of numpy's overflow warnings; a loss is
@@ -154,29 +124,27 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
     """
     if len(train_data) == 0:
         raise ParameterError("training set is empty")
-    if not isinstance(optimizer, (SgdState, AdamState)):
-        raise ParameterError(f"unknown optimizer {type(optimizer).__name__}")
+    optimizer = train.optimizer.state()
     val = val_data if val_data is not None and len(val_data) > 0 else train_data
     logits = graph.logits_name()
     params = graph.parameters()
-    mode = monitor_mode(config.monitor)
+    mode = monitor_mode(train.monitor)
     history = History()
-    best_stop = None
-    best_plateau = None
+    best_stop = best_plateau = None
     wait_stop = wait_plateau = 0
 
-    for epoch in range(config.epochs):
-        if config.shuffle:
-            order = SeededRng(mix_seed(config.seed, "epoch", epoch)).permutation(len(train_data))
+    for epoch in range(train.epochs):
+        if train.randomise:
+            order = SeededRng(mix_seed(seed, "epoch", epoch)).permutation(len(train_data))
         else:
             order = np.arange(len(train_data))
         epoch_loss, seen = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for start in range(0, len(order), train.batch_size):
+            batch = order[start : start + train.batch_size]
             grads: dict[str, np.ndarray] = {}
             for si in batch:
                 s = train_data[int(si)]
-                rng = SeededRng(mix_seed(config.seed, "forward", epoch, int(si)))
+                rng = SeededRng(mix_seed(seed, "forward", epoch, int(si)))
                 probs, cache = graph.forward(s.image, training=True, rng=rng)
                 try:
                     loss, glogits = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
@@ -200,7 +168,7 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
             apply_step(optimizer, params, grads)
         train_loss = epoch_loss / seen
         try:
-            val_loss, vals, _ = evaluate_samples(graph, val, config.metric_names)
+            val_loss, vals, _ = evaluate_samples(graph, val, train.metrics)
         except DataError:
             bad = next((i for i, v in enumerate(val)
                         if not np.isfinite(graph.forward(v.image, training=False)[0]).all()),
@@ -210,34 +178,30 @@ def fit(graph: NetworkGraph, train_data, config: TrainConfig, optimizer,
             raise _diverged(epoch, f"the val_loss of validation sample {bad}") from None
         record = {"epoch": epoch, "lr": optimizer.lr, "train_loss": train_loss,
                   "val_loss": val_loss, **vals}
-        if config.monitor not in record:
-            raise ParameterError(f"monitor {config.monitor!r} not among {sorted(record)}")
-        monitored = record[config.monitor]
+        monitored = record[train.monitor]
         history.records.append(record)
 
         # 1) plateau
-        if config.plateau_patience is not None:
-            if best_plateau is None or _improved(monitored, best_plateau, config.min_delta, mode):
-                best_plateau = monitored
+        if best_plateau is None or _improved(monitored, best_plateau, train.min_delta, mode):
+            best_plateau = monitored
+            wait_plateau = 0
+        else:
+            wait_plateau += 1
+            if wait_plateau >= train.plateau_patience:
+                optimizer.lr *= train.plateau_factor
                 wait_plateau = 0
-            else:
-                wait_plateau += 1
-                if wait_plateau >= config.plateau_patience:
-                    optimizer.lr *= config.plateau_factor
-                    wait_plateau = 0
-                    best_plateau = monitored
+                best_plateau = monitored
         # 2) early stopping
         stop = False
-        if config.early_stop_patience is not None:
-            if best_stop is None or _improved(monitored, best_stop, config.min_delta, mode):
-                best_stop = monitored
-                wait_stop = 0
-            else:
-                wait_stop += 1
-                stop = wait_stop >= config.early_stop_patience
+        if best_stop is None or _improved(monitored, best_stop, train.min_delta, mode):
+            best_stop = monitored
+            wait_stop = 0
+        else:
+            wait_stop += 1
+            stop = wait_stop >= train.early_stop_patience
         # 3) checkpoint (file-level improvement check lives in checkpoint_save)
-        if config.checkpoint_path is not None:
-            checkpoint_save(graph, config.checkpoint_path, monitored, mode)
+        if train.checkpoint:
+            checkpoint_save(graph, train.checkpoint, monitored, mode)
         if stop:
             history.stopped_early = True
             break

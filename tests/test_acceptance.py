@@ -14,7 +14,7 @@ import yaml
 from terraseg import ops, synth
 from terraseg.catalog import CatalogQuery, build_catalog_query, tokenize_query
 from terraseg.chunkstore import Store
-from terraseg.config import parse_config
+from terraseg.config import OptimizerConfig, TrainSection, parse_config
 from terraseg.datasplit import (
     SampleRecord,
     cross_validate,
@@ -41,7 +41,7 @@ from terraseg.optim import AdamState, adam_step
 from terraseg.pipeline import cmd_evaluate, cmd_ingest, cmd_split, cmd_train
 from terraseg.tensor import SeededRng
 from terraseg.topologies import TopologySpec, build_topology
-from terraseg.training import Sample, TrainConfig, fit
+from terraseg.training import Sample, fit
 from terraseg.wkt import WktGeometry
 
 
@@ -409,10 +409,11 @@ def test_overfit_one_tile():
 
         def run():
             graph = build_topology(spec, input_hw=(32, 32), seed=11)
-            config = TrainConfig(epochs=200, seed=11, monitor="train_loss",
-                                 early_stop_patience=None,
-                                 plateau_patience=None)
-            return fit(graph, [sample], config, AdamState(lr=0.01))
+            # patiences of ``epochs`` never fire
+            train = TrainSection(epochs=200, monitor="train_loss",
+                                 early_stop_patience=200, plateau_patience=200,
+                                 optimizer=OptimizerConfig(lr=0.01))
+            return fit(graph, [sample], train, seed=11)
 
         first = run()
         hits = [r for r in first.records

@@ -461,6 +461,12 @@ class TestIntegrity:
                      "plane 0 holds 3 bytes, expected 4", id="short-raw-plane"),
         pytest.param(b"\x01\x0b\x00\x00\x00" + RAW4 * 3 + zlib.compress(bytes(5)) + bytes(12),
                      "plane 0 holds 5 bytes, expected 4", id="long-deflated-plane"),
+        pytest.param(b"\x01\x10\x00\x00\x00" + RAW4 * 3 + zlib.compress(bytes(4)) + b"junk"
+                     + bytes(12), "plane 0 is not one whole deflate stream",
+                     id="bytes-after-deflate-stream"),
+        pytest.param(b"\x01\x09\x00\x00\x00" + RAW4 * 3 + zlib.compress(bytes(4))[:-3]
+                     + bytes(12), "plane 0 is not one whole deflate stream",
+                     id="truncated-deflate-stream"),
         pytest.param(RAW4 * 4 + bytes(17), "1 bytes follow the last plane",
                      id="bytes-after-last-plane"),
     ])

@@ -4,6 +4,7 @@ parse/serialize round trip."""
 import dataclasses
 
 import pytest
+import yaml
 
 from terraseg.config import (
     EvaluateSection,
@@ -14,6 +15,7 @@ from terraseg.config import (
     QuerySection,
     SplitSection,
     TrainSection,
+    _Loader,
     parse_config,
     serialize_config,
 )
@@ -108,9 +110,12 @@ class TestDefaults:
     @pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("1.0e6", 1.0e6),
                                              ("3e+2", 300.0), ("-2E-1", -0.2)])
     def test_exponent_floats_without_dot_or_sign(self, text, value):
-        # YAML 1.1 reads these as strings; the loader follows YAML 1.2
-        cfg = parse_config(MINIMAL + f"train:\n  optimizer: {{lr: {text}}}\n")
-        assert cfg.train.optimizer.lr == value
+        # YAML 1.1 reads these as strings; the loader follows YAML 1.2. The
+        # loader alone, since no float key of the config takes -0.2
+        assert yaml.load(f"lr: {text}", Loader=_Loader) == {"lr": value}
+        if value > 0:
+            cfg = parse_config(MINIMAL + f"train:\n  optimizer: {{lr: {text}}}\n")
+            assert cfg.train.optimizer.lr == value
 
     def test_quoted_exponent_stays_a_string(self):
         with pytest.raises(ConfigError, match=r"config\.train\.optimizer\.lr: expected float, got str"):
@@ -199,6 +204,30 @@ class TestErrors:
         with pytest.raises(ConfigError, match="not valid YAML"):
             parse_config("seed: [unclosed\n")
 
+    def test_invalid_yaml_names_its_place_in_one_line(self):
+        with pytest.raises(ConfigError) as raised:
+            parse_config("seed: 1\nstore: s\ntrain: {epochs: [}\n")
+        assert str(raised.value) == ("config is not valid YAML: expected the node "
+                                     "content, but found '}' at line 3, column 18")
+
+    @pytest.mark.parametrize("section, body, why", [
+        ("ingest", "{image: i, labels: l, num_classes: 2, weeks: 0}", "weeks must be >= 1, got 0"),
+        ("ingest", "{image: i, labels: l, num_classes: 2, tile_size: 0}",
+         "tile_size must be >= 1, got 0"),
+        ("ingest", "{image: i, labels: l, num_classes: 1}", "num_classes must be >= 2, got 1"),
+        ("ingest", "{image: i, labels: l, num_classes: 2, label_nodata: -1}",
+         r"label_nodata must be in \[0, 255\], got -1"),
+        ("split", "{k: 1}", "k must be >= 2, got 1"),
+        ("split", "{min_pixels: 0}", "min_pixels must be >= 1, got 0"),
+        ("predict", "{week: -1}", "week must be >= 0, got -1"),
+        ("train", "{plateau_patience: -1}", "plateau_patience must be >= 0, got -1"),
+        ("train", "{optimizer: {epsilon: 0.0}}", "eps must be positive"),
+        ("train", "{topology: {kind: resunet, padded: false}}", "padded=False needs kind 'unet'"),
+    ])
+    def test_sections_check_their_values_at_parse(self, section, body, why):
+        with pytest.raises(ConfigError, match=rf"^config\.{section}[.:].*{why}"):
+            parse_config(MINIMAL + f"{section}: {body}\n")
+
     def test_non_mapping_document(self):
         with pytest.raises(ConfigError, match="expected a mapping"):
             parse_config("- just\n- a\n- list\n")
@@ -230,14 +259,14 @@ class TestRoundTrip:
 
     def test_every_field_survives_the_round_trip(self):
         train = TrainSection(
-            topology=TopologySpec(kind="resunet", depth=3, base_channels=4,
+            topology=TopologySpec(kind="unet", depth=3, base_channels=4,
                                   in_channels=2, num_classes=3,
                                   activation=ActivationKind("leaky_relu", 0.3),
                                   padded=False),
             optimizer=OptimizerConfig(kind="sgd", lr=0.5, beta_1=0.8,
                                       beta_2=0.99, epsilon=1e-5),
             metrics=("F1",), epochs=3, batch_size=2, randomise=False,
-            monitor="loss", min_delta=0.01, early_stop_patience=4,
+            monitor="F1", min_delta=0.01, early_stop_patience=4,
             plateau_patience=2, plateau_factor=0.5, checkpoint="m.ckpt",
             history="h", inputs=("a", "b"), masks=None,
             slice_timestamps=(1, 3), validation_fold=1)
@@ -260,11 +289,12 @@ class TestRoundTrip:
                                offset=5, limit=10, sortedby="beginposition",
                                order="asc"))
         # a field added later must get a non-default value here too;
-        # loss has a single legal value
+        # loss has a single legal value, and padded=False needs kind unet
+        # (FULL round-trips a segnet)
         for section in (cfg, cfg.ingest, cfg.split, train, train.topology,
                         train.optimizer, cfg.evaluate, cfg.predict, cfg.query):
             for f in dataclasses.fields(section):
-                if f.name == "loss":
+                if f.name in ("loss", "kind") and section is not train.optimizer:
                     continue
                 if f.default is not dataclasses.MISSING:
                     assert getattr(section, f.name) != f.default, f.name

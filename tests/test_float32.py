@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from terraseg import ops, synth
+from terraseg.config import OptimizerConfig, TrainSection
 from terraseg.errors import DataError
 from terraseg.ops import ActivationKind, RunningStats
-from terraseg.optim import AdamState
 from terraseg.tensor import SeededRng
 from terraseg.topologies import TopologySpec, build_topology
-from terraseg.training import Sample, TrainConfig, fit
+from terraseg.training import Sample, fit
 
 EPS32 = float(np.finfo(np.float32).eps)
 ACTIVATIONS = [ActivationKind(name) for name in ("sigmoid", "tanh", "elu", "relu", "leaky_relu")]
@@ -223,9 +223,10 @@ def test_overfit_one_tile_in_float32():
     def run():
         graph = build_topology(spec, input_hw=(32, 32), seed=11)
         graph.set_dtype(np.float32)
-        config = TrainConfig(epochs=200, seed=11, monitor="train_loss",
-                             early_stop_patience=None, plateau_patience=None)
-        history = fit(graph, [sample], config, AdamState(lr=0.01))
+        # patiences of ``epochs`` never fire
+        train = TrainSection(epochs=200, monitor="train_loss", early_stop_patience=200,
+                             plateau_patience=200, optimizer=OptimizerConfig(lr=0.01))
+        history = fit(graph, [sample], train, seed=11)
         assert all(a.dtype == np.float32 for a in graph.parameters().values())
         return history
 

@@ -905,11 +905,60 @@ class TestCli:
         ({"topology": {"depth": 0}}, "config.train.topology: depth"),
         ({"topology": {"alpha": -1.0}}, "config.train.topology.activation: elu"),
         ({"target": "Labels/CLC_10m/labels"}, "config.train.target: unknown key"),
+        ({"epochs": 0}, "config.train: epochs must be >= 1, got 0"),
+        ({"batch_size": 0}, "config.train: batch_size must be >= 1, got 0"),
+        ({"min_delta": -1.0}, "config.train: min_delta must be >= 0, got -1.0"),
+        ({"plateau_factor": 2.0}, "config.train: plateau_factor must be in (0, 1), got 2.0"),
+        ({"optimizer": {"lr": 0}},
+         "config.train.optimizer: learning rate must be positive, got 0.0"),
+        ({"optimizer": {"kind": "adam", "beta_1": 1.5}},
+         "config.train.optimizer: beta1 must be in [0, 1), got 1.5"),
+        ({"monitor": "val_los"},
+         "config.train: monitor 'val_los' is not a key of the epoch record"),
+        ({"metrics": ["accuracy", "mIoU"]}, "config.train: unknown metric 'mIoU'"),
+        ({"early_stop_patience": -1}, "config.train: early_stop_patience must be >= 0, got -1"),
+        ({"slice_timestamps": [-1, 1]}, "config.train.slice_timestamps: start must be >= 0"),
     ])
     def test_bad_train_values_exit_2(self, tmp_path, capsys, train, where):
         cfg = self.write_config(tmp_path, train=train)
         assert main(["train", "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith(f"error[config]: {where}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: {where}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, overrides, where", [
+        ("ingest", {"ingest": {"weeks": 0}}, "config.ingest: weeks must be >= 1, got 0"),
+        ("ingest", {"ingest": {"label_nodata": 300}},
+         "config.ingest: label_nodata must be in [0, 255], got 300"),
+        ("split", {"split": {"k": 1}}, "config.split: k must be >= 2, got 1"),
+        ("split", {"split": {"min_pixels": 0}}, "config.split: min_pixels must be >= 1, got 0"),
+        ("predict", {"predict": {"week": -1}}, "config.predict: week must be >= 0, got -1"),
+        ("train", {"train": {"topology": {"kind": "segnet", "padded": False}}},
+         "config.train.topology: padded=False needs kind 'unet', got 'segnet'"),
+    ])
+    def test_bad_section_values_exit_2_leaving_the_store(self, tmp_path, capsys, command,
+                                                          overrides, where):
+        write_scene(tmp_path)
+        assert main(["ingest", "--config", self.write_config(tmp_path)]) == 0
+        store = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*") if p.is_file()}
+        out = tmp_path / "run"
+        capsys.readouterr()
+        args = [command, "--config", self.write_config(tmp_path, **overrides)]
+        if command in ("train", "predict"):
+            args += ["--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: {where}") and err.count("\n") == 1
+        assert {p: p.read_bytes() for p in (tmp_path / "store").rglob("*")
+                if p.is_file()} == store
+        assert not out.exists()
+
+    def test_yaml_syntax_error_exits_2_in_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 1\nstore: s\ntrain: {epochs: [}\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: config is not valid YAML: expected the node content, "
+            "but found '}' at line 3, column 18\n")
 
     @pytest.mark.parametrize("command, overrides, where", [
         ("train", {"ingest": {"tile_size": 30}, "train": {"topology": {"depth": 2}}},

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 import terraseg.training as training_mod
+from terraseg.config import OptimizerConfig, TrainSection
 from terraseg.errors import DataError, ParameterError
 from terraseg.optim import AdamState, SgdState
 from terraseg.synth import make_tile
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,
-    TrainConfig,
     _improved,
     evaluate_samples,
     fit,
     monitor_mode,
 )
+
+NEVER = 10**6  # a patience no epoch count here reaches, so it never fires
 
 
 def tiny_sample(seed=3):
@@ -31,15 +33,34 @@ def tiny_graph(seed=1):
     return build_topology(spec, input_hw=(8, 8), seed=seed)
 
 
-def frozen_fit(samples, **cfg_overrides):
-    """Run fit with a learning rate too small to change the loss."""
+def frozen_section(**overrides):
+    """Settings with a learning rate too small to change the loss."""
+    settings = dict(epochs=6, optimizer=OptimizerConfig(kind="sgd", lr=1e-300),
+                    monitor="val_loss", min_delta=0.001,
+                    early_stop_patience=NEVER, plateau_patience=NEVER)
+    settings.update(overrides)
+    return TrainSection(**settings)
+
+
+def frozen_fit(samples, **overrides):
     graph = tiny_graph()
-    cfg = dict(epochs=6, seed=11, monitor="val_loss", min_delta=0.001,
-               early_stop_patience=None, plateau_patience=None)
-    cfg.update(cfg_overrides)
-    config = TrainConfig(**cfg)
-    history = fit(graph, samples, config, SgdState(lr=1e-300))
+    history = fit(graph, samples, frozen_section(**overrides), seed=11)
     return graph, history
+
+
+def fit_keeping_state(monkeypatch, train):
+    """fit on one tiny sample, plus the optimizer state fit made."""
+    states = []
+    real_step = training_mod.apply_step
+
+    def spy(state, params, grads):
+        states.append(state)
+        return real_step(state, params, grads)
+
+    monkeypatch.setattr(training_mod, "apply_step", spy)
+    history = fit(tiny_graph(), [tiny_sample()], train, seed=11)
+    assert all(s is states[0] for s in states)
+    return history, states[0]
 
 
 class TestImprovement:
@@ -75,21 +96,15 @@ class TestCallbacks:
         assert not history.stopped_early
         assert len(history.records) == 4
 
-    def test_plateau_factor_applied_exactly(self):
-        graph = tiny_graph()
-        opt = SgdState(lr=1e-300)
-        config = TrainConfig(epochs=7, seed=11, early_stop_patience=None,
-                             plateau_patience=2, plateau_factor=0.2)
-        fit(graph, [tiny_sample()], config, opt)
+    def test_plateau_factor_applied_exactly(self, monkeypatch):
+        train = frozen_section(epochs=7, plateau_patience=2, plateau_factor=0.2)
+        _, opt = fit_keeping_state(monkeypatch, train)
         # reductions fire on epochs 2, 4 and 6: three exact multiplications
         assert opt.lr == 1e-300 * 0.2 * 0.2 * 0.2
 
     def test_lr_column_records_pre_reduction_value(self):
-        graph = tiny_graph()
-        opt = SgdState(lr=1.0e-300)
-        config = TrainConfig(epochs=3, seed=11, early_stop_patience=None,
-                             plateau_patience=1, plateau_factor=0.5)
-        history = fit(graph, [tiny_sample()], config, opt)
+        _, history = frozen_fit([tiny_sample()], epochs=3, plateau_patience=1,
+                                plateau_factor=0.5)
         lrs = [r["lr"] for r in history.records]
         assert lrs == [1e-300, 1e-300, 0.5e-300]
 
@@ -102,13 +117,9 @@ class TestCallbacks:
             return real_save(graph, path, monitored, mode)
 
         monkeypatch.setattr(training_mod, "checkpoint_save", spy)
-        graph = tiny_graph()
-        opt = SgdState(lr=1e-300)
-        ckpt = str(tmp_path / "model.ckpt")
-        config = TrainConfig(epochs=20, seed=11, early_stop_patience=3,
-                             plateau_patience=1, plateau_factor=0.5,
-                             checkpoint_path=ckpt)
-        history = fit(graph, [tiny_sample()], config, opt)
+        train = frozen_section(epochs=20, early_stop_patience=3, plateau_patience=1,
+                               plateau_factor=0.5, checkpoint=str(tmp_path / "model.ckpt"))
+        history, opt = fit_keeping_state(monkeypatch, train)
         assert history.stopped_early
         assert len(history.records) == 4
         # checkpoint hook ran on every epoch, including the stopping one
@@ -127,7 +138,7 @@ class TestCallbacks:
 
         monkeypatch.setattr(training_mod, "checkpoint_save", spy)
         ckpt = tmp_path / "model.ckpt"
-        frozen_fit([tiny_sample()], epochs=3, checkpoint_path=str(ckpt))
+        frozen_fit([tiny_sample()], epochs=3, checkpoint=str(ckpt))
         # constant loss: only the first epoch wins the monitor comparison
         assert outcomes == [True, False, False]
         assert ckpt.exists()
@@ -137,10 +148,9 @@ class TestFit:
     def test_deterministic_history_and_params(self):
         def run():
             graph = tiny_graph(seed=5)
-            config = TrainConfig(epochs=4, seed=17, early_stop_patience=None,
-                                 plateau_patience=None)
-            history = fit(graph, [tiny_sample(1), tiny_sample(2)], config,
-                          AdamState())
+            train = TrainSection(epochs=4, early_stop_patience=NEVER,
+                                 plateau_patience=NEVER)
+            history = fit(graph, [tiny_sample(1), tiny_sample(2)], train, seed=17)
             return history, graph.parameters()
 
         h1, p1 = run()
@@ -151,9 +161,8 @@ class TestFit:
 
     def test_loss_decreases_with_real_lr(self):
         graph = tiny_graph(seed=5)
-        config = TrainConfig(epochs=15, seed=17, early_stop_patience=None,
-                             plateau_patience=None)
-        history = fit(graph, [tiny_sample()], config, AdamState())
+        train = TrainSection(epochs=15, early_stop_patience=NEVER, plateau_patience=NEVER)
+        history = fit(graph, [tiny_sample()], train, seed=17)
         losses = [r["train_loss"] for r in history.records]
         assert losses[-1] < losses[0]
 
@@ -169,15 +178,30 @@ class TestFit:
 
     def test_empty_training_set(self):
         with pytest.raises(ParameterError):
-            fit(tiny_graph(), [], TrainConfig(), SgdState(lr=0.1))
+            fit(tiny_graph(), [], TrainSection(), seed=11)
 
     def test_unknown_optimizer(self):
-        with pytest.raises(ParameterError):
-            fit(tiny_graph(), [tiny_sample()], TrainConfig(), object())
+        with pytest.raises(ParameterError, match="unknown optimizer kind 'rmsprop'"):
+            OptimizerConfig(kind="rmsprop")
+        with pytest.raises(ParameterError, match="learning rate"):
+            OptimizerConfig(lr=0.0)
+        with pytest.raises(ParameterError, match="beta1"):
+            OptimizerConfig(beta_1=1.5)
+
+    def test_optimizer_state_is_fresh_per_call(self):
+        adam = OptimizerConfig(lr=0.01, beta_1=0.8, beta_2=0.99, epsilon=1e-5)
+        assert adam.state() == AdamState(lr=0.01, beta1=0.8, beta2=0.99, eps=1e-5)
+        assert adam.state() is not adam.state()
+        assert OptimizerConfig(kind="sgd", lr=0.5).state() == SgdState(lr=0.5)
 
     def test_unknown_monitor(self):
-        with pytest.raises(ParameterError):
-            frozen_fit([tiny_sample()], monitor="vibes", epochs=1)
+        # the monitor must be a key of the epoch record, known before epoch 0
+        with pytest.raises(ParameterError, match="monitor 'vibes'"):
+            TrainSection(monitor="vibes")
+        with pytest.raises(ParameterError, match="monitor 'F1'"):
+            TrainSection(monitor="F1", metrics=("accuracy",))
+        assert TrainSection(monitor="F1", metrics=("F1",)).monitor == "F1"
+        assert TrainSection(monitor="lr").monitor == "lr"
 
     def test_history_serialization(self):
         _, history = frozen_fit([tiny_sample()], epochs=2)
@@ -187,12 +211,23 @@ class TestFit:
         assert '"stopped_early": false' in history.to_json()
 
     def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ParameterError):
-            TrainConfig(min_delta=-0.1)
-        with pytest.raises(ParameterError):
-            TrainConfig(plateau_factor=1.5)
+        for key, value, why in [
+            ("epochs", 0, "epochs must be >= 1"),
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("min_delta", -0.1, "min_delta must be >= 0"),
+            ("plateau_factor", 1.5, r"plateau_factor must be in \(0, 1\)"),
+            ("plateau_factor", 0.0, r"plateau_factor must be in \(0, 1\)"),
+            ("early_stop_patience", -1, "early_stop_patience must be >= 0"),
+            ("plateau_patience", -1, "plateau_patience must be >= 0"),
+            ("metrics", ("accuracy", "mIoU"), "unknown metric 'mIoU'"),
+        ]:
+            with pytest.raises(ParameterError, match=why):
+                TrainSection(**{key: value})
+
+    def test_zero_patience_fires_on_the_first_miss(self):
+        _, history = frozen_fit([tiny_sample()], epochs=5, early_stop_patience=0)
+        assert history.stopped_early
+        assert len(history.records) == 2
 
 
 class TestEvaluateSamples:
@@ -225,10 +260,11 @@ class TestDivergence:
 
     def diverge(self, tmp_path, graph, train, val=None):
         before = {k: v.copy() for k, v in graph.parameters().items()}
-        config = TrainConfig(epochs=2, batch_size=2, seed=11, shuffle=False,
-                             checkpoint_path=str(tmp_path / "m.ckpt"))
+        settings = TrainSection(epochs=2, batch_size=2, randomise=False,
+                                optimizer=OptimizerConfig(kind="sgd", lr=0.1),
+                                checkpoint=str(tmp_path / "m.ckpt"))
         with pytest.raises(DataError) as err:
-            fit(graph, train, config, SgdState(lr=0.1), val)
+            fit(graph, train, settings, seed=11, val_data=val)
         assert not (tmp_path / "m.ckpt").exists()
         return str(err.value), before
 
