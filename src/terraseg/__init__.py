@@ -41,7 +41,7 @@ from .wkt import WktGeometry, parse_wkt, to_wkt
 from .georaster import GeoRaster, mosaic, rasterize, tile
 from .chunkstore import Store
 from .catalog import CatalogQuery, build_catalog_query
-from .config import PipelineConfig, parse_config, serialize_config
+from .config import PipelineConfig, parse_config
 
 __version__ = "0.1.0"
 
@@ -57,6 +57,6 @@ __all__ = [
     "checkpoint_save", "confusion_update", "cross_validate",
     "evaluate_samples", "exit_code_for", "fit", "grad_check",
     "kfold_partition", "mix_seed", "mosaic", "parse_config", "parse_wkt",
-    "rasterize", "report", "serialize_config", "stratified_kfold_partition",
+    "rasterize", "report", "stratified_kfold_partition",
     "tile", "to_wkt",
 ]

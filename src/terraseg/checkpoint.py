@@ -32,7 +32,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CheckpointFormatError, ParameterError, TerrasegError
+from .errors import CheckpointFormatError, ParameterError, TerrasegError, read_input
 from .graph import NetworkGraph
 
 __all__ = ["checkpoint_save", "checkpoint_load", "read_monitor"]
@@ -120,8 +120,7 @@ def read_monitor(path: str) -> float:
 
 def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:
     """Rebuild the graph and its exact parameter bytes; returns (graph, monitor)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    buf = read_input(path, "checkpoint")
     if len(buf) < 8:
         raise CheckpointFormatError("file too short for magic and trailer", 0)
     stored_crc = struct.unpack("<I", buf[-4:])[0]

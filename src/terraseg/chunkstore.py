@@ -1,8 +1,10 @@
 """Hierarchical chunked array store on the local filesystem.
 
-Layout: every group is a directory holding ``.group.json``; every array is a
-directory holding ``.array.json`` plus one file per materialized chunk named
-``c.<key>``, where the key joins the grid coordinates with dots (``0.3.1``).
+Layout: every group is a directory holding ``.group.json`` (always
+``{"kind": "group", "attributes": {}}``: groups only mark the tree, and
+attributes live on arrays); every array is a directory holding
+``.array.json`` plus one file per materialized chunk named ``c.<key>``,
+where the key joins the grid coordinates with dots (``0.3.1``).
 Chunks always cover the full chunk shape (edge chunks are fill-padded) and are
 stored little-endian.
 
@@ -49,7 +51,6 @@ import re
 import shutil
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ from .errors import (
 )
 from .georaster import DTYPE_CODES
 
-__all__ = ["Store", "StoreGroup", "StoredArray"]
+__all__ = ["Store", "StoredArray"]
 
 _NAME = re.compile(r"^[A-Za-z0-9._-]+$")
 GROUP_META = ".group.json"
@@ -73,6 +74,7 @@ PROBE_BYTES = 16384  # prefix of a plane deflated to choose how it is stored
 DEFLATE_BELOW = 0.9  # the prefix's deflated/raw ratio below which a plane is deflated
 _RAW, _DEFLATE = 0, 1
 _ENTRY = struct.Struct("<BI")  # plane table entry: flag, stored length
+_GROUP = {"kind": "group", "attributes": {}}
 
 
 def _check_name(name: str) -> None:
@@ -112,7 +114,7 @@ class Store:
             if self.root.exists() and any(self.root.iterdir()):
                 raise StoreConflictError(f"{self.root} exists and is not a store")
             self.root.mkdir(parents=True, exist_ok=True)
-            _write_json_atomic(meta, {"kind": "group", "attributes": {}})
+            _write_json_atomic(meta, _GROUP)
 
     # -- node helpers
 
@@ -122,7 +124,7 @@ class Store:
             d = d / part
         return d
 
-    def create_group(self, path: str, attributes: dict | None = None) -> "StoreGroup":
+    def create_group(self, path: str) -> None:
         """mkdir -p semantics; re-creating an existing group is a no-op."""
         parts = _split(path)
         d = self.root
@@ -134,16 +136,7 @@ class Store:
                 )
             if not (d / GROUP_META).exists():
                 d.mkdir(parents=True, exist_ok=True)
-                payload = {"kind": "group", "attributes": {}}
-                if attributes and i == len(parts) - 1:
-                    payload["attributes"] = attributes
-                _write_json_atomic(d / GROUP_META, payload)
-        return StoreGroup(self, "/".join(parts))
-
-    def group(self, path: str) -> "StoreGroup":
-        if not (self._dir(path) / GROUP_META).exists():
-            raise StoreNotFoundError(f"no group at {path!r}")
-        return StoreGroup(self, "/".join(_split(path)))
+                _write_json_atomic(d / GROUP_META, _GROUP)
 
     def create_array(self, path: str, shape, chunks, dtype: str, fill=0,
                      attributes: dict | None = None) -> "StoredArray":
@@ -214,16 +207,6 @@ class Store:
 
         walk(base, prefix)
         return out
-
-
-@dataclass
-class StoreGroup:
-    store: Store
-    path: str
-
-    @property
-    def attributes(self) -> dict:
-        return _read_json(self.store._dir(self.path) / GROUP_META)["attributes"]
 
 
 class _Lock:

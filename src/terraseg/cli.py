@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import PipelineConfig, parse_config
-from .errors import ConfigError, TerrasegError, exit_code_for
+from .errors import ConfigError, TerrasegError, exit_code_for, read_input
 
 log = logging.getLogger("terraseg")
 
@@ -62,11 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> PipelineConfig:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    config = parse_config(text)
+    config = parse_config(read_input(args.config, "config file", ConfigError).decode("utf-8"))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     ckpt = getattr(args, "checkpoint", None)

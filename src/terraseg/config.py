@@ -7,11 +7,10 @@ keys and type mismatches raise ConfigError carrying the dotted path of the
 offending node, e.g. ``train.optimizer.lr``. A top-level ``seed`` is
 mandatory: every command derives its randomness from it.
 
-The section dataclasses below are the grammar: the parser and the
-serializer read key names, types, defaults and nullability from their
-fields, and keep per-key code only for the few keys whose YAML form differs
-from the field (``_FORMS`` / ``_DUMPS``) and for enumerated values
-(``_CHOICES``).
+The section dataclasses below are the grammar: the parser reads key names,
+types, defaults and nullability from their fields, and keeps per-key code
+only for the few keys whose YAML form differs from the field (``_FORMS``)
+and for enumerated values (``_CHOICES``). Nothing writes a config back.
 
 Each section checks its own values in ``__post_init__``, so a bad value
 fails the parse as a ConfigError at the section's path, and a section built
@@ -22,8 +21,6 @@ Sections are optional at parse time; each CLI command demands its own
 section when it runs. Keys that must agree with another section (the tile
 size with the topology depth, the class counts of ingest and the topology,
 the folds with ``split.k``) are checked once every section is parsed.
-`serialize_config` inverts `parse_config` so configs round-trip:
-parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -35,12 +32,14 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError, ParameterError
+from .catalog import CatalogQuery
+from .errors import ConfigError, ParameterError, WktParseError
 from .georaster import DEFAULT_CLOUD_CLASSES
 from .metrics import REPORT_KEYS
 from .ops import RELU, ActivationKind
 from .optim import AdamState, SgdState
 from .topologies import KINDS, TopologySpec, _check_input
+from .wkt import parse_wkt
 
 __all__ = [
     "OptimizerConfig",
@@ -52,7 +51,6 @@ __all__ = [
     "QuerySection",
     "PipelineConfig",
     "parse_config",
-    "serialize_config",
 ]
 
 
@@ -118,7 +116,6 @@ class SplitSection:
 class TrainSection:
     topology: TopologySpec = field(default_factory=TopologySpec)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    loss: str = "categorical_crossentropy"
     metrics: tuple[str, ...] = ("accuracy", "MIoU")
     epochs: int = 100
     batch_size: int = 1
@@ -148,6 +145,13 @@ class TrainSection:
         if self.monitor not in record:
             raise ParameterError(f"monitor {self.monitor!r} is not a key of the "
                                  f"epoch record {record}")
+        s = self.slice_timestamps  # the store's week count bounds stop later
+        if (len(s) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in s)
+                or not 0 <= s[0] < s[1]):
+            raise ParameterError(f"slice_timestamps must be two ints [start, stop] with "
+                                 f"0 <= start < stop, got {list(s)}")
+        if self.validation_fold is not None:
+            _at_least(0, validation_fold=self.validation_fold)
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,10 @@ class EvaluateSection:
     checkpoint: str | None = None
     fold: int | None = None
     out: str | None = None
+
+    def __post_init__(self):
+        if self.fold is not None:
+            _at_least(0, fold=self.fold)
 
 
 @dataclass(frozen=True)
@@ -181,6 +189,22 @@ class QuerySection:
     limit: int = 25
     sortedby: str = "ingestiondate"
     order: str = "desc"
+
+    def __post_init__(self):
+        self.catalog_query()
+
+    def catalog_query(self) -> CatalogQuery:
+        """The catalog query these keys describe."""
+        try:
+            footprint = None if self.footprint is None else parse_wkt(self.footprint)
+        except WktParseError as exc:
+            raise ParameterError(f"footprint: {exc}") from None
+        return CatalogQuery(
+            begin=self.begin, end=self.end, platform_name=self.platformname,
+            filename=self.filename, product_type=self.producttype,
+            instrument=self.instrumentshortname, footprint=footprint,
+            offset=self.offset, limit=self.limit, sorted_by=self.sortedby,
+            order=self.order)
 
 
 @dataclass(frozen=True)
@@ -295,17 +319,6 @@ def _parse_class_map(raw, path: str):
     return tuple(sorted(pairs))
 
 
-def _parse_slice(raw, path: str) -> tuple[int, int]:
-    if (not isinstance(raw, list) or len(raw) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
-        raise ConfigError(f"{path}: expected [start, stop] ints")
-    if raw[0] < 0:
-        raise ConfigError(f"{path}: start must be >= 0")
-    if raw[0] >= raw[1]:
-        raise ConfigError(f"{path}: start must be < stop")
-    return (raw[0], raw[1])
-
-
 def _parse_timestamp(raw, path: str) -> str | None:
     """Read a query timestamp, tolerating YAML's implicit datetime tag.
 
@@ -328,18 +341,12 @@ def _parse_timestamp(raw, path: str) -> str | None:
 _FORMS = {
     (TrainSection, "topology"): _parse_topology,
     (IngestSection, "class_map"): _parse_class_map,
-    (TrainSection, "slice_timestamps"): _parse_slice,
     (QuerySection, "begin"): _parse_timestamp,
     (QuerySection, "end"): _parse_timestamp,
-}
-_DUMPS = {
-    (TopologySpec, "activation"): lambda a: {"activation": a.name, "alpha": a.alpha},
-    (IngestSection, "class_map"): lambda cm: {"class_map": None if cm is None else dict(cm)},
 }
 _CHOICES = {
     (TopologySpec, "kind"): KINDS,
     (OptimizerConfig, "kind"): ("adam", "sgd"),
-    (TrainSection, "loss"): ("categorical_crossentropy",),
 }
 
 
@@ -385,27 +392,7 @@ def _check_across_sections(config: PipelineConfig) -> None:
     k = config.split.k
     for section, key in (("train", "validation_fold"), ("evaluate", "fold")):
         fold = getattr(getattr(config, section), key, None)
-        if fold is not None and not 0 <= fold < k:
+        if fold is not None and fold >= k:  # the section checks fold >= 0
             raise ConfigError(f"config.{section}.{key}: fold {fold} outside "
                               f"[0, {k}) set by config.split.k")
 
-
-def _plain(value):
-    """YAML form of a parsed value: dataclasses become maps, tuples lists."""
-    if is_dataclass(value):
-        doc = {}
-        for f in fields(value):
-            v = getattr(value, f.name)
-            dump = _DUMPS.get((type(value), f.name))
-            doc.update(dump(v) if dump else {f.name: _plain(v)})
-        return doc
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
-def serialize_config(config: PipelineConfig) -> str:
-    """Inverse of parse_config; optional keys are written as explicit nulls,
-    absent sections are left out."""
-    doc = {k: v for k, v in _plain(config).items() if v is not None}
-    return yaml.safe_dump(doc, sort_keys=True)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a machine-parsable ``category`` that the CLI maps to an
-exit code: "config" -> 2, "data" -> 3, anything else -> 4.
+exit code: "config" -> 2, "data" -> 3, anything else -> 4. `read_input`
+reads an input file, so that one it cannot read is one of these errors too.
 """
 
 
@@ -81,3 +82,14 @@ def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, TerrasegError):
         return {"config": 2, "data": 3}.get(exc.category, 4)
     return 4
+
+
+def read_input(path, what: str, error: type[TerrasegError] = DataError) -> bytes:
+    """The bytes of input file ``path``; an OSError (missing, a directory,
+    unreadable) becomes one ``error`` naming ``what`` and the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        why = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        raise error(f"{what} {path}: {why}") from None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, read_input
 from .wkt import WktGeometry
 
 __all__ = [
@@ -351,10 +351,7 @@ def write_raster(raster: GeoRaster, basepath: str) -> None:
 
 def read_raster(basepath: str) -> GeoRaster:
     try:
-        with open(basepath + ".json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"missing raster sidecar {basepath}.json") from None
+        meta = json.loads(read_input(basepath + ".json", "raster sidecar"))
     except json.JSONDecodeError as e:
         raise DataError(f"bad raster sidecar {basepath}.json: {e}") from None
     for key in ("width", "height", "channels", "dtype", "geotransform", "crs", "nodata"):
@@ -364,11 +361,7 @@ def read_raster(basepath: str) -> GeoRaster:
         raise DataError(f"raster sidecar has unknown dtype {meta['dtype']!r}")
     dt = DTYPE_CODES[meta["dtype"]]
     w, h, c = int(meta["width"]), int(meta["height"]), int(meta["channels"])
-    try:
-        with open(basepath + ".bin", "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"missing raster payload {basepath}.bin") from None
+    raw = read_input(basepath + ".bin", "raster payload")
     expect = w * h * c * dt.itemsize
     if len(raw) != expect:
         raise DataError(f"raster payload is {len(raw)} bytes, expected {expect}")

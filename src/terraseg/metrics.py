@@ -55,12 +55,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Elementwise sum; updating in any split/order yields the same merge."""
-        if other.counts.shape != self.counts.shape:
-            raise ShapeError("cannot merge confusion matrices of different sizes")
-        return ConfusionMatrix(self.counts + other.counts)
-
 
 def confusion_update(cm: ConfusionMatrix, predicted: np.ndarray, truth: np.ndarray,
                      ignore_mask: np.ndarray | None = None) -> ConfusionMatrix:

@@ -440,15 +440,14 @@ def max_pool2d_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:
     return dx
 
 
-def unpool_with_indices(vals: np.ndarray, indices: PoolIndices,
-                        out_shape: tuple[int, int, int] | None = None) -> np.ndarray:
-    """Scatter pooled values back to their recorded argmax positions.
+def unpool_with_indices(vals: np.ndarray, indices: PoolIndices) -> np.ndarray:
+    """Scatter pooled values back to their recorded argmax positions in the
+    pre-pool shape ``indices.input_shape``.
 
-    Everything else is zero. Indices outside the output bounds mean the
-    index tensor does not belong to this output shape and raise an
-    integrity error.
+    Everything else is zero. Indices outside that shape mean the index
+    tensor does not belong to it and raise an integrity error.
     """
-    out_shape = tuple(out_shape) if out_shape is not None else indices.input_shape
+    out_shape = indices.input_shape
     idx = indices.indices
     if vals.shape != idx.shape:
         raise ShapeError(f"pooled shape {vals.shape} != indices shape {idx.shape}")

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import CatalogQuery, build_catalog_query
+from .catalog import build_catalog_query
 from .checkpoint import checkpoint_load
 from .chunkstore import Store
 from .config import PipelineConfig, TrainSection
@@ -45,7 +45,7 @@ from .datasplit import (
     presence_labels,
     stratified_kfold_partition,
 )
-from .errors import ConfigError, DataError, ParameterError, WktParseError
+from .errors import ConfigError, DataError, ParameterError, WktParseError, read_input
 from .georaster import (
     GeoRaster,
     TileGrid,
@@ -99,9 +99,7 @@ def _resolve(path: str, out_dir) -> Path:
 
 def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"label file not found: {path}") from None
+        doc = json.loads(read_input(path, "label file"))
     except json.JSONDecodeError as exc:
         raise DataError(f"label file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, list):
@@ -249,7 +247,8 @@ class _SampleSource:
         self.channels = sum(a.shape[5] for a in self.inputs)
 
     def week_range(self, lo: int, hi: int) -> range:
-        if not (0 <= lo < hi <= self.weeks):
+        """Weeks ``lo`` to ``hi``; ``TrainSection`` checks 0 <= lo < hi."""
+        if hi > self.weeks:
             raise ParameterError(
                 f"slice_timestamps [{lo}, {hi}) outside the {self.weeks}-week store")
         return range(lo, hi)
@@ -301,7 +300,7 @@ def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.n
     it carries no split section."""
     arr = store.array(_node(config, FOLD_ARRAY))
     k = int(arr.attributes["k"])
-    if not 0 <= fold < k:
+    if fold >= k:  # the config checks fold >= 0
         raise DataError(f"{key}: fold {fold} outside [0, {k}) of the stored split")
     return arr.read_region((0,), arr.shape)
 
@@ -419,11 +418,4 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
 
 def cmd_query(config: PipelineConfig) -> str:
     """Build the catalog search URL from the query section."""
-    q = _section(config, "query")
-    footprint = parse_wkt(q.footprint) if q.footprint is not None else None
-    cq = CatalogQuery(
-        begin=q.begin, end=q.end, platform_name=q.platformname,
-        filename=q.filename, product_type=q.producttype,
-        instrument=q.instrumentshortname, footprint=footprint,
-        offset=q.offset, limit=q.limit, sorted_by=q.sortedby, order=q.order)
-    return build_catalog_query(cq)
+    return build_catalog_query(_section(config, "query").catalog_query())

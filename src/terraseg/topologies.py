@@ -1,16 +1,12 @@
 """Encoder-decoder graph builders: U-Net, SegNet, ResUNet.
 
-All three share the conventions: 3x3 convolutions (padding 1 by default),
+All three share the conventions: 3x3 convolutions with padding 1, so every
+stage keeps its input's extent and the output matches the input tile,
 channel counts doubling per encoder stage from ``base_channels``, 2x2/2 max
 pooling, and a 1x1 conv + softmax head. Decoders differ per family:
-transpose-conv upsampling with center-crop+concat skips (U-Net), index-based
-unpooling without skips (SegNet), and the U-Net scaffold with residual conv
-units (ResUNet).
-
-With ``padded=False`` the U-Net runs unpadded convolutions, so feature maps
-shrink and the skip crop becomes a real crop; the output is then smaller
-than the input (the padded default keeps them equal). SegNet and ResUNet
-take padded convolutions only.
+transpose-conv upsampling with concat skips (U-Net), index-based unpooling
+without skips (SegNet), and the U-Net scaffold with residual conv units
+(ResUNet).
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ class TopologySpec:
     in_channels: int = 4
     num_classes: int = 4
     activation: ActivationKind = RELU
-    padded: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,9 +60,6 @@ class TopologySpec:
             raise ParameterError(f"need at least 2 classes, got {self.num_classes}")
         if not isinstance(self.activation, ActivationKind):
             raise ParameterError("activation must be an ActivationKind")
-        if not self.padded and self.kind != "unet":
-            # the SegNet mirror and the residual sums need equal shapes
-            raise ParameterError(f"padded=False needs kind 'unet', got {self.kind!r}")
 
 
 def _check_input(spec: TopologySpec, input_hw: tuple[int, int]) -> None:
@@ -82,9 +74,8 @@ def _check_input(spec: TopologySpec, input_hw: tuple[int, int]) -> None:
 def _conv_pair(g: NetworkGraph, name: str, prev: str, cin: int, cout: int,
                spec: TopologySpec, rng: SeededRng) -> str:
     """The U-Net unit: two 3x3 conv+act."""
-    pad = 1 if spec.padded else 0
     for conv, c in ((f"{name}_conv1", cin), (f"{name}_conv2", cout)):
-        g.add(conv, Conv2d(c, cout, 3, 1, pad, rng=rng.spawn(conv)), [prev])
+        g.add(conv, Conv2d(c, cout, 3, 1, 1, rng=rng.spawn(conv)), [prev])
         prev = g.add(f"{conv}_act", ActivationLayer(spec.activation), [conv])
     return prev
 
@@ -108,7 +99,7 @@ def _res_unit(g: NetworkGraph, name: str, prev: str, cin: int, cout: int,
 def _unet_scaffold(spec: TopologySpec, input_hw: tuple[int, int], seed: int,
                    unit) -> NetworkGraph:
     """Encoder, middle and decoder stages each run ``unit`` (``_conv_pair``
-    or ``_res_unit``); transpose-conv upsampling; crop+concat skips."""
+    or ``_res_unit``); transpose-conv upsampling; concat skips."""
     _check_input(spec, input_hw)
     rng = SeededRng(seed)
     g = NetworkGraph((spec.in_channels, *input_hw))
@@ -136,7 +127,7 @@ def _unet_scaffold(spec: TopologySpec, input_hw: tuple[int, int], seed: int,
 
 def build_unet(spec: TopologySpec, input_hw: tuple[int, int] = (32, 32),
                seed: int = 0) -> NetworkGraph:
-    """Two 3x3 conv+act per stage; transpose-conv upsampling; crop+concat skips."""
+    """Two 3x3 conv+act per stage; transpose-conv upsampling; concat skips."""
     return _unet_scaffold(spec, input_hw, seed, _conv_pair)
 
 

@@ -38,14 +38,6 @@ class WktGeometry:
     kind: str
     rings: tuple[tuple[tuple[float, float], ...], ...]
 
-    def area(self) -> float:
-        """Absolute shoelace area of the outer ring."""
-        ring = self.rings[0]
-        acc = 0.0
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-            acc += x1 * y2 - x2 * y1
-        return abs(acc) / 2.0
-
 
 class _Scanner:
     def __init__(self, text: str):

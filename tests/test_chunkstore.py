@@ -85,17 +85,15 @@ class TestGroups:
     def test_nested_create_and_idempotence(self, store):
         store.create_group("a/b/c/d")
         store.create_group("a/b/c/d")
-        assert store.group("a/b/c/d").path == "a/b/c/d"
-        assert store.group("a/b").attributes == {}
-
-    def test_attributes_only_on_leaf(self, store):
-        store.create_group("x/y", attributes={"role": "scene"})
-        assert store.group("x").attributes == {}
-        assert store.group("x/y").attributes == {"role": "scene"}
+        assert store.list_tree("a") == [("a", "group", None), ("a/b", "group", None),
+                                        ("a/b/c", "group", None), ("a/b/c/d", "group", None)]
+        for d in ("a", "a/b/c/d"):
+            meta = json.loads((store.root / d / ".group.json").read_text(encoding="utf-8"))
+            assert meta == {"kind": "group", "attributes": {}}
 
     def test_missing_group(self, store):
         with pytest.raises(StoreNotFoundError):
-            store.group("nowhere")
+            store.list_tree("nowhere")
 
     @pytest.mark.parametrize("name", [" ", "a b", "a/.hidden", "semi;colon"])
     def test_invalid_names(self, store, name):
@@ -605,7 +603,7 @@ class TestTreeOps:
 
         def build(root):
             s = Store(root)
-            s.create_group("scene", attributes={"tag": "t0"})
+            s.create_group("scene")
             a = s.create_array("scene/labels", (9, 9), (4, 4), "u8", fill=255)
             a.write_region((0, 0), payload)
             a.write_region((3, 3), payload[:2, :2])

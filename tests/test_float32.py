@@ -183,15 +183,12 @@ class TestProbabilitySum:
             ops.categorical_cross_entropy(p, labels)
 
 
-@pytest.mark.parametrize("kind,padded,size", [
-    ("unet", True, 16), ("unet", False, 44), ("segnet", True, 16), ("resunet", True, 16),
-])
-def test_float32_graph_computes_in_float32(kind, padded, size):
+@pytest.mark.parametrize("kind", ["unet", "segnet", "resunet"])
+def test_float32_graph_computes_in_float32(kind):
     """Every activation, input gradient and parameter gradient of a training
-    step of a float32 graph is float32, and so is its state after it (the
-    unpadded U-Net's skips are cropped)."""
-    spec = TopologySpec(kind=kind, depth=2, base_channels=4, in_channels=3, num_classes=3,
-                        padded=padded)
+    step of a float32 graph is float32, and so is its state after it."""
+    size = 16
+    spec = TopologySpec(kind=kind, depth=2, base_channels=4, in_channels=3, num_classes=3)
     graph = build_topology(spec, input_hw=(size, size), seed=5)
     assert graph.dtype == np.float64
     graph.set_dtype(np.float32)

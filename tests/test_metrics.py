@@ -110,16 +110,6 @@ class TestConfusionUpdate:
         cm_perm = M.confusion_update(M.ConfusionMatrix.zeros(3), pred[perm], true[perm])
         assert np.array_equal(cm_once.counts, cm_perm.counts)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 59))
-    def test_merge_equals_concatenated_stream(self, seed, cut):
-        r = np.random.default_rng(seed)
-        pred = r.integers(0, 3, size=60)
-        true = r.integers(0, 3, size=60)
-        whole = M.confusion_update(M.ConfusionMatrix.zeros(3), pred, true)
-        a = M.confusion_update(M.ConfusionMatrix.zeros(3), pred[:cut], true[:cut])
-        b = M.confusion_update(M.ConfusionMatrix.zeros(3), pred[cut:], true[cut:])
-        assert np.array_equal(a.merge(b).counts, whole.counts)
-
 
 class TestIdentities:
     @given(st.lists(st.integers(0, 10_000), min_size=4, max_size=4))
@@ -198,11 +188,6 @@ class TestAveragesAndReport:
             assert key in text
         parsed = json.loads(M.report_json(values))
         assert parsed == pytest.approx(values)
-
-
-def test_merge_shape_mismatch():
-    with pytest.raises(ShapeError):
-        M.ConfusionMatrix.zeros(2).merge(M.ConfusionMatrix.zeros(3))
 
 
 def test_zeros_needs_two_classes():

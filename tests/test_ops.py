@@ -5,6 +5,7 @@ a fixed random weight tensor, so the upstream gradient fed to the backward
 function is exactly that weight tensor.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -469,8 +470,9 @@ class TestUnpool:
     def test_out_of_bounds_index(self):
         x = rand_array(0, (1, 4, 4))
         pooled, idx = ops.max_pool2d(x, 2, 2)
-        with pytest.raises(IntegrityError):
-            ops.unpool_with_indices(pooled, idx, out_shape=(1, 2, 2))
+        foreign = dataclasses.replace(idx, input_shape=(1, 2, 2))  # indices of a 4x4 input
+        with pytest.raises(IntegrityError, match="outside output of 4 elements"):
+            ops.unpool_with_indices(pooled, foreign)
 
     def test_backward_is_gather(self):
         x = nudge(SeededRng(51).uniform(-1, 1, (1, 4, 4)))

@@ -860,6 +860,45 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
 
+    def test_directory_as_config_exits_2_in_one_line(self, tmp_path, capsys):
+        assert main(["split", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: config file {tmp_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, what, value", [
+        ("labels", "label file", "dir.json"), ("image", "raster sidecar", "dir")])
+    def test_directory_as_ingest_input_exits_3_in_one_line(self, tmp_path, capsys,
+                                                           key, what, value):
+        write_scene(tmp_path)
+        (tmp_path / "dir.json").mkdir()
+        cfg = self.write_config(tmp_path, ingest={key: str(tmp_path / value)})
+        assert main(["ingest", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[data]: {what} {tmp_path / 'dir.json'}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_missing_checkpoint_exits_3_in_one_line(self, tmp_path, capsys, command):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["ingest", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: checkpoint {out / 'model.ckpt'}: not found\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_directory_as_checkpoint_exits_3_in_one_line(self, tmp_path, capsys, command):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--checkpoint", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[data]: checkpoint {tmp_path}: ") and err.count("\n") == 1
+
     def test_missing_section_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, split=DROP)
         assert main(["split", "--config", cfg]) == 2
@@ -917,7 +956,8 @@ class TestCli:
          "config.train: monitor 'val_los' is not a key of the epoch record"),
         ({"metrics": ["accuracy", "mIoU"]}, "config.train: unknown metric 'mIoU'"),
         ({"early_stop_patience": -1}, "config.train: early_stop_patience must be >= 0, got -1"),
-        ({"slice_timestamps": [-1, 1]}, "config.train.slice_timestamps: start must be >= 0"),
+        ({"slice_timestamps": [-1, 1]},
+         "config.train: slice_timestamps must be two ints [start, stop] with 0 <= start < stop"),
     ])
     def test_bad_train_values_exit_2(self, tmp_path, capsys, train, where):
         cfg = self.write_config(tmp_path, train=train)
@@ -933,7 +973,16 @@ class TestCli:
         ("split", {"split": {"min_pixels": 0}}, "config.split: min_pixels must be >= 1, got 0"),
         ("predict", {"predict": {"week": -1}}, "config.predict: week must be >= 0, got -1"),
         ("train", {"train": {"topology": {"kind": "segnet", "padded": False}}},
-         "config.train.topology: padded=False needs kind 'unet', got 'segnet'"),
+         "config.train.topology.padded: unknown key"),
+        ("train", {"train": {"loss": "categorical_crossentropy"}}, "config.train.loss: unknown key"),
+        ("evaluate", {"evaluate": {"fold": -1}}, "config.evaluate: fold must be >= 0, got -1"),
+        ("query", {"query": {"limit": 0}}, "config.query: limit must be >= 1, got 0"),
+        ("query", {"query": {"order": "sideways"}},
+         "config.query: order must be 'asc' or 'desc', got 'sideways'"),
+        ("query", {"query": {"begin": "2018-06-01T00:00:00.000Z"}},
+         "config.query: begin and end must be given together"),
+        ("query", {"query": {"footprint": "POLYGON((0 0, 1 1))"}},
+         "config.query: footprint: ring has 2 vertices"),
     ])
     def test_bad_section_values_exit_2_leaving_the_store(self, tmp_path, capsys, command,
                                                           overrides, where):
@@ -943,7 +992,7 @@ class TestCli:
         out = tmp_path / "run"
         capsys.readouterr()
         args = [command, "--config", self.write_config(tmp_path, **overrides)]
-        if command in ("train", "predict"):
+        if command in ("train", "evaluate", "predict"):
             args += ["--out", str(out)]
         assert main(args) == 2
         err = capsys.readouterr().err

@@ -54,12 +54,6 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="divisible"):
             build_unet(spec_of("unet", depth=3), input_hw=(12, 12))
 
-    def test_mirror_families_need_padding(self):
-        # the spec refuses them, so no builder sees an unpadded SegNet or ResUNet
-        for kind in ("segnet", "resunet"):
-            with pytest.raises(ParameterError, match=f"padded=False needs kind 'unet', got '{kind}'"):
-                TopologySpec(kind=kind, padded=False)
-
     def test_dispatch_matches_direct_builders(self):
         via = build_topology(spec_of("segnet"), (16, 16), seed=4)
         direct = build_segnet(spec_of("segnet"), (16, 16), seed=4)
@@ -87,15 +81,6 @@ class TestUnet:
         g = build_unet(spec_of("unet", depth=1, base=2), input_hw=(2, 2))
         out = run_inference(g)
         assert out.shape == (4, 2, 2)
-
-    def test_unpadded_output_shrinks(self):
-        g = build_unet(spec_of("unet", depth=1, padded=False), input_hw=(32, 32))
-        # 32 -(3x3)-> 30 -> 28 -pool-> 14 -> 12 -> 10 -up-> 20 -> 18 -> 16
-        assert g.shape_of("enc0_conv2") == (8, 28, 28)
-        assert g.shape_of("mid_conv2") == (16, 10, 10)
-        assert g.shape_of("dec0_up") == (8, 20, 20)
-        assert g.shape_of("dec0_cat") == (16, 20, 20)  # 28x28 skip center-cropped
-        assert g.shape_of("probs") == (4, 16, 16)
 
     def test_hand_counted_parameters(self):
         # conv: out*in*9 + out, transpose: in*out*4, head: cls*in + cls

@@ -141,15 +141,3 @@ class TestRoundTrip:
         geom = WktGeometry("POLYGON", (ring,))
         assert parse_wkt(to_wkt(geom)).rings == geom.rings
 
-
-class TestDerived:
-    def test_area_unit_square(self):
-        assert parse_wkt(UNIT_SQUARE).area() == 1.0
-
-    def test_area_ignores_orientation(self):
-        cw = parse_wkt("POLYGON((0 0, 0 1, 1 1, 1 0, 0 0))")
-        assert cw.area() == 1.0
-
-    def test_area_triangle(self):
-        tri = parse_wkt("POLYGON((0 0, 4 0, 0 3, 0 0))")
-        assert tri.area() == 6.0
