@@ -10,7 +10,11 @@ channels and 4 classes. Every distinct shape of conv, transpose conv, max
 pool and batch norm among their layers is one case. For each case and
 direction the script makes one untimed warm-up call, then N timed calls,
 and prints the minimum and median microseconds per call and the minor page
-faults per timed call (``ru_minflt``). Operands, kernels and batch-norm
+faults per timed call (``ru_minflt``). A second table times inference on
+blocks of tiles: each conv shape through ``ops.conv2d_tiles`` at 1, 4 and 8
+tiles, and each topology's inference per tile, as ``forward`` on one tile
+and as ``infer`` on a block of ``training.BLOCK`` tiles, with the median
+per tile. Operands, kernels and batch-norm
 state are in the dtype the pipeline runs its graphs in
 (``pipeline.ENGINE_DTYPE``), which the header line names. It gates nothing.
 BLAS runs on one thread unless the environment already sets its thread
@@ -35,18 +39,24 @@ from terraseg import ops  # noqa: E402
 from terraseg.graph import BatchNorm2d, Conv2d, MaxPool2d, TransposeConv2d  # noqa: E402
 from terraseg.pipeline import ENGINE_DTYPE  # noqa: E402
 from terraseg.tensor import SeededRng  # noqa: E402
+from terraseg.training import BLOCK  # noqa: E402
 from terraseg.topologies import TopologySpec, build_topology  # noqa: E402
 
 TOPOLOGIES = (("unet", 16), ("segnet", 8), ("resunet", 8))
 TILE = 32
+TILES = (1, 4, 8)  # conv2d_tiles block sizes
+
+
+def topology(kind: str, base: int):
+    spec = TopologySpec(kind=kind, depth=2, base_channels=base, in_channels=4, num_classes=4)
+    return build_topology(spec, (TILE, TILE))
 
 
 def cases() -> dict[tuple, list[str]]:
     """(kind, input shape, layer geometry) -> the topologies that build it."""
     found: dict[tuple, list[str]] = {}
     for kind, base in TOPOLOGIES:
-        spec = TopologySpec(kind=kind, depth=2, base_channels=base, in_channels=4, num_classes=4)
-        graph = build_topology(spec, (TILE, TILE))
+        graph = topology(kind, base)
         for node in graph.nodes[1:]:
             layer, shape = node.layer, graph.shape_of(node.inputs[0])
             if isinstance(layer, Conv2d):
@@ -97,6 +107,33 @@ def calls(kind: str, shape: tuple[int, int, int], geom: tuple, rng: SeededRng):
             lambda: ops.batch_norm_backward(gy, cache))
 
 
+def block_calls(rng: SeededRng, users: dict):
+    """(label, input, geometry, tiles, callable, topologies) per block case:
+    each conv shape through conv2d_tiles at every size in TILES, then each
+    topology's forward on one tile and infer on BLOCK tiles."""
+    def uniform(shape):
+        return rng.uniform(-1.0, 1.0, shape).astype(ENGINE_DTYPE)
+
+    for (kind, shape, geom), names in users.items():
+        if kind != "conv2d":
+            continue
+        o, k, s, p = geom
+        w, b = uniform((o, shape[0], k, k)) / 10, uniform((o,)) / 10
+        for n in TILES:
+            x = uniform((n, *shape))
+            yield ("conv2d_tiles.forward", "x".join(map(str, x.shape)), f"{o},{k},{s},{p}", n,
+                   lambda x=x, w=w, b=b, s=s, p=p: ops.conv2d_tiles(x, w, b, s, p), names)
+    for kind, base in TOPOLOGIES:
+        graph = topology(kind, base)
+        graph.set_dtype(ENGINE_DTYPE)
+        x = uniform((BLOCK, *graph.input_shape))
+        shape = "x".join(map(str, graph.input_shape))
+        yield (f"{kind}.forward", shape, f"base {base}", 1,
+               lambda g=graph, t=x[0]: g.forward(t), [kind])
+        yield (f"{kind}.infer", f"{BLOCK}x{shape}", f"base {base}", BLOCK,
+               lambda g=graph, x=x: g.infer(x), [kind])
+
+
 def measure(fn, repeat: int) -> tuple[float, float, float]:
     """(min µs, median µs, minor faults) per call over ``repeat`` timed calls."""
     fn()
@@ -123,12 +160,19 @@ def main() -> int:
     print(f"{'op':<28} {'input':>9} {'geometry':>10} {'min_us':>9} {'median_us':>9} "
           f"{'minflt/call':>11}  topologies")
     rng = SeededRng(0)
-    for (kind, shape, geom), users in cases().items():
+    found = cases()
+    for (kind, shape, geom), users in found.items():
         for direction, fn in zip(("forward", "backward"), calls(kind, shape, geom, rng)):
             lo, med, faults = measure(fn, args.repeat)
             print(f"{kind + '.' + direction:<28} {'x'.join(map(str, shape)):>9} "
                   f"{','.join(map(str, geom)) or '-':>10} {lo:>9.1f} {med:>9.1f} "
                   f"{faults:>11.1f}  {','.join(users)}")
+    print(f"\n{'block op':<28} {'input':>13} {'geometry':>10} {'min_us':>9} {'median_us':>9} "
+          f"{'minflt/call':>11} {'median_us/tile':>14}  topologies")
+    for label, shape, geom, n, fn, users in block_calls(rng, found):
+        lo, med, faults = measure(fn, args.repeat)
+        print(f"{label:<28} {shape:>13} {geom:>10} {lo:>9.1f} {med:>9.1f} {faults:>11.1f} "
+              f"{med / n:>14.1f}  {','.join(users)}")
     return 0
 
 

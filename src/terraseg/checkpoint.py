@@ -114,8 +114,7 @@ def _header(r: _Reader) -> float:
 
 
 def read_monitor(path: str) -> float:
-    with open(path, "rb") as fh:
-        return _header(_Reader(fh.read(16)))
+    return _header(_Reader(read_input(path, "checkpoint")[:16]))
 
 
 def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:

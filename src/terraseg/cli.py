@@ -62,7 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> PipelineConfig:
-    config = parse_config(read_input(args.config, "config file", ConfigError).decode("utf-8"))
+    raw = read_input(args.config, "config file", ConfigError)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {args.config} is not UTF-8 text "
+                          f"(byte {exc.start}: {exc.reason})") from None
+    config = parse_config(text)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     ckpt = getattr(args, "checkpoint", None)

@@ -5,6 +5,13 @@ their gradients sum at the producer during backprop. Graphs are built
 programmatically (see topologies.py) and are acyclic by construction: a node
 may only consume nodes added before it.
 
+:meth:`NetworkGraph.forward` runs one sample [C, H, W] and keeps every
+node's output and layer context for :meth:`NetworkGraph.backward`.
+Inference runs :meth:`NetworkGraph.infer` on a block of tiles [N, C, H, W]
+(the pipeline's hold up to ``training.BLOCK`` tiles) over the same node
+loop; it keeps no cache, dropping each output once its last reader has run,
+so a block holds only a few nodes' outputs at once.
+
 Activations and gradients are plain ndarrays in the dtype of the graph's
 parameters: a graph builds float64, :meth:`NetworkGraph.set_dtype` converts
 it (the pipeline runs float32), and the graph coerces its input to that
@@ -109,8 +116,8 @@ class Conv2d(Layer):
         return (self.out_ch, oh, ow)
 
     def forward(self, xs, training, rng):
-        y = ops.conv2d(xs[0], self.weight, self.bias, self.stride, self.padding)
-        return y, xs[0]
+        conv = ops.conv2d if xs[0].ndim == 3 else ops.conv2d_tiles
+        return conv(xs[0], self.weight, self.bias, self.stride, self.padding), xs[0]
 
     def backward(self, g, ctx):
         dx, dw, db = ops.conv2d_backward(g, ctx, self.weight, self.stride, self.padding)
@@ -274,11 +281,11 @@ class Softmax(Layer):
         return shapes[0]
 
     def forward(self, xs, training, rng):
-        y = ops.softmax(xs[0], axis=0)
+        y = ops.softmax(xs[0], axis=-3)
         return y, y
 
     def backward(self, g, ctx):
-        return [ops.softmax_backward(g, ctx, axis=0)], {}
+        return [ops.softmax_backward(g, ctx, axis=-3)], {}
 
     def spec(self):
         return {"kind": "softmax"}
@@ -304,9 +311,9 @@ class ConcatCrop(Layer):
 
     def forward(self, xs, training, rng):
         main, skip = xs
-        _, h, w = main.shape
-        oy, ox = self._crop_offsets(skip.shape[1:], (h, w))
-        out = np.concatenate([main, skip[:, oy : oy + h, ox : ox + w]], axis=0)
+        h, w = main.shape[-2:]
+        oy, ox = self._crop_offsets(skip.shape[-2:], (h, w))
+        out = np.concatenate([main, skip[..., oy : oy + h, ox : ox + w]], axis=-3)
         return out, (main.shape, skip.shape)
 
     def backward(self, g, ctx):
@@ -383,6 +390,10 @@ class NetworkGraph:
         self.nodes: list[_Node] = []
         self._index: dict[str, int] = {}
         self._shapes: dict[str, tuple[int, ...]] = {}
+        # node position -> the last node that reads its output, and pool
+        # position -> the last unpool that reads its indices
+        self._last_reader: dict[int, int] = {}
+        self._indices_reader: dict[int, int] = {}
         self.add("input", Input(input_shape), [])
 
     @property
@@ -403,6 +414,7 @@ class NetworkGraph:
             if dep not in self._index:
                 raise GraphError(f"node {name!r} consumes unknown node {dep!r}")
         shapes = [self._shapes[dep] for dep in inputs]
+        pool_idx = None
         if isinstance(layer, UnpoolWithIndices):
             pool_idx = self._index.get(layer.pool)
             if pool_idx is None or not isinstance(self.nodes[pool_idx].layer, MaxPool2d):
@@ -413,9 +425,14 @@ class NetworkGraph:
             out = layer.out_shape(shapes)
         except ShapeError as e:
             raise GraphError(f"node {name!r}: {e}") from e
-        self._index[name] = len(self.nodes)
+        i = len(self.nodes)
+        self._index[name] = i
         self.nodes.append(_Node(name, layer, list(inputs)))
         self._shapes[name] = out
+        for dep in inputs:  # nodes only consume earlier ones, so i reads last
+            self._last_reader[self._index[dep]] = i
+        if pool_idx is not None:
+            self._indices_reader[pool_idx] = i
         return name
 
     def shape_of(self, name: str) -> tuple[int, ...]:
@@ -467,7 +484,9 @@ class NetworkGraph:
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: SeededRng | None = None) -> tuple[np.ndarray, GraphCache]:
-        """Evaluate every node; ``rng`` seeds the dropout masks in training.
+        """Evaluate every node on one sample [C, H, W], keeping each node's
+        output and layer context for :meth:`backward`; ``rng`` seeds the
+        dropout masks in training.
 
         Each Dropout node draws from ``rng.spawn(node_name)``, so its mask
         depends only on the seed and the node's name.
@@ -475,19 +494,48 @@ class NetworkGraph:
         x = np.ascontiguousarray(x, dtype=self.dtype)
         if x.shape != self.input_shape:
             raise ShapeError(f"input shape {x.shape} != graph input {self.input_shape}")
+        outs, ctxs = self._run(x, training, rng, keep=True)
+        return outs[-1], GraphCache(outs, ctxs)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The output [N, ...] of a block of tiles [N, *input_shape], in
+        inference mode, without a cache: each node's output is dropped once
+        its last reader has run, and no layer context is kept but a pool's
+        indices until its last unpool has run. Each tile's output is what
+        :meth:`forward` gives for that tile alone: its bytes at N = 1, and
+        up to how the BLAS rounds a GEMM of another width otherwise."""
+        x = np.ascontiguousarray(x, dtype=self.dtype)
+        if x.ndim != 4 or x.shape[1:] != self.input_shape:
+            raise ShapeError(f"input shape {x.shape} != a block [N, *{self.input_shape}]")
+        outs, _ = self._run(x, False, None, keep=False)
+        return outs[-1]
+
+    def _run(self, x: np.ndarray, training: bool, rng: SeededRng | None,
+             keep: bool) -> tuple[list, list]:
+        """The node loop of forward and infer: each node's output and context
+        by position, all of them if ``keep``."""
         outs: list[np.ndarray] = [None] * len(self.nodes)
         ctxs: list[object] = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
-            xs = [x] if i == 0 else [outs[self._index[d]] for d in node.inputs]
+            deps = [self._index[d] for d in node.inputs]
+            xs = [x] if i == 0 else [outs[j] for j in deps]
             if isinstance(node.layer, UnpoolWithIndices):
-                indices = ctxs[self._index[node.layer.pool]]
-                out, ctx = node.layer.forward_with_indices(xs[0], indices)
+                pool = self._index[node.layer.pool]
+                outs[i], ctxs[i] = node.layer.forward_with_indices(xs[0], ctxs[pool])
+                deps.append(pool)
             else:
                 draws = rng is not None and isinstance(node.layer, Dropout)
                 node_rng = rng.spawn(node.name) if draws else None
-                out, ctx = node.layer.forward(xs, training, node_rng)
-            outs[i], ctxs[i] = out, ctx
-        return outs[-1], GraphCache(outs, ctxs)
+                outs[i], ctxs[i] = node.layer.forward(xs, training, node_rng)
+            if not keep:
+                if i not in self._indices_reader:
+                    ctxs[i] = None
+                for j in deps:
+                    if self._last_reader.get(j) == i:
+                        outs[j] = None
+                    if self._indices_reader.get(j) == i:
+                        ctxs[j] = None
+        return outs, ctxs
 
     def backward(self, cache: GraphCache, seeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Backprop from the seeded nodes; returns grads keyed like parameters().

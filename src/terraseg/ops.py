@@ -1,4 +1,5 @@
-"""Neural-network layer primitives on [C, H, W] float ndarrays.
+"""Neural-network layer primitives on [C, H, W] float ndarrays, and, for
+inference, on blocks of tiles [N, C, H, W].
 
 Ops take and return plain C-contiguous ndarrays and never write into their
 inputs (batch norm's running statistics are the one piece of state an op
@@ -8,7 +9,14 @@ float32 end to end while float64 stays what the gradient checks use.
 
 Every differentiable op comes as a forward function plus a matching
 ``*_backward`` that implements the analytic adjoint; the test suite verifies
-each pair against central finite differences.
+each pair against central finite differences. The backward ops, and batch
+norm in training mode, take one [C, H, W] sample. The inference forwards
+take any leading axes, indexing the channel and spatial axes from the end:
+``max_pool2d``, ``unpool_with_indices``, inference ``batch_norm``,
+``softmax`` (``axis=-3``), the activations and the window-tiling transposed
+conv. A block's result for each tile is the bytes of that tile's own call,
+except where a GEMM adds: a BLAS may round an output column differently
+with the matrix's width.
 
 Every convolution runs on one engine, a stride-1 cross-correlation by
 per-tap GEMMs without a patch (im2col) matrix: the input is zero-padded once
@@ -17,8 +25,14 @@ wide output column ``m = r*wp + q`` reads position ``i*wp + j + m`` and each
 tap's operand is a slice of that buffer. The per-tap products accumulate
 into an [O, rows*wp] wide output whose columns past the output's width are
 cropped (Vasudevan, Anderson & Gregg 2017, arXiv 1704.04428; Anderson et al.
-2017, arXiv 1709.03395). The other convolutions reduce to it (Dumoulin &
-Visin 2016, arXiv 1603.07285, section 4):
+2017, arXiv 1709.03395). ``conv2d_tiles`` lays N padded tiles of a block end
+to end in that buffer, so each tap is one GEMM over every tile's columns
+(Chetlur et al. 2014, arXiv 1410.0759): consecutive tiles already have 2p
+zero rows between them, the stride-1 wide output has ``(N-1)*hp + oh``
+rows for a padded tile height ``hp``, and the ``kh-1`` rows that straddle
+two tiles are cropped. ``conv2d`` is its one-tile case. The other
+convolutions reduce to the stride-1 walker (Dumoulin & Visin 2016, arXiv
+1603.07285, section 4):
 
 - a strided conv is the stride-1 correlation subsampled every s-th row and
   column, so it does s^2 times the work;
@@ -65,6 +79,7 @@ __all__ = [
     "PoolIndices",
     "RunningStats",
     "conv2d",
+    "conv2d_tiles",
     "conv2d_backward",
     "conv2d_transpose",
     "conv2d_transpose_backward",
@@ -182,21 +197,25 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
 
 def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int,
               wp: int | None = None, dilate: int = 1) -> tuple[np.ndarray, int]:
-    """Zero-pad [C, H, W], with ``dilate - 1`` zeros between its rows and
-    between its columns, by (ph, pw) into a flat [C, L] buffer of row pitch
-    ``wp`` (default the padded width), for a correlation kw taps wide.
+    """Zero-pad [C, H, W], or each tile of a block [N, C, H, W] laid end to
+    end, with ``dilate - 1`` zeros between its rows and between its columns,
+    by (ph, pw) into a flat [C, L] buffer of row pitch ``wp`` (default the
+    padded width), for a correlation kw taps wide.
 
-    Returns ``(flat, wp)``. The kw - 1 zeros past the padded image make L
+    Returns ``(flat, wp)``. The kw - 1 zeros past the last padded tile make L
     long enough for every tap to read a full rows*wp-column slice. Any pitch
     from the dilated width plus pw up works, as a row's right padding may
     overlap the next row's left padding. (np.pad's per-call overhead is
     several times the copy at these sizes.)
     """
-    c, h, w = x.shape
+    *lead, c, h, w = x.shape
+    n = lead[0] if lead else 1
+    tiles = x.reshape(n, c, h, w).transpose(1, 0, 2, 3)
     h, w = (h - 1) * dilate + 1, (w - 1) * dilate + 1
     hp, wp = h + 2 * ph, wp or w + 2 * pw
-    flat = np.zeros((c, hp * wp + kw - 1), dtype=x.dtype)
-    flat[:, : hp * wp].reshape(c, hp, wp)[:, ph : ph + h : dilate, pw : pw + w : dilate] = x
+    flat = np.zeros((c, n * hp * wp + kw - 1), dtype=x.dtype)
+    grid = flat[:, : n * hp * wp].reshape(c, n, hp, wp)
+    grid[:, :, ph : ph + h : dilate, pw : pw + w : dilate] = tiles
     return flat, wp
 
 
@@ -265,29 +284,45 @@ def _kernel_grad(gw: np.ndarray, x: np.ndarray, kh: int, kw: int,
     return dwt.reshape(kh, kw, o, c).transpose(2, 3, 0, 1).copy()
 
 
-def _check_conv_args(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d wants input [C,H,W] and kernels [O,C,kh,kw], got {x.shape}, {w.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(f"kernel input channels {w.shape[1]} != input channels {x.shape[0]}")
-    if b is not None and b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
-
-
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
            stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlate [C,H,W] with kernels [O,C,kh,kw] -> [O,oh,ow]."""
-    _check_conv_args(x, kernels, bias)
-    o, c, kh, kw = kernels.shape
-    oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, padding)
+    """Cross-correlate [C,H,W] with kernels [O,C,kh,kw] -> [O,oh,ow]: the
+    one-tile case of :func:`conv2d_tiles`."""
+    if x.ndim != 3:
+        raise ShapeError(f"conv2d wants input [C,H,W], got {x.shape}")
+    return conv2d_tiles(x[None], kernels, bias, stride, padding)[0]
+
+
+def conv2d_tiles(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
+                 stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Cross-correlate each tile of [N,C,H,W] with kernels [O,C,kh,kw] ->
+    [N,O,oh,ow], one GEMM per tap over the N tiles laid end to end."""
+    if x.ndim != 4 or kernels.ndim != 4:
+        raise ShapeError(f"conv2d_tiles wants input [N,C,H,W] and kernels [O,C,kh,kw], "
+                         f"got {x.shape}, {kernels.shape}")
+    n, c, h, w = x.shape
+    o, kc, kh, kw = kernels.shape
+    if kc != c:
+        raise ShapeError(f"kernel input channels {kc} != input channels {c}")
+    if bias is not None and bias.shape != (o,):
+        raise ShapeError(f"bias shape {bias.shape} != ({o},)")
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     flat, wp = _flat_pad(x, padding, padding, kw)
-    rows = (oh - 1) * stride + 1
+    hp = h + 2 * padding
+    rows = (n - 1) * hp + (oh - 1) * stride + 1
     y = _correlate(flat, _tap_kernels(kernels), kh, kw, wp, rows)
-    # a strided conv keeps every s-th row and column of the stride-1 result
-    y = y.reshape(o, rows, wp)[:, ::stride, : (ow - 1) * stride + 1 : stride]
+    # tile t's output row r is wide row t*hp + r*s: the crop drops the rows
+    # that straddle two tiles and, for a strided conv, keeps every s-th row
+    # and column of the stride-1 result
+    e = y.itemsize
+    view = np.ndarray((n, o, oh, ow), y.dtype, y,
+                      strides=(hp * wp * e, rows * wp * e, stride * wp * e, stride * e))
+    out = np.empty(view.shape, dtype=y.dtype)
     if bias is None:
-        return y.copy()
-    return y + bias[:, None, None]  # the crop and the bias in one pass
+        np.copyto(out, view)
+    else:  # the crop and the bias in one pass
+        np.add(view, bias[:, None, None], out=out)
+    return out
 
 
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -319,23 +354,30 @@ def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarra
 
     Input [K,h,w] and kernels [K,M,kh,kw] give [M, (h-1)*s+kh, (w-1)*s+kw]:
     spatial extents grow by the stride factor. This is the input gradient of
-    the conv that maps the output's shape to x's, for upstream ``x``.
+    the conv that maps the output's shape to x's, for upstream ``x``. A
+    block [N,K,h,w] gives [N,M,...]: one GEMM for the block where the
+    windows tile the output, else one walker call per tile.
     """
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d_transpose wants [K,h,w] and [K,M,kh,kw], got {x.shape}, {w.shape}")
-    if w.shape[0] != x.shape[0]:
-        raise ShapeError(f"kernel leading channels {w.shape[0]} != input channels {x.shape[0]}")
+    if x.ndim not in (3, 4) or w.ndim != 4:
+        raise ShapeError(f"conv2d_transpose wants [K,h,w] or [N,K,h,w] and [K,M,kh,kw], "
+                         f"got {x.shape}, {w.shape}")
+    if w.shape[0] != x.shape[-3]:
+        raise ShapeError(f"kernel leading channels {w.shape[0]} != input channels {x.shape[-3]}")
     k, m, kh, kw = w.shape
     if kh < 1 or kw < 1 or stride < 1:
         raise ParameterError(f"bad kernel/stride ({kh}x{kw}, {stride})")
-    _, h, wd = x.shape
+    *lead, _, h, wd = x.shape
     oh, ow = (h - 1) * stride + kh, (wd - 1) * stride + kw
     if kh == kw == stride:  # windows tile the output without overlap or gap
-        spread = np.tensordot(w, x, axes=([0], [0]))  # [M, kh, kw, h, w]
-        out = np.empty((m, oh, ow), dtype=spread.dtype)
+        spread = np.tensordot(w, x, axes=([0], [-3]))  # [M, kh, kw, *lead, h, w]
+        out = np.empty((*lead, m, oh, ow), dtype=spread.dtype)
+        a = len(lead)
         # + 0.0 turns -0.0 into +0.0, as accumulating into zeros does
-        np.add(spread.transpose(0, 3, 1, 4, 2), 0.0, out=out.reshape(m, h, kh, wd, kw))
+        np.add(spread.transpose(*range(3, 3 + a), 0, 3 + a, 1, 4 + a, 2), 0.0,
+               out=out.reshape(*lead, m, h, kh, wd, kw))
         return out
+    if lead:
+        return np.stack([_input_grad(t, w, oh, ow, stride, 0)[0] for t in x])
     return _input_grad(x, w, oh, ow, stride, 0)[0]
 
 
@@ -373,19 +415,20 @@ class PoolIndices:
     """Argmax bookkeeping from max_pool2d.
 
     ``indices`` holds, per pooled element, the flat index of its winning
-    position in the pre-pool input (C-order over [C,H,W]); ties go to the
-    first position in row-major window scan order.
+    position in the pre-pool input (C-order over its whole shape, [C,H,W]
+    or [N,C,H,W]); ties go to the first position in row-major window scan
+    order.
     """
 
-    indices: np.ndarray  # int64, shape [C, oh, ow]
-    input_shape: tuple[int, int, int]
+    indices: np.ndarray  # int64, shape [..., C, oh, ow]
+    input_shape: tuple[int, ...]
     overlapping: bool  # windows share cells, so indices may repeat
 
 
 def _pool_output_hw(x: np.ndarray, window: int, stride: int) -> tuple[int, int]:
-    if x.ndim != 3:
-        raise ShapeError(f"pooling wants [C,H,W], got {x.shape}")
-    _, h, w = x.shape
+    if x.ndim < 3:
+        raise ShapeError(f"pooling wants [C,H,W] or [N,C,H,W], got {x.shape}")
+    h, w = x.shape[-2:]
     if window < 1 or stride < 1:
         raise ParameterError(f"bad pooling window/stride ({window}, {stride})")
     if window > h or window > w or (h - window) % stride or (w - window) % stride:
@@ -399,16 +442,20 @@ def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Poo
     """Max over each window, and the flat input index of its first maximum in
     row-major window order.
 
-    Disjoint windows (``window == stride``, every pool the topologies build)
-    compare their cells as strided views of ``x``, one cell position at a
-    time; other geometries, and inputs holding NaN (argmax picks the first
-    NaN), argmax over a copy of the windows.
+    Leading axes pool as more channels: a block [N,C,H,W] pools as
+    [N*C,H,W], its indices flat over the whole block. Disjoint windows
+    (``window == stride``, every pool the topologies build) compare their
+    cells as strided views of ``x``, one cell position at a time; other
+    geometries, and inputs holding NaN (argmax picks the first NaN), argmax
+    over a copy of the windows.
     """
     oh, ow = _pool_output_hw(x, window, stride)
-    c, h, w = x.shape
+    h, w = x.shape[-2:]
+    planes = x.reshape(-1, h, w)
+    c = planes.shape[0]
     # off: flat [H, W] offset of each window's winner from the window origin
     if window == stride and not np.isnan(x).any():
-        cells = x.reshape(c, oh, window, ow, window)
+        cells = planes.reshape(c, oh, window, ow, window)
         best = cells[:, :, 0, :, 0].copy()
         off = np.zeros((c, oh, ow), dtype=np.int64)
         for p in range(1, window * window):
@@ -418,11 +465,12 @@ def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Poo
             np.maximum(off, (v > best) * (dy * w + dx), out=off)
             np.maximum(best, v, out=best)
     else:
-        win = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+        win = sliding_window_view(planes, (window, window), axis=(1, 2))[:, ::stride, ::stride]
         arg = win.reshape(c, oh, ow, window * window).argmax(axis=-1)
         off = arg // window * w + arg % window
     idx = (np.arange(c)[:, None, None] * (h * w) + (np.arange(oh) * (stride * w))[:, None]
            + np.arange(ow) * stride + off).astype(np.int64, copy=False)
+    idx = idx.reshape(*x.shape[:-2], oh, ow)
     return np.take(x, idx), PoolIndices(idx, x.shape, overlapping=window > stride)
 
 
@@ -490,12 +538,12 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: Runnin
     Training mode normalizes with the sample's own spatial statistics (with
     one sample per step this is instance normalization, the regime the
     pipeline runs in) and folds them into ``stats`` with the given momentum;
-    inference mode uses ``stats`` unchanged. ``cache`` feeds
-    batch_norm_backward.
+    inference mode uses ``stats`` unchanged and takes leading axes, such as
+    a block [N,C,H,W]. ``cache`` feeds batch_norm_backward.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"batch_norm wants [C,H,W], got {x.shape}")
-    c = x.shape[0]
+    if x.ndim != 3 and (training or x.ndim < 3):
+        raise ShapeError(f"batch_norm wants [C,H,W] (or leading axes in inference), got {x.shape}")
+    c = x.shape[-3]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must be [{c}], got {gamma.shape}, {beta.shape}")
     if not eps > 0:
@@ -564,7 +612,8 @@ def dropout_backward(g: np.ndarray, mask: np.ndarray | None, rate: float) -> np.
 
 
 def softmax(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Channel softmax with mandatory max-subtraction for stability."""
+    """Softmax along ``axis`` with mandatory max-subtraction for stability;
+    the graph's is -3, the channel axis of [C,H,W] and of [N,C,H,W]."""
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=axis, keepdims=True)

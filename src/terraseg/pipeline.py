@@ -24,6 +24,14 @@ pixels as class 0 under the ignore mask. Every graph the commands make
 (built by train, loaded by evaluate and predict) is converted to
 ``ENGINE_DTYPE``, float32. Checkpoints store float64, which holds every
 float32 value exactly.
+
+Train steps one tile [C, H, W] at a time. Evaluate, predict and train's
+per-epoch validation infer through ``training.infer_tiles``: it skips tiles
+whose every pixel is ignored and stacks the rest, in order, into blocks of
+up to ``training.BLOCK`` (8) tiles [N, C, H, W], one
+``NetworkGraph.infer`` call per block, which keeps no cache. A graph with
+wide layers gets fewer tiles a block, so that its widest layer output
+stays within ``training.BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from .georaster import (
 from .metrics import ConfusionMatrix, confusion_update, render_report, report, report_json
 from .tensor import mix_seed
 from .topologies import build_topology
-from .training import History, Sample, fit
+from .training import History, Sample, fit, infer_tiles
 from .wkt import parse_wkt
 
 log = logging.getLogger("terraseg")
@@ -308,6 +316,11 @@ def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.n
 def cmd_train(config: PipelineConfig, out_dir=".") -> History:
     """Build samples from the store, train the configured topology."""
     t = _section(config, "train")
+    if t.checkpoint:
+        ckpt = _resolve(t.checkpoint, out_dir)
+        if ckpt.is_dir():  # refused before any epoch trains
+            raise DataError(f"checkpoint {ckpt}: is a directory")
+        t = dataclasses.replace(t, checkpoint=str(ckpt))
     store = Store(config.store)
     src = _SampleSource(config, store, t)
     if t.topology.num_classes != src.num_classes:
@@ -334,9 +347,7 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
                            seed=mix_seed(config.seed, "init"))
     graph.set_dtype(ENGINE_DTYPE)
     if t.checkpoint:
-        ckpt = _resolve(t.checkpoint, out_dir)
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
-        t = dataclasses.replace(t, checkpoint=str(ckpt))
+        Path(t.checkpoint).parent.mkdir(parents=True, exist_ok=True)
     history = fit(graph, train_samples, t, config.seed, val_samples or None)
     base = _resolve(t.history or "history", out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -374,8 +385,8 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
     if e.fold is not None:
         keep = _fold_ids(store, config, e.fold, "config.evaluate.fold") == e.fold
     cm = ConfusionMatrix.zeros(src.num_classes)
-    for _, s in src.samples(src.week_range(*t.slice_timestamps), keep):
-        probs, _ = graph.forward(s.image, training=False)
+    samples = src.samples(src.week_range(*t.slice_timestamps), keep)
+    for s, probs in infer_tiles(graph, ((s, s.image, s.ignore) for _, s in samples)):
         confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
     values = report(cm)
     base = _resolve(e.out or "report", out_dir)
@@ -397,11 +408,9 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
         raise ParameterError(f"week {p.week} outside the {src.weeks}-week store")
 
     images, ignore = src.week(p.week)
+    # a tile infer_tiles skips is ignored in every pixel, so stays all 255
     classes = np.full((len(images), src.th, src.tw), 255, dtype=np.uint8)
-    for i, image in enumerate(images):
-        if ignore[i].all():
-            continue  # every pixel would be overwritten with 255
-        probs, _ = graph.forward(image, training=False)
+    for i, probs in infer_tiles(graph, zip(range(len(images)), images, ignore)):
         classes[i] = np.where(ignore[i] == 1, 255, probs.argmax(axis=0))
     attrs = store.array(_node(config, IMAGE_ARRAY)).attributes
     grid = TileGrid(int(attrs["scene_width"]), int(attrs["scene_height"]),

@@ -4,7 +4,10 @@ callbacks, all reproducible from a single seed.
 Per epoch the sample order is reshuffled with a seed derived from
 (seed, epoch) via the splitmix hash, gradients are averaged within each
 batch, and at epoch end the callbacks run in the fixed order
-plateau -> early stopping -> checkpoint.
+plateau -> early stopping -> checkpoint. Training steps run one sample
+[C, H, W] at a time; inference (validation here, evaluate and predict in
+the pipeline) runs through :func:`infer_tiles`, one ``graph.infer`` per
+block of up to ``BLOCK`` tiles.
 """
 
 from __future__ import annotations
@@ -18,12 +21,21 @@ from . import metrics as M
 from . import ops
 from .checkpoint import checkpoint_save
 from .config import TrainSection
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, ShapeError
 from .graph import NetworkGraph
 from .optim import apply_step
 from .tensor import SeededRng, mix_seed
 
-__all__ = ["Sample", "History", "fit", "evaluate_samples"]
+__all__ = ["Sample", "History", "fit", "evaluate_samples", "infer_tiles", "BLOCK",
+           "BLOCK_BYTES"]
+
+# tiles per inference forward: enough columns to amortize each GEMM call
+BLOCK = 8
+# bytes a block's widest node output may take, so that a block's working set
+# stays near 1 MiB: U-Net base 16 on 8 float32 tiles peaked at 3.3 MiB, and
+# glibc returned that heap after each block and faulted it back in on the
+# next (12x the page faults of one-tile calls); at 2 tiles it faulted none
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -77,11 +89,40 @@ def monitor_mode(name: str) -> str:
     return "min" if "loss" in name else "max"
 
 
+def infer_tiles(graph: NetworkGraph, tiles):
+    """Yield ``(key, probs)`` for each ``(key, image, ignore)`` of ``tiles``
+    in order, skipping those whose ``ignore`` mask (nonzero = ignored, or
+    None) covers every pixel.
+
+    ``probs`` [classes, H, W] is a tile of one ``graph.infer`` call per
+    block of images [C, H, W], read from ``tiles`` only as each block
+    fills. A block holds ``BLOCK`` tiles, or fewer where that many of the
+    graph's widest node output would pass ``BLOCK_BYTES`` (2 for U-Net base
+    16 on 32-px float32 tiles), and the last block what is left.
+    """
+    widest = max(int(np.prod(graph.shape_of(node.name))) for node in graph.nodes)
+    block = max(1, min(BLOCK, BLOCK_BYTES // (widest * graph.dtype.itemsize)))
+    keys, images = [], []
+    for key, image, ignore in tiles:
+        if ignore is not None and ignore.all():
+            continue
+        if image.shape != graph.input_shape:
+            raise ShapeError(f"input shape {image.shape} != graph input {graph.input_shape}")
+        keys.append(key)
+        images.append(image)
+        if len(images) == block:
+            yield from zip(keys, graph.infer(np.stack(images)))
+            keys, images = [], []
+    if images:
+        yield from zip(keys, graph.infer(np.stack(images)))
+
+
 def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MIoU")):
     """Mean loss plus aggregate confusion-matrix metrics, inference mode.
 
     Returns (val_loss, metrics dict, confusion matrix). Metrics aggregate one
-    confusion matrix across every non-ignored pixel of every sample.
+    confusion matrix across every non-ignored pixel of every sample; a
+    sample whose every pixel is ignored counts in neither.
     """
     for name in metric_names:
         if name not in M.REPORT_KEYS:
@@ -89,14 +130,13 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
     num_classes = graph.shape_of(graph.output_name)[0]
     cm = M.ConfusionMatrix.zeros(num_classes)
     total_loss, n = 0.0, 0
-    for s in samples:
-        probs, _ = graph.forward(s.image, training=False)
+    for s, probs in infer_tiles(graph, ((s, s.image, s.ignore) for s in samples)):
         loss, _ = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
         total_loss += loss
         n += 1
         M.confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
     if n == 0:
-        raise ParameterError("cannot evaluate on an empty sample list")
+        raise ParameterError("cannot evaluate without a sample that has an unignored pixel")
     scores = M.report(cm)
     vals = {name: scores[name] for name in metric_names}
     return total_loss / n, vals, cm
@@ -170,9 +210,9 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
         try:
             val_loss, vals, _ = evaluate_samples(graph, val, train.metrics)
         except DataError:
-            bad = next((i for i, v in enumerate(val)
-                        if not np.isfinite(graph.forward(v.image, training=False)[0]).all()),
-                       None)
+            bad = next((i for i, probs in infer_tiles(
+                            graph, ((i, v.image, v.ignore) for i, v in enumerate(val)))
+                        if not np.isfinite(probs).all()), None)
             if bad is None:
                 raise
             raise _diverged(epoch, f"the val_loss of validation sample {bad}") from None

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from terraseg.checkpoint import checkpoint_load, checkpoint_save, read_monitor
-from terraseg.errors import CheckpointFormatError, ParameterError, exit_code_for
+from terraseg.errors import CheckpointFormatError, DataError, ParameterError, exit_code_for
 from terraseg.graph import (
     ActivationLayer,
     BatchNorm2d,
@@ -283,3 +283,8 @@ class TestCorruption:
         path.write_bytes(b"PK\x03\x04 definitely a zip" * 2)
         with pytest.raises(CheckpointFormatError):
             read_monitor(str(path))
+
+    def test_saving_over_a_directory_is_a_data_error(self, tmp_path):
+        # the improvement gate reads the stored monitor through read_input
+        with pytest.raises(DataError, match=f"^checkpoint {tmp_path}: "):
+            checkpoint_save(small_graph(), str(tmp_path), monitor_value=0.5)

@@ -1,6 +1,8 @@
 """Graph mechanics: wiring validation, forward/backward plumbing, descriptor
 serialization, and finite-difference checks on small mixed graphs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from terraseg.graph import (
 from terraseg import ops
 from terraseg.ops import RELU, TANH
 from terraseg.tensor import SeededRng
+from terraseg.topologies import TopologySpec, build_topology
 
 from conftest import assert_plain_arrays, rand_array
 
@@ -160,6 +163,73 @@ class TestBackward:
         _, cache = g.forward(rand_array(0, (2, 4, 4)))
         with pytest.raises(ShapeError):
             g.backward(cache, {"ident": np.zeros((2, 3, 3))})
+
+
+class TestInfer:
+    """``infer`` on a block of tiles [N, C, H, W] against ``forward`` on each
+    tile, in float32 as the pipeline runs."""
+
+    def warmed(self, kind, base):
+        spec = TopologySpec(kind=kind, depth=2, base_channels=base, in_channels=4,
+                            num_classes=4)
+        g = build_topology(spec, (32, 32), seed=5)
+        g.set_dtype(np.float32)
+        for i, node in enumerate(g.nodes):
+            if isinstance(node.layer, BatchNorm2d):  # running stats off 0 and 1
+                c = node.layer.channels
+                node.layer.stats.mean[...] = SeededRng(i).uniform(-0.5, 0.5, c)
+                node.layer.stats.var[...] = SeededRng(i + 99).uniform(0.5, 2.0, c)
+        return g
+
+    def block(self, n, seed=0):
+        return SeededRng(seed + n).uniform(-1.0, 1.0, (n, 4, 32, 32)).astype(np.float32)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("kind, base", [("unet", 16), ("segnet", 8), ("resunet", 8)])
+    def test_topologies_match_forward_per_tile(self, kind, base, n):
+        g = self.warmed(kind, base)
+        x = self.block(n)
+        y = g.infer(x)
+        assert y.shape == (n, 4, 32, 32) and y.dtype == np.float32 and y.flags.c_contiguous
+        for i, tile in enumerate(x):
+            want, _ = g.forward(tile)
+            if n == 1:  # the very calls forward makes
+                assert y[i].tobytes() == want.tobytes()
+            else:
+                # a GEMM may round a column differently with the matrix's
+                # width (OpenBLAS 0.3.31 did at N = 2 and 3 on two U-Net and
+                # ResU-Net convs), so a few float32 ulps of a probability
+                assert np.allclose(y[i], want, rtol=0, atol=16 * np.finfo(np.float32).eps)
+
+    def test_concat_crop_on_a_block(self):
+        layer = ConcatCrop()
+        main, skip = rand_array(1, (3, 2, 4, 4)), rand_array(2, (3, 3, 7, 6))
+        y, _ = layer.forward([main, skip], False, None)
+        assert y.shape == (3, 5, 4, 4)
+        for n in range(3):
+            yn, _ = layer.forward([main[n], skip[n]], False, None)
+            assert y[n].tobytes() == yn.tobytes()
+
+    def test_wants_a_block_of_the_input_shape(self):
+        g = identity_graph()
+        for bad in (rand_array(0, (2, 4, 4)), rand_array(0, (3, 2, 4, 5))):
+            with pytest.raises(ShapeError, match="a block"):
+                g.infer(bad)
+
+    def test_keeps_no_cache(self):
+        # forward keeps every node's output; infer's peak must stay under
+        # half of them, which it cannot if it keeps them
+        g = self.warmed("segnet", 8)
+        x = self.block(8)
+        g.infer(x)  # one-time allocations outside the measurement
+        outputs = sum(8 * 4 * int(np.prod(g.shape_of(node.name))) for node in g.nodes)
+        tracemalloc.start()
+        try:
+            g.infer(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs / 2
 
 
 class TestDescriptor:

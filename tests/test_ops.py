@@ -159,6 +159,26 @@ def transpose_cases(draw):
     return rand_array(seed, (k, h, wd)), rand_array(seed + 1, (k, m, kh, kw)), stride
 
 
+@st.composite
+def tile_blocks(draw):
+    """conv_cases' geometry on a block of 1..5 tiles, in float64 or float32,
+    with or without a bias."""
+    x, w, b, stride, padding = draw(conv_cases())
+    n = draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    block = np.stack([x] + [rand_array(seed + k, x.shape) for k in range(n - 1)])
+    bias = b.astype(dtype) if draw(st.booleans()) else None
+    return block.astype(dtype), w.astype(dtype), bias, stride, padding
+
+
+def whole(a):
+    """Nonzero integers from -4 to 4, one per element of ``a`` in [-1, 1):
+    every conv sum of them is exact in float32, whatever order BLAS adds in."""
+    q = np.floor(a * 4.0)
+    return np.where(q >= 0, q + 1, q).astype(a.dtype)
+
+
 def max_pool2d_windows(x, window, stride):
     """Max pool as an argmax over a [C, oh, ow, k*k] copy of the windows:
     (values, flat input index of each window's first maximum)."""
@@ -267,6 +287,28 @@ class TestConvProperties:
         for g, ref, arr in zip(got, conv2d_backward_naive(gy, x, w, stride, padding), (x, w, gy[:, 0, 0])):
             assert g.shape == arr.shape and g.flags.c_contiguous
             assert np.allclose(g, ref, rtol=0, atol=1e-12)
+
+
+    @given(tile_blocks())
+    def test_tiles_match_one_conv_per_tile(self, case):
+        x, w, b, stride, padding = case
+        # on whole-number operands and a bias every sum is exact, so a
+        # block's tile is the bytes of that tile's own conv
+        xi, wi, bi = whole(x), whole(w), whole(rand_array(9, (w.shape[0],))).astype(x.dtype)
+        y = ops.conv2d_tiles(xi, wi, bi, stride, padding)
+        assert y.flags.c_contiguous and y.dtype == x.dtype
+        for n in range(len(x)):
+            assert y[n].tobytes() == ops.conv2d(xi[n], wi, bi, stride, padding).tobytes()
+        # on real operands a GEMM may round a column differently with the
+        # matrix's width: each side is within (taps + C) eps of the sum of
+        # |terms|, the conv of |x| with |w|
+        y = ops.conv2d_tiles(x, w, b, stride, padding)
+        o, c, kh, kw = w.shape
+        terms = ops.conv2d_tiles(np.abs(x), np.abs(w), None if b is None else np.abs(b),
+                                 stride, padding)
+        bound = 2 * (kh * kw + c + 1) * np.finfo(x.dtype).eps * terms
+        for n in range(len(x)):
+            assert np.all(np.abs(y[n] - ops.conv2d(x[n], w, b, stride, padding)) <= bound[n])
 
 
 class TestConvTranspose:
@@ -549,6 +591,71 @@ class TestBatchNorm:
         assert max_rel_err(dx, numeric_grad(loss, x)) < TOL
         assert max_rel_err(dgamma, numeric_grad(loss, gamma)) < TOL
         assert max_rel_err(dbeta, numeric_grad(loss, beta)) < TOL
+
+
+class TestBlocks:
+    """The inference forwards on a block [N, C, H, W] give each tile the
+    bytes of that tile's own [C, H, W] call."""
+
+    def block(self, seed, shape, dtype=np.float32, low=-1.0, high=1.0):
+        return rand_array(seed, (3, *shape), low, high).astype(dtype)
+
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (3, 1), (2, 1)])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_pool_and_unpool(self, window, stride, nan):
+        x = self.block(101, (4, 6, 6))
+        if nan:  # argmax over the window copies, in every tile of the block
+            x[1, 2, 3, 3] = np.nan
+        y, idx = ops.max_pool2d(x, window, stride)
+        up = ops.unpool_with_indices(y, idx)
+        assert idx.input_shape == x.shape
+        for n, tile in enumerate(x):
+            yn, idn = ops.max_pool2d(tile, window, stride)
+            assert y[n].tobytes() == yn.tobytes()
+            assert np.array_equal(idx.indices[n], idn.indices + n * tile.size)
+            assert up[n].tobytes() == ops.unpool_with_indices(yn, idn).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_batch_norm(self, dtype):
+        x = self.block(102, (4, 5, 5), dtype, -3.0, 3.0)
+        gamma, beta = rand_array(103, (4,)).astype(dtype), rand_array(104, (4,)).astype(dtype)
+        stats = RunningStats(rand_array(105, (4,)).astype(dtype),
+                             rand_array(106, (4,), 0.5, 2.0).astype(dtype))
+        y, _ = ops.batch_norm(x, gamma, beta, stats, training=False)
+        for n, tile in enumerate(x):
+            yn, _ = ops.batch_norm(tile, gamma, beta, stats, training=False)
+            assert y[n].tobytes() == yn.tobytes()
+
+    def test_training_batch_norm_wants_one_sample(self):
+        with pytest.raises(ShapeError, match="batch_norm wants"):
+            ops.batch_norm(self.block(107, (2, 3, 3)), np.ones(2, np.float32),
+                           np.zeros(2, np.float32), RunningStats.zeros(2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_over_the_channel_axis(self, dtype):
+        x = self.block(108, (5, 4, 3), dtype, -8.0, 8.0)
+        y = ops.softmax(x, axis=-3)
+        for n, tile in enumerate(x):
+            assert y[n].tobytes() == ops.softmax(tile, axis=0).tobytes()
+
+    @pytest.mark.parametrize("kind", [SIGMOID, TANH, ELU, RELU, LEAKY_RELU])
+    def test_activations(self, kind):
+        x = self.block(109, (2, 4, 4), low=-4.0, high=4.0)
+        y = ops.activate(kind, x)
+        for n, tile in enumerate(x):
+            assert y[n].tobytes() == ops.activate(kind, tile).tobytes()
+
+    @pytest.mark.parametrize("k, stride", [(1, 1), (2, 2), (3, 3), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transposed_conv(self, k, stride, dtype):
+        # k == stride is the one-GEMM form, exact on whole numbers whatever
+        # order BLAS adds in; the others run the walker per tile
+        x = whole(self.block(110, (4, 3, 5), dtype))
+        w = whole(rand_array(111, (4, 2, k, k)).astype(dtype))
+        y = ops.conv2d_transpose(x, w, stride)
+        assert y.flags.c_contiguous and y.dtype == x.dtype
+        for n, tile in enumerate(x):
+            assert y[n].tobytes() == ops.conv2d_transpose(tile, w, stride).tobytes()
 
 
 class TestDropout:

@@ -737,16 +737,17 @@ class TestWeekReader:
         out.mkdir()
         self.save_untrained(out)
         calls = []
-        forward = NetworkGraph.forward
+        infer = NetworkGraph.infer
 
-        def counted(graph, x, *args, **kwargs):
-            calls.append(1)
-            return forward(graph, x, *args, **kwargs)
+        def counted(graph, x):
+            calls.append(len(x))
+            return infer(graph, x)
 
-        monkeypatch.setattr(NetworkGraph, "forward", counted)
+        monkeypatch.setattr(NetworkGraph, "infer", counted)
         got = read_pgm(str(cmd_predict(config, out_dir=out))).data[0]
-        # the SCL mask covers tile (0, 0) whole; the other five are predicted
-        assert len(calls) == 5
+        # the SCL mask covers tile (0, 0) whole; the other five are predicted,
+        # in one block
+        assert calls == [5]
         assert (got[:16, :16] == 255).all()
         assert (got[16:, :16] != 255).any()
 
@@ -898,6 +899,28 @@ class TestCli:
                      "--checkpoint", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error[data]: checkpoint {tmp_path}: ") and err.count("\n") == 1
+
+    def test_directory_as_train_checkpoint_exits_3_before_an_epoch(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        ckpt = tmp_path / "ckpt-dir"
+        ckpt.mkdir()
+        assert main(["train", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error[data]: checkpoint {ckpt}: is a directory\n"
+        assert not (out / "history.json").exists() and not any(ckpt.iterdir())
+
+    def test_config_that_is_not_utf8_exits_2_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"seed: 1\n# caf\xe9\n")
+        assert main(["split", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error[config]: config file {path} is not UTF-8 text "
+                       f"(byte 13: invalid continuation byte)\n")
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, split=DROP)

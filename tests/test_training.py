@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 import terraseg.training as training_mod
+from terraseg import metrics as M
+from terraseg import ops
 from terraseg.config import OptimizerConfig, TrainSection
 from terraseg.errors import DataError, ParameterError
+from terraseg.graph import ActivationLayer, Conv2d, NetworkGraph, Softmax
 from terraseg.optim import AdamState, SgdState
 from terraseg.synth import make_tile
+from terraseg.tensor import SeededRng
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,
     _improved,
+    BLOCK,
+    BLOCK_BYTES,
     evaluate_samples,
     fit,
+    infer_tiles,
     monitor_mode,
 )
 
@@ -242,6 +249,60 @@ class TestEvaluateSamples:
     def test_empty_samples(self):
         with pytest.raises(ParameterError):
             evaluate_samples(tiny_graph(), [])
+
+    @pytest.mark.parametrize("kind, base, block", [("segnet", 8, 8), ("resunet", 8, 4),
+                                                   ("unet", 8, 4), ("unet", 16, 2)])
+    def test_block_size_follows_the_widest_output(self, monkeypatch, kind, base, block):
+        # float32 32-px tiles: SegNet's widest output is 32 KiB a tile, the
+        # U-Net base 16 concat 128 KiB, so BLOCK_BYTES holds 8 and 2 of them
+        spec = TopologySpec(kind=kind, depth=2, base_channels=base, in_channels=4,
+                            num_classes=4)
+        g = build_topology(spec, (32, 32), seed=1)
+        g.set_dtype(np.float32)
+        widest = max(int(np.prod(g.shape_of(n.name))) for n in g.nodes) * 4
+        assert block == min(BLOCK, BLOCK_BYTES // widest)
+        sizes, infer = [], g.infer
+        monkeypatch.setattr(g, "infer", lambda x: sizes.append(len(x)) or infer(x))
+        images = np.zeros((11, 4, 32, 32), np.float32)
+        got = [k for k, _ in infer_tiles(g, ((i, image, None) for i, image in enumerate(images)))]
+        assert got == list(range(11))
+        assert sizes == [block] * (11 // block) + ([11 % block] if 11 % block else [])
+
+    def test_blocks_give_the_per_tile_loop_bits(self):
+        # dyadic operands with short mantissas keep every conv sum exact, so
+        # the blocks' probabilities are the per-tile ones whatever order
+        # BLAS adds in; 11 samples make one full block and a partial one
+        def dyadic(seed, shape, scale):
+            return np.floor(SeededRng(seed).uniform(-4, 4, shape)) / scale
+
+        g = NetworkGraph((2, 8, 8))
+        g.add("c1", Conv2d(2, 3, 3, 1, 1), ["input"])
+        g.add("act", ActivationLayer(ops.RELU), ["c1"])
+        g.add("c2", Conv2d(3, 2, 1, 1, 0), ["act"])
+        g.add("probs", Softmax(), ["c2"])
+        for i, arr in enumerate(g.parameters().values()):
+            arr[...] = dyadic(i, arr.shape, 8)
+        samples = []
+        for i in range(BLOCK + 4):
+            s = tiny_sample(10 + i)
+            ignore = SeededRng(40 + i).uniform(0, 1, (8, 8)) < 0.2
+            if i == 5:
+                ignore[...] = True  # dropped by both
+            samples.append(Sample(dyadic(20 + i, s.image.shape, 4), s.labels, ignore))
+
+        cm = M.ConfusionMatrix.zeros(2)
+        total, n = 0.0, 0
+        for s in samples:
+            if s.ignore.all():
+                continue
+            probs, _ = g.forward(s.image)
+            total += ops.categorical_cross_entropy(probs, s.labels, s.ignore)[0]
+            n += 1
+            M.confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
+        loss, _, got = evaluate_samples(g, samples)
+        assert n == BLOCK + 3
+        assert np.float64(loss).tobytes() == np.float64(total / n).tobytes()
+        assert np.array_equal(got.counts, cm.counts)
 
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
