@@ -152,6 +152,8 @@ class TrainSection:
                                  f"0 <= start < stop, got {list(s)}")
         if self.validation_fold is not None:
             _at_least(0, validation_fold=self.validation_fold)
+        if not self.inputs:
+            raise ParameterError("inputs must name at least one store array, got []")
 
 
 @dataclass(frozen=True)

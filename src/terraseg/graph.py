@@ -145,10 +145,8 @@ class TransposeConv2d(Layer):
         c, h, w = shapes[0]
         if c != self.in_ch:
             raise ShapeError(f"transpose conv expects {self.in_ch} channels, got {c}")
-        if self.kernel < 1 or self.stride < 1:
-            raise ParameterError(f"bad transpose conv kernel/stride ({self.kernel}, {self.stride})")
-        return (self.out_ch, (h - 1) * self.stride + self.kernel,
-                (w - 1) * self.stride + self.kernel)
+        return (self.out_ch, *ops._transpose_output_hw(h, w, self.kernel, self.kernel,
+                                                       self.stride))
 
     def forward(self, xs, training, rng):
         return ops.conv2d_transpose(xs[0], self.weight, self.stride), xs[0]
@@ -168,14 +166,10 @@ class MaxPool2d(Layer):
 
     def out_shape(self, shapes):
         c, h, w = shapes[0]
-        if self.window > h or self.window > w or (h - self.window) % self.stride \
-                or (w - self.window) % self.stride:
-            raise ShapeError(f"pool {self.window}/{self.stride} does not tile {h}x{w}")
-        return (c, (h - self.window) // self.stride + 1, (w - self.window) // self.stride + 1)
+        return (c, *ops._pool_output_hw(h, w, self.window, self.stride))
 
     def forward(self, xs, training, rng):
-        y, idx = ops.max_pool2d(xs[0], self.window, self.stride)
-        return y, idx
+        return ops.max_pool2d(xs[0], self.window, self.stride)
 
     def backward(self, g, ctx: PoolIndices):
         return [ops.max_pool2d_backward(g, ctx)], {}

@@ -13,44 +13,32 @@ each pair against central finite differences. The backward ops, and batch
 norm in training mode, take one [C, H, W] sample. The inference forwards
 take any leading axes, indexing the channel and spatial axes from the end:
 ``max_pool2d``, ``unpool_with_indices``, inference ``batch_norm``,
-``softmax`` (``axis=-3``), the activations and the window-tiling transposed
-conv. A block's result for each tile is the bytes of that tile's own call,
-except where a GEMM adds: a BLAS may round an output column differently
-with the matrix's width.
+``softmax`` (``axis=-3``), the activations and the transposed conv. A
+block's result for each tile is the bytes of that tile's own call, except
+where a GEMM adds: a BLAS may round an output column differently with the
+matrix's width.
 
-Every convolution runs on one engine, a stride-1 cross-correlation by
-per-tap GEMMs without a patch (im2col) matrix: the input is zero-padded once
-into a flat [C, L] buffer of row pitch ``wp = W + 2p``, so tap (i, j) of
-wide output column ``m = r*wp + q`` reads position ``i*wp + j + m`` and each
-tap's operand is a slice of that buffer. The per-tap products accumulate
-into an [O, rows*wp] wide output whose columns past the output's width are
-cropped (Vasudevan, Anderson & Gregg 2017, arXiv 1704.04428; Anderson et al.
-2017, arXiv 1709.03395). ``conv2d_tiles`` lays N padded tiles of a block end
-to end in that buffer, so each tap is one GEMM over every tile's columns
-(Chetlur et al. 2014, arXiv 1410.0759): consecutive tiles already have 2p
-zero rows between them, the stride-1 wide output has ``(N-1)*hp + oh``
-rows for a padded tile height ``hp``, and the ``kh-1`` rows that straddle
-two tiles are cropped. ``conv2d`` is its one-tile case. The other
-convolutions reduce to the stride-1 walker (Dumoulin & Visin 2016, arXiv
-1603.07285, section 4):
+Convolutions come in two forms, and any other geometry raises a
+ParameterError (Dumoulin & Visin 2016, arXiv 1603.07285, section 4):
 
-- a strided conv is the stride-1 correlation subsampled every s-th row and
-  column, so it does s^2 times the work;
-- a conv's gradients are the stride-1 conv's for the upstream gradient
-  zero-dilated by the stride. The input gradient correlates that dilated
-  gradient, padded by ``k-1-p`` per axis, with the kernels flipped in space
-  and their in/out axes swapped; where ``p > k - 1`` it is not padded on
-  that axis, and the correlation's result is cropped by ``p-k+1`` on each
-  side instead. The kernel gradient is one GEMM per tap of the dilated
-  gradient, a slice of the same buffer, with that tap's slice of the input;
-- the transposed convolution is the conv's input gradient at padding 0, the
-  exact adjoint of ``conv2d`` with shared kernels,
-  ``<conv2d(x, w), y> == <x, conv2d_transpose(y, w)>``; its input gradient
-  is a strided conv and its kernel gradient the conv's.
+- **The per-tap walker**, for stride 1 with padding below the kernel size
+  (the 3x3 and 1x1 convs): the input is zero-padded once into a flat
+  [C, L] buffer of row pitch ``wp = W + 2p``, so tap (i, j) of wide output
+  column ``m = r*wp + q`` reads position ``i*wp + j + m``: each tap is one
+  GEMM on a slice of that buffer, with no im2col matrix, and the wide
+  columns past the output's width are cropped (Vasudevan, Anderson & Gregg
+  2017, arXiv 1704.04428). A block's tiles lie end to end in the buffer,
+  so each tap is one GEMM for the block (Chetlur et al. 2014, arXiv
+  1410.0759). The input gradient walks ``gy`` padded by ``k-1-p`` with the
+  kernels flipped and in/out-swapped; the kernel gradient is a GEMM a tap.
+- **Disjoint windows**, a kernel equal to the stride without padding: one
+  regrouping copy (``_patches``) and one GEMM make the strided conv, and
+  ``conv2d_transpose`` (the up-convs) is its exact adjoint with shared
+  kernels, ``<conv2d(x, w, stride=s), y> == <x, conv2d_transpose(y, w, s)>``,
+  so each is the other's input gradient and each kernel gradient one GEMM.
 
-The one other form is for a transposed conv whose windows tile its output
-(``kh == kw == stride``, the topologies' up-convs): one regrouping copy and
-one GEMM per op, which measured faster there than the walker.
+Max pooling likewise takes only disjoint windows (``window == stride``), so
+its argmax positions are distinct and its gradient one indexed assignment.
 """
 
 from __future__ import annotations
@@ -58,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
@@ -183,39 +170,41 @@ def activate_grad(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
 
 
 def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
-    """Output spatial extents of conv2d; raises unless they are whole and positive."""
-    if kh < 1 or kw < 1 or stride < 1 or padding < 0:
-        raise ParameterError(f"bad kernel/stride/padding ({kh}x{kw}, {stride}, {padding})")
+    """Output spatial extents of conv2d; raises ParameterError for a geometry
+    neither conv form takes, and ShapeError unless the extents are whole and
+    positive."""
+    walker = stride == 1 and 0 <= padding < min(kh, kw)
+    windows = kh == kw == stride >= 1 and padding == 0
+    if not (walker or windows):
+        raise ParameterError(
+            f"unsupported conv: kernel {kh}x{kw}, stride {stride}, padding {padding} "
+            f"(stride 1 with padding < kernel, or kernel == stride with padding 0)")
     num_h, num_w = h + 2 * padding - kh, w + 2 * padding - kw
     if num_h < 0 or num_w < 0 or num_h % stride or num_w % stride:
-        raise ShapeError(
-            f"conv geometry invalid: input {h}x{w}, kernel {kh}x{kw}, "
-            f"stride {stride}, padding {padding}"
-        )
+        raise ShapeError(f"conv geometry invalid: input {h}x{w}, kernel {kh}x{kw}, "
+                         f"stride {stride}, padding {padding}")
     return num_h // stride + 1, num_w // stride + 1
 
 
 def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int,
-              wp: int | None = None, dilate: int = 1) -> tuple[np.ndarray, int]:
+              wp: int | None = None) -> tuple[np.ndarray, int]:
     """Zero-pad [C, H, W], or each tile of a block [N, C, H, W] laid end to
-    end, with ``dilate - 1`` zeros between its rows and between its columns,
-    by (ph, pw) into a flat [C, L] buffer of row pitch ``wp`` (default the
-    padded width), for a correlation kw taps wide.
+    end, by (ph, pw) into a flat [C, L] buffer of row pitch ``wp`` (default
+    the padded width), for a correlation kw taps wide.
 
     Returns ``(flat, wp)``. The kw - 1 zeros past the last padded tile make L
     long enough for every tap to read a full rows*wp-column slice. Any pitch
-    from the dilated width plus pw up works, as a row's right padding may
-    overlap the next row's left padding. (np.pad's per-call overhead is
-    several times the copy at these sizes.)
+    from the width plus pw up works, as a row's right padding may overlap the
+    next row's left padding. (np.pad's per-call overhead is several times the
+    copy at these sizes.)
     """
     *lead, c, h, w = x.shape
     n = lead[0] if lead else 1
     tiles = x.reshape(n, c, h, w).transpose(1, 0, 2, 3)
-    h, w = (h - 1) * dilate + 1, (w - 1) * dilate + 1
     hp, wp = h + 2 * ph, wp or w + 2 * pw
     flat = np.zeros((c, n * hp * wp + kw - 1), dtype=x.dtype)
     grid = flat[:, : n * hp * wp].reshape(c, n, hp, wp)
-    grid[:, :, ph : ph + h : dilate, pw : pw + w : dilate] = tiles
+    grid[:, :, ph : ph + h, pw : pw + w] = tiles
     return flat, wp
 
 
@@ -254,34 +243,44 @@ def _correlate(flat: np.ndarray, wt: np.ndarray, kh: int, kw: int, wp: int,
 
 
 def _input_grad(gy: np.ndarray, w: np.ndarray, h: int, wd: int,
-                stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """Input gradient of conv2d for an [h, wd] input, and the operand of its
-    kernel gradient: ``gy`` dilated by the stride at the padded input's row
-    pitch, zero past the output's width, which is a slice of dx's buffer
-    (``gy`` padded by ``k-1-p``, or 0 where dx is cropped by ``p-k+1``)."""
+                padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input gradient of the stride-1 conv2d for an [h, wd] input, and the
+    operand of its kernel gradient: ``gy`` at the padded input's row pitch,
+    zero past the output's width, a slice of dx's buffer."""
     c, kh, kw = w.shape[1:]
     wp = wd + 2 * padding
-    eh, ew = max(padding - kh + 1, 0), max(padding - kw + 1, 0)
-    gph, gpw = max(kh - 1 - padding, 0), max(kw - 1 - padding, 0)
-    gflat, _ = _flat_pad(gy, gph, gpw, kw, wp, stride)
+    gph, gpw = kh - 1 - padding, kw - 1 - padding
+    gflat, _ = _flat_pad(gy, gph, gpw, kw, wp)
     wt = _tap_kernels(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    dx = _correlate(gflat, wt, kh, kw, wp, h + 2 * eh)
-    dx = dx.reshape(c, -1, wp)[:, eh : eh + h, ew : ew + wd].copy()
-    start, rows = gph * wp + gpw, (gy.shape[1] - 1) * stride + 1
-    return dx, gflat[:, start : start + rows * wp]
+    dx = _correlate(gflat, wt, kh, kw, wp, h)
+    dx = dx.reshape(c, h, wp)[:, :, :wd].copy()
+    start = gph * wp + gpw
+    return dx, gflat[:, start : start + gy.shape[1] * wp]
 
 
 def _kernel_grad(gw: np.ndarray, x: np.ndarray, kh: int, kw: int,
                  padding: int) -> np.ndarray:
-    """Kernel gradient of conv2d: one GEMM per tap of the stride-1 upstream
-    gradient ``gw`` [O, rows*wp], at the padded input's row pitch and zero
-    past the output's width, with that tap's window of the padded input."""
+    """Kernel gradient of the stride-1 conv2d: one GEMM per tap of the
+    upstream gradient ``gw`` [O, rows*wp], at the padded input's row pitch
+    and zero past the output's width, with that tap's window of the padded
+    input."""
     flat, wp = _flat_pad(x, padding, padding, kw)
     o, c = gw.shape[0], x.shape[0]
     dwt = np.empty((kh * kw, o, c), dtype=gw.dtype)
     for t, tap in enumerate(_taps(flat, kh, kw, wp, gw.shape[1] // wp)):
         np.matmul(gw, tap.T, out=dwt[t])
     return dwt.reshape(kh, kw, o, c).transpose(2, 3, 0, 1).copy()
+
+
+def _patches(x: np.ndarray, k: int) -> np.ndarray:
+    """[.., C, oh*k, ow*k] -> [.., C*k*k, oh*ow]: one regrouping copy that
+    makes each disjoint k x k window a column, its rows in a kernel's
+    [C, k, k] order."""
+    *lead, c, h, w = x.shape
+    a = len(lead)
+    cells = x.reshape(*lead, c, h // k, k, w // k, k)
+    return cells.transpose(*range(a), a, a + 2, a + 4, a + 1, a + 3).reshape(
+        *lead, c * k * k, (h // k) * (w // k))
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
@@ -296,7 +295,8 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
 def conv2d_tiles(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
                  stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate each tile of [N,C,H,W] with kernels [O,C,kh,kw] ->
-    [N,O,oh,ow], one GEMM per tap over the N tiles laid end to end."""
+    [N,O,oh,ow]: at stride 1 one GEMM per tap over the N tiles laid end to
+    end, else one GEMM per tile of the regrouped windows."""
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeError(f"conv2d_tiles wants input [N,C,H,W] and kernels [O,C,kh,kw], "
                          f"got {x.shape}, {kernels.shape}")
@@ -307,16 +307,20 @@ def conv2d_tiles(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = N
     if bias is not None and bias.shape != (o,):
         raise ShapeError(f"bias shape {bias.shape} != ({o},)")
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    if stride > 1:  # kh == kw == stride: the windows tile the input
+        y = np.matmul(kernels.reshape(o, -1), _patches(x, stride)).reshape(n, o, oh, ow)
+        if bias is not None:
+            y += bias[:, None, None]
+        return y
     flat, wp = _flat_pad(x, padding, padding, kw)
     hp = h + 2 * padding
-    rows = (n - 1) * hp + (oh - 1) * stride + 1
+    rows = (n - 1) * hp + oh
     y = _correlate(flat, _tap_kernels(kernels), kh, kw, wp, rows)
-    # tile t's output row r is wide row t*hp + r*s: the crop drops the rows
-    # that straddle two tiles and, for a strided conv, keeps every s-th row
-    # and column of the stride-1 result
+    # tile t's output row r is wide row t*hp + r: the crop drops the rows
+    # that straddle two tiles and the columns past the output's width
     e = y.itemsize
     view = np.ndarray((n, o, oh, ow), y.dtype, y,
-                      strides=(hp * wp * e, rows * wp * e, stride * wp * e, stride * e))
+                      strides=(hp * wp * e, rows * wp * e, wp * e, e))
     out = np.empty(view.shape, dtype=y.dtype)
     if bias is None:
         np.copyto(out, view)
@@ -329,34 +333,41 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, padding: int = 0):
     """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy.
 
-    Both are the stride-1 conv's gradients for ``gy`` zero-dilated by the
-    stride, on the one tap walker: dx correlates the dilated ``gy``, padded
-    by ``k-1-p`` per axis, with the flipped, in/out-swapped kernels, and is
-    cropped by ``p-k+1`` on an axis where ``p > k - 1`` instead; each tap's
-    kernel gradient is one GEMM of the dilated ``gy`` with that tap's slice
-    of the padded input.
+    At stride 1, on the tap walker: dx correlates ``gy``, padded by
+    ``k-1-p`` per axis, with the flipped, in/out-swapped kernels, and each
+    tap's kernel gradient is one GEMM of ``gy`` with that tap's slice of the
+    padded input. With disjoint windows dx is ``conv2d_transpose(gy, w,
+    stride)`` and dw one GEMM of ``gy`` with the regrouped input.
     """
     o, c, kh, kw = w.shape
     h, wd = x.shape[1:]
     oh, ow = conv_output_hw(h, wd, kh, kw, stride, padding)
     if gy.shape != (o, oh, ow):
         raise ShapeError(f"upstream grad shape {gy.shape} != {(o, oh, ow)}")
+    db = gy.sum(axis=(1, 2))
+    if stride > 1:
+        dw = (gy.reshape(o, -1) @ _patches(x, stride).T).reshape(w.shape)
+        return conv2d_transpose(gy, w, stride), dw, db
     # dx first, so its temporaries are freed before x's buffer is made and
     # that buffer reuses their heap: with both alive, glibc handed more of
     # the freed heap top back to the kernel on each call, and the next call
     # page-faulted it in again
-    dx, gw = _input_grad(gy, w, h, wd, stride, padding)
-    return dx, _kernel_grad(gw, x, kh, kw, padding), gy.sum(axis=(1, 2))
+    dx, gw = _input_grad(gy, w, h, wd, padding)
+    return dx, _kernel_grad(gw, x, kh, kw, padding), db
+
+
+def _transpose_output_hw(h: int, w: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
+    """Output extents of conv2d_transpose, whose kernel must equal its stride."""
+    if not kh == kw == stride >= 1:
+        raise ParameterError(f"unsupported transposed conv: kernel {kh}x{kw}, stride {stride} "
+                             f"(kernel == stride)")
+    return h * stride, w * stride
 
 
 def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Adjoint of zero-padding conv2d with the same kernels.
-
-    Input [K,h,w] and kernels [K,M,kh,kw] give [M, (h-1)*s+kh, (w-1)*s+kw]:
-    spatial extents grow by the stride factor. This is the input gradient of
-    the conv that maps the output's shape to x's, for upstream ``x``. A
-    block [N,K,h,w] gives [N,M,...]: one GEMM for the block where the
-    windows tile the output, else one walker call per tile.
+    """Adjoint of the disjoint-window conv2d with the same kernels: input
+    [K,h,w] and kernels [K,M,s,s] give [M, h*s, w*s], and a block [N,K,h,w]
+    gives [N,M,...], by one GEMM whose columns the inverse regrouping lays out.
     """
     if x.ndim not in (3, 4) or w.ndim != 4:
         raise ShapeError(f"conv2d_transpose wants [K,h,w] or [N,K,h,w] and [K,M,kh,kw], "
@@ -364,46 +375,33 @@ def conv2d_transpose(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarra
     if w.shape[0] != x.shape[-3]:
         raise ShapeError(f"kernel leading channels {w.shape[0]} != input channels {x.shape[-3]}")
     k, m, kh, kw = w.shape
-    if kh < 1 or kw < 1 or stride < 1:
-        raise ParameterError(f"bad kernel/stride ({kh}x{kw}, {stride})")
     *lead, _, h, wd = x.shape
-    oh, ow = (h - 1) * stride + kh, (wd - 1) * stride + kw
-    if kh == kw == stride:  # windows tile the output without overlap or gap
-        spread = np.tensordot(w, x, axes=([0], [-3]))  # [M, kh, kw, *lead, h, w]
-        out = np.empty((*lead, m, oh, ow), dtype=spread.dtype)
-        a = len(lead)
-        # + 0.0 turns -0.0 into +0.0, as accumulating into zeros does
-        np.add(spread.transpose(*range(3, 3 + a), 0, 3 + a, 1, 4 + a, 2), 0.0,
-               out=out.reshape(*lead, m, h, kh, wd, kw))
-        return out
-    if lead:
-        return np.stack([_input_grad(t, w, oh, ow, stride, 0)[0] for t in x])
-    return _input_grad(x, w, oh, ow, stride, 0)[0]
+    oh, ow = _transpose_output_hw(h, wd, kh, kw, stride)
+    spread = np.tensordot(w, x, axes=([0], [-3]))  # [M, kh, kw, *lead, h, w]
+    out = np.empty((*lead, m, oh, ow), dtype=spread.dtype)
+    a = len(lead)
+    # + 0.0 turns -0.0 into +0.0, as accumulating into zeros does
+    np.add(spread.transpose(*range(3, 3 + a), 0, 3 + a, 1, 4 + a, 2), 0.0,
+           out=out.reshape(*lead, m, h, kh, wd, kw))
+    return out
 
 
 def conv2d_transpose_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
                               stride: int = 1):
     """Gradients of conv2d_transpose w.r.t. (input, kernels).
 
-    As the transposed conv is a conv's input gradient, dx is that conv,
-    ``conv2d(gy, w, stride)``, and dw its kernel gradient for input ``gy``
-    and upstream ``x``. With ``kh == kw == stride`` (the windows tile the
-    output) ``gy`` instead regroups with one transpose copy into
-    ``g = [M*kh*kw, h*w]``, and each gradient is one GEMM with it.
+    As the transposed conv is the disjoint-window conv's input gradient, dx
+    is that conv, ``conv2d(gy, w, stride)``, and dw its kernel gradient for
+    input ``gy`` and upstream ``x``: one GEMM each with ``gy`` regrouped
+    once into ``[M*s*s, h*w]``.
     """
     k, m, kh, kw = w.shape
     _, h, wd = x.shape
-    expected = (m, (h - 1) * stride + kh, (wd - 1) * stride + kw)
+    expected = (m, *_transpose_output_hw(h, wd, kh, kw, stride))
     if gy.shape != expected:
         raise ShapeError(f"upstream grad shape {gy.shape} != {expected}")
-    if kh == kw == stride:
-        g = gy.reshape(m, h, kh, wd, kw).transpose(0, 2, 4, 1, 3).reshape(m * kh * kw, h * wd)
-        dx = (w.reshape(k, -1) @ g).reshape(x.shape)
-        dw = (x.reshape(k, -1) @ g.T).reshape(w.shape)
-        return dx, dw
-    # x dilated by the stride at gy's row pitch is that conv's upstream
-    gw, _ = _flat_pad(x, 0, 0, 1, gy.shape[2], stride)
-    return conv2d(gy, w, stride=stride), _kernel_grad(gw, gy, kh, kw, 0)
+    g = _patches(gy, stride)
+    return (w.reshape(k, -1) @ g).reshape(x.shape), (x.reshape(k, -1) @ g.T).reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -417,44 +415,41 @@ class PoolIndices:
     ``indices`` holds, per pooled element, the flat index of its winning
     position in the pre-pool input (C-order over its whole shape, [C,H,W]
     or [N,C,H,W]); ties go to the first position in row-major window scan
-    order.
+    order. The windows are disjoint, so no two indices are equal.
     """
 
     indices: np.ndarray  # int64, shape [..., C, oh, ow]
     input_shape: tuple[int, ...]
-    overlapping: bool  # windows share cells, so indices may repeat
 
 
-def _pool_output_hw(x: np.ndarray, window: int, stride: int) -> tuple[int, int]:
-    if x.ndim < 3:
-        raise ShapeError(f"pooling wants [C,H,W] or [N,C,H,W], got {x.shape}")
-    h, w = x.shape[-2:]
-    if window < 1 or stride < 1:
-        raise ParameterError(f"bad pooling window/stride ({window}, {stride})")
-    if window > h or window > w or (h - window) % stride or (w - window) % stride:
-        raise ShapeError(
-            f"pooling window {window} stride {stride} does not tile input {h}x{w}"
-        )
-    return (h - window) // stride + 1, (w - window) // stride + 1
+def _pool_output_hw(h: int, w: int, window: int, stride: int) -> tuple[int, int]:
+    """Output extents of max_pool2d, whose disjoint windows must tile the input."""
+    if not window == stride >= 1:
+        raise ParameterError(f"unsupported pooling: window {window}, stride {stride} "
+                             f"(window == stride)")
+    if window > h or window > w or h % window or w % window:
+        raise ShapeError(f"pooling window {window} stride {stride} does not tile input {h}x{w}")
+    return h // window, w // window
 
 
 def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, PoolIndices]:
-    """Max over each window, and the flat input index of its first maximum in
-    row-major window order.
+    """Max over each disjoint window, and the flat input index of its first
+    maximum in row-major window order.
 
     Leading axes pool as more channels: a block [N,C,H,W] pools as
-    [N*C,H,W], its indices flat over the whole block. Disjoint windows
-    (``window == stride``, every pool the topologies build) compare their
-    cells as strided views of ``x``, one cell position at a time; other
-    geometries, and inputs holding NaN (argmax picks the first NaN), argmax
-    over a copy of the windows.
+    [N*C,H,W], its indices flat over the whole block. The window's cells
+    compare as strided views of ``x``, one cell position at a time; an input
+    holding NaN (argmax picks the first NaN) instead argmaxes over the
+    regrouped windows.
     """
-    oh, ow = _pool_output_hw(x, window, stride)
+    if x.ndim < 3:
+        raise ShapeError(f"pooling wants [C,H,W] or [N,C,H,W], got {x.shape}")
     h, w = x.shape[-2:]
+    oh, ow = _pool_output_hw(h, w, window, stride)
     planes = x.reshape(-1, h, w)
     c = planes.shape[0]
     # off: flat [H, W] offset of each window's winner from the window origin
-    if window == stride and not np.isnan(x).any():
+    if not np.isnan(x).any():
         cells = planes.reshape(c, oh, window, ow, window)
         best = cells[:, :, 0, :, 0].copy()
         off = np.zeros((c, oh, ow), dtype=np.int64)
@@ -465,26 +460,20 @@ def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Poo
             np.maximum(off, (v > best) * (dy * w + dx), out=off)
             np.maximum(best, v, out=best)
     else:
-        win = sliding_window_view(planes, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-        arg = win.reshape(c, oh, ow, window * window).argmax(axis=-1)
+        arg = _patches(planes[:, None], window).argmax(axis=1).reshape(c, oh, ow)
         off = arg // window * w + arg % window
-    idx = (np.arange(c)[:, None, None] * (h * w) + (np.arange(oh) * (stride * w))[:, None]
-           + np.arange(ow) * stride + off).astype(np.int64, copy=False)
+    idx = (np.arange(c)[:, None, None] * (h * w) + (np.arange(oh) * (window * w))[:, None]
+           + np.arange(ow) * window + off).astype(np.int64, copy=False)
     idx = idx.reshape(*x.shape[:-2], oh, ow)
-    return np.take(x, idx), PoolIndices(idx, x.shape, overlapping=window > stride)
+    return np.take(x, idx), PoolIndices(idx, x.shape)
 
 
 def max_pool2d_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:
-    """Route upstream gradient to each window's argmax position (summing).
-
-    Disjoint windows have distinct argmax positions, so a plain indexed
-    assignment suffices; overlapping windows sum with ``np.add.at``.
-    """
+    """Route upstream gradient to each window's argmax position: the windows
+    are disjoint, so their positions are distinct and one indexed assignment
+    places every gradient."""
     dx = np.zeros(indices.input_shape, dtype=g.dtype)
-    if indices.overlapping:
-        np.add.at(dx.reshape(-1), indices.indices.reshape(-1), g.reshape(-1))
-    else:
-        dx.reshape(-1)[indices.indices.reshape(-1)] = g.reshape(-1)
+    dx.reshape(-1)[indices.indices.reshape(-1)] = g.reshape(-1)
     return dx
 
 

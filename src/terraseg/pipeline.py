@@ -240,19 +240,35 @@ def cmd_split(config: PipelineConfig):
 
 class _SampleSource:
     """Reads an ingested store one week block at a time: one ``read_region``
-    per input array and one for the mask per week, and the labels once."""
+    per input array and one for the mask per week, and the labels once.
+    An input or mask array of the wrong kind raises a DataError."""
 
     def __init__(self, config: PipelineConfig, store: Store, train: TrainSection):
-        self.inputs = [store.array(_node(config, comp)) for comp in train.inputs]
         self.labels = store.array(_node(config, LABEL_ARRAY))
-        self.masks = (store.array(_node(config, train.masks))
-                      if train.masks is not None else None)
         self.nty, self.ntx, self.th, self.tw = self.labels.shape
         attrs = self.labels.attributes
         self.num_classes = int(attrs["num_classes"])
         self.nodata = int(attrs.get("label_nodata", 255))
+        self.inputs = [store.array(_node(config, comp)) for comp in train.inputs]
         self.weeks = self.inputs[0].shape[0]
+        for i, (comp, arr) in enumerate(zip(train.inputs, self.inputs)):
+            s = arr.shape
+            if (len(s) != 6 or s[:3] != (self.weeks, self.nty, self.ntx)
+                    or self.th % s[3] or self.tw % s[4]):
+                raise DataError(
+                    f"config.train.inputs[{i}]: store array {comp} has shape {list(s)}, not "
+                    f"[weeks, ty, tx, h, w, c] with the weeks of inputs[0], the "
+                    f"{self.nty}x{self.ntx} label grid and h, w dividing the "
+                    f"{self.th}x{self.tw} label tile")
         self.channels = sum(a.shape[5] for a in self.inputs)
+        self.masks = None
+        if train.masks is not None:
+            self.masks = store.array(_node(config, train.masks))
+            want = [self.weeks, self.nty, self.ntx, self.th, self.tw]
+            if list(self.masks.shape) != want:
+                raise DataError(
+                    f"config.train.masks: store array {train.masks} has shape "
+                    f"{list(self.masks.shape)}, not the [weeks, ty, tx, th, tw] mask {want}")
 
     def week_range(self, lo: int, hi: int) -> range:
         """Weeks ``lo`` to ``hi``; ``TrainSection`` checks 0 <= lo < hi."""
@@ -272,9 +288,6 @@ class _SampleSource:
             block = arr.read_region((w, 0, 0, 0, 0, 0), (1,) + arr.shape[1:])
             block = block.reshape(n, h, wd, c).transpose(0, 3, 1, 2)
             if (h, wd) != (self.th, self.tw):
-                if self.th % h or self.tw % wd:
-                    raise DataError(f"cannot upsample {h}x{wd} tile to "
-                                    f"{self.th}x{self.tw} (non-integer factor)")
                 block = block.repeat(self.th // h, axis=2).repeat(self.tw // wd, axis=3)
             planes.append(block)
         images = planes[0] if len(planes) == 1 else np.concatenate(planes, axis=1)

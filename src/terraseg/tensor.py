@@ -1,8 +1,9 @@
 """The deterministic RNG and seed mixing used everywhere.
 
-The engine (ops, layers, graph, loss) works on plain ndarrays in the dtype
-of the graph's parameters (float32 in the pipeline) and never writes into
-its inputs; image-like arrays use channel-first [C, H, W] layout throughout.
+``mix_seed`` folds integers and strings into one 64-bit seed (splitmix64);
+``SeededRng`` is PCG64 under such a seed, and its ``spawn`` derives a child
+stream per key, so weight init, dropout masks, shuffles and folds each draw
+from their own reproducible stream.
 """
 
 from __future__ import annotations

@@ -271,6 +271,12 @@ class TestCorruption:
         self.assert_bad_descriptor(
             blob, lambda d: self.node(d, "head").update(kernel=0), "ParameterError")
 
+    @pytest.mark.parametrize("node, fields", [
+        ("conv", {"stride": 2}), ("conv", {"padding": 3}), ("head", {"padding": 1})])
+    def test_descriptor_with_an_unsupported_conv(self, blob, node, fields):
+        self.assert_bad_descriptor(
+            blob, lambda d: self.node(d, node).update(fields), "ParameterError: unsupported conv")
+
     def test_descriptor_unknown_layer_kind(self, blob):
         self.assert_bad_descriptor(
             blob, lambda d: self.node(d, "act").update(kind="gelu"), "GraphError")

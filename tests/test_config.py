@@ -202,6 +202,7 @@ class TestErrors:
         (TrainSection, {"slice_timestamps": (0.0, 1)}, "two ints"),
         (TrainSection, {"validation_fold": -1}, "validation_fold must be >= 0, got -1"),
         (EvaluateSection, {"fold": -1}, "fold must be >= 0, got -1"),
+        (TrainSection, {"inputs": ()}, r"inputs must name at least one store array, got \[\]"),
     ])
     def test_sections_built_in_python_check_their_values(self, section, values, why):
         with pytest.raises(ParameterError, match=why):

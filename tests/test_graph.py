@@ -71,6 +71,22 @@ class TestWiring:
             g.add("bad", layer, ["input"])
         assert [n.name for n in g.nodes] == ["input"]
 
+    @pytest.mark.parametrize("layer", [
+        Conv2d(2, 3, 3, 2, 1),
+        Conv2d(2, 3, 3, 1, 3),
+        Conv2d(2, 3, 1, 1, 1),
+        TransposeConv2d(2, 3, 3, 2),
+        TransposeConv2d(2, 3, 2, 1),
+        MaxPool2d(3, 1),
+    ], ids=["conv 3x3/2", "conv 3/1 padding 3", "conv 1/1 padding 1", "up-conv 3/2",
+            "up-conv 2/1", "pool 3/1"])
+    def test_unsupported_geometry_fails_at_add(self, layer):
+        # every one of these fits a 9x9 input: the geometry alone is refused
+        g = NetworkGraph((2, 9, 9))
+        with pytest.raises(ParameterError, match="unsupported"):
+            g.add("bad", layer, ["input"])
+        assert [n.name for n in g.nodes] == ["input"]
+
     def test_default_input_is_previous_node(self):
         g = NetworkGraph((1, 4, 4))
         g.add("act", ActivationLayer(RELU))

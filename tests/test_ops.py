@@ -125,19 +125,21 @@ def conv2d_transpose_backward_windows(gy, x, w, stride):
 
 @st.composite
 def conv_cases(draw):
-    """A valid conv geometry with random operands: C, O in 1..5, kernels
-    1..4 (square or not), stride 1..3, padding 0..max(kh, kw), and input
+    """A conv geometry of either form with random operands: C, O in 1..5;
+    stride 1 with kernels 1..4 (square or not) and padding 0..k-1, or
+    disjoint windows, kernel == stride in 2..3 without padding; input
     extents from the smallest the geometry allows (the kernel size, or less
-    with padding) up."""
+    with padding) up, in whole output steps."""
     c, o = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    stride = draw(st.integers(1, 3))
-    padding = draw(st.integers(0, max(kh, kw)))
+    if draw(st.booleans()):
+        kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        stride, padding = 1, draw(st.integers(0, min(kh, kw) - 1))
+    else:
+        kh = kw = stride = draw(st.integers(2, 3))
+        padding = 0
 
     def extent(k):
-        low = max(k - 2 * padding, 1)
-        low += -(low + 2 * padding - k) % stride  # whole output steps
-        return low + stride * draw(st.integers(0, 3))
+        return max(k - 2 * padding, 1) + stride * draw(st.integers(0, 3))
 
     seed = draw(st.integers(0, 2**32 - 1))
     x = rand_array(seed, (c, extent(kh), extent(kw)))
@@ -149,14 +151,12 @@ def conv_cases(draw):
 @st.composite
 def transpose_cases(draw):
     """A transposed conv geometry with random operands: channels 1..3,
-    kernels 1..4 (square or not), stride 1..4 (above the kernel the output
-    has gaps) and input extents 1..5."""
+    kernel == stride in 1..4 and input extents 1..5."""
     k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     stride = draw(st.integers(1, 4))
     h, wd = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 1))
-    return rand_array(seed, (k, h, wd)), rand_array(seed + 1, (k, m, kh, kw)), stride
+    return rand_array(seed, (k, h, wd)), rand_array(seed + 1, (k, m, stride, stride)), stride
 
 
 @st.composite
@@ -214,7 +214,7 @@ class TestConv2d:
         assert y.shape == (8, 16, 16)
 
     @pytest.mark.parametrize("stride,padding,hw", [(1, 0, (6, 7)), (1, 2, (5, 5)),
-                                                   (2, 1, (7, 7)), (3, 0, (9, 12))])
+                                                   (1, 1, (4, 9)), (3, 0, (9, 12))])
     def test_matches_naive_loops(self, stride, padding, hw):
         x = rand_array(11, (3, *hw))
         w = rand_array(12, (4, 3, 3, 3))
@@ -231,10 +231,11 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ops.conv2d(rand_array(0, (1, 5, 5)), rand_array(1, (1, 1, 2, 2)), stride=2)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
     def test_backward_finite_difference(self, stride, padding):
-        x = rand_array(21, (2, 5, 5))
-        w = rand_array(22, (3, 2, 3, 3))
+        x = rand_array(21, (2, 6, 6))
+        k = 3 if stride == 1 else stride
+        w = rand_array(22, (3, 2, k, k))
         b = rand_array(23, (3,))
         out = ops.conv2d(x, w, b, stride, padding)
         gw = rand_array(24, out.shape)
@@ -252,12 +253,9 @@ class TestConv2d:
         *[(k, k, 1, p, (7, 9)) for k in (1, 3, 5) for p in range(k)],
         *[(3, 5, 1, p, (6, 8)) for p in range(3)],
         (5, 3, 1, 1, (9, 5)),
-        # strided convs (gy dilated) or over-padded ones (the result cropped)
-        (3, 3, 2, 1, (7, 9)),
-        (3, 5, 2, 0, (7, 9)),
-        (1, 1, 1, 1, (4, 3)),
-        (3, 3, 1, 3, (4, 5)),
-        (1, 5, 1, 1, (6, 7)),  # rows cropped, columns padded
+        # disjoint windows: dx is the transposed conv of gy
+        (2, 2, 2, 0, (6, 8)),
+        (3, 3, 3, 0, (6, 9)),
     ])
     def test_input_grad_matches_naive_loops(self, kh, kw, stride, padding, hw):
         x = rand_array(61, (3, *hw))
@@ -279,8 +277,6 @@ class TestConvProperties:
 
     @given(conv_cases())
     def test_backward_matches_loop_adjoint(self, case):
-        # strided convs correlate the dilated gy, and an axis with
-        # padding > k - 1 crops the correlation's result
         x, w, _, stride, padding = case
         gy = rand_array(7, ops.conv2d(x, w, None, stride, padding).shape)
         got = ops.conv2d_backward(gy, x, w, stride, padding)
@@ -325,18 +321,20 @@ class TestConvTranspose:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_adjoint_identity(self, seed):
-        # <conv(x), y> == <x, conv_T(y)> with shared kernels and zero padding
-        x = rand_array(100 + seed, (2, 5, 5))
-        w = rand_array(200 + seed, (3, 2, 3, 3))
-        y = rand_array(300 + seed, (3, 3, 3))
-        lhs = float((ops.conv2d(x, w) * y).sum())
-        rhs = float((x * ops.conv2d_transpose(y, w)).sum())
+        # <conv(x, stride=k), y> == <x, conv_T(y, k)> with shared kernels,
+        # for k = 1, 2, 3, 1, 2
+        k = 1 + seed % 3
+        x = rand_array(100 + seed, (2, 2 * k, 3 * k))
+        w = rand_array(200 + seed, (3, 2, k, k))
+        y = rand_array(300 + seed, (3, 2, 3))
+        lhs = float((ops.conv2d(x, w, stride=k) * y).sum())
+        rhs = float((x * ops.conv2d_transpose(y, w, k)).sum())
         assert abs(lhs - rhs) <= 1e-10
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_backward_finite_difference(self, stride):
         x = rand_array(31, (2, 3, 3))
-        w = rand_array(32, (2, 3, 2, 2))
+        w = rand_array(32, (2, 3, stride, stride))
         out = ops.conv2d_transpose(x, w, stride)
         gw = rand_array(33, out.shape)
 
@@ -366,7 +364,7 @@ class TestConvTranspose:
         with pytest.raises(ShapeError):
             ops.conv2d_transpose(rand_array(0, (2, 3, 3)), rand_array(1, (3, 2, 2, 2)))
 
-    @pytest.mark.parametrize("k,stride", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("k,stride", [(1, 1), (2, 2), (3, 3)])
     @pytest.mark.parametrize("hw", [(1, 1), (3, 4), (5, 2)])
     def test_backward_matches_the_window_contractions(self, k, stride, hw):
         x = rand_array(71, (3, *hw))
@@ -397,7 +395,7 @@ class TestConvTranspose:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_backward_rejects_a_wrong_grad_shape(self, stride):
-        x, w = rand_array(81, (2, 3, 3)), rand_array(82, (2, 4, 2, 2))
+        x, w = rand_array(81, (2, 3, 3)), rand_array(82, (2, 4, stride, stride))
         gy = ops.conv2d_transpose(x, w, stride)
         for bad in (gy[:, :-1], gy[:-1], gy[None]):
             with pytest.raises(ShapeError, match="upstream grad shape"):
@@ -442,21 +440,18 @@ class TestPooling:
         assert idx.indices.dtype == np.int64
         assert np.array_equal(idx.indices, ref_idx)
 
-    @pytest.mark.parametrize("window,stride,shape,nan", [
-        (2, 2, (2, 6, 8), True), (3, 1, (2, 7, 9), False), (3, 2, (2, 7, 9), True)])
-    def test_nan_and_overlapping_windows_match_the_window_copy(self, rng, window, stride,
-                                                              shape, nan):
+    @pytest.mark.parametrize("window,shape", [(2, (2, 6, 8)), (3, (2, 6, 9))])
+    def test_nan_windows_match_the_window_copy(self, rng, window, shape):
         x = rng.integers(-2, 3, shape).astype(float)
-        if nan:  # argmax picks a window's first NaN
-            x[rng.random(x.shape) < 0.2] = np.nan
-        out, idx = ops.max_pool2d(x, window, stride)
-        ref_out, ref_idx = max_pool2d_windows(x, window, stride)
+        x[rng.random(x.shape) < 0.2] = np.nan  # argmax picks a window's first NaN
+        out, idx = ops.max_pool2d(x, window, window)
+        ref_out, ref_idx = max_pool2d_windows(x, window, window)
         assert out.tobytes() == ref_out.tobytes()
         assert np.array_equal(idx.indices, ref_idx)
 
     def test_window_larger_than_input(self):
         with pytest.raises(ShapeError):
-            ops.max_pool2d(rand_array(0, (1, 2, 2)), 3, 1)
+            ops.max_pool2d(rand_array(0, (1, 2, 2)), 3, 3)
 
     def test_non_dividing_extent_rejected(self):
         with pytest.raises(ShapeError):
@@ -474,18 +469,39 @@ class TestPooling:
         dx = ops.max_pool2d_backward(gw, idx)
         assert max_rel_err(dx, numeric_grad(loss, x)) < TOL
 
-    def test_overlapping_windows_sum_their_gradients(self):
-        # window 3, stride 1: the peak at (2, 2) wins all nine windows of the
-        # 5x5 input, so it collects the whole upstream gradient
-        x = np.zeros((1, 5, 5))
-        x[0, 2, 2] = 1.0
-        out, idx = ops.max_pool2d(x, 3, 1)
-        assert idx.overlapping and out.shape == (1, 3, 3)
-        g = rand_array(43, out.shape)
-        dx = ops.max_pool2d_backward(g, idx)
-        expected = np.zeros_like(x)
-        expected[0, 2, 2] = g.sum()
-        assert np.allclose(dx, expected, rtol=0, atol=1e-15)
+class TestRefusedGeometries:
+    """A conv takes stride 1 with padding < k or disjoint windows, a
+    transposed conv and a pool only disjoint windows: every op refuses any
+    other geometry, whatever its input, before it does any work."""
+
+    @pytest.mark.parametrize("k, stride, padding", [
+        (3, 2, 0), (3, 2, 1), (2, 2, 1), (3, 1, 3), (1, 1, 1), (2, 3, 0)])
+    def test_conv(self, k, stride, padding):
+        x, w = rand_array(91, (2, 9, 9)), rand_array(92, (3, 2, k, k))
+        calls = [lambda: ops.conv_output_hw(9, 9, k, k, stride, padding),
+                 lambda: ops.conv2d(x, w, None, stride, padding),
+                 lambda: ops.conv2d_tiles(np.stack([x, x]), w, None, stride, padding),
+                 lambda: ops.conv2d_backward(np.zeros((3, 4, 4)), x, w, stride, padding)]
+        for call in calls:
+            with pytest.raises(ParameterError, match="unsupported conv"):
+                call()
+
+    @pytest.mark.parametrize("k, stride", [(3, 2), (2, 1), (3, 1), (1, 2)])
+    def test_transposed_conv(self, k, stride):
+        x, w = rand_array(93, (2, 3, 3)), rand_array(94, (2, 4, k, k))
+        calls = [lambda: ops.conv2d_transpose(x, w, stride),
+                 lambda: ops.conv2d_transpose(np.stack([x, x]), w, stride),
+                 lambda: ops.conv2d_transpose_backward(np.zeros((4, 7, 7)), x, w, stride)]
+        for call in calls:
+            with pytest.raises(ParameterError, match="unsupported transposed conv"):
+                call()
+
+    @pytest.mark.parametrize("window, stride", [(3, 1), (2, 1), (3, 2), (1, 3)])
+    def test_pool(self, window, stride):
+        x = rand_array(95, (2, 9, 9))
+        for block in (x, np.stack([x, x])):
+            with pytest.raises(ParameterError, match="unsupported pooling"):
+                ops.max_pool2d(block, window, stride)
 
 
 class TestUnpool:
@@ -600,11 +616,11 @@ class TestBlocks:
     def block(self, seed, shape, dtype=np.float32, low=-1.0, high=1.0):
         return rand_array(seed, (3, *shape), low, high).astype(dtype)
 
-    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (3, 1), (2, 1)])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3)])
     @pytest.mark.parametrize("nan", [False, True])
     def test_pool_and_unpool(self, window, stride, nan):
         x = self.block(101, (4, 6, 6))
-        if nan:  # argmax over the window copies, in every tile of the block
+        if nan:  # argmax over the regrouped windows, in every tile of the block
             x[1, 2, 3, 3] = np.nan
         y, idx = ops.max_pool2d(x, window, stride)
         up = ops.unpool_with_indices(y, idx)
@@ -645,11 +661,11 @@ class TestBlocks:
         for n, tile in enumerate(x):
             assert y[n].tobytes() == ops.activate(kind, tile).tobytes()
 
-    @pytest.mark.parametrize("k, stride", [(1, 1), (2, 2), (3, 3), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("k, stride", [(1, 1), (2, 2), (3, 3)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_transposed_conv(self, k, stride, dtype):
-        # k == stride is the one-GEMM form, exact on whole numbers whatever
-        # order BLAS adds in; the others run the walker per tile
+        # one GEMM for the block, exact on whole numbers whatever order BLAS
+        # adds in
         x = whole(self.block(110, (4, 3, 5), dtype))
         w = whole(rand_array(111, (4, 2, k, k)).astype(dtype))
         y = ops.conv2d_transpose(x, w, stride)

@@ -914,6 +914,41 @@ class TestCli:
         assert err == f"error[data]: checkpoint {ckpt}: is a directory\n"
         assert not (out / "history.json").exists() and not any(ckpt.iterdir())
 
+    @pytest.mark.parametrize("train, key, array", [
+        ({"inputs": [MASK_ARRAY]}, "inputs[0]", MASK_ARRAY),
+        ({"inputs": [LABEL_ARRAY]}, "inputs[0]", LABEL_ARRAY),
+        ({"masks": IMAGE_ARRAY}, "masks", IMAGE_ARRAY),
+    ], ids=["mask as input", "labels as input", "image as mask"])
+    def test_train_array_of_the_wrong_kind_exits_3_in_one_line(self, tmp_path, capsys,
+                                                               train, key, array):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path, train=train)
+        assert main(["ingest", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[data]: config.train.{key}: store array {array} has shape ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("node, fields", [
+        ("enc0_pool", {"window": 3, "stride": 1}), ("dec0_up", {"kernel": 3})])
+    def test_checkpoint_of_an_unsupported_layer_exits_3_in_one_line(self, tmp_path, capsys,
+                                                                    node, fields):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        capsys.readouterr()
+        graph = build_topology(make_config(tmp_path).train.topology, input_hw=(TILE, TILE))
+        layer = next(n.layer for n in graph.nodes if n.name == node)
+        vars(layer).update(fields)  # add would refuse this layer
+        ckpt = tmp_path / "bad.ckpt"
+        checkpoint_save(graph, str(ckpt))
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: descriptor does not build a graph: "
+                              "ParameterError: unsupported")
+        assert err.count("\n") == 1
+
     def test_config_that_is_not_utf8_exits_2_in_one_line(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
         path.write_bytes(b"seed: 1\n# caf\xe9\n")
@@ -981,6 +1016,7 @@ class TestCli:
         ({"early_stop_patience": -1}, "config.train: early_stop_patience must be >= 0, got -1"),
         ({"slice_timestamps": [-1, 1]},
          "config.train: slice_timestamps must be two ints [start, stop] with 0 <= start < stop"),
+        ({"inputs": []}, "config.train: inputs must name at least one store array, got []"),
     ])
     def test_bad_train_values_exit_2(self, tmp_path, capsys, train, where):
         cfg = self.write_config(tmp_path, train=train)
