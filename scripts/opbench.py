@@ -14,7 +14,9 @@ faults per timed call (``ru_minflt``). A second table times inference on
 blocks of tiles: each conv shape through ``ops.conv2d_tiles`` at 1, 4 and 8
 tiles, and each topology's inference per tile, as ``forward`` on one tile
 and as ``infer`` on a block of ``training.BLOCK`` tiles, with the median
-per tile. Operands, kernels and batch-norm
+per tile; a topology with conv -> batch-norm pairs (SegNet) adds an
+``infer folded`` row, the same block on ``NetworkGraph.folded()``, which
+is what the pipeline infers on. Operands, kernels and batch-norm
 state are in the dtype the pipeline runs its graphs in
 (``pipeline.ENGINE_DTYPE``), which the header line names. It gates nothing.
 BLAS runs on one thread unless the environment already sets its thread
@@ -110,7 +112,8 @@ def calls(kind: str, shape: tuple[int, int, int], geom: tuple, rng: SeededRng):
 def block_calls(rng: SeededRng, users: dict):
     """(label, input, geometry, tiles, callable, topologies) per block case:
     each conv shape through conv2d_tiles at every size in TILES, then each
-    topology's forward on one tile and infer on BLOCK tiles."""
+    topology's forward on one tile and infer on BLOCK tiles, unfolded and,
+    where its batch norms fold, folded."""
     def uniform(shape):
         return rng.uniform(-1.0, 1.0, shape).astype(ENGINE_DTYPE)
 
@@ -132,6 +135,10 @@ def block_calls(rng: SeededRng, users: dict):
                lambda g=graph, t=x[0]: g.forward(t), [kind])
         yield (f"{kind}.infer", f"{BLOCK}x{shape}", f"base {base}", BLOCK,
                lambda g=graph, x=x: g.infer(x), [kind])
+        folded = graph.folded()
+        if folded is not graph:
+            yield (f"{kind}.infer folded", f"{BLOCK}x{shape}", f"base {base}", BLOCK,
+                   lambda g=folded, x=x: g.infer(x), [kind])
 
 
 def measure(fn, repeat: int) -> tuple[float, float, float]:

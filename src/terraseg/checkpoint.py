@@ -62,14 +62,18 @@ def _encode(graph: NetworkGraph, monitor_value: float | None) -> bytes:
     return bytes(out)
 
 
+def _bad(path: str, message: str, offset: int) -> CheckpointFormatError:
+    return CheckpointFormatError(f"checkpoint {path}: {message}", offset)
+
+
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, buf: bytes, path: str):
+        self.buf, self.path = buf, path
         self.off = 0
 
     def take(self, n: int, what: str) -> bytes:
         if self.off + n > len(self.buf):
-            raise CheckpointFormatError(f"truncated while reading {what}", self.off)
+            raise _bad(self.path, f"truncated while reading {what}", self.off)
         piece = self.buf[self.off : self.off + n]
         self.off += n
         return piece
@@ -105,27 +109,31 @@ def checkpoint_save(graph: NetworkGraph, path: str, monitor_value: float | None 
 def _header(r: _Reader) -> float:
     """Check the magic and the version; return the stored monitor value."""
     if r.take(4, "magic") != MAGIC:
-        raise CheckpointFormatError("not a checkpoint file (bad magic)", 0)
+        raise _bad(r.path, "not a checkpoint file (bad magic)", 0)
     (version,) = r.unpack("<I", "version")
     if version != VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}", 4)
+        raise _bad(r.path, f"unsupported checkpoint version {version}", 4)
     (monitor,) = r.unpack("<d", "monitor value")
     return monitor
 
 
 def read_monitor(path: str) -> float:
-    return _header(_Reader(read_input(path, "checkpoint")[:16]))
+    return _header(_Reader(read_input(path, "checkpoint")[:16], path))
 
 
 def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:
-    """Rebuild the graph and its exact parameter bytes; returns (graph, monitor)."""
+    """Rebuild the graph and its exact parameter bytes; returns (graph, monitor).
+
+    A file that is not a whole checkpoint raises CheckpointFormatError, whose
+    message starts ``checkpoint <path>: ``, as a missing file's DataError does.
+    """
     buf = read_input(path, "checkpoint")
     if len(buf) < 8:
-        raise CheckpointFormatError("file too short for magic and trailer", 0)
+        raise _bad(path, "file too short for magic and trailer", 0)
     stored_crc = struct.unpack("<I", buf[-4:])[0]
     if zlib.crc32(buf[:-4]) != stored_crc:
-        raise CheckpointFormatError("checksum mismatch", len(buf) - 4)
-    r = _Reader(buf[:-4])
+        raise _bad(path, "checksum mismatch", len(buf) - 4)
+    r = _Reader(buf[:-4], path)
     monitor = _header(r)
     (desc_len,) = r.unpack("<Q", "descriptor length")
     desc_off = r.off
@@ -133,14 +141,14 @@ def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:
     try:
         desc = json.loads(desc_raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
-        raise CheckpointFormatError("descriptor is not valid JSON", desc_off) from None
+        raise _bad(path, "descriptor is not valid JSON", desc_off) from None
     try:
         graph = NetworkGraph.from_descriptor(desc)
     except (TerrasegError, KeyError, TypeError, ValueError, AttributeError) as exc:
         # a node missing a field, a field of the wrong type, or a geometry
         # the graph rejects: the file is what is malformed
-        raise CheckpointFormatError(
-            f"descriptor does not build a graph: {type(exc).__name__}: {exc}", desc_off) from None
+        raise _bad(path, f"descriptor does not build a graph: {type(exc).__name__}: {exc}",
+                   desc_off) from None
     targets = dict(graph.parameters())
     targets.update(graph.state_arrays())
     (n_arrays,) = r.unpack("<I", "array count")
@@ -155,18 +163,16 @@ def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:
         n = int(np.prod(shape)) if ndim else 1
         payload = r.take(8 * n, f"array {name!r} payload")
         if name not in targets:
-            raise CheckpointFormatError(f"unknown array {name!r}", name_off)
+            raise _bad(path, f"unknown array {name!r}", name_off)
         dst = targets[name]
         if tuple(shape) != dst.shape:
-            raise CheckpointFormatError(
-                f"array {name!r} has shape {tuple(shape)}, graph wants {dst.shape}",
-                payload_off,
-            )
+            raise _bad(path, f"array {name!r} has shape {tuple(shape)}, graph wants {dst.shape}",
+                       payload_off)
         dst[...] = np.frombuffer(payload, dtype="<f8").reshape(shape)
         seen.add(name)
     missing = sorted(set(targets) - seen)
     if missing:
-        raise CheckpointFormatError(f"missing arrays: {', '.join(missing)}", r.off)
+        raise _bad(path, f"missing arrays: {', '.join(missing)}", r.off)
     if r.off != len(buf) - 4:
-        raise CheckpointFormatError("trailing bytes after the last array", r.off)
+        raise _bad(path, "trailing bytes after the last array", r.off)
     return graph, monitor

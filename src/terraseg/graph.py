@@ -10,7 +10,10 @@ node's output and layer context for :meth:`NetworkGraph.backward`.
 Inference runs :meth:`NetworkGraph.infer` on a block of tiles [N, C, H, W]
 (the pipeline's hold up to ``training.BLOCK`` tiles) over the same node
 loop; it keeps no cache, dropping each output once its last reader has run,
-so a block holds only a few nodes' outputs at once.
+so a block holds only a few nodes' outputs at once. The pipeline infers on
+:meth:`NetworkGraph.folded`, the graph with each conv -> batch-norm pair
+made one conv, so a tile's output there equals :meth:`NetworkGraph.forward`
+up to the fold's rounding.
 
 Activations and gradients are plain ndarrays in the dtype of the graph's
 parameters: a graph builds float64, :meth:`NetworkGraph.set_dtype` converts
@@ -23,6 +26,7 @@ mutable numeric state in the package: layer parameter buffers (exposed via
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,6 +366,15 @@ def layer_from_spec(d: dict) -> Layer:
     return build(d)
 
 
+def _fold(conv: Conv2d, bn: BatchNorm2d) -> Conv2d:
+    """The conv whose output is ``bn``'s inference output on ``conv``'s."""
+    scale = bn.gamma / np.sqrt(bn.stats.var + bn.eps)
+    fused = Conv2d(conv.in_ch, conv.out_ch, conv.kernel, conv.stride, conv.padding)
+    fused.weight = conv.weight * scale[:, None, None, None]
+    fused.bias = (conv.bias - bn.stats.mean) * scale + bn.beta
+    return fused
+
+
 @dataclass
 class _Node:
     name: str
@@ -503,6 +516,42 @@ class NetworkGraph:
             raise ShapeError(f"input shape {x.shape} != a block [N, *{self.input_shape}]")
         outs, _ = self._run(x, False, None, keep=False)
         return outs[-1]
+
+    def folded(self) -> "NetworkGraph":
+        """An inference graph in which each ``Conv2d`` -> ``BatchNorm2d``
+        pair, where the batch norm's only input is the conv and the conv has
+        no other reader, is one ``Conv2d`` of the conv's name in the batch
+        norm's place, with the running statistics folded into its kernels
+        and bias (Jacob et al. 2018, arXiv 1712.05877, section 3.2):
+        ``W' = W·s`` and ``b' = (b - mean)·s + beta`` per output channel,
+        ``s = gamma / sqrt(var + eps)``, computed in the graph's dtype from
+        the current values.
+
+        Every other node carries over with its layer shared, so the source
+        graph, its descriptor and its checkpoint bytes are untouched, and
+        the source itself comes back when it has no such pair. The result
+        matches the source's inference up to the fold's rounding; build it
+        again once the source trains on.
+        """
+        readers = Counter(dep for node in self.nodes for dep in node.inputs)
+        convs = {}  # batch-norm node name -> the conv node it folds into
+        for node in self.nodes:
+            if isinstance(node.layer, BatchNorm2d) and len(node.inputs) == 1:
+                src = self.nodes[self._index[node.inputs[0]]]
+                if isinstance(src.layer, Conv2d) and readers[src.name] == 1:
+                    convs[node.name] = src
+        if not convs:
+            return self
+        graph = NetworkGraph(self.input_shape)
+        rename = {bn: src.name for bn, src in convs.items()}
+        for node in self.nodes[1:]:
+            if node.name in rename.values():
+                continue
+            if node.name in convs:
+                src = convs[node.name]
+                node = _Node(src.name, _fold(src.layer, node.layer), src.inputs)
+            graph.add(node.name, node.layer, [rename.get(dep, dep) for dep in node.inputs])
+        return graph
 
     def _run(self, x: np.ndarray, training: bool, rng: SeededRng | None,
              keep: bool) -> tuple[list, list]:

@@ -16,7 +16,10 @@ take any leading axes, indexing the channel and spatial axes from the end:
 ``softmax`` (``axis=-3``), the activations and the transposed conv. A
 block's result for each tile is the bytes of that tile's own call, except
 where a GEMM adds: a BLAS may round an output column differently with the
-matrix's width.
+matrix's width. The pipeline's inference runs no ``batch_norm``: the graph
+folds each one that follows a lone conv into that conv's kernels and bias
+(``NetworkGraph.folded``), so a tile's output equals the training-side
+forward up to that fold's rounding.
 
 Convolutions come in two forms, and any other geometry raises a
 ParameterError (Dumoulin & Visin 2016, arXiv 1603.07285, section 4):

@@ -29,7 +29,8 @@ Train steps one tile [C, H, W] at a time. Evaluate, predict and train's
 per-epoch validation infer through ``training.infer_tiles``: it skips tiles
 whose every pixel is ignored and stacks the rest, in order, into blocks of
 up to ``training.BLOCK`` (8) tiles [N, C, H, W], one
-``NetworkGraph.infer`` call per block, which keeps no cache. A graph with
+``NetworkGraph.infer`` call per block, which keeps no cache, on the graph's
+batch-norm fold (``NetworkGraph.folded``). A graph with
 wide layers gets fewer tiles a block, so that its widest layer output
 stays within ``training.BLOCK_BYTES``.
 """

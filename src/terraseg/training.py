@@ -6,8 +6,8 @@ Per epoch the sample order is reshuffled with a seed derived from
 batch, and at epoch end the callbacks run in the fixed order
 plateau -> early stopping -> checkpoint. Training steps run one sample
 [C, H, W] at a time; inference (validation here, evaluate and predict in
-the pipeline) runs through :func:`infer_tiles`, one ``graph.infer`` per
-block of up to ``BLOCK`` tiles.
+the pipeline) runs through :func:`infer_tiles`, one ``infer`` per block of
+up to ``BLOCK`` tiles on the graph's batch-norm fold (``graph.folded()``).
 """
 
 from __future__ import annotations
@@ -94,12 +94,16 @@ def infer_tiles(graph: NetworkGraph, tiles):
     in order, skipping those whose ``ignore`` mask (nonzero = ignored, or
     None) covers every pixel.
 
-    ``probs`` [classes, H, W] is a tile of one ``graph.infer`` call per
-    block of images [C, H, W], read from ``tiles`` only as each block
-    fills. A block holds ``BLOCK`` tiles, or fewer where that many of the
-    graph's widest node output would pass ``BLOCK_BYTES`` (2 for U-Net base
-    16 on 32-px float32 tiles), and the last block what is left.
+    ``probs`` [classes, H, W] is a tile of one ``infer`` call per block of
+    images [C, H, W] on ``graph.folded()``, built once per call, read from
+    ``tiles`` only as each block fills: a tile's probabilities are what
+    ``graph.forward`` gives for it up to the batch-norm fold's rounding
+    (SegNet; a graph without a conv -> batch-norm pair runs as it is). A
+    block holds ``BLOCK`` tiles, or fewer where that many of the graph's
+    widest node output would pass ``BLOCK_BYTES`` (2 for U-Net base 16 on
+    32-px float32 tiles), and the last block what is left.
     """
+    graph = graph.folded()
     widest = max(int(np.prod(graph.shape_of(node.name))) for node in graph.nodes)
     block = max(1, min(BLOCK, BLOCK_BYTES // (widest * graph.dtype.itemsize)))
     keys, images = [], []

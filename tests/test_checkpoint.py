@@ -165,9 +165,14 @@ class TestCorruption:
 
     @staticmethod
     def load_bytes(buf, tmp_path):
+        """checkpoint_load of ``buf``; each error it raises names the file."""
         path = tmp_path / "edited.ckpt"
         path.write_bytes(buf)
-        return checkpoint_load(str(path))
+        try:
+            return checkpoint_load(str(path))
+        except CheckpointFormatError as exc:
+            assert str(exc).startswith(f"checkpoint {path}: ")
+            raise
 
     def test_bad_magic_offset_zero(self, blob):
         buf, tmp = blob
@@ -197,6 +202,13 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError, match="truncated") as err:
             self.load_bytes(head + struct.pack("<I", zlib.crc32(head)), tmp)
         assert err.value.offset == 24
+
+    def test_truncated_file(self, blob):
+        buf, tmp = blob
+        with pytest.raises(CheckpointFormatError, match="checksum") as err:
+            self.load_bytes(buf[:64], tmp)
+        assert err.value.offset == 60
+        assert exit_code_for(err.value) == 3
 
     def test_too_short_file(self, blob):
         _, tmp = blob
@@ -276,6 +288,12 @@ class TestCorruption:
     def test_descriptor_with_an_unsupported_conv(self, blob, node, fields):
         self.assert_bad_descriptor(
             blob, lambda d: self.node(d, node).update(fields), "ParameterError: unsupported conv")
+
+    def test_descriptor_with_a_3_1_pool(self, blob):
+        pool = {"name": "pool", "inputs": ["act"], "kind": "max_pool2d", "window": 3,
+                "stride": 1}
+        self.assert_bad_descriptor(blob, lambda d: d["nodes"].insert(4, pool),
+                                   "ParameterError: unsupported pooling: window 3, stride 1")
 
     def test_descriptor_unknown_layer_kind(self, blob):
         self.assert_bad_descriptor(

@@ -248,6 +248,106 @@ class TestInfer:
         assert peak < outputs / 2
 
 
+class TestFolded:
+    """``folded()``: each conv -> batch-norm pair as one conv for inference."""
+
+    @staticmethod
+    def node(g, name):
+        return next(n for n in g.nodes if n.name == name)
+
+    def segnet(self):
+        g = TestInfer().warmed("segnet", 8)
+        for i, node in enumerate(g.nodes):
+            if isinstance(node.layer, BatchNorm2d):  # and gamma, beta off 1 and 0
+                c = node.layer.channels
+                node.layer.gamma[...] = SeededRng(i + 7).uniform(0.5, 1.5, c)
+                node.layer.beta[...] = SeededRng(i + 8).uniform(-0.5, 0.5, c)
+        return g
+
+    def test_pairs_become_convs_of_the_formula(self):
+        g = self.segnet()
+        f = g.folded()
+        assert [n.name for n in f.nodes] == [n.name for n in g.nodes
+                                             if not isinstance(n.layer, BatchNorm2d)]
+        assert f.dtype == np.float32
+        for conv in ("enc0_conv", "enc1_conv", "dec1_conv", "dec0_conv"):
+            src = self.node(g, conv).layer
+            bn = self.node(g, conv.replace("conv", "bn")).layer
+            got = self.node(f, conv).layer
+            assert got.spec() == src.spec()
+            scale = bn.gamma / np.sqrt(bn.stats.var + bn.eps)
+            assert np.array_equal(got.weight, src.weight * scale[:, None, None, None])
+            assert np.array_equal(got.bias, (src.bias - bn.stats.mean) * scale + bn.beta)
+        # the act after each fold reads the conv; the unpools keep their pools
+        assert self.node(f, "enc0_act").inputs == ["enc0_conv"]
+        assert self.node(f, "dec1_unpool").layer.pool == "enc1_pool"
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_segnet_infer_matches_the_unfolded_forward(self, n):
+        # the fold rounds W·s and the bias once in float32 where batch norm
+        # rounded each output: 8.9e-8 at most here, bounded at 1e-6
+        g = self.segnet()
+        x = TestInfer().block(n)
+        y = g.folded().infer(x)
+        for i, tile in enumerate(x):
+            want, _ = g.forward(tile)
+            assert np.allclose(y[i], want, rtol=0, atol=1e-6)
+            assert np.array_equal(y[i].argmax(axis=0), want.argmax(axis=0))
+
+    def test_infer_at_one_tile_is_its_own_forward(self):
+        f = self.segnet().folded()
+        x = TestInfer().block(1)
+        want, _ = f.forward(x[0])
+        assert f.infer(x)[0].tobytes() == want.tobytes()
+
+    def test_a_conv_with_another_reader_keeps_its_batch_norm(self):
+        g = NetworkGraph((2, 6, 6))
+        g.add("c1", Conv2d(2, 3, 3, 1, 1, rng=SeededRng(1)), ["input"])
+        g.add("bn1", BatchNorm2d(3), ["c1"])
+        g.add("act", ActivationLayer(RELU), ["bn1"])
+        g.add("c2", Conv2d(3, 3, 3, 1, 1, rng=SeededRng(2)), ["act"])
+        g.add("bn2", BatchNorm2d(3), ["c2"])
+        g.add("sum", Add(), ["bn2", "c2"])  # c2 also feeds the add
+        g.add("bn3", BatchNorm2d(3), ["sum"])  # and bn3 follows no conv
+        g.add("probs", Softmax(), ["bn3"])
+        for node in g.nodes:
+            if isinstance(node.layer, BatchNorm2d):
+                node.layer.stats.var[...] = SeededRng(3).uniform(0.5, 2.0, 3)
+        f = g.folded()
+        assert [n.name for n in f.nodes] == ["input", "c1", "act", "c2", "bn2", "sum",
+                                             "bn3", "probs"]
+        assert self.node(f, "bn2").layer is self.node(g, "bn2").layer
+        x = rand_array(4, (2, 2, 6, 6))
+        assert np.allclose(f.infer(x), g.infer(x), rtol=0, atol=1e-12)
+        lone = NetworkGraph((2, 6, 6))  # with only the pair that cannot fold
+        lone.add("c2", Conv2d(2, 3, 3, 1, 1), ["input"])
+        lone.add("bn2", BatchNorm2d(3), ["c2"])
+        lone.add("sum", Add(), ["bn2", "c2"])
+        assert lone.folded() is lone
+
+    @pytest.mark.parametrize("kind, base", [("unet", 16), ("resunet", 8)])
+    def test_a_graph_without_a_pair_is_its_own_fold(self, kind, base):
+        g = TestInfer().warmed(kind, base)
+        assert g.folded() is g
+
+    def test_leaves_the_source_as_it_was(self, tmp_path):
+        from terraseg.checkpoint import checkpoint_save
+
+        g = self.segnet()
+
+        def snapshot():
+            path = tmp_path / "m.ckpt"
+            checkpoint_save(g, str(path))
+            arrays = {**g.parameters(), **g.state_arrays()}
+            return (path.read_bytes(), g.descriptor(),
+                    {k: (a.dtype, a.tobytes()) for k, a in arrays.items()})
+
+        before = snapshot()
+        f = g.folded()
+        f.infer(TestInfer().block(3))
+        assert snapshot() == before
+
+
 class TestDescriptor:
     def build_mixed(self):
         g = NetworkGraph((2, 8, 8))

@@ -945,8 +945,8 @@ class TestCli:
         checkpoint_save(graph, str(ckpt))
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error[data]: descriptor does not build a graph: "
-                              "ParameterError: unsupported")
+        assert err.startswith(f"error[data]: checkpoint {ckpt}: descriptor does not build "
+                              "a graph: ParameterError: unsupported")
         assert err.count("\n") == 1
 
     def test_config_that_is_not_utf8_exits_2_in_one_line(self, tmp_path, capsys):

@@ -261,12 +261,38 @@ class TestEvaluateSamples:
         g.set_dtype(np.float32)
         widest = max(int(np.prod(g.shape_of(n.name))) for n in g.nodes) * 4
         assert block == min(BLOCK, BLOCK_BYTES // widest)
-        sizes, infer = [], g.infer
-        monkeypatch.setattr(g, "infer", lambda x: sizes.append(len(x)) or infer(x))
+        # on the class, as infer_tiles calls infer on g.folded() (SegNet's is a new graph)
+        sizes, infer = [], NetworkGraph.infer
+        monkeypatch.setattr(NetworkGraph, "infer",
+                            lambda self, x: sizes.append(len(x)) or infer(self, x))
         images = np.zeros((11, 4, 32, 32), np.float32)
         got = [k for k, _ in infer_tiles(g, ((i, image, None) for i, image in enumerate(images)))]
         assert got == list(range(11))
         assert sizes == [block] * (11 // block) + ([11 % block] if 11 % block else [])
+
+    @pytest.mark.parametrize("kind, base", [("segnet", 8), ("unet", 16)])
+    def test_tiles_run_on_the_folded_graph(self, kind, base):
+        # SegNet infers on its batch-norm fold, U-Net (no pair) on itself
+        spec = TopologySpec(kind=kind, depth=2, base_channels=base, in_channels=4,
+                            num_classes=4)
+        g = build_topology(spec, (32, 32), seed=2)
+        g.set_dtype(np.float32)
+        images = SeededRng(3).uniform(-1, 1, (5, 4, 32, 32)).astype(np.float32)
+        for image in images:  # running statistics off 0 and 1
+            g.forward(image, training=True)
+        folded = g.folded()
+        assert (folded is g) == (kind == "unet")
+        block = min(BLOCK, BLOCK_BYTES // max(
+            int(np.prod(g.shape_of(n.name))) * 4 for n in g.nodes))
+        want = np.concatenate([folded.infer(images[i : i + block])
+                               for i in range(0, len(images), block)])
+        got = np.stack([p for _, p in infer_tiles(g, ((i, im, None)
+                                                      for i, im in enumerate(images)))])
+        assert got.tobytes() == want.tobytes()
+        for probs, image in zip(got, images):
+            ref, _ = g.forward(image)
+            assert np.allclose(probs, ref, rtol=0, atol=1e-6)
+            assert np.array_equal(probs.argmax(axis=0), ref.argmax(axis=0))
 
     def test_blocks_give_the_per_tile_loop_bits(self):
         # dyadic operands with short mantissas keep every conv sum exact, so
