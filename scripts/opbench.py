@@ -13,11 +13,11 @@ and prints the minimum and median microseconds per call and the minor page
 faults per timed call (``ru_minflt``). A second table times inference on
 blocks of tiles: each conv shape through ``ops.conv2d_tiles`` at 1, 4 and 8
 tiles, and each topology's inference per tile, as ``forward`` on one tile
-and as ``infer`` on a block of ``training.BLOCK`` tiles, with the median
-per tile; a topology with conv -> batch-norm pairs (SegNet) adds an
-``infer folded`` row, the same block on ``NetworkGraph.folded()``, which
-is what the pipeline infers on. Operands, kernels and batch-norm
-state are in the dtype the pipeline runs its graphs in
+and as ``infer`` on a block of as many tiles as the pipeline infers at once
+(``training.tiles_per_block``), with the median per tile; a topology
+with conv -> batch-norm pairs (SegNet) adds an ``infer folded`` row, the
+same block on ``NetworkGraph.folded()``, which is what the pipeline infers
+on. Operands, kernels and batch-norm state are in the dtype the pipeline runs its graphs in
 (``pipeline.ENGINE_DTYPE``), which the header line names. It gates nothing.
 BLAS runs on one thread unless the environment already sets its thread
 count.
@@ -41,7 +41,7 @@ from terraseg import ops  # noqa: E402
 from terraseg.graph import BatchNorm2d, Conv2d, MaxPool2d, TransposeConv2d  # noqa: E402
 from terraseg.pipeline import ENGINE_DTYPE  # noqa: E402
 from terraseg.tensor import SeededRng  # noqa: E402
-from terraseg.training import BLOCK  # noqa: E402
+from terraseg.training import tiles_per_block  # noqa: E402
 from terraseg.topologies import TopologySpec, build_topology  # noqa: E402
 
 TOPOLOGIES = (("unet", 16), ("segnet", 8), ("resunet", 8))
@@ -100,7 +100,7 @@ def calls(kind: str, shape: tuple[int, int, int], geom: tuple, rng: SeededRng):
         k, s = geom
         y, idx = ops.max_pool2d(x, k, s)
         gy = uniform(-1.0, 1.0, y.shape)
-        return lambda: ops.max_pool2d(x, k, s), lambda: ops.max_pool2d_backward(gy, idx)
+        return lambda: ops.max_pool2d(x, k, s), lambda: ops.unpool_with_indices(gy, idx)
     gamma, beta = uniform(0.5, 1.5, (c,)), uniform(-0.5, 0.5, (c,))
     stats = ops.RunningStats(np.zeros(c, ENGINE_DTYPE), np.ones(c, ENGINE_DTYPE))
     _, cache = ops.batch_norm(x, gamma, beta, stats)
@@ -112,8 +112,8 @@ def calls(kind: str, shape: tuple[int, int, int], geom: tuple, rng: SeededRng):
 def block_calls(rng: SeededRng, users: dict):
     """(label, input, geometry, tiles, callable, topologies) per block case:
     each conv shape through conv2d_tiles at every size in TILES, then each
-    topology's forward on one tile and infer on BLOCK tiles, unfolded and,
-    where its batch norms fold, folded."""
+    topology's forward on one tile and infer on a pipeline block of tiles,
+    unfolded and, where its batch norms fold, folded."""
     def uniform(shape):
         return rng.uniform(-1.0, 1.0, shape).astype(ENGINE_DTYPE)
 
@@ -129,15 +129,16 @@ def block_calls(rng: SeededRng, users: dict):
     for kind, base in TOPOLOGIES:
         graph = topology(kind, base)
         graph.set_dtype(ENGINE_DTYPE)
-        x = uniform((BLOCK, *graph.input_shape))
+        n = tiles_per_block(graph)
+        x = uniform((n, *graph.input_shape))
         shape = "x".join(map(str, graph.input_shape))
         yield (f"{kind}.forward", shape, f"base {base}", 1,
                lambda g=graph, t=x[0]: g.forward(t), [kind])
-        yield (f"{kind}.infer", f"{BLOCK}x{shape}", f"base {base}", BLOCK,
+        yield (f"{kind}.infer", f"{n}x{shape}", f"base {base}", n,
                lambda g=graph, x=x: g.infer(x), [kind])
         folded = graph.folded()
         if folded is not graph:
-            yield (f"{kind}.infer folded", f"{BLOCK}x{shape}", f"base {base}", BLOCK,
+            yield (f"{kind}.infer folded", f"{n}x{shape}", f"base {base}", n,
                    lambda g=folded, x=x: g.infer(x), [kind])
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "write_raster",
     "read_raster",
     "write_pgm",
-    "read_pgm",
     "write_ppm",
 ]
 
@@ -382,33 +381,6 @@ def write_pgm(raster: GeoRaster, basepath: str) -> None:
         fh.write(f"P5\n{raster.width} {raster.height}\n255\n".encode())
         fh.write(plane.tobytes())
     _write_json(basepath + ".json", _sidecar(raster) | {"dtype": "u8"})
-
-
-def read_pgm(basepath: str) -> GeoRaster:
-    with open(basepath + ".pgm", "rb") as fh:
-        blob = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError("truncated PGM header")
-        fields.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise DataError(f"not a binary PGM: magic {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise DataError(f"unsupported PGM maxval {maxval}")
-    plane = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
-    with open(basepath + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return GeoRaster(plane[None, ...].copy(), tuple(meta["geotransform"]),
-                     meta["crs"], float(meta["nodata"]))
 
 
 _PALETTE = [

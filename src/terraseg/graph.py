@@ -8,7 +8,7 @@ may only consume nodes added before it.
 :meth:`NetworkGraph.forward` runs one sample [C, H, W] and keeps every
 node's output and layer context for :meth:`NetworkGraph.backward`.
 Inference runs :meth:`NetworkGraph.infer` on a block of tiles [N, C, H, W]
-(the pipeline's hold up to ``training.BLOCK`` tiles) over the same node
+(sized by ``training.tiles_per_block`` in the pipeline) over the same node
 loop; it keeps no cache, dropping each output once its last reader has run,
 so a block holds only a few nodes' outputs at once. The pipeline infers on
 :meth:`NetworkGraph.folded`, the graph with each conv -> batch-norm pair
@@ -64,7 +64,8 @@ def _glorot(rng: SeededRng | None, shape: tuple[int, ...], fan_in: int, fan_out:
 
 
 class Layer:
-    """Base layer: stateless unless it overrides params()/state()."""
+    """Base layer: stateless unless it overrides params()/state(), and
+    shape-keeping (out: its first input's shape) unless it overrides out_shape()."""
 
     def params(self) -> dict[str, np.ndarray]:
         return {}
@@ -74,7 +75,7 @@ class Layer:
         return {}
 
     def out_shape(self, shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
-        raise NotImplementedError
+        return shapes[0]
 
     def forward(self, xs: list[np.ndarray], training: bool, rng: SeededRng | None):
         raise NotImplementedError
@@ -176,7 +177,7 @@ class MaxPool2d(Layer):
         return ops.max_pool2d(xs[0], self.window, self.stride)
 
     def backward(self, g, ctx: PoolIndices):
-        return [ops.max_pool2d_backward(g, ctx)], {}
+        return [ops.unpool_with_indices(g, ctx)], {}
 
     def spec(self):
         return {"kind": "max_pool2d", "window": self.window, "stride": self.stride}
@@ -243,9 +244,6 @@ class Dropout(Layer):
             raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
-    def out_shape(self, shapes):
-        return shapes[0]
-
     def forward(self, xs, training, rng):
         y, mask = ops.dropout(xs[0], self.rate, rng, training)
         return y, mask
@@ -261,9 +259,6 @@ class ActivationLayer(Layer):
     def __init__(self, kind: ActivationKind):
         self.kind = kind
 
-    def out_shape(self, shapes):
-        return shapes[0]
-
     def forward(self, xs, training, rng):
         return ops.activate(self.kind, xs[0]), xs[0]
 
@@ -275,9 +270,6 @@ class ActivationLayer(Layer):
 
 
 class Softmax(Layer):
-    def out_shape(self, shapes):
-        return shapes[0]
-
     def forward(self, xs, training, rng):
         y = ops.softmax(xs[0], axis=-3)
         return y, y

@@ -41,7 +41,8 @@ ParameterError (Dumoulin & Visin 2016, arXiv 1603.07285, section 4):
   so each is the other's input gradient and each kernel gradient one GEMM.
 
 Max pooling likewise takes only disjoint windows (``window == stride``), so
-its argmax positions are distinct and its gradient one indexed assignment.
+its argmax positions are distinct, and its gradient is unpooling
+(``unpool_with_indices``): the two form one adjoint pair, as the convs do.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ __all__ = [
     "conv2d_transpose_backward",
     "conv_output_hw",
     "max_pool2d",
-    "max_pool2d_backward",
     "unpool_with_indices",
     "unpool_backward",
     "batch_norm",
@@ -471,18 +471,9 @@ def max_pool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Poo
     return np.take(x, idx), PoolIndices(idx, x.shape)
 
 
-def max_pool2d_backward(g: np.ndarray, indices: PoolIndices) -> np.ndarray:
-    """Route upstream gradient to each window's argmax position: the windows
-    are disjoint, so their positions are distinct and one indexed assignment
-    places every gradient."""
-    dx = np.zeros(indices.input_shape, dtype=g.dtype)
-    dx.reshape(-1)[indices.indices.reshape(-1)] = g.reshape(-1)
-    return dx
-
-
 def unpool_with_indices(vals: np.ndarray, indices: PoolIndices) -> np.ndarray:
     """Scatter pooled values back to their recorded argmax positions in the
-    pre-pool shape ``indices.input_shape``.
+    pre-pool shape ``indices.input_shape``: on a gradient, max_pool2d's.
 
     Everything else is zero. Indices outside that shape mean the index
     tensor does not belong to it and raise an integrity error.

@@ -28,11 +28,10 @@ float32 value exactly.
 Train steps one tile [C, H, W] at a time. Evaluate, predict and train's
 per-epoch validation infer through ``training.infer_tiles``: it skips tiles
 whose every pixel is ignored and stacks the rest, in order, into blocks of
-up to ``training.BLOCK`` (8) tiles [N, C, H, W], one
-``NetworkGraph.infer`` call per block, which keeps no cache, on the graph's
-batch-norm fold (``NetworkGraph.folded``). A graph with
-wide layers gets fewer tiles a block, so that its widest layer output
-stays within ``training.BLOCK_BYTES``.
+tiles [N, C, H, W], one ``NetworkGraph.infer`` call per block, which keeps
+no cache, on the graph's batch-norm fold (``NetworkGraph.folded``). A block
+holds as many tiles as keep the graph's widest layer output within
+``training.BLOCK_BYTES`` (``training.tiles_per_block``).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .datasplit import (
     presence_labels,
     stratified_kfold_partition,
 )
-from .errors import ConfigError, DataError, ParameterError, WktParseError, read_input
+from .errors import ConfigError, DataError, WktParseError, read_input
 from .georaster import (
     GeoRaster,
     TileGrid,
@@ -224,8 +223,8 @@ def cmd_split(config: PipelineConfig):
     planes = lbl.read_region((0, 0, 0, 0), lbl.shape).reshape(nty * ntx, th, tw)
     records = [SampleRecord(i, presence_labels(plane, sp.min_pixels, ignore_value=nodata))
                for i, plane in enumerate(planes)]
-    if sp.k > len(records):
-        raise ParameterError(f"k={sp.k} exceeds the {len(records)} available tiles")
+    if sp.k > len(records):  # config.split checks k >= 2
+        raise DataError(f"config.split.k: {sp.k} exceeds the {len(records)} stored tiles")
     assignment = stratified_kfold_partition(records, sp.k,
                                             mix_seed(config.seed, "split"))
     store.remove(_node(config, FOLD_ARRAY))
@@ -274,8 +273,8 @@ class _SampleSource:
     def week_range(self, lo: int, hi: int) -> range:
         """Weeks ``lo`` to ``hi``; ``TrainSection`` checks 0 <= lo < hi."""
         if hi > self.weeks:
-            raise ParameterError(
-                f"slice_timestamps [{lo}, {hi}) outside the {self.weeks}-week store")
+            raise DataError(f"config.train.slice_timestamps: [{lo}, {hi}) outside the "
+                            f"{self.weeks}-week store")
         return range(lo, hi)
 
     def week(self, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -337,6 +336,7 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
         t = dataclasses.replace(t, checkpoint=str(ckpt))
     store = Store(config.store)
     src = _SampleSource(config, store, t)
+    weeks = src.week_range(*t.slice_timestamps)
     if t.topology.num_classes != src.num_classes:
         raise ConfigError(
             f"config.train.topology.num_classes: {t.topology.num_classes} but the "
@@ -351,7 +351,7 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
         folds = _fold_ids(store, config, t.validation_fold,
                           "config.train.validation_fold")
     train_samples, val_samples = [], []
-    for i, s in src.samples(src.week_range(*t.slice_timestamps)):
+    for i, s in src.samples(weeks):
         held = folds is not None and folds[i] == t.validation_fold
         (val_samples if held else train_samples).append(s)
     if not train_samples:
@@ -416,10 +416,10 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     t = _section(config, "train")
     store = Store(config.store)
     src = _SampleSource(config, store, t)
+    if p.week >= src.weeks:  # config.predict checks week >= 0
+        raise DataError(f"config.predict.week: {p.week} outside the {src.weeks}-week store")
     graph, _ = checkpoint_load(str(_checkpoint_path(config, p, out_dir)))
     graph.set_dtype(ENGINE_DTYPE)
-    if p.week >= src.weeks:  # config.predict checks week >= 0
-        raise ParameterError(f"week {p.week} outside the {src.weeks}-week store")
 
     images, ignore = src.week(p.week)
     # a tile infer_tiles skips is ignored in every pixel, so stays all 255

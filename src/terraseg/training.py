@@ -7,7 +7,7 @@ batch, and at epoch end the callbacks run in the fixed order
 plateau -> early stopping -> checkpoint. Training steps run one sample
 [C, H, W] at a time; inference (validation here, evaluate and predict in
 the pipeline) runs through :func:`infer_tiles`, one ``infer`` per block of
-up to ``BLOCK`` tiles on the graph's batch-norm fold (``graph.folded()``).
+:func:`tiles_per_block` tiles on the batch-norm fold (``graph.folded()``).
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from .graph import NetworkGraph
 from .optim import apply_step
 from .tensor import SeededRng, mix_seed
 
-__all__ = ["Sample", "History", "fit", "evaluate_samples", "infer_tiles", "BLOCK",
-           "BLOCK_BYTES"]
+__all__ = ["Sample", "History", "fit", "evaluate_samples", "infer_tiles",
+           "tiles_per_block", "BLOCK_BYTES"]
 
-# tiles per inference forward: enough columns to amortize each GEMM call
-BLOCK = 8
 # bytes a block's widest node output may take, so that a block's working set
 # stays near 1 MiB: U-Net base 16 on 8 float32 tiles peaked at 3.3 MiB, and
 # glibc returned that heap after each block and faulted it back in on the
@@ -89,6 +87,14 @@ def monitor_mode(name: str) -> str:
     return "min" if "loss" in name else "max"
 
 
+def tiles_per_block(graph: NetworkGraph) -> int:
+    """As many tiles as keep the graph's widest node output within
+    ``BLOCK_BYTES``, at least one: on 32-px float32 tiles, 8 for SegNet depth
+    2 base 8, 4 for U-Net depth 2 base 8 and 2 for base 16."""
+    widest = max(int(np.prod(graph.shape_of(node.name))) for node in graph.nodes)
+    return max(1, BLOCK_BYTES // (widest * graph.dtype.itemsize))
+
+
 def infer_tiles(graph: NetworkGraph, tiles):
     """Yield ``(key, probs)`` for each ``(key, image, ignore)`` of ``tiles``
     in order, skipping those whose ``ignore`` mask (nonzero = ignored, or
@@ -99,13 +105,10 @@ def infer_tiles(graph: NetworkGraph, tiles):
     ``tiles`` only as each block fills: a tile's probabilities are what
     ``graph.forward`` gives for it up to the batch-norm fold's rounding
     (SegNet; a graph without a conv -> batch-norm pair runs as it is). A
-    block holds ``BLOCK`` tiles, or fewer where that many of the graph's
-    widest node output would pass ``BLOCK_BYTES`` (2 for U-Net base 16 on
-    32-px float32 tiles), and the last block what is left.
+    block holds :func:`tiles_per_block` tiles, the last what is left.
     """
     graph = graph.folded()
-    widest = max(int(np.prod(graph.shape_of(node.name))) for node in graph.nodes)
-    block = max(1, min(BLOCK, BLOCK_BYTES // (widest * graph.dtype.itemsize)))
+    block = tiles_per_block(graph)
     keys, images = [], []
     for key, image, ignore in tiles:
         if ignore is not None and ignore.all():

@@ -24,9 +24,9 @@ def rand_array(seed, shape, low=-1.0, high=1.0):
     return SeededRng(seed).uniform(low, high, tuple(shape))
 
 
-def assert_plain_arrays(graph, x, labels):
+def assert_plain_arrays(graph, x, labels, dtype=np.float64):
     """Every activation and every gradient of a training step, the graph's
-    and each layer's own, is a float64 C-contiguous ndarray."""
+    and each layer's own, is a C-contiguous ndarray of ``dtype``."""
     probs, cache = graph.forward(x, training=True, rng=SeededRng(1))
     _, glogits = ops.categorical_cross_entropy(probs, labels)
     arrays = list(cache.outs)
@@ -36,7 +36,7 @@ def assert_plain_arrays(graph, x, labels):
         arrays += [*in_grads, *param_grads.values()]
     for arr in arrays:
         assert type(arr) is np.ndarray, type(arr)
-        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert arr.dtype == dtype and arr.flags.c_contiguous
 
 
 @pytest.fixture

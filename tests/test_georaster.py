@@ -2,6 +2,7 @@
 against a per-pixel ray-cast oracle, tiling/mosaicking, masks,
 and the flat-binary and PNM file formats."""
 
+import json
 import math
 from unittest import mock
 
@@ -18,7 +19,6 @@ from terraseg.georaster import (
     GeoRaster,
     mosaic,
     rasterize,
-    read_pgm,
     read_raster,
     scl_to_ignore_mask,
     tile,
@@ -355,15 +355,16 @@ class TestPnm:
                          NORTH_UP, nodata=255.0)
         base = str(tmp_path / "mask")
         write_pgm(mask, base)
-        back = read_pgm(base)
-        assert np.array_equal(back.data, mask.data)
-        assert back.geotransform == mask.geotransform
+        # binary PGM: a P5 header of width, height and maxval, then the rows
+        assert (tmp_path / "mask.pgm").read_bytes() == b"P5\n8 6\n255\n" + mask.data.tobytes()
+        meta = json.loads((tmp_path / "mask.json").read_text(encoding="utf-8"))
+        assert tuple(meta["geotransform"]) == mask.geotransform
+        assert (meta["dtype"], meta["nodata"]) == ("u8", 255.0)
 
     def test_pgm_casts_in_range_integers(self, tmp_path):
         mask = GeoRaster(np.array([[[0, 200]]], dtype=np.int32), NORTH_UP)
-        base = str(tmp_path / "mask")
-        write_pgm(mask, base)
-        assert read_pgm(base).data.tolist() == [[[0, 200]]]
+        write_pgm(mask, str(tmp_path / "mask"))
+        assert (tmp_path / "mask.pgm").read_bytes() == b"P5\n2 1\n255\n\x00\xc8"
 
     def test_pgm_rejects_wide_values(self, tmp_path):
         mask = GeoRaster(np.array([[[0, 300]]], dtype=np.int32), NORTH_UP)
@@ -373,13 +374,6 @@ class TestPnm:
     def test_pgm_rejects_multichannel(self, tmp_path):
         with pytest.raises(ShapeError):
             write_pgm(GeoRaster(np.zeros((2, 2, 2)), NORTH_UP), str(tmp_path / "m"))
-
-    def test_pgm_bad_magic(self, tmp_path):
-        base = str(tmp_path / "mask")
-        with open(base + ".pgm", "wb") as fh:
-            fh.write(b"P2\n2 2\n255\n")
-        with pytest.raises(DataError, match="magic"):
-            read_pgm(base)
 
     def test_ppm_header_and_palette(self, tmp_path):
         mask = GeoRaster(np.array([[[0, 255]]], dtype=np.uint8), NORTH_UP)

@@ -466,7 +466,7 @@ class TestPooling:
             y, _ = ops.max_pool2d(x, 2, 2)
             return float((y * gw).sum())
 
-        dx = ops.max_pool2d_backward(gw, idx)
+        dx = ops.unpool_with_indices(gw, idx)  # the pool's gradient is unpooling
         assert max_rel_err(dx, numeric_grad(loss, x)) < TOL
 
 class TestRefusedGeometries:

@@ -9,6 +9,7 @@ the training steps cheap.
 import collections
 import dataclasses
 import json
+import os
 import zlib
 
 import numpy as np
@@ -21,10 +22,9 @@ from terraseg.checkpoint import checkpoint_load, checkpoint_save
 from terraseg.chunkstore import Store, StoredArray
 from terraseg.cli import main
 from terraseg.config import EvaluateSection, parse_config
-from terraseg.errors import ConfigError, DataError, ParameterError
+from terraseg.errors import ConfigError, DataError
 from terraseg.georaster import (
     GeoRaster,
-    read_pgm,
     read_raster,
     scl_to_ignore_mask,
     write_raster,
@@ -115,6 +115,23 @@ def merged(base, overrides):
 
 def make_config(root, **overrides):
     return parse_config(yaml.safe_dump(merged(base_doc(root), overrides)))
+
+
+def read_mask(base, height, width):
+    """The class plane of the binary PGM that predict wrote at ``base``."""
+    blob = base.with_suffix(".pgm").read_bytes()
+    header = f"P5\n{width} {height}\n255\n".encode()
+    assert blob[:len(header)] == header
+    return np.frombuffer(blob, np.uint8, offset=len(header)).reshape(height, width)
+
+
+def store_bytes(root):
+    return {p: p.read_bytes() for p in (root / "store").rglob("*") if p.is_file()}
+
+
+def mask_geotransform(base):
+    sidecar = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+    return tuple(sidecar["geotransform"])
 
 
 @pytest.fixture()
@@ -338,7 +355,7 @@ class TestSplit:
 
     def test_k_larger_than_tile_count(self, ingested):
         root, labels, gt, config = ingested
-        with pytest.raises(ParameterError, match="k=5"):
+        with pytest.raises(DataError, match="config.split.k: 5 exceeds the 4 stored tiles"):
             cmd_split(make_config(root, split={"k": 5}))
 
     def test_requires_split_section(self, ingested):
@@ -408,7 +425,7 @@ class TestTrain:
     def test_slice_outside_the_store(self, ingested):
         root, labels, gt, config = ingested
         bad = make_config(root, train={"slice_timestamps": [0, 2]})
-        with pytest.raises(ParameterError, match="slice_timestamps"):
+        with pytest.raises(DataError, match="config.train.slice_timestamps"):
             cmd_train(bad, out_dir=root)
 
     def test_validation_fold_holds_out_tiles(self, ingested):
@@ -523,11 +540,10 @@ class TestPredict:
         root, config, out, history = trained
         base = cmd_predict(config, out_dir=out)
         assert base == out / "mask"
-        r = read_pgm(str(base))
-        assert r.data.shape == (1, SIZE, SIZE)
-        assert r.geotransform == tuple(
+        mask = read_mask(base, SIZE, SIZE)
+        assert mask_geotransform(base) == tuple(
             Store(config.store).array(IMAGE_ARRAY).attributes["geotransform"])
-        assert r.data.max() < CLASSES
+        assert mask.max() < CLASSES
 
     def test_ignored_pixels_become_255(self, scene):
         root, labels, gt = scene
@@ -538,10 +554,9 @@ class TestPredict:
         cmd_ingest(config)
         out = root / "run"
         cmd_train(config, out_dir=out)
-        base = cmd_predict(config, out_dir=out)
-        r = read_pgm(str(base))
-        assert (r.data[0, :4, :4] == 255).all()
-        assert (r.data[0, 8:, 8:] < CLASSES).all()
+        mask = read_mask(cmd_predict(config, out_dir=out), SIZE, SIZE)
+        assert (mask[:4, :4] == 255).all()
+        assert (mask[8:, 8:] < CLASSES).all()
 
     def test_preview_ppm(self, trained):
         root, config, out, history = trained
@@ -553,7 +568,7 @@ class TestPredict:
     def test_week_out_of_range(self, trained):
         root, config, out, history = trained
         bad = make_config(root, predict={"week": 3})
-        with pytest.raises(ParameterError, match="week 3"):
+        with pytest.raises(DataError, match="config.predict.week: 3"):
             cmd_predict(bad, out_dir=out)
 
 
@@ -599,11 +614,11 @@ class TestRaggedScene:
         root, labels, gt, config, store = ragged
         out = root / "run"
         cmd_train(config, out_dir=out)
-        r = read_pgm(str(cmd_predict(config, out_dir=out)))
-        assert r.data.shape == (1, self.H, self.W)
-        assert r.geotransform == gt
-        assert (r.data[0, :4, :4] == 255).all()
-        assert (r.data[0, 4:, 4:] < CLASSES).all()
+        base = cmd_predict(config, out_dir=out)
+        mask = read_mask(base, self.H, self.W)
+        assert mask_geotransform(base) == gt
+        assert (mask[:4, :4] == 255).all()
+        assert (mask[4:, 4:] < CLASSES).all()
 
 
 class TestWeekReader:
@@ -693,7 +708,7 @@ class TestWeekReader:
 
         mask = np.where(cloud, 255, predicted[-1]).reshape(2, 3, TILE, TILE)
         mask = mask.swapaxes(1, 2).reshape(2 * TILE, 3 * TILE)[:self.H, :self.W]
-        got = read_pgm(str(cmd_predict(config, out_dir=out))).data[0]
+        got = read_mask(cmd_predict(config, out_dir=out), self.H, self.W)
         assert (got[:16, :20] == 255).all()
         assert np.array_equal(got, mask)
 
@@ -744,7 +759,7 @@ class TestWeekReader:
             return infer(graph, x)
 
         monkeypatch.setattr(NetworkGraph, "infer", counted)
-        got = read_pgm(str(cmd_predict(config, out_dir=out))).data[0]
+        got = read_mask(cmd_predict(config, out_dir=out), self.H, self.W)
         # the SCL mask covers tile (0, 0) whole; the other five are predicted,
         # in one block
         assert calls == [5]
@@ -991,12 +1006,40 @@ class TestCli:
         assert err == ("error[data]: label entry 2: number 1e999 overflows a float "
                        "(byte offset 14)\n")
 
-    def test_parameter_error_exits_4(self, tmp_path, capsys):
+    def test_held_store_lock_exits_4(self, tmp_path, capsys):
         write_scene(tmp_path)
-        cfg = self.write_config(tmp_path, split={"k": 9})
+        cfg = self.write_config(tmp_path)
         assert main(["ingest", "--config", cfg]) == 0
-        assert main(["split", "--config", cfg]) == 4
-        assert capsys.readouterr().err.startswith("error[runtime]: ")
+        capsys.readouterr()
+        lock = tmp_path / "store" / IMAGE_ARRAY / ".lock"
+        lock.write_text(str(os.getpid()), encoding="ascii")  # a running writer
+        assert main(["ingest", "--config", cfg]) == 4
+        assert capsys.readouterr().err == (
+            f"error[runtime]: writer pid {os.getpid()} holds {lock}\n")
+
+    @pytest.mark.parametrize("command, overrides, why", [
+        ("split", {"split": {"k": 9}}, "config.split.k: 9 exceeds the 4 stored tiles"),
+        ("train", {"train": {"slice_timestamps": [0, 3]}},
+         "config.train.slice_timestamps: [0, 3) outside the 1-week store"),
+        ("predict", {"predict": {"week": 5}}, "config.predict.week: 5 outside the 1-week store"),
+    ], ids=["split-k", "train-slice", "predict-week"])
+    def test_config_beyond_the_store_exits_3_in_one_line(self, tmp_path, capsys, command,
+                                                         overrides, why):
+        # the config parses, so only the stored tiles and weeks refuse it;
+        # predict does so before it reads the checkpoint, which is not there
+        write_scene(tmp_path)
+        assert main(["ingest", "--config", self.write_config(tmp_path)]) == 0
+        store = store_bytes(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        args = [command, "--config", self.write_config(tmp_path, **overrides)]
+        if command != "split":
+            args += ["--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err == f"error[data]: {why}\n"  # one line, so no traceback
+        assert store_bytes(tmp_path) == store
+        assert not out.exists()
 
     @pytest.mark.parametrize("train, where", [
         ({"topology": {"depth": 0}}, "config.train.topology: depth"),
@@ -1047,7 +1090,7 @@ class TestCli:
                                                           overrides, where):
         write_scene(tmp_path)
         assert main(["ingest", "--config", self.write_config(tmp_path)]) == 0
-        store = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*") if p.is_file()}
+        store = store_bytes(tmp_path)
         out = tmp_path / "run"
         capsys.readouterr()
         args = [command, "--config", self.write_config(tmp_path, **overrides)]
@@ -1056,8 +1099,7 @@ class TestCli:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error[config]: {where}") and err.count("\n") == 1
-        assert {p: p.read_bytes() for p in (tmp_path / "store").rglob("*")
-                if p.is_file()} == store
+        assert store_bytes(tmp_path) == store
         assert not out.exists()
 
     def test_yaml_syntax_error_exits_2_in_one_line(self, tmp_path, capsys):

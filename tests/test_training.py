@@ -18,12 +18,11 @@ from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,
     _improved,
-    BLOCK,
-    BLOCK_BYTES,
     evaluate_samples,
     fit,
     infer_tiles,
     monitor_mode,
+    tiles_per_block,
 )
 
 NEVER = 10**6  # a patience no epoch count here reaches, so it never fires
@@ -254,13 +253,13 @@ class TestEvaluateSamples:
                                                    ("unet", 8, 4), ("unet", 16, 2)])
     def test_block_size_follows_the_widest_output(self, monkeypatch, kind, base, block):
         # float32 32-px tiles: SegNet's widest output is 32 KiB a tile, the
-        # U-Net base 16 concat 128 KiB, so BLOCK_BYTES holds 8 and 2 of them
+        # U-Net base 16 concat 128 KiB, so the 256 KiB bound holds 8 and 2;
+        # SegNet base 8 and U-Net base 16 are the benchmark workloads' graphs
         spec = TopologySpec(kind=kind, depth=2, base_channels=base, in_channels=4,
                             num_classes=4)
         g = build_topology(spec, (32, 32), seed=1)
         g.set_dtype(np.float32)
-        widest = max(int(np.prod(g.shape_of(n.name))) for n in g.nodes) * 4
-        assert block == min(BLOCK, BLOCK_BYTES // widest)
+        assert tiles_per_block(g) == tiles_per_block(g.folded()) == block
         # on the class, as infer_tiles calls infer on g.folded() (SegNet's is a new graph)
         sizes, infer = [], NetworkGraph.infer
         monkeypatch.setattr(NetworkGraph, "infer",
@@ -282,8 +281,7 @@ class TestEvaluateSamples:
             g.forward(image, training=True)
         folded = g.folded()
         assert (folded is g) == (kind == "unet")
-        block = min(BLOCK, BLOCK_BYTES // max(
-            int(np.prod(g.shape_of(n.name))) * 4 for n in g.nodes))
+        block = tiles_per_block(g)
         want = np.concatenate([folded.infer(images[i : i + block])
                                for i in range(0, len(images), block)])
         got = np.stack([p for _, p in infer_tiles(g, ((i, im, None)
@@ -297,7 +295,7 @@ class TestEvaluateSamples:
     def test_blocks_give_the_per_tile_loop_bits(self):
         # dyadic operands with short mantissas keep every conv sum exact, so
         # the blocks' probabilities are the per-tile ones whatever order
-        # BLAS adds in; 11 samples make one full block and a partial one
+        # BLAS adds in; the samples make one full block and a partial one
         def dyadic(seed, shape, scale):
             return np.floor(SeededRng(seed).uniform(-4, 4, shape)) / scale
 
@@ -308,8 +306,9 @@ class TestEvaluateSamples:
         g.add("probs", Softmax(), ["c2"])
         for i, arr in enumerate(g.parameters().values()):
             arr[...] = dyadic(i, arr.shape, 8)
+        block = tiles_per_block(g)
         samples = []
-        for i in range(BLOCK + 4):
+        for i in range(block + 4):
             s = tiny_sample(10 + i)
             ignore = SeededRng(40 + i).uniform(0, 1, (8, 8)) < 0.2
             if i == 5:
@@ -326,7 +325,7 @@ class TestEvaluateSamples:
             n += 1
             M.confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
         loss, _, got = evaluate_samples(g, samples)
-        assert n == BLOCK + 3
+        assert n == block + 3
         assert np.float64(loss).tobytes() == np.float64(total / n).tobytes()
         assert np.array_equal(got.counts, cm.counts)
 
