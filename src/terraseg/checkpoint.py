@@ -17,13 +17,14 @@ Layout (all integers little-endian):
 
 Records cover the learnable parameters followed by non-learnable state
 (batch-norm running statistics), in graph insertion order, which makes the
-file bytes a pure function of the graph contents. Saving over an existing
-checkpoint keeps the old file unless the new monitor value improves on the
-stored one (improvement direction given by ``mode``).
+file bytes a pure function of the graph contents. Saving always replaces
+the file, atomically; which epochs are worth saving is ``training.fit``'s
+decision.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -32,10 +33,10 @@ import zlib
 
 import numpy as np
 
-from .errors import CheckpointFormatError, ParameterError, TerrasegError, read_input
+from .errors import CheckpointFormatError, DataError, TerrasegError, read_input
 from .graph import NetworkGraph
 
-__all__ = ["checkpoint_save", "checkpoint_load", "read_monitor"]
+__all__ = ["checkpoint_save", "checkpoint_load"]
 
 MAGIC = b"TSEG"
 VERSION = 1
@@ -82,28 +83,22 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def checkpoint_save(graph: NetworkGraph, path: str, monitor_value: float | None = None,
-                    mode: str = "min") -> bool:
-    """Write the graph to ``path``; returns whether the file was (re)written.
+def checkpoint_save(graph: NetworkGraph, path: str, monitor_value: float | None = None) -> None:
+    """Write the graph to ``path`` through a ``.tmp`` file and ``os.replace``.
 
-    With a monitor value and an existing checkpoint, the write only happens
-    when the value improves on the one stored in the file ("min": strictly
-    lower, "max": strictly higher). A stored NaN always loses.
+    An OSError (the path is a directory, its parent a regular file, the disk
+    is full) becomes one DataError naming the path, and leaves no ``.tmp``.
     """
-    if mode not in ("min", "max"):
-        raise ParameterError(f"mode must be 'min' or 'max', got {mode!r}")
-    if monitor_value is not None and os.path.exists(path):
-        old = read_monitor(path)
-        if not math.isnan(old):
-            better = monitor_value < old if mode == "min" else monitor_value > old
-            if not better:
-                return False
     blob = _encode(graph, monitor_value)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
-    return True
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise DataError(f"checkpoint {path}: {exc.strerror}") from None
 
 
 def _header(r: _Reader) -> float:
@@ -115,10 +110,6 @@ def _header(r: _Reader) -> float:
         raise _bad(r.path, f"unsupported checkpoint version {version}", 4)
     (monitor,) = r.unpack("<d", "monitor value")
     return monitor
-
-
-def read_monitor(path: str) -> float:
-    return _header(_Reader(read_input(path, "checkpoint")[:16], path))
 
 
 def checkpoint_load(path: str) -> tuple[NetworkGraph, float]:

@@ -361,7 +361,10 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
                            seed=mix_seed(config.seed, "init"))
     graph.set_dtype(ENGINE_DTYPE)
     if t.checkpoint:
-        Path(t.checkpoint).parent.mkdir(parents=True, exist_ok=True)
+        try:
+            Path(t.checkpoint).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a parent that is a regular file
+            raise DataError(f"checkpoint {t.checkpoint}: {exc.filename}: {exc.strerror}") from None
     history = fit(graph, train_samples, t, config.seed, val_samples or None)
     base = _resolve(t.history or "history", out_dir)
     base.parent.mkdir(parents=True, exist_ok=True)

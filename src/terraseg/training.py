@@ -161,8 +161,9 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
     ``train_data``/``val_data`` are sequences of :class:`Sample`. Without
     validation data the training set doubles as the monitored set (the
     single-tile overfit setup). ``seed`` drives the shuffles and dropout.
-    Checkpoints go to ``train.checkpoint`` through checkpoint_save, so
-    only monitor improvements touch the file.
+    The first epoch writes ``train.checkpoint``, replacing any file there;
+    a later epoch rewrites it only when its monitor strictly beats the one
+    last saved, or that one is NaN.
     A non-finite training loss, batch gradient (before its optimizer step)
     or val_loss (before the checkpoint write) raises DataError naming the
     epoch and samples, in place of numpy's overflow warnings; a loss is
@@ -178,6 +179,7 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
     mode = monitor_mode(train.monitor)
     history = History()
     best_stop = best_plateau = None
+    saved = np.nan  # the monitor of this run's last checkpoint write
     wait_stop = wait_plateau = 0
 
     for epoch in range(train.epochs):
@@ -246,9 +248,11 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
         else:
             wait_stop += 1
             stop = wait_stop >= train.early_stop_patience
-        # 3) checkpoint (file-level improvement check lives in checkpoint_save)
-        if train.checkpoint:
-            checkpoint_save(graph, train.checkpoint, monitored, mode)
+        # 3) checkpoint: the first epoch replaces any file there; a later one
+        # writes on a strict improvement over this run's last save, or if that is NaN
+        if train.checkpoint and (np.isnan(saved) or _improved(monitored, saved, 0.0, mode)):
+            checkpoint_save(graph, train.checkpoint, monitored)
+            saved = monitored
         if stop:
             history.stopped_early = True
             break

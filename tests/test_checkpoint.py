@@ -1,5 +1,6 @@
-"""Checkpoint format: byte-exact round trips, improvement-gated saves, and
-corruption detection with meaningful byte offsets.
+"""Checkpoint format: byte-exact round trips, the improvement gate that
+``fit`` applies to its own saves, and corruption detection with meaningful
+byte offsets.
 
 Corruption cases are produced by byte surgery on a valid file, using the
 layout documented in the module: any edit is followed by recomputing the
@@ -14,8 +15,10 @@ import zlib
 import numpy as np
 import pytest
 
-from terraseg.checkpoint import checkpoint_load, checkpoint_save, read_monitor
-from terraseg.errors import CheckpointFormatError, DataError, ParameterError, exit_code_for
+import terraseg.training as training_mod
+from terraseg.checkpoint import checkpoint_load, checkpoint_save
+from terraseg.config import OptimizerConfig, TrainSection
+from terraseg.errors import CheckpointFormatError, DataError, exit_code_for
 from terraseg.graph import (
     ActivationLayer,
     BatchNorm2d,
@@ -26,6 +29,7 @@ from terraseg.graph import (
 )
 from terraseg.ops import RELU
 from terraseg.tensor import SeededRng
+from terraseg.training import Sample, fit
 
 
 def small_graph(seed=9):
@@ -58,7 +62,7 @@ class TestRoundTrip:
     def test_forward_bit_equality(self, tmp_path):
         g = warmed_graph()
         path = str(tmp_path / "m.ckpt")
-        assert checkpoint_save(g, path, 0.375)
+        checkpoint_save(g, path, 0.375)
         g2, monitor = checkpoint_load(path)
         assert monitor == 0.375
         x = SeededRng(33).uniform(-1.0, 1.0, (3, 6, 6))
@@ -117,43 +121,83 @@ class TestRoundTrip:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+def fit_scripted(monkeypatch, path, monitors, monitor="val_loss", min_delta=0.0):
+    """fit ``small_graph`` for one epoch per value of ``monitors``, which the
+    epochs report as their ``monitor``; returns the monitor of each write."""
+    values = iter(monitors)
+
+    def scripted(graph, samples, metric_names):
+        value = next(values)
+        vals = {name: value for name in metric_names}
+        return (value if monitor == "val_loss" else 1.0), vals, None
+
+    writes = []
+    real_save = training_mod.checkpoint_save
+
+    def spy(graph, path, monitored):
+        writes.append(monitored)
+        real_save(graph, path, monitored)
+
+    monkeypatch.setattr(training_mod, "evaluate_samples", scripted)
+    monkeypatch.setattr(training_mod, "checkpoint_save", spy)
+    train = TrainSection(epochs=len(monitors), optimizer=OptimizerConfig(kind="sgd", lr=1e-300),
+                         monitor=monitor, min_delta=min_delta, early_stop_patience=10**6,
+                         plateau_patience=10**6, checkpoint=str(path))
+    image = SeededRng(2).uniform(-1.0, 1.0, (3, 6, 6))
+    labels = (np.arange(36).reshape(6, 6) % 2).astype(np.int64)
+    graph = small_graph()
+    fit(graph, [Sample(image, labels)], train, seed=3)
+    return writes, graph
+
+
 class TestImprovementGate:
-    def test_worse_value_keeps_old_file(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        checkpoint_save(small_graph(1), str(path), 1.0)
-        before = path.read_bytes()
-        assert not checkpoint_save(small_graph(2), str(path), 1.5)
-        assert path.read_bytes() == before
-        assert not checkpoint_save(small_graph(2), str(path), 1.0)  # ties lose
-        assert path.read_bytes() == before
+    """``fit`` saves on its first epoch, then only on a strict improvement
+    over its own last save; whatever file was at the path plays no part."""
 
-    def test_better_value_rewrites(self, tmp_path):
+    def test_fresh_fit_replaces_an_earlier_runs_better_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
-        checkpoint_save(small_graph(1), str(path), 1.0)
-        assert checkpoint_save(small_graph(2), str(path), 0.25)
-        assert read_monitor(str(path)) == 0.25
+        other = NetworkGraph((3, 6, 6))
+        other.add("head", Conv2d(3, 2, kernel=1, rng=SeededRng(1)))
+        other.add("probs", Softmax())
+        checkpoint_save(other, str(path), 0.01)
+        writes, graph = fit_scripted(monkeypatch, path, [1.0, 2.0])
+        assert writes == [1.0]
+        loaded, monitor = checkpoint_load(str(path))
+        assert monitor == 1.0
+        assert loaded.descriptor() == graph.descriptor()
 
-    def test_max_mode_flips_direction(self, tmp_path):
+    def test_worse_value_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
-        checkpoint_save(small_graph(), str(path), 0.8, mode="max")
-        assert not checkpoint_save(small_graph(), str(path), 0.7, mode="max")
-        assert checkpoint_save(small_graph(), str(path), 0.9, mode="max")
+        writes, _ = fit_scripted(monkeypatch, path, [1.0, 1.5, 1.0])  # ties lose
+        assert writes == [1.0]
+        assert checkpoint_load(str(path))[1] == 1.0
 
-    def test_stored_nan_always_loses(self, tmp_path):
+    def test_better_value_rewrites(self, tmp_path, monkeypatch):
+        # the checkpoint ignores min_delta, which only plateau and early stop use
         path = tmp_path / "m.ckpt"
-        checkpoint_save(small_graph(), str(path))  # stores NaN
-        assert checkpoint_save(small_graph(), str(path), 1e9)
-        assert read_monitor(str(path)) == 1e9
+        writes, _ = fit_scripted(monkeypatch, path, [1.0, 0.99, 1.5, 0.25], min_delta=0.1)
+        assert writes == [1.0, 0.99, 0.25]
+        assert checkpoint_load(str(path))[1] == 0.25
+
+    def test_max_mode_flips_direction(self, tmp_path, monkeypatch):
+        writes, _ = fit_scripted(monkeypatch, tmp_path / "m.ckpt", [0.8, 0.7, 0.9],
+                                 monitor="accuracy")
+        assert writes == [0.8, 0.9]
+
+    def test_stored_nan_always_loses(self, tmp_path, monkeypatch):
+        # MIoU is NaN while a class is absent; a NaN never beats a saved value
+        writes, _ = fit_scripted(monkeypatch, tmp_path / "m.ckpt",
+                                 [math.nan, 0.1, math.nan, 0.05], monitor="MIoU")
+        assert math.isnan(writes[0]) and writes[1:] == [0.1]
 
     def test_unmonitored_save_always_writes(self, tmp_path):
+        # checkpoint_save itself has no gate: any save replaces the file
         path = tmp_path / "m.ckpt"
         checkpoint_save(small_graph(), str(path), 0.1)
-        assert checkpoint_save(small_graph(), str(path))
-        assert math.isnan(read_monitor(str(path)))
-
-    def test_bad_mode(self, tmp_path):
-        with pytest.raises(ParameterError):
-            checkpoint_save(small_graph(), str(tmp_path / "m.ckpt"), 1.0, mode="best")
+        checkpoint_save(small_graph(), str(path), 5.0)
+        assert checkpoint_load(str(path))[1] == 5.0
+        checkpoint_save(small_graph(), str(path))
+        assert math.isnan(checkpoint_load(str(path))[1])
 
 
 class TestCorruption:
@@ -302,13 +346,16 @@ class TestCorruption:
     def test_descriptor_without_nodes(self, blob):
         self.assert_bad_descriptor(blob, lambda d: d["nodes"].clear(), "GraphError")
 
-    def test_read_monitor_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "not.ckpt"
-        path.write_bytes(b"PK\x03\x04 definitely a zip" * 2)
-        with pytest.raises(CheckpointFormatError):
-            read_monitor(str(path))
-
     def test_saving_over_a_directory_is_a_data_error(self, tmp_path):
-        # the improvement gate reads the stored monitor through read_input
-        with pytest.raises(DataError, match=f"^checkpoint {tmp_path}: "):
-            checkpoint_save(small_graph(), str(tmp_path), monitor_value=0.5)
+        target = tmp_path / "dir"
+        target.mkdir()
+        with pytest.raises(DataError, match=f"^checkpoint {target}: Is a directory$"):
+            checkpoint_save(small_graph(), str(target), monitor_value=0.5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]  # no .tmp left
+
+    def test_saving_under_a_regular_file_is_a_data_error(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        path = tmp_path / "file" / "m.ckpt"
+        with pytest.raises(DataError, match=f"^checkpoint {path}: Not a directory$"):
+            checkpoint_save(small_graph(), str(path), monitor_value=0.5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terraseg.datasplit import (
-    CrossValResult,
     FoldAssignment,
     SampleRecord,
     cross_validate,

@@ -395,6 +395,22 @@ class TestTrain:
         assert doc["stopped_early"] is False
         assert len(doc["records"]) == 2
 
+    def test_a_run_replaces_an_earlier_runs_checkpoint(self, ingested):
+        root, labels, gt, config = ingested
+        out, fresh = root / "run", root / "fresh"
+        cmd_train(make_config(root, train={"epochs": 8}), out_dir=out)
+        unet_monitor = checkpoint_load(str(out / "model.ckpt"))[1]
+        segnet = make_config(root, train={"topology": {"kind": "segnet"}, "epochs": 1})
+        history = cmd_train(segnet, out_dir=out)
+        # the U-Net's file scores better, and SegNet's still replaces it
+        assert unet_monitor < history.records[0]["val_loss"]
+        graph, _ = checkpoint_load(str(out / "model.ckpt"))
+        assert "batch_norm2d" in {node["kind"] for node in graph.descriptor()["nodes"]}
+        cmd_train(segnet, out_dir=fresh)
+        assert (out / "model.ckpt").read_bytes() == (fresh / "model.ckpt").read_bytes()
+        cmd_train(segnet, out_dir=out)  # the same run again, into the same directory
+        assert (out / "model.ckpt").read_bytes() == (fresh / "model.ckpt").read_bytes()
+
     def test_loss_decreases_on_the_easy_scene(self, ingested):
         root, labels, gt, config = ingested
         config = make_config(root, train={
@@ -928,6 +944,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error[data]: checkpoint {ckpt}: is a directory\n"
         assert not (out / "history.json").exists() and not any(ckpt.iterdir())
+
+    def test_train_checkpoint_under_a_regular_file_exits_3_before_an_epoch(self, tmp_path,
+                                                                          capsys):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        (tmp_path / "file").write_bytes(b"")
+        ckpt = tmp_path / "file" / "model.ckpt"
+        assert main(["train", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error[data]: checkpoint {ckpt}: {tmp_path / 'file'}: File exists\n"
+        assert not (out / "history.json").exists()
 
     @pytest.mark.parametrize("train, key, array", [
         ({"inputs": [MASK_ARRAY]}, "inputs[0]", MASK_ARRAY),

@@ -7,7 +7,7 @@ import pytest
 from terraseg.checkpoint import checkpoint_load, checkpoint_save
 from terraseg.errors import ParameterError
 from terraseg.graph import grad_check
-from terraseg.ops import ELU, RELU
+from terraseg.ops import ELU
 from terraseg.tensor import SeededRng
 from terraseg.topologies import (
     TopologySpec,

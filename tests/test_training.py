@@ -115,38 +115,46 @@ class TestCallbacks:
         assert lrs == [1e-300, 1e-300, 0.5e-300]
 
     def test_plateau_runs_before_stop_and_checkpoint_after(self, tmp_path, monkeypatch):
-        calls = []
-        real_save = training_mod.checkpoint_save
+        # each val_loss beats the last by less than min_delta: plateau and
+        # early stopping see no improvement, the checkpoint's strict rule does
+        losses = iter([1.0, 0.9999, 0.9998, 0.9997, 0.9996])
+        monkeypatch.setattr(training_mod, "evaluate_samples",
+                            lambda graph, val, metrics: (next(losses), {}, None))
+        states, writes = [], []
+        real_step, real_save = training_mod.apply_step, training_mod.checkpoint_save
 
-        def spy(graph, path, monitored, mode):
-            calls.append(monitored)
-            return real_save(graph, path, monitored, mode)
+        def step_spy(state, params, grads):
+            states.append(state)
+            return real_step(state, params, grads)
 
-        monkeypatch.setattr(training_mod, "checkpoint_save", spy)
+        def save_spy(graph, path, monitored):
+            writes.append((monitored, states[-1].lr))
+            real_save(graph, path, monitored)
+
+        monkeypatch.setattr(training_mod, "apply_step", step_spy)
+        monkeypatch.setattr(training_mod, "checkpoint_save", save_spy)
         train = frozen_section(epochs=20, early_stop_patience=3, plateau_patience=1,
                                plateau_factor=0.5, checkpoint=str(tmp_path / "model.ckpt"))
-        history, opt = fit_keeping_state(monkeypatch, train)
+        history = fit(tiny_graph(), [tiny_sample()], train, seed=11)
         assert history.stopped_early
         assert len(history.records) == 4
-        # checkpoint hook ran on every epoch, including the stopping one
-        assert len(calls) == 4
-        # plateau fired on the stopping epoch too (before the break)
-        assert opt.lr == 1e-300 * 0.5**3
+        # every epoch wrote, the stopping one too, each after its plateau step
+        assert writes == [(1.0, 1e-300), (0.9999, 1e-300 * 0.5),
+                          (0.9998, 1e-300 * 0.5**2), (0.9997, 1e-300 * 0.5**3)]
 
     def test_checkpoint_only_rewritten_on_improvement(self, tmp_path, monkeypatch):
-        outcomes = []
+        writes = []
         real_save = training_mod.checkpoint_save
 
-        def spy(graph, path, monitored, mode):
-            saved = real_save(graph, path, monitored, mode)
-            outcomes.append(saved)
-            return saved
+        def spy(graph, path, monitored):
+            writes.append(monitored)
+            real_save(graph, path, monitored)
 
         monkeypatch.setattr(training_mod, "checkpoint_save", spy)
         ckpt = tmp_path / "model.ckpt"
-        frozen_fit([tiny_sample()], epochs=3, checkpoint=str(ckpt))
-        # constant loss: only the first epoch wins the monitor comparison
-        assert outcomes == [True, False, False]
+        _, history = frozen_fit([tiny_sample()], epochs=3, checkpoint=str(ckpt))
+        # constant loss: only the first epoch writes
+        assert writes == [history.records[0]["val_loss"]]
         assert ckpt.exists()
 
 
