@@ -17,7 +17,9 @@ and as ``infer`` on a block of as many tiles as the pipeline infers at once
 (``training.tiles_per_block``), with the median per tile; a topology
 with conv -> batch-norm pairs (SegNet) adds an ``infer folded`` row, the
 same block on ``NetworkGraph.folded()``, which is what the pipeline infers
-on. Operands, kernels and batch-norm state are in the dtype the pipeline runs its graphs in
+on. A third table times one Adam ``optim.apply_step`` per topology on a copy
+of its parameter buffer ``NetworkGraph.flat``, which is what ``fit`` steps
+once per batch. Operands, kernels and batch-norm state are in the dtype the pipeline runs its graphs in
 (``pipeline.ENGINE_DTYPE``), which the header line names. It gates nothing.
 BLAS runs on one thread unless the environment already sets its thread
 count.
@@ -38,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from terraseg import ops  # noqa: E402
+from terraseg.optim import AdamState, apply_step  # noqa: E402
 from terraseg.graph import BatchNorm2d, Conv2d, MaxPool2d, TransposeConv2d  # noqa: E402
 from terraseg.pipeline import ENGINE_DTYPE  # noqa: E402
 from terraseg.tensor import SeededRng  # noqa: E402
@@ -181,6 +184,17 @@ def main() -> int:
         lo, med, faults = measure(fn, args.repeat)
         print(f"{label:<28} {shape:>13} {geom:>10} {lo:>9.1f} {med:>9.1f} {faults:>11.1f} "
               f"{med / n:>14.1f}  {','.join(users)}")
+    print(f"\n{'step':<28} {'params':>9} {'geometry':>10} {'min_us':>9} {'median_us':>9} "
+          f"{'minflt/call':>11}  topologies")
+    for kind, base in TOPOLOGIES:
+        graph = topology(kind, base)
+        graph.set_dtype(ENGINE_DTYPE)
+        p = graph.flat.copy()
+        g = rng.uniform(-1.0, 1.0, p.shape).astype(ENGINE_DTYPE)
+        state = AdamState()
+        lo, med, faults = measure(lambda: apply_step(state, p, g), args.repeat)
+        print(f"{'apply_step.adam':<28} {p.size:>9} {f'base {base}':>10} {lo:>9.1f} {med:>9.1f} "
+              f"{faults:>11.1f}  {kind}")
     return 0
 
 

@@ -18,7 +18,6 @@ import dataclasses
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import pipeline
 from .config import PipelineConfig, parse_config
@@ -103,10 +102,9 @@ def _dispatch(args) -> int:
         print(f"{base}.pgm")
     elif args.command == "query":
         url = pipeline.cmd_query(config)
+        out = pipeline._output_path("query.txt", args.out, "query") if args.out != "." else None
         print(url)
-        if args.out != ".":
-            out = Path(args.out) / "query.txt"
-            out.parent.mkdir(parents=True, exist_ok=True)
+        if out is not None:
             out.write_text(url + "\n", encoding="utf-8")
     return 0
 

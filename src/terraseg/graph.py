@@ -20,12 +20,16 @@ parameters: a graph builds float64, :meth:`NetworkGraph.set_dtype` converts
 it (the pipeline runs float32), and the graph coerces its input to that
 dtype once, as the ops follow their input's dtype. Neither the graph nor its
 layers ever write into an array they were handed. The graph owns the only
-mutable numeric state in the package: layer parameter buffers (exposed via
-:meth:`NetworkGraph.parameters`) and batch-norm running statistics.
+mutable numeric state in the package: batch-norm running statistics and
+one 1-D buffer, :attr:`NetworkGraph.flat`, of every parameter in insertion
+order. Each layer's parameters are views of it, named by
+:meth:`NetworkGraph.parameters`; ``add`` and ``set_dtype`` repack it.
+:meth:`NetworkGraph.backward` adds into a gradient buffer of its layout.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 
@@ -393,6 +397,9 @@ class NetworkGraph:
         # position -> the last unpool that reads its indices
         self._last_reader: dict[int, int] = {}
         self._indices_reader: dict[int, int] = {}
+        # "<node>.<param>" -> (slice of flat, shape), in insertion order
+        self._layout: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        self.flat = np.zeros(0)
         self.add("input", Input(input_shape), [])
 
     @property
@@ -432,7 +439,23 @@ class NetworkGraph:
             self._last_reader[self._index[dep]] = i
         if pool_idx is not None:
             self._indices_reader[pool_idx] = i
+        if layer.params():
+            self._pack(self.flat.dtype)
         return name
+
+    def _pack(self, dtype) -> None:
+        """Copy every parameter into a new ``flat`` of ``dtype`` and point
+        each layer's attributes (named by its params() keys) at their views."""
+        owners = [(node, key, arr) for node in self.nodes
+                  for key, arr in node.layer.params().items()]
+        self.flat = np.empty(sum(arr.size for *_, arr in owners), dtype)
+        self._layout, start = {}, 0
+        for node, key, arr in owners:
+            span = slice(start, start + arr.size)
+            self.flat[span] = arr.reshape(-1)
+            setattr(node.layer, key, self.flat[span].reshape(arr.shape))
+            self._layout[f"{node.name}.{key}"] = (span, arr.shape)
+            start = span.stop
 
     def shape_of(self, name: str) -> tuple[int, ...]:
         return self._shapes[name]
@@ -444,39 +467,30 @@ class NetworkGraph:
             raise GraphError("graph does not end in a softmax node")
         return last.inputs[0]
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Learnable buffers, keyed "<node>.<param>", in insertion order."""
-        out = {}
-        for node in self.nodes:
-            for key, arr in node.layer.params().items():
-                out[f"{node.name}.{key}"] = arr
-        return out
+    def parameters(self, buf: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Views of ``buf`` (``flat`` when None), keyed "<node>.<param>" in
+        insertion order: the layers' parameters, or the gradients in ``buf``."""
+        buf = self.flat if buf is None else buf
+        return {name: buf[span].reshape(shape) for name, (span, shape) in self._layout.items()}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for node in self.nodes:
-            for key, arr in node.layer.state().items():
-                out[f"{node.name}.{key}"] = arr
-        return out
+        return {f"{node.name}.{key}": arr for node in self.nodes
+                for key, arr in node.layer.state().items()}
 
     def count_parameters(self) -> int:
-        return sum(a.size for a in self.parameters().values())
+        return self.flat.size
 
     @property
     def dtype(self) -> np.dtype:
-        """The parameters' dtype, which the graph computes in (float64 when
-        it has no parameters)."""
-        arrays = (a for node in self.nodes for a in node.layer.params().values())
-        return next(arrays, np.zeros(0)).dtype
+        """The parameters' dtype, which the graph computes in."""
+        return self.flat.dtype
 
     def set_dtype(self, dtype) -> None:
-        """Convert every parameter and running-stat array to ``dtype`` in place
-        (the layers' buffers are replaced; earlier ``parameters()`` dicts go
-        stale)."""
+        """Repack ``flat`` and replace the running statistics in ``dtype``;
+        earlier ``parameters()`` dicts go stale."""
+        self._pack(dtype)
         for node in self.nodes:
             layer = node.layer
-            for key, arr in layer.params().items():  # keys are attribute names
-                setattr(layer, key, arr.astype(dtype))
             if isinstance(layer, BatchNorm2d):
                 layer.stats = RunningStats(layer.stats.mean.astype(dtype),
                                            layer.stats.var.astype(dtype))
@@ -519,11 +533,12 @@ class NetworkGraph:
         ``s = gamma / sqrt(var + eps)``, computed in the graph's dtype from
         the current values.
 
-        Every other node carries over with its layer shared, so the source
-        graph, its descriptor and its checkpoint bytes are untouched, and
-        the source itself comes back when it has no such pair. The result
-        matches the source's inference up to the fold's rounding; build it
-        again once the source trains on.
+        Every other node carries over with a copy of its layer, packed into
+        the result's own ``flat``, so the source graph, its ``flat``, its
+        descriptor and its checkpoint bytes are untouched, and the source
+        itself comes back when it has no such pair. The result matches the
+        source's inference up to the fold's rounding; build it again once
+        the source trains on.
         """
         readers = Counter(dep for node in self.nodes for dep in node.inputs)
         convs = {}  # batch-norm node name -> the conv node it folds into
@@ -535,6 +550,7 @@ class NetworkGraph:
         if not convs:
             return self
         graph = NetworkGraph(self.input_shape)
+        graph.set_dtype(self.dtype)
         rename = {bn: src.name for bn, src in convs.items()}
         for node in self.nodes[1:]:
             if node.name in rename.values():
@@ -542,7 +558,9 @@ class NetworkGraph:
             if node.name in convs:
                 src = convs[node.name]
                 node = _Node(src.name, _fold(src.layer, node.layer), src.inputs)
-            graph.add(node.name, node.layer, [rename.get(dep, dep) for dep in node.inputs])
+            # a copy, as packing re-points its parameters at graph.flat
+            graph.add(node.name, copy.copy(node.layer),
+                      [rename.get(dep, dep) for dep in node.inputs])
         return graph
 
     def _run(self, x: np.ndarray, training: bool, rng: SeededRng | None,
@@ -572,8 +590,10 @@ class NetworkGraph:
                         ctxs[j] = None
         return outs, ctxs
 
-    def backward(self, cache: GraphCache, seeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Backprop from the seeded nodes; returns grads keyed like parameters().
+    def backward(self, cache: GraphCache, seeds: dict[str, np.ndarray],
+                 grads: np.ndarray) -> None:
+        """Backprop from the seeded nodes, adding each parameter's gradient
+        into its slice of ``grads``, a buffer shaped like ``flat``.
 
         ``seeds`` maps node name -> gradient of the scalar loss w.r.t. that
         node's output. Fan-out gradients sum where paths rejoin.
@@ -585,7 +605,6 @@ class NetworkGraph:
                 raise ShapeError(f"seed for {name!r} has shape {g.shape}, "
                                  f"node produces {self._shapes[name]}")
             grad_at[i] = g
-        param_grads: dict[str, np.ndarray] = {}
         for i in range(len(self.nodes) - 1, -1, -1):
             g = grad_at[i]
             node = self.nodes[i]
@@ -596,8 +615,8 @@ class NetworkGraph:
                 j = self._index[dep]
                 grad_at[j] = ig if grad_at[j] is None else grad_at[j] + ig
             for key, pg in p_grads.items():
-                param_grads[f"{node.name}.{key}"] = pg
-        return param_grads
+                part = grads[self._layout[f"{node.name}.{key}"][0]]
+                part += pg.reshape(-1)
 
     def descriptor(self) -> dict:
         """JSON-serializable topology (no parameter values)."""
@@ -644,21 +663,16 @@ def grad_check(graph: NetworkGraph, x: np.ndarray, labels: np.ndarray,
     rng = SeededRng(0xD0)
     probs, cache = graph.forward(x, training=True, rng=rng)
     _, glogits = ops.categorical_cross_entropy(probs, labels, ignore_mask)
-    analytic = graph.backward(cache, {logits: glogits})
-
-    worst = 0.0
-    for name, arr in graph.parameters().items():
-        a_arr = analytic.get(name)
-        flat = arr.reshape(-1)
-        a_flat = np.zeros_like(flat) if a_arr is None else a_arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = loss_of()
-            flat[i] = orig - step
-            lm = loss_of()
-            flat[i] = orig
-            num = (lp - lm) / (2.0 * step)
-            rel = abs(a_flat[i] - num) / max(abs(a_flat[i]), abs(num), 1e-6)
-            worst = max(worst, rel)
+    analytic = np.zeros_like(graph.flat)
+    graph.backward(cache, {logits: glogits}, analytic)
+    worst, flat = 0.0, graph.flat
+    for i, a in enumerate(analytic):
+        orig = flat[i]
+        flat[i] = orig + step
+        lp = loss_of()
+        flat[i] = orig - step
+        lm = loss_of()
+        flat[i] = orig
+        num = (lp - lm) / (2.0 * step)
+        worst = max(worst, abs(a - num) / max(abs(a), abs(num), 1e-6))
     return worst

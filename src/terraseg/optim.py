@@ -1,13 +1,13 @@
 """Parameter update rules.
 
-Both optimizers mutate the parameter buffers in place (the graph owns them)
-and are driven by plain name-keyed gradient dicts as produced by
-NetworkGraph.backward.
+Both optimizers step a parameter array ``p`` in place, elementwise, with a
+gradient ``g`` of its shape: in ``fit``, the graph's ``flat`` and the
+batch's gradient buffer, which NetworkGraph.backward adds into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-7
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # both allocated like p on the first step
+    v: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.lr > 0:
@@ -55,39 +55,27 @@ class AdamState:
             raise ParameterError(f"eps must be positive, got {self.eps}")
 
 
-def sgd_step(state: SgdState, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray]) -> None:
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is not None:
-            p -= state.lr * g
+def sgd_step(state: SgdState, p: np.ndarray, g: np.ndarray) -> None:
+    p -= state.lr * g
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]) -> None:
+def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * g * g
+    p -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
-def apply_step(state, params, grads) -> None:
+def apply_step(state, p: np.ndarray, g: np.ndarray) -> None:
     if isinstance(state, SgdState):
-        sgd_step(state, params, grads)
+        sgd_step(state, p, g)
     elif isinstance(state, AdamState):
-        adam_step(state, params, grads)
+        adam_step(state, p, g)
     else:
         raise ParameterError(f"unknown optimizer state {type(state).__name__}")

@@ -17,7 +17,8 @@ per input array and one for the mask per week, and the labels once.
 Training samples concatenate the configured input components channel-wise;
 coarser components are nearest-neighbor upsampled to the label tile size.
 Sample ignore masks are the union of the stored (cloud) mask and
-label-nodata pixels. Relative output paths resolve against ``out_dir``.
+label-nodata pixels. Relative output paths resolve against ``out_dir``; each
+command makes their directories before its work (training, inference).
 
 Samples hold the store's float32 images and u8 class labels, label-nodata
 pixels as class 0 under the ignore mask. Every graph the commands make
@@ -103,6 +104,17 @@ def _section(config: PipelineConfig, name: str):
 def _resolve(path: str, out_dir) -> Path:
     p = Path(path)
     return p if p.is_absolute() else Path(out_dir) / p
+
+
+def _output_path(path: str, out_dir, what: str) -> Path:
+    """``path`` resolved against ``out_dir``, its parent directory made now:
+    an OSError (an ancestor is a regular file) becomes one DataError."""
+    p = _resolve(path, out_dir)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{what} {p}: {exc.filename}: {exc.strerror}") from None
+    return p
 
 
 def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
@@ -329,11 +341,6 @@ def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.n
 def cmd_train(config: PipelineConfig, out_dir=".") -> History:
     """Build samples from the store, train the configured topology."""
     t = _section(config, "train")
-    if t.checkpoint:
-        ckpt = _resolve(t.checkpoint, out_dir)
-        if ckpt.is_dir():  # refused before any epoch trains
-            raise DataError(f"checkpoint {ckpt}: is a directory")
-        t = dataclasses.replace(t, checkpoint=str(ckpt))
     store = Store(config.store)
     src = _SampleSource(config, store, t)
     weeks = src.week_range(*t.slice_timestamps)
@@ -356,18 +363,17 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
         (val_samples if held else train_samples).append(s)
     if not train_samples:
         raise DataError("no usable training tiles (all ignored or in the validation fold)")
+    if t.checkpoint:
+        ckpt = _output_path(t.checkpoint, out_dir, "checkpoint")
+        if ckpt.is_dir():  # refused before any epoch trains
+            raise DataError(f"checkpoint {ckpt}: is a directory")
+        t = dataclasses.replace(t, checkpoint=str(ckpt))
+    base = _output_path(t.history or "history", out_dir, "history")
 
     graph = build_topology(t.topology, input_hw=(src.th, src.tw),
                            seed=mix_seed(config.seed, "init"))
     graph.set_dtype(ENGINE_DTYPE)
-    if t.checkpoint:
-        try:
-            Path(t.checkpoint).parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # a parent that is a regular file
-            raise DataError(f"checkpoint {t.checkpoint}: {exc.filename}: {exc.strerror}") from None
     history = fit(graph, train_samples, t, config.seed, val_samples or None)
-    base = _resolve(t.history or "history", out_dir)
-    base.parent.mkdir(parents=True, exist_ok=True)
     base.with_suffix(".txt").write_text(history.table(), encoding="utf-8")
     base.with_suffix(".json").write_text(history.to_json(), encoding="utf-8")
     log.info("trained %d epochs on %d samples", len(history.records),
@@ -397,6 +403,7 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
         raise ConfigError(
             f"config.evaluate: checkpoint predicts {out_classes} classes but the "
             f"store labels carry {src.num_classes}")
+    base = _output_path(e.out or "report", out_dir, "report")
 
     keep = None
     if e.fold is not None:
@@ -406,8 +413,6 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
     for s, probs in infer_tiles(graph, ((s, s.image, s.ignore) for _, s in samples)):
         confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
     values = report(cm)
-    base = _resolve(e.out or "report", out_dir)
-    base.parent.mkdir(parents=True, exist_ok=True)
     base.with_suffix(".txt").write_text(render_report(values), encoding="utf-8")
     base.with_suffix(".json").write_text(report_json(values), encoding="utf-8")
     return values
@@ -423,6 +428,7 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
         raise DataError(f"config.predict.week: {p.week} outside the {src.weeks}-week store")
     graph, _ = checkpoint_load(str(_checkpoint_path(config, p, out_dir)))
     graph.set_dtype(ENGINE_DTYPE)
+    base = _output_path(p.out, out_dir, "prediction")
 
     images, ignore = src.week(p.week)
     # a tile infer_tiles skips is ignored in every pixel, so stays all 255
@@ -433,8 +439,6 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     grid = TileGrid(int(attrs["scene_width"]), int(attrs["scene_height"]),
                     tuple(attrs["geotransform"]), attrs["crs"], 255.0)
     full = mosaic(grid, classes.reshape(src.nty, src.ntx, 1, src.th, src.tw))
-    base = _resolve(p.out, out_dir)
-    base.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(full, str(base))
     if p.preview:
         write_ppm(full, str(base) + "_preview")

@@ -175,7 +175,6 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
     optimizer = train.optimizer.state()
     val = val_data if val_data is not None and len(val_data) > 0 else train_data
     logits = graph.logits_name()
-    params = graph.parameters()
     mode = monitor_mode(train.monitor)
     history = History()
     best_stop = best_plateau = None
@@ -187,10 +186,10 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
             order = SeededRng(mix_seed(seed, "epoch", epoch)).permutation(len(train_data))
         else:
             order = np.arange(len(train_data))
-        epoch_loss, seen = 0.0, 0
+        epoch_loss = 0.0
         for start in range(0, len(order), train.batch_size):
             batch = order[start : start + train.batch_size]
-            grads: dict[str, np.ndarray] = {}
+            grads = np.zeros_like(graph.flat)
             for si in batch:
                 s = train_data[int(si)]
                 rng = SeededRng(mix_seed(seed, "forward", epoch, int(si)))
@@ -201,21 +200,15 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
                     if np.isfinite(probs).all():
                         raise
                     raise _diverged(epoch, f"the loss of training sample {si}") from None
-                for name, g in graph.backward(cache, {logits: glogits}).items():
-                    if name in grads:
-                        grads[name] += g
-                    else:
-                        grads[name] = g
+                graph.backward(cache, {logits: glogits}, grads)
                 epoch_loss += loss
-                seen += 1
-            if len(batch) > 1:
-                for g in grads.values():
-                    g /= len(batch)
-            for name, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise _diverged(epoch, f"the {name} gradient of samples {batch.tolist()}")
-            apply_step(optimizer, params, grads)
-        train_loss = epoch_loss / seen
+            grads /= len(batch)
+            if not np.isfinite(grads).all():
+                name = next(name for name, g in graph.parameters(grads).items()
+                            if not np.isfinite(g).all())
+                raise _diverged(epoch, f"the {name} gradient of samples {batch.tolist()}")
+            apply_step(optimizer, graph.flat, grads)
+        train_loss = epoch_loss / len(order)
         try:
             val_loss, vals, _ = evaluate_samples(graph, val, train.metrics)
         except DataError:

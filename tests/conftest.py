@@ -29,8 +29,10 @@ def assert_plain_arrays(graph, x, labels, dtype=np.float64):
     and each layer's own, is a C-contiguous ndarray of ``dtype``."""
     probs, cache = graph.forward(x, training=True, rng=SeededRng(1))
     _, glogits = ops.categorical_cross_entropy(probs, labels)
-    arrays = list(cache.outs)
-    arrays += graph.backward(cache, {graph.logits_name(): glogits}).values()
+    grads = np.zeros_like(graph.flat)
+    graph.backward(cache, {graph.logits_name(): glogits}, grads)
+    arrays = [*cache.outs, graph.flat, grads]
+    arrays += [*graph.parameters().values(), *graph.parameters(grads).values()]
     for node, out, ctx in zip(graph.nodes[1:], cache.outs[1:], cache.ctxs[1:]):
         in_grads, param_grads = node.layer.backward(np.ones_like(out), ctx)
         arrays += [*in_grads, *param_grads.values()]

@@ -259,10 +259,10 @@ def test_pool_unpool_contract():
 
 def test_adam_first_step():
     def body():
-        params = {"w": np.array([0.5])}
-        grads = {"w": np.array([1.0])}
+        params = np.array([0.5])
+        grads = np.array([1.0])
         adam_step(AdamState(), params, grads)
-        assert abs((params["w"][0] - 0.5) - (-0.0009999999)) <= 1e-12
+        assert abs((params[0] - 0.5) - (-0.0009999999)) <= 1e-12
 
     criterion("05 adam first-step value", None, body)
 

@@ -125,8 +125,9 @@ class TestBackward:
         g.add("conv", Conv2d(2, 3, 3, 1, 1, rng=SeededRng(3)), ["input"])
         x = rand_array(4, (2, 4, 4))
         _, cache = g.forward(x)
-        grads = g.backward(cache, {"conv": np.zeros((3, 4, 4))})
-        assert all(np.all(v == 0) for v in grads.values())
+        grads = np.ones_like(g.flat)  # backward adds into what is there
+        g.backward(cache, {"conv": np.zeros((3, 4, 4))}, grads)
+        assert grads.size == g.count_parameters() and np.all(grads == 1)
 
     def test_fanout_gradients_sum(self):
         # both Add branches consume the same conv, so its weight gradient
@@ -143,13 +144,15 @@ class TestBackward:
         g2 = conv_graph()
         g2.add("out", Add(), ["conv", "conv"])
         _, cache2 = g2.forward(x)
-        double_grads = g2.backward(cache2, {"out": seed})
+        double_grads = np.zeros_like(g2.flat)
+        g2.backward(cache2, {"out": seed}, double_grads)
 
         g1 = conv_graph()
         _, cache1 = g1.forward(x)
-        single_grads = g1.backward(cache1, {"conv": seed})
-        assert np.allclose(double_grads["conv.weight"],
-                           2.0 * single_grads["conv.weight"])
+        single_grads = np.zeros_like(g1.flat)
+        g1.backward(cache1, {"conv": seed}, single_grads)
+        assert np.allclose(g2.parameters(double_grads)["conv.weight"],
+                           2.0 * g1.parameters(single_grads)["conv.weight"])
 
     def test_residual_skip_passes_gradient_when_main_path_dead(self):
         g = NetworkGraph((2, 4, 4))
@@ -160,9 +163,10 @@ class TestBackward:
         y, cache = g.forward(x)
         assert np.array_equal(y, x)  # zero conv contributes nothing
         seed = rand_array(8, (2, 4, 4))
-        grads = g.backward(cache, {"res": seed})
+        grads = np.zeros_like(g.flat)
+        g.backward(cache, {"res": seed}, grads)
         # conv still learns: its weight gradient comes from the main branch
-        assert np.any(grads["conv.weight"] != 0)
+        assert np.any(g.parameters(grads)["conv.weight"] != 0)
 
     def test_dropout_mask_comes_from_the_node_spawn(self):
         g = NetworkGraph((2, 4, 4))
@@ -178,7 +182,7 @@ class TestBackward:
         g = identity_graph()
         _, cache = g.forward(rand_array(0, (2, 4, 4)))
         with pytest.raises(ShapeError):
-            g.backward(cache, {"ident": np.zeros((2, 3, 3))})
+            g.backward(cache, {"ident": np.zeros((2, 3, 3))}, np.zeros_like(g.flat))
 
 
 class TestInfer:
@@ -316,7 +320,11 @@ class TestFolded:
         f = g.folded()
         assert [n.name for n in f.nodes] == ["input", "c1", "act", "c2", "bn2", "sum",
                                              "bn3", "probs"]
-        assert self.node(f, "bn2").layer is self.node(g, "bn2").layer
+        kept, source = self.node(f, "bn2").layer, self.node(g, "bn2").layer
+        assert kept.spec() == source.spec()
+        for a, b in ((kept.gamma, source.gamma), (kept.beta, source.beta),
+                     (kept.stats.mean, source.stats.mean), (kept.stats.var, source.stats.var)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         x = rand_array(4, (2, 2, 6, 6))
         assert np.allclose(f.infer(x), g.infer(x), rtol=0, atol=1e-12)
         lone = NetworkGraph((2, 6, 6))  # with only the pair that cannot fold
@@ -346,6 +354,97 @@ class TestFolded:
         f = g.folded()
         f.infer(TestInfer().block(3))
         assert snapshot() == before
+
+
+class TestFlat:
+    """``flat`` holds every parameter in insertion order, and each layer's
+    parameter attributes are views of it, whatever repacked it last."""
+
+    @staticmethod
+    def assert_views(g):
+        # write a ramp through flat: each attribute must read its own segment
+        g.flat[...] = np.arange(g.flat.size)
+        start = 0
+        for node in g.nodes:
+            for arr in node.layer.params().values():
+                assert np.shares_memory(arr, g.flat)
+                assert np.array_equal(arr.reshape(-1), np.arange(start, start + arr.size))
+                start += arr.size
+        assert start == g.flat.size == g.count_parameters()
+        assert g.flat.ndim == 1 and g.flat.flags.c_contiguous
+
+    def test_add_keeps_every_value_and_packs_it(self):
+        rng = SeededRng(21)
+        g = NetworkGraph((2, 8, 8))
+        assert g.flat.size == 0 and g.dtype == np.float64
+        for name, layer, inputs in [
+            ("c1", Conv2d(2, 4, 3, 1, 1, rng=rng.spawn("c1")), ["input"]),
+            ("bn", BatchNorm2d(4), ["c1"]),
+            ("act", ActivationLayer(RELU), ["bn"]),
+            ("up", TransposeConv2d(4, 2, 2, 2, rng=rng.spawn("up")), ["act"]),
+            ("head", Conv2d(2, 3, 1, 1, 0, rng=rng.spawn("head")), ["up"]),
+        ]:
+            want = {k: v.copy() for k, v in g.parameters().items()}
+            want.update({f"{name}.{k}": v.copy() for k, v in layer.params().items()})
+            g.add(name, layer, inputs)
+            got = g.parameters()
+            assert list(got) == list(want)
+            for k, v in want.items():
+                assert got[k].tobytes() == v.tobytes()
+            self.assert_views(g)
+
+    def test_set_dtype_repacks(self):
+        g = TestInfer().warmed("segnet", 8)  # float32 from a float64 build
+        assert g.flat.dtype == np.float32
+        rebuilt = build_topology(TopologySpec(kind="segnet", depth=2, base_channels=8,
+                                              in_channels=4, num_classes=4), (32, 32), seed=5)
+        assert g.flat.tobytes() == rebuilt.flat.astype(np.float32).tobytes()
+        self.assert_views(g)
+
+    def test_checkpoint_load_writes_through_the_views(self, tmp_path):
+        from terraseg.checkpoint import checkpoint_load, checkpoint_save
+
+        g = TestFolded().segnet()
+        checkpoint_save(g, str(tmp_path / "m.ckpt"))
+        loaded, _ = checkpoint_load(str(tmp_path / "m.ckpt"))
+        assert loaded.flat.tobytes() == g.flat.astype(np.float64).tobytes()
+        loaded.set_dtype(np.float32)
+        assert loaded.flat.tobytes() == g.flat.tobytes()
+        self.assert_views(loaded)
+
+    def test_a_step_after_folding_still_moves_the_source(self):
+        from terraseg.optim import SgdState, apply_step
+
+        g = TestFolded().segnet()
+        f = g.folded()
+        assert f is not g and not np.shares_memory(f.flat, g.flat)
+        before, fold_before = g.flat.copy(), f.flat.copy()
+        apply_step(SgdState(lr=0.5), g.flat, np.ones_like(g.flat))
+        assert np.array_equal(g.flat, before - np.float32(0.5))
+        self.assert_views(g)  # every layer of the source still reads g.flat
+        assert f.flat.tobytes() == fold_before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_adds_samples_in_order(self, dtype):
+        # one buffer over 3 samples holds the bits of summing a fresh buffer
+        # per sample in sample order
+        g = build_topology(TopologySpec(kind="segnet", depth=2, base_channels=4,
+                                        in_channels=2, num_classes=3), (8, 8), seed=3)
+        g.set_dtype(dtype)
+        logits = g.logits_name()
+        one = np.zeros_like(g.flat)
+        total = None
+        for i in range(3):
+            probs, cache = g.forward(rand_array(60 + i, (2, 8, 8)), training=True,
+                                     rng=SeededRng(i))
+            labels = SeededRng(70 + i).integers(0, 3, (8, 8))
+            _, glogits = ops.categorical_cross_entropy(probs, labels)
+            g.backward(cache, {logits: glogits}, one)
+            fresh = np.zeros_like(g.flat)
+            g.backward(cache, {logits: glogits}, fresh)
+            assert np.count_nonzero(fresh) > fresh.size // 2
+            total = fresh if total is None else total + fresh
+        assert one.dtype == dtype and one.tobytes() == total.tobytes()
 
 
 class TestDescriptor:

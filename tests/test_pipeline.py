@@ -959,6 +959,33 @@ class TestCli:
         assert err == f"error[data]: checkpoint {ckpt}: {tmp_path / 'file'}: File exists\n"
         assert not (out / "history.json").exists()
 
+    @pytest.mark.parametrize("command, output", [
+        ("train", "history hist"), ("evaluate", "report report"),
+        ("predict", "prediction mask"), ("query", "query query.txt")])
+    def test_output_under_a_regular_file_exits_3_before_any_work(self, tmp_path, capsys,
+                                                                 command, output):
+        # before, train wrote its checkpoint, and each command did its work,
+        # and then failed to make the directory with a traceback and exit 4
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        capsys.readouterr()
+        model = tmp_path / "model.ckpt"
+        checkpoint_save(build_topology(make_config(tmp_path).train.topology,
+                                       input_hw=(TILE, TILE)), str(model))
+        (tmp_path / "afile").write_bytes(b"")
+        out = tmp_path / "afile" / "x"
+        ckpt = tmp_path / "run2.ckpt"
+        extra = {"train": ["--checkpoint", str(ckpt)], "query": []}.get(
+            command, ["--checkpoint", str(model)])
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 3
+        what, name = output.split()
+        assert capsys.readouterr().err == (
+            f"error[data]: {what} {out / name}: {out}: Not a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before and not ckpt.exists()
+
     @pytest.mark.parametrize("train, key, array", [
         ({"inputs": [MASK_ARRAY]}, "inputs[0]", MASK_ARRAY),
         ({"inputs": [LABEL_ARRAY]}, "inputs[0]", LABEL_ARRAY),

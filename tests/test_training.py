@@ -13,7 +13,7 @@ from terraseg.errors import DataError, ParameterError
 from terraseg.graph import ActivationLayer, Conv2d, NetworkGraph, Softmax
 from terraseg.optim import AdamState, SgdState
 from terraseg.synth import make_tile
-from terraseg.tensor import SeededRng
+from terraseg.tensor import SeededRng, mix_seed
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,
@@ -208,6 +208,39 @@ class TestFit:
         assert adam.state() is not adam.state()
         assert OptimizerConfig(kind="sgd", lr=0.5).state() == SgdState(lr=0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sgd_fit_gives_the_bytes_of_a_per_name_loop(self, dtype):
+        # the loop fit ran before its gradients shared one buffer: a fresh
+        # gradient dict per sample, summed name by name in sample order,
+        # divided by a batch of more than one, each name stepped on its own;
+        # 3 samples in batches of 2 make a full batch and a batch of one
+        samples = [tiny_sample(s) for s in (1, 2, 3)]
+        train = TrainSection(epochs=3, batch_size=2,
+                             optimizer=OptimizerConfig(kind="sgd", lr=0.1),
+                             early_stop_patience=NEVER, plateau_patience=NEVER)
+        got, ref = tiny_graph(seed=5), tiny_graph(seed=5)
+        got.set_dtype(dtype)
+        ref.set_dtype(dtype)
+        fit(got, samples, train, seed=17)
+        params, logits = ref.parameters(), ref.logits_name()
+        for epoch in range(train.epochs):
+            order = SeededRng(mix_seed(17, "epoch", epoch)).permutation(len(samples))
+            for batch in (order[:2], order[2:]):
+                grads = {}
+                for si in batch:
+                    s = samples[int(si)]
+                    rng = SeededRng(mix_seed(17, "forward", epoch, int(si)))
+                    probs, cache = ref.forward(s.image, training=True, rng=rng)
+                    _, glogits = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
+                    fresh = np.zeros_like(ref.flat)
+                    ref.backward(cache, {logits: glogits}, fresh)
+                    for name, g in ref.parameters(fresh).items():
+                        grads[name] = grads[name] + g if name in grads else g
+                for name, g in grads.items():
+                    params[name] -= train.optimizer.lr * (g / len(batch) if len(batch) > 1 else g)
+        assert got.flat.dtype == dtype and got.flat.tobytes() == ref.flat.tobytes()
+        assert not np.array_equal(got.flat, tiny_graph(seed=5).flat.astype(dtype))
+
     def test_unknown_monitor(self):
         # the monitor must be a key of the epoch record, known before epoch 0
         with pytest.raises(ParameterError, match="monitor 'vibes'"):
@@ -374,10 +407,9 @@ class TestDivergence:
         backward = graph.backward
         name = sorted(graph.parameters())[0]
 
-        def overflowing(cache, seeds):
-            grads = backward(cache, seeds)
-            grads[name] = np.full_like(grads[name], np.inf)
-            return grads
+        def overflowing(cache, seeds, grads):
+            backward(cache, seeds, grads)
+            graph.parameters(grads)[name][...] = np.inf
 
         graph.backward = overflowing
         msg, before = self.diverge(tmp_path, graph, [tiny_sample(), tiny_sample(4)])
