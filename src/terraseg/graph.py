@@ -128,8 +128,9 @@ class Conv2d(Layer):
         conv = ops.conv2d if xs[0].ndim == 3 else ops.conv2d_tiles
         return conv(xs[0], self.weight, self.bias, self.stride, self.padding), xs[0]
 
-    def backward(self, g, ctx):
-        dx, dw, db = ops.conv2d_backward(g, ctx, self.weight, self.stride, self.padding)
+    def backward(self, g, ctx, input_grad: bool = True):
+        dx, dw, db = ops.conv2d_backward(g, ctx, self.weight, self.stride, self.padding,
+                                         input_grad)
         return [dx], {"weight": dw, "bias": db}
 
     def spec(self):
@@ -397,8 +398,10 @@ class NetworkGraph:
         # position -> the last unpool that reads its indices
         self._last_reader: dict[int, int] = {}
         self._indices_reader: dict[int, int] = {}
-        # "<node>.<param>" -> (slice of flat, shape), in insertion order
-        self._layout: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        # convs that read only the input, whose input gradient nothing reads
+        self._input_convs: set[int] = set()
+        # node position -> its parameters' (key, slice of flat, shape), in order
+        self._spans: dict[int, list[tuple[str, slice, tuple[int, ...]]]] = {}
         self.flat = np.zeros(0)
         self.add("input", Input(input_shape), [])
 
@@ -439,23 +442,33 @@ class NetworkGraph:
             self._last_reader[self._index[dep]] = i
         if pool_idx is not None:
             self._indices_reader[pool_idx] = i
+        if isinstance(layer, Conv2d) and inputs == ["input"]:
+            self._input_convs.add(i)
         if layer.params():
             self._pack(self.flat.dtype)
         return name
 
-    def _pack(self, dtype) -> None:
-        """Copy every parameter into a new ``flat`` of ``dtype`` and point
-        each layer's attributes (named by its params() keys) at their views."""
-        owners = [(node, key, arr) for node in self.nodes
+    def _pack(self, dtype, buf: np.ndarray | None = None) -> None:
+        """Copy every parameter into ``buf`` (a new array of ``dtype`` when
+        None), make it ``flat``, and point each layer's attributes (named by
+        its params() keys) at their views."""
+        owners = [(i, key, arr) for i, node in enumerate(self.nodes)
                   for key, arr in node.layer.params().items()]
-        self.flat = np.empty(sum(arr.size for *_, arr in owners), dtype)
-        self._layout, start = {}, 0
-        for node, key, arr in owners:
+        size = sum(arr.size for *_, arr in owners)
+        self.flat = np.empty(size, dtype) if buf is None else buf
+        self._spans, start = {}, 0
+        for i, key, arr in owners:
             span = slice(start, start + arr.size)
             self.flat[span] = arr.reshape(-1)
-            setattr(node.layer, key, self.flat[span].reshape(arr.shape))
-            self._layout[f"{node.name}.{key}"] = (span, arr.shape)
+            setattr(self.nodes[i].layer, key, self.flat[span].reshape(arr.shape))
+            self._spans.setdefault(i, []).append((key, span, arr.shape))
             start = span.stop
+
+    def place(self, buf: np.ndarray | None = None) -> None:
+        """Move ``flat`` into ``buf``, a 1-D array of its size and dtype (a
+        new one when None), pointing every layer's parameters at it: ``fit``
+        places it in memory its worker processes share, and back."""
+        self._pack(self.dtype, buf)
 
     def shape_of(self, name: str) -> tuple[int, ...]:
         return self._shapes[name]
@@ -471,7 +484,8 @@ class NetworkGraph:
         """Views of ``buf`` (``flat`` when None), keyed "<node>.<param>" in
         insertion order: the layers' parameters, or the gradients in ``buf``."""
         buf = self.flat if buf is None else buf
-        return {name: buf[span].reshape(shape) for name, (span, shape) in self._layout.items()}
+        return {f"{self.nodes[i].name}.{key}": buf[span].reshape(shape)
+                for i, spans in self._spans.items() for key, span, shape in spans}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {f"{node.name}.{key}": arr for node in self.nodes
@@ -596,7 +610,9 @@ class NetworkGraph:
         into its slice of ``grads``, a buffer shaped like ``flat``.
 
         ``seeds`` maps node name -> gradient of the scalar loss w.r.t. that
-        node's output. Fan-out gradients sum where paths rejoin.
+        node's output. Fan-out gradients sum where paths rejoin. The input
+        gets none, so a conv that reads only the input computes no input
+        gradient.
         """
         grad_at: list[np.ndarray | None] = [None] * len(self.nodes)
         for name, g in seeds.items():
@@ -610,13 +626,17 @@ class NetworkGraph:
             node = self.nodes[i]
             if g is None or isinstance(node.layer, Input):
                 continue
-            in_grads, p_grads = node.layer.backward(g, cache.ctxs[i])
+            if i in self._input_convs:
+                in_grads, p_grads = node.layer.backward(g, cache.ctxs[i], input_grad=False)
+            else:
+                in_grads, p_grads = node.layer.backward(g, cache.ctxs[i])
             for dep, ig in zip(node.inputs, in_grads):
-                j = self._index[dep]
-                grad_at[j] = ig if grad_at[j] is None else grad_at[j] + ig
-            for key, pg in p_grads.items():
-                part = grads[self._layout[f"{node.name}.{key}"][0]]
-                part += pg.reshape(-1)
+                if ig is not None:
+                    j = self._index[dep]
+                    grad_at[j] = ig if grad_at[j] is None else grad_at[j] + ig
+            for key, span, _ in self._spans.get(i, ()):
+                part = grads[span]
+                part += p_grads[key].reshape(-1)
 
     def descriptor(self) -> dict:
         """JSON-serializable topology (no parameter values)."""

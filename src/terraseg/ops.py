@@ -245,18 +245,21 @@ def _correlate(flat: np.ndarray, wt: np.ndarray, kh: int, kw: int, wp: int,
     return acc
 
 
-def _input_grad(gy: np.ndarray, w: np.ndarray, h: int, wd: int,
-                padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """Input gradient of the stride-1 conv2d for an [h, wd] input, and the
-    operand of its kernel gradient: ``gy`` at the padded input's row pitch,
-    zero past the output's width, a slice of dx's buffer."""
+def _input_grad(gy: np.ndarray, w: np.ndarray, h: int, wd: int, padding: int,
+                input_grad: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """Input gradient of the stride-1 conv2d for an [h, wd] input (None
+    unless ``input_grad``), and the operand of its kernel gradient: ``gy`` at
+    the padded input's row pitch, zero past the output's width, a slice of
+    the buffer dx is correlated from."""
     c, kh, kw = w.shape[1:]
     wp = wd + 2 * padding
     gph, gpw = kh - 1 - padding, kw - 1 - padding
     gflat, _ = _flat_pad(gy, gph, gpw, kw, wp)
-    wt = _tap_kernels(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    dx = _correlate(gflat, wt, kh, kw, wp, h)
-    dx = dx.reshape(c, h, wp)[:, :, :wd].copy()
+    dx = None
+    if input_grad:
+        wt = _tap_kernels(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        dx = _correlate(gflat, wt, kh, kw, wp, h)
+        dx = dx.reshape(c, h, wp)[:, :, :wd].copy()
     start = gph * wp + gpw
     return dx, gflat[:, start : start + gy.shape[1] * wp]
 
@@ -333,8 +336,10 @@ def conv2d_tiles(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = N
 
 
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
-                    stride: int = 1, padding: int = 0):
-    """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy.
+                    stride: int = 1, padding: int = 0, input_grad: bool = True):
+    """Gradients of conv2d w.r.t. (input, kernels, bias) given upstream gy;
+    the input's is None when ``input_grad`` is false (the graph's input
+    needs none), and the other two are the same bytes either way.
 
     At stride 1, on the tap walker: dx correlates ``gy``, padded by
     ``k-1-p`` per axis, with the flipped, in/out-swapped kernels, and each
@@ -350,12 +355,12 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
     db = gy.sum(axis=(1, 2))
     if stride > 1:
         dw = (gy.reshape(o, -1) @ _patches(x, stride).T).reshape(w.shape)
-        return conv2d_transpose(gy, w, stride), dw, db
+        return conv2d_transpose(gy, w, stride) if input_grad else None, dw, db
     # dx first, so its temporaries are freed before x's buffer is made and
     # that buffer reuses their heap: with both alive, glibc handed more of
     # the freed heap top back to the kernel on each call, and the next call
     # page-faulted it in again
-    dx, gw = _input_grad(gy, w, h, wd, padding)
+    dx, gw = _input_grad(gy, w, h, wd, padding, input_grad)
     return dx, _kernel_grad(gw, x, kh, kw, padding), db
 
 
@@ -513,6 +518,14 @@ class RunningStats:
     def zeros(cls, channels: int) -> "RunningStats":
         return cls(np.zeros(channels), np.ones(channels))
 
+    def update(self, mu: np.ndarray, var: np.ndarray, momentum: float) -> None:
+        """Fold one sample's statistics in, in place, so the statistics keep
+        their dtype (and the graph's arrays)."""
+        self.mean *= 1.0 - momentum
+        self.mean += momentum * mu
+        self.var *= 1.0 - momentum
+        self.var += momentum * var
+
 
 def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: RunningStats,
                eps: float = 1e-5, momentum: float = 0.1, training: bool = True):
@@ -520,9 +533,10 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: Runnin
 
     Training mode normalizes with the sample's own spatial statistics (with
     one sample per step this is instance normalization, the regime the
-    pipeline runs in) and folds them into ``stats`` with the given momentum;
-    inference mode uses ``stats`` unchanged and takes leading axes, such as
-    a block [N,C,H,W]. ``cache`` feeds batch_norm_backward.
+    pipeline runs in) and folds them into ``stats`` with the given momentum,
+    keeping them in ``cache`` as "mu" and "var"; inference mode uses
+    ``stats`` unchanged and takes leading axes, such as a block [N,C,H,W].
+    ``cache`` feeds batch_norm_backward.
     """
     if x.ndim != 3 and (training or x.ndim < 3):
         raise ShapeError(f"batch_norm wants [C,H,W] (or leading axes in inference), got {x.shape}")
@@ -534,17 +548,15 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: Runnin
     if training:
         mu = x.mean(axis=(1, 2))
         var = x.var(axis=(1, 2))
-        # in place, so the statistics keep their dtype (and the graph's arrays)
-        stats.mean *= 1.0 - momentum
-        stats.mean += momentum * mu
-        stats.var *= 1.0 - momentum
-        stats.var += momentum * var
+        stats.update(mu, var, momentum)
     else:
         mu, var = stats.mean, stats.var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu[:, None, None]) * inv_std[:, None, None]
     y = gamma[:, None, None] * xhat + beta[:, None, None]
     cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "training": training}
+    if training:
+        cache.update(mu=mu, var=var)
     return y, cache
 
 

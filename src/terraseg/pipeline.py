@@ -18,7 +18,8 @@ Training samples concatenate the configured input components channel-wise;
 coarser components are nearest-neighbor upsampled to the label tile size.
 Sample ignore masks are the union of the stored (cloud) mask and
 label-nodata pixels. Relative output paths resolve against ``out_dir``; each
-command makes their directories before its work (training, inference).
+command makes their directories, and refuses a directory where one of its
+files goes, before its work (training, inference).
 
 Samples hold the store's float32 images and u8 class labels, label-nodata
 pixels as class 0 under the ignore mask. Every graph the commands make
@@ -40,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -106,15 +108,23 @@ def _resolve(path: str, out_dir) -> Path:
     return p if p.is_absolute() else Path(out_dir) / p
 
 
-def _output_path(path: str, out_dir, what: str) -> Path:
-    """``path`` resolved against ``out_dir``, its parent directory made now:
-    an OSError (an ancestor is a regular file) becomes one DataError."""
+def _output_path(path: str, out_dir, what: str, files=lambda p: [p]) -> Path:
+    """``path`` resolved against ``out_dir``, its parent directory made now.
+    An OSError (an ancestor is a regular file), or a directory at one of the
+    ``files(path)`` the command writes, becomes one DataError."""
     p = _resolve(path, out_dir)
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"{what} {p}: {exc.filename}: {exc.strerror}") from None
+    for f in files(p):
+        if f.is_dir():
+            raise DataError(f"{what} {f}: is a directory")
     return p
+
+
+def _txt_json(base: Path) -> list[Path]:
+    return [base.with_suffix(".txt"), base.with_suffix(".json")]
 
 
 def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
@@ -365,10 +375,8 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
         raise DataError("no usable training tiles (all ignored or in the validation fold)")
     if t.checkpoint:
         ckpt = _output_path(t.checkpoint, out_dir, "checkpoint")
-        if ckpt.is_dir():  # refused before any epoch trains
-            raise DataError(f"checkpoint {ckpt}: is a directory")
         t = dataclasses.replace(t, checkpoint=str(ckpt))
-    base = _output_path(t.history or "history", out_dir, "history")
+    base = _output_path(t.history or "history", out_dir, "history", _txt_json)
 
     graph = build_topology(t.topology, input_hw=(src.th, src.tw),
                            seed=mix_seed(config.seed, "init"))
@@ -403,15 +411,17 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
         raise ConfigError(
             f"config.evaluate: checkpoint predicts {out_classes} classes but the "
             f"store labels carry {src.num_classes}")
-    base = _output_path(e.out or "report", out_dir, "report")
+    base = _output_path(e.out or "report", out_dir, "report", _txt_json)
 
     keep = None
     if e.fold is not None:
         keep = _fold_ids(store, config, e.fold, "config.evaluate.fold") == e.fold
     cm = ConfusionMatrix.zeros(src.num_classes)
     samples = src.samples(src.week_range(*t.slice_timestamps), keep)
-    for s, probs in infer_tiles(graph, ((s, s.image, s.ignore) for _, s in samples)):
-        confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
+    with closing(infer_tiles(graph, ((s, s.image, s.ignore) for _, s in samples))) as blocks:
+        for block, probs in blocks:
+            confusion_update(cm, probs.argmax(axis=1), np.stack([s.labels for s in block]),
+                             np.stack([s.ignore for s in block]))
     values = report(cm)
     base.with_suffix(".txt").write_text(render_report(values), encoding="utf-8")
     base.with_suffix(".json").write_text(report_json(values), encoding="utf-8")
@@ -428,13 +438,16 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
         raise DataError(f"config.predict.week: {p.week} outside the {src.weeks}-week store")
     graph, _ = checkpoint_load(str(_checkpoint_path(config, p, out_dir)))
     graph.set_dtype(ENGINE_DTYPE)
-    base = _output_path(p.out, out_dir, "prediction")
+    exts = (".pgm", ".json") + (("_preview.ppm",) if p.preview else ())
+    base = _output_path(p.out, out_dir, "prediction",
+                        lambda b: [b.with_name(b.name + ext) for ext in exts])
 
     images, ignore = src.week(p.week)
     # a tile infer_tiles skips is ignored in every pixel, so stays all 255
     classes = np.full((len(images), src.th, src.tw), 255, dtype=np.uint8)
-    for i, probs in infer_tiles(graph, zip(range(len(images)), images, ignore)):
-        classes[i] = np.where(ignore[i] == 1, 255, probs.argmax(axis=0))
+    with closing(infer_tiles(graph, zip(range(len(images)), images, ignore))) as blocks:
+        for keys, probs in blocks:
+            classes[keys] = np.where(ignore[keys] == 1, 255, probs.argmax(axis=1))
     attrs = store.array(_node(config, IMAGE_ARRAY)).attributes
     grid = TileGrid(int(attrs["scene_width"]), int(attrs["scene_height"]),
                     tuple(attrs["geotransform"]), attrs["crs"], 255.0)

@@ -8,21 +8,29 @@ plateau -> early stopping -> checkpoint. Training steps run one sample
 [C, H, W] at a time; inference (validation here, evaluate and predict in
 the pipeline) runs through :func:`infer_tiles`, one ``infer`` per block of
 :func:`tiles_per_block` tiles on the batch-norm fold (``graph.folded()``).
+
+Both run on every usable core (``parallel``): ``fit`` and each
+``infer_tiles`` call fork one worker per core beyond the caller's own, and
+the caller keeps every step whose order shows in the bytes, so outputs are
+the same at any process count. With one usable core nothing is forked.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import metrics as M
-from . import ops
+from . import ops, parallel
 from .checkpoint import checkpoint_save
 from .config import TrainSection
 from .errors import DataError, ParameterError, ShapeError
-from .graph import NetworkGraph
+from .graph import BatchNorm2d, Dropout, NetworkGraph
 from .optim import apply_step
 from .tensor import SeededRng, mix_seed
 
@@ -95,20 +103,9 @@ def tiles_per_block(graph: NetworkGraph) -> int:
     return max(1, BLOCK_BYTES // (widest * graph.dtype.itemsize))
 
 
-def infer_tiles(graph: NetworkGraph, tiles):
-    """Yield ``(key, probs)`` for each ``(key, image, ignore)`` of ``tiles``
-    in order, skipping those whose ``ignore`` mask (nonzero = ignored, or
-    None) covers every pixel.
-
-    ``probs`` [classes, H, W] is a tile of one ``infer`` call per block of
-    images [C, H, W] on ``graph.folded()``, built once per call, read from
-    ``tiles`` only as each block fills: a tile's probabilities are what
-    ``graph.forward`` gives for it up to the batch-norm fold's rounding
-    (SegNet; a graph without a conv -> batch-norm pair runs as it is). A
-    block holds :func:`tiles_per_block` tiles, the last what is left.
-    """
-    graph = graph.folded()
-    block = tiles_per_block(graph)
+def _blocks(graph: NetworkGraph, size: int, tiles):
+    """``(keys, images)`` of each block of ``size`` tiles of ``tiles``, the
+    last what is left, skipping fully ignored tiles."""
     keys, images = [], []
     for key, image, ignore in tiles:
         if ignore is not None and ignore.all():
@@ -117,11 +114,73 @@ def infer_tiles(graph: NetworkGraph, tiles):
             raise ShapeError(f"input shape {image.shape} != graph input {graph.input_shape}")
         keys.append(key)
         images.append(image)
-        if len(images) == block:
-            yield from zip(keys, graph.infer(np.stack(images)))
+        if len(images) == size:
+            yield keys, images
             keys, images = [], []
     if images:
-        yield from zip(keys, graph.infer(np.stack(images)))
+        yield keys, images
+
+
+def infer_tiles(graph: NetworkGraph, tiles):
+    """Yield ``(keys, probs)`` per block of the ``(key, image, ignore)`` of
+    ``tiles``, in order, skipping tiles whose ``ignore`` mask (nonzero =
+    ignored, or None) covers every pixel.
+
+    ``probs`` [N, classes, H, W] is one ``infer`` call on the block's images
+    [C, H, W] on ``graph.folded()``, built once per call, read from
+    ``tiles`` only as blocks fill: a tile's probabilities are what
+    ``graph.forward`` gives for it up to the batch-norm fold's rounding
+    (SegNet; a graph without a conv -> batch-norm pair runs as it is). A
+    block holds :func:`tiles_per_block` tiles, the last what is left.
+
+    Once as many blocks have filled as there are usable cores, one worker
+    per core beyond this process's own is forked, with two blocks' room in
+    shared memory each. Blocks go whole to a worker's free room; this
+    process runs the next block itself while the oldest outstanding one is
+    not back (and always when nothing is forked), and yields in order. A
+    block's bytes do not depend on which process ran it. Close the
+    generator when stopping early, which reaps the workers.
+    """
+    graph = graph.folded()
+    size = tiles_per_block(graph)
+    blocks = _blocks(graph, size, tiles)
+    ahead = deque(islice(blocks, parallel.processes()))  # each dropped once taken
+    n = max(0, len(ahead) - 1)
+    if n:
+        ins = parallel.shared_array((n, 2, size, *graph.input_shape), graph.dtype)
+        outs = parallel.shared_array((n, 2, size, *graph.shape_of(graph.output_name)),
+                                     graph.dtype)
+
+    def serve(room):
+        k, a, m = room
+        outs[k, a, :m] = graph.infer(ins[k, a, :m])
+
+    def take():
+        return ahead.popleft() if ahead else next(blocks, None)
+
+    with parallel.Workers(n, serve) as pool:
+        rooms = deque((k, a) for a in range(2) for k in range(n))  # the free ones
+        queue = deque()  # (keys, probs run here or None, worker room or None), in order
+        block = take()
+        while block or queue:
+            head_back = queue and (queue[0][2] is None or pool.ready(queue[0][2][0]))
+            if block and rooms:
+                (k, a), (keys, images) = rooms.popleft(), block
+                np.stack(images, out=ins[k, a, :len(keys)], casting="unsafe")
+                pool.send(k, (k, a, len(keys)))
+                queue.append((keys, None, (k, a)))
+            elif block and not head_back and len(queue) <= 4 * n:  # bounds the memory held
+                keys, images = block
+                queue.append((keys, graph.infer(np.stack(images)), None))
+            else:
+                keys, probs, room = queue.popleft()
+                if room:
+                    pool.recv(room[0])
+                    probs = outs[room][: len(keys)].copy()
+                    rooms.append(room)
+                yield keys, probs
+                continue
+            block = take()
 
 
 def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MIoU")):
@@ -137,11 +196,16 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
     num_classes = graph.shape_of(graph.output_name)[0]
     cm = M.ConfusionMatrix.zeros(num_classes)
     total_loss, n = 0.0, 0
-    for s, probs in infer_tiles(graph, ((s, s.image, s.ignore) for s in samples)):
-        loss, _ = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
-        total_loss += loss
-        n += 1
-        M.confusion_update(cm, probs.argmax(axis=0), s.labels, s.ignore)
+    with closing(infer_tiles(graph, ((s, s.image, s.ignore) for s in samples))) as blocks:
+        for block, probs in blocks:
+            for s, p in zip(block, probs):
+                loss, _ = ops.categorical_cross_entropy(p, s.labels, s.ignore)
+                total_loss += loss
+                n += 1
+            ignore = [np.zeros(s.labels.shape, bool) if s.ignore is None else s.ignore
+                      for s in block]
+            M.confusion_update(cm, probs.argmax(axis=1), np.stack([s.labels for s in block]),
+                               np.stack(ignore))
     if n == 0:
         raise ParameterError("cannot evaluate without a sample that has an unignored pixel")
     scores = M.report(cm)
@@ -151,6 +215,72 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
 
 def _diverged(epoch: int, what: str) -> DataError:
     return DataError(f"training diverged at epoch {epoch}: {what} is not finite")
+
+
+@contextmanager
+def _sample_steps(graph: NetworkGraph, train_data, seed: int, batch_size: int):
+    """Yield ``run(epoch, batch, grads)``, which trains each sample of
+    ``batch`` in order, adds its gradient into ``grads`` and its statistics
+    into the batch norms' running ones, and returns the samples' losses.
+
+    The batch is shared out in contiguous runs, the first to this process
+    and each later one to a worker, which puts each sample's gradient in a
+    row of shared memory and returns its loss and batch-norm statistics.
+    Adding those here in sample order gives the serial loop's bytes. ``flat``
+    sits in shared memory while the block is open, so a step here reaches
+    the workers.
+    """
+    logits = graph.logits_name()
+    dropout = any(isinstance(node.layer, Dropout) for node in graph.nodes)
+    norms = [i for i, node in enumerate(graph.nodes) if isinstance(node.layer, BatchNorm2d)]
+
+    def step(epoch: int, si: int, grads: np.ndarray):
+        s = train_data[si]
+        rng = SeededRng(mix_seed(seed, "forward", epoch, si)) if dropout else None
+        probs, cache = graph.forward(s.image, training=True, rng=rng)
+        try:
+            loss, glogits = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
+        except DataError:
+            if np.isfinite(probs).all():
+                raise
+            raise _diverged(epoch, f"the loss of training sample {si}") from None
+        graph.backward(cache, {logits: glogits}, grads)
+        return loss, [(cache.ctxs[i]["mu"], cache.ctxs[i]["var"]) for i in norms]
+
+    def serve(task):  # in a worker
+        epoch, share = task
+        for _, row in share:
+            rows[row] = 0
+        return [step(epoch, si, rows[row]) for si, row in share]
+
+    def run(epoch: int, batch: np.ndarray, grads: np.ndarray) -> list:
+        first, *shares = np.array_split(batch, procs)
+        row = 0
+        for k, share in enumerate(shares):
+            if share.size:
+                pool.send(k, (epoch, [(int(si), row + j) for j, si in enumerate(share)]))
+            row += share.size
+        losses = [step(epoch, int(si), grads)[0] for si in first]
+        done = [result for k, share in enumerate(shares) if share.size for result in pool.recv(k)]
+        for row, (loss, stats) in enumerate(done):
+            losses.append(loss)
+            for i, (mu, var) in zip(norms, stats):
+                layer = graph.nodes[i].layer
+                layer.stats.update(mu, var, layer.momentum)
+            grads += rows[row]
+        return losses
+
+    procs = parallel.processes(batch_size)
+    if procs > 1:  # a row for each sample of a full batch that a worker runs
+        rows = parallel.shared_array((batch_size - -(-batch_size // procs), graph.flat.size),
+                                     graph.dtype)
+        graph.place(parallel.shared_array(graph.flat.shape, graph.dtype))
+    try:
+        with parallel.Workers(procs - 1, serve) as pool:
+            yield run
+    finally:
+        if procs > 1:
+            graph.place()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -169,84 +299,78 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
     epoch and samples, in place of numpy's overflow warnings; a loss is
     non-finite where the forward's probabilities are. The monitored
     metric is not checked: MIoU or precision are NaN when a class is absent.
+
+    The samples of a batch run on every usable core (:func:`_sample_steps`);
+    this process alone steps, validates and saves.
     """
     if len(train_data) == 0:
         raise ParameterError("training set is empty")
     optimizer = train.optimizer.state()
     val = val_data if val_data is not None and len(val_data) > 0 else train_data
-    logits = graph.logits_name()
     mode = monitor_mode(train.monitor)
     history = History()
     best_stop = best_plateau = None
     saved = np.nan  # the monitor of this run's last checkpoint write
     wait_stop = wait_plateau = 0
 
-    for epoch in range(train.epochs):
-        if train.randomise:
-            order = SeededRng(mix_seed(seed, "epoch", epoch)).permutation(len(train_data))
-        else:
-            order = np.arange(len(train_data))
-        epoch_loss = 0.0
-        for start in range(0, len(order), train.batch_size):
-            batch = order[start : start + train.batch_size]
-            grads = np.zeros_like(graph.flat)
-            for si in batch:
-                s = train_data[int(si)]
-                rng = SeededRng(mix_seed(seed, "forward", epoch, int(si)))
-                probs, cache = graph.forward(s.image, training=True, rng=rng)
-                try:
-                    loss, glogits = ops.categorical_cross_entropy(probs, s.labels, s.ignore)
-                except DataError:
-                    if np.isfinite(probs).all():
-                        raise
-                    raise _diverged(epoch, f"the loss of training sample {si}") from None
-                graph.backward(cache, {logits: glogits}, grads)
-                epoch_loss += loss
-            grads /= len(batch)
-            if not np.isfinite(grads).all():
-                name = next(name for name, g in graph.parameters(grads).items()
-                            if not np.isfinite(g).all())
-                raise _diverged(epoch, f"the {name} gradient of samples {batch.tolist()}")
-            apply_step(optimizer, graph.flat, grads)
-        train_loss = epoch_loss / len(order)
-        try:
-            val_loss, vals, _ = evaluate_samples(graph, val, train.metrics)
-        except DataError:
-            bad = next((i for i, probs in infer_tiles(
-                            graph, ((i, v.image, v.ignore) for i, v in enumerate(val)))
-                        if not np.isfinite(probs).all()), None)
-            if bad is None:
-                raise
-            raise _diverged(epoch, f"the val_loss of validation sample {bad}") from None
-        record = {"epoch": epoch, "lr": optimizer.lr, "train_loss": train_loss,
-                  "val_loss": val_loss, **vals}
-        monitored = record[train.monitor]
-        history.records.append(record)
+    with _sample_steps(graph, train_data, seed, train.batch_size) as run:
+        for epoch in range(train.epochs):
+            if train.randomise:
+                order = SeededRng(mix_seed(seed, "epoch", epoch)).permutation(len(train_data))
+            else:
+                order = np.arange(len(train_data))
+            epoch_loss = 0.0
+            for start in range(0, len(order), train.batch_size):
+                batch = order[start : start + train.batch_size]
+                grads = np.zeros_like(graph.flat)
+                for loss in run(epoch, batch, grads):
+                    epoch_loss += loss
+                grads /= len(batch)
+                if not np.isfinite(grads).all():
+                    name = next(name for name, g in graph.parameters(grads).items()
+                                if not np.isfinite(g).all())
+                    raise _diverged(epoch, f"the {name} gradient of samples {batch.tolist()}")
+                apply_step(optimizer, graph.flat, grads)
+            train_loss = epoch_loss / len(order)
+            try:
+                val_loss, vals, _ = evaluate_samples(graph, val, train.metrics)
+            except DataError:
+                tiles = ((i, v.image, v.ignore) for i, v in enumerate(val))
+                with closing(infer_tiles(graph, tiles)) as blocks:
+                    bad = next((i for keys, probs in blocks for i, p in zip(keys, probs)
+                                if not np.isfinite(p).all()), None)
+                if bad is None:
+                    raise
+                raise _diverged(epoch, f"the val_loss of validation sample {bad}") from None
+            record = {"epoch": epoch, "lr": optimizer.lr, "train_loss": train_loss,
+                      "val_loss": val_loss, **vals}
+            monitored = record[train.monitor]
+            history.records.append(record)
 
-        # 1) plateau
-        if best_plateau is None or _improved(monitored, best_plateau, train.min_delta, mode):
-            best_plateau = monitored
-            wait_plateau = 0
-        else:
-            wait_plateau += 1
-            if wait_plateau >= train.plateau_patience:
-                optimizer.lr *= train.plateau_factor
-                wait_plateau = 0
+            # 1) plateau
+            if best_plateau is None or _improved(monitored, best_plateau, train.min_delta, mode):
                 best_plateau = monitored
-        # 2) early stopping
-        stop = False
-        if best_stop is None or _improved(monitored, best_stop, train.min_delta, mode):
-            best_stop = monitored
-            wait_stop = 0
-        else:
-            wait_stop += 1
-            stop = wait_stop >= train.early_stop_patience
-        # 3) checkpoint: the first epoch replaces any file there; a later one
-        # writes on a strict improvement over this run's last save, or if that is NaN
-        if train.checkpoint and (np.isnan(saved) or _improved(monitored, saved, 0.0, mode)):
-            checkpoint_save(graph, train.checkpoint, monitored)
-            saved = monitored
-        if stop:
-            history.stopped_early = True
-            break
+                wait_plateau = 0
+            else:
+                wait_plateau += 1
+                if wait_plateau >= train.plateau_patience:
+                    optimizer.lr *= train.plateau_factor
+                    wait_plateau = 0
+                    best_plateau = monitored
+            # 2) early stopping
+            stop = False
+            if best_stop is None or _improved(monitored, best_stop, train.min_delta, mode):
+                best_stop = monitored
+                wait_stop = 0
+            else:
+                wait_stop += 1
+                stop = wait_stop >= train.early_stop_patience
+            # 3) checkpoint: the first epoch replaces any file there; a later one
+            # writes on a strict improvement over this run's last save, or if that is NaN
+            if train.checkpoint and (np.isnan(saved) or _improved(monitored, saved, 0.0, mode)):
+                checkpoint_save(graph, train.checkpoint, monitored)
+                saved = monitored
+            if stop:
+                history.stopped_early = True
+                break
     return history

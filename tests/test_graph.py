@@ -178,6 +178,24 @@ class TestBackward:
         assert np.array_equal(cache.ctxs[2], mask)
         assert np.array_equal(cache.outs[2], y)
 
+    @pytest.mark.parametrize("kind", ["unet", "resunet"])
+    def test_only_a_conv_reading_the_input_skips_its_input_gradient(self, monkeypatch, kind):
+        g = build_topology(TopologySpec(kind=kind, depth=1, base_channels=4, in_channels=2,
+                                        num_classes=3), (8, 8), seed=3)
+        skipped, backward = [], Conv2d.backward
+
+        def spy(layer, gy, ctx, input_grad=True):
+            if not input_grad:
+                skipped.append(layer)
+            return backward(layer, gy, ctx, input_grad)
+
+        monkeypatch.setattr(Conv2d, "backward", spy)
+        probs, cache = g.forward(rand_array(80, (2, 8, 8)), training=True)
+        _, glogits = ops.categorical_cross_entropy(probs, SeededRng(81).integers(0, 3, (8, 8)))
+        g.backward(cache, {g.logits_name(): glogits}, np.zeros_like(g.flat))
+        readers = [n.layer for n in g.nodes if n.inputs == ["input"]]
+        assert readers and skipped == readers[::-1]
+
     def test_bad_seed_shape(self):
         g = identity_graph()
         _, cache = g.forward(rand_array(0, (2, 4, 4)))
@@ -423,6 +441,16 @@ class TestFlat:
         assert np.array_equal(g.flat, before - np.float32(0.5))
         self.assert_views(g)  # every layer of the source still reads g.flat
         assert f.flat.tobytes() == fold_before.tobytes()
+
+    def test_place_moves_flat_into_a_buffer_and_back(self):
+        g = TestFolded().segnet()
+        before = g.flat.copy()
+        buf = np.full(g.flat.size, np.nan, g.dtype)
+        g.place(buf)
+        assert g.flat is buf and buf.tobytes() == before.tobytes()
+        g.place()
+        assert not np.shares_memory(g.flat, buf) and g.flat.tobytes() == before.tobytes()
+        self.assert_views(g)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_backward_adds_samples_in_order(self, dtype):

@@ -267,6 +267,17 @@ class TestConv2d:
         assert np.allclose(dx, expected, rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 1, 0), (2, 2, 0)])
+    def test_without_the_input_gradient_the_others_keep_their_bytes(self, k, stride, padding):
+        x = rand_array(64, (3, 8, 8)).astype(np.float32)
+        w = rand_array(65, (4, 3, k, k)).astype(np.float32)
+        gy = rand_array(66, ops.conv2d(x, w, None, stride, padding).shape).astype(np.float32)
+        _, dw, db = ops.conv2d_backward(gy, x, w, stride, padding)
+        none, dw_only, db_only = ops.conv2d_backward(gy, x, w, stride, padding, input_grad=False)
+        assert none is None
+        assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
+
+
 class TestConvProperties:
     @given(conv_cases())
     def test_forward_matches_naive_loops(self, case):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from terraseg import synth
+from terraseg import ops, parallel, synth
 from terraseg.catalog import BASE_URL, CatalogQuery, build_catalog_query
 from terraseg.checkpoint import checkpoint_load, checkpoint_save
 from terraseg.chunkstore import Store, StoredArray
@@ -986,6 +986,34 @@ class TestCli:
             f"error[data]: {what} {out / name}: {out}: Not a directory\n")
         assert sorted(tmp_path.rglob("*")) == before and not ckpt.exists()
 
+    @pytest.mark.parametrize("command, output", [
+        ("train", "history hist.json"), ("evaluate", "report report.txt"),
+        ("predict", "prediction mask.pgm"), ("query", "query query.txt")])
+    def test_a_directory_where_an_output_goes_exits_3_before_any_work(self, tmp_path, capsys,
+                                                                      command, output):
+        # before, each command did its work (train wrote its checkpoint) and
+        # then failed to write the file with a traceback and exit 4
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        capsys.readouterr()
+        model = tmp_path / "model.ckpt"
+        checkpoint_save(build_topology(make_config(tmp_path).train.topology,
+                                       input_hw=(TILE, TILE)), str(model))
+        what, name = output.split()
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        ckpt = tmp_path / "run2.ckpt"
+        extra = {"train": ["--checkpoint", str(ckpt)], "query": []}.get(
+            command, ["--checkpoint", str(model)])
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error[data]: {what} {out / name}: is a directory\n"
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before and not ckpt.exists()
+
     @pytest.mark.parametrize("train, key, array", [
         ({"inputs": [MASK_ARRAY]}, "inputs[0]", MASK_ARRAY),
         ({"inputs": [LABEL_ARRAY]}, "inputs[0]", LABEL_ARRAY),
@@ -1311,3 +1339,63 @@ class TestDeterminism:
         first = self.run_everything(tmp_path / "a")
         second = self.run_everything(tmp_path / "b")
         assert first == second
+
+
+class TestWorkers:
+    """The commands write the same bytes at 1, 2 and 3 processes, and a
+    worker that dies ends one with exit 4 in one line."""
+
+    def write(self, root, size=96):
+        # 96 px at tile 16: 36 tiles, 2 blocks a week for the 4 px U-Net
+        write_scene(root, height=size, width=size)
+        cfg = root / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(merged(base_doc(root), {
+            "ingest": {"weeks": 2}, "train": {"batch_size": 4, "slice_timestamps": [0, 2]}})),
+            encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        assert main(["split", "--config", str(cfg)]) == 0
+        return str(cfg)
+
+    def test_every_process_count_writes_the_same_files(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write(tmp_path)
+        runs = []
+        for procs in (1, 2, 3):
+            monkeypatch.setattr(parallel, "usable_cores", lambda: procs)
+            out = tmp_path / f"run{procs}"
+            for command in ("train", "evaluate", "predict"):
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(runs[0]) == ["hist.json", "hist.txt", "mask.json", "mask.pgm",
+                                   "model.ckpt", "report.json", "report.txt"]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.skipif(parallel._blas_threads() is None,
+                        reason="the loaded BLAS's thread count cannot be set")
+    @pytest.mark.parametrize("command, owner, name", [
+        ("train", ops, "categorical_cross_entropy"),  # a training worker, mid-batch
+        ("evaluate", NetworkGraph, "infer")])
+    def test_a_worker_that_dies_exits_4_in_one_line(self, tmp_path, capsys, monkeypatch,
+                                                    command, owner, name):
+        cfg = self.write(tmp_path)
+        model = tmp_path / "model.ckpt"
+        checkpoint_save(build_topology(make_config(tmp_path).train.topology,
+                                       input_hw=(TILE, TILE)), str(model))
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        main_pid, fn = os.getpid(), getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: (
+            os._exit(9) if os.getpid() != main_pid else fn(*args)))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        ckpt = out / "new.ckpt"
+        assert main([command, "--config", cfg, "--out", str(out), "--checkpoint",
+                     str(ckpt if command == "train" else model)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[runtime]: worker process ") and err.count("\n") == 1
+        assert "ended with exit code 9 before returning its result" in err
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not ckpt.exists() and not (out / "hist.json").exists()
+        assert not (out / "report.txt").exists()

@@ -7,10 +7,10 @@ import pytest
 
 import terraseg.training as training_mod
 from terraseg import metrics as M
-from terraseg import ops
+from terraseg import ops, parallel
 from terraseg.config import OptimizerConfig, TrainSection
 from terraseg.errors import DataError, ParameterError
-from terraseg.graph import ActivationLayer, Conv2d, NetworkGraph, Softmax
+from terraseg.graph import ActivationLayer, Conv2d, Dropout, NetworkGraph, Softmax
 from terraseg.optim import AdamState, SgdState
 from terraseg.synth import make_tile
 from terraseg.tensor import SeededRng, mix_seed
@@ -208,17 +208,19 @@ class TestFit:
         assert adam.state() is not adam.state()
         assert OptimizerConfig(kind="sgd", lr=0.5).state() == SgdState(lr=0.5)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sgd_fit_gives_the_bytes_of_a_per_name_loop(self, dtype):
-        # the loop fit ran before its gradients shared one buffer: a fresh
-        # gradient dict per sample, summed name by name in sample order,
-        # divided by a batch of more than one, each name stepped on its own;
-        # 3 samples in batches of 2 make a full batch and a batch of one
+    @staticmethod
+    def per_name_loop(graph, dtype):
+        """``fit``'s result and the result of the loop fit ran before its
+        gradients shared one buffer: a fresh gradient dict per sample, summed
+        name by name in sample order, divided by a batch of more than one,
+        each name stepped on its own, and each sample's dropout masks drawn
+        from its own seed; 3 samples in batches of 2 make a full batch and a
+        batch of one."""
         samples = [tiny_sample(s) for s in (1, 2, 3)]
         train = TrainSection(epochs=3, batch_size=2,
                              optimizer=OptimizerConfig(kind="sgd", lr=0.1),
                              early_stop_patience=NEVER, plateau_patience=NEVER)
-        got, ref = tiny_graph(seed=5), tiny_graph(seed=5)
+        got, ref = graph(), graph()
         got.set_dtype(dtype)
         ref.set_dtype(dtype)
         fit(got, samples, train, seed=17)
@@ -238,8 +240,33 @@ class TestFit:
                         grads[name] = grads[name] + g if name in grads else g
                 for name, g in grads.items():
                     params[name] -= train.optimizer.lr * (g / len(batch) if len(batch) > 1 else g)
+        return got, ref
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sgd_fit_gives_the_bytes_of_a_per_name_loop(self, dtype):
+        got, ref = self.per_name_loop(lambda: tiny_graph(seed=5), dtype)
         assert got.flat.dtype == dtype and got.flat.tobytes() == ref.flat.tobytes()
         assert not np.array_equal(got.flat, tiny_graph(seed=5).flat.astype(dtype))
+
+    def test_a_dropout_graph_draws_each_sample_s_masks_from_its_seed(self):
+        # fit builds a sample's rng only for a graph with a Dropout node
+        def graph():
+            g = NetworkGraph((2, 8, 8))
+            g.add("c1", Conv2d(2, 4, 3, 1, 1, rng=SeededRng(7)), ["input"])
+            g.add("drop", Dropout(0.5), ["c1"])
+            g.add("head", Conv2d(4, 2, 1, 1, 0, rng=SeededRng(8)), ["drop"])
+            g.add("probs", Softmax(), ["head"])
+            return g
+
+        got, ref = self.per_name_loop(graph, np.float32)
+        assert got.flat.tobytes() == ref.flat.tobytes()
+        without = graph()
+        without.nodes[2].layer.rate = 0.0
+        without.set_dtype(np.float32)
+        fit(without, [tiny_sample(s) for s in (1, 2, 3)],
+            TrainSection(epochs=3, batch_size=2, optimizer=OptimizerConfig(kind="sgd", lr=0.1),
+                         early_stop_patience=NEVER, plateau_patience=NEVER), seed=17)
+        assert not np.array_equal(got.flat, without.flat)  # the masks moved the result
 
     def test_unknown_monitor(self):
         # the monitor must be a key of the epoch record, known before epoch 0
@@ -301,14 +328,16 @@ class TestEvaluateSamples:
         g = build_topology(spec, (32, 32), seed=1)
         g.set_dtype(np.float32)
         assert tiles_per_block(g) == tiles_per_block(g.folded()) == block
-        # on the class, as infer_tiles calls infer on g.folded() (SegNet's is a new graph)
+        # on the class, as infer_tiles calls infer on g.folded() (SegNet's is a new graph),
+        # and in this process alone, which a worker's calls would not reach
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
         sizes, infer = [], NetworkGraph.infer
         monkeypatch.setattr(NetworkGraph, "infer",
                             lambda self, x: sizes.append(len(x)) or infer(self, x))
         images = np.zeros((11, 4, 32, 32), np.float32)
         got = [k for k, _ in infer_tiles(g, ((i, image, None) for i, image in enumerate(images)))]
-        assert got == list(range(11))
-        assert sizes == [block] * (11 // block) + ([11 % block] if 11 % block else [])
+        assert got == [list(range(i, min(i + block, 11))) for i in range(0, 11, block)]
+        assert sizes == [len(keys) for keys in got]
 
     @pytest.mark.parametrize("kind, base", [("segnet", 8), ("unet", 16)])
     def test_tiles_run_on_the_folded_graph(self, kind, base):
@@ -325,8 +354,8 @@ class TestEvaluateSamples:
         block = tiles_per_block(g)
         want = np.concatenate([folded.infer(images[i : i + block])
                                for i in range(0, len(images), block)])
-        got = np.stack([p for _, p in infer_tiles(g, ((i, im, None)
-                                                      for i, im in enumerate(images)))])
+        got = np.concatenate([p for _, p in infer_tiles(g, ((i, im, None)
+                                                            for i, im in enumerate(images)))])
         assert got.tobytes() == want.tobytes()
         for probs, image in zip(got, images):
             ref, _ = g.forward(image)
