@@ -3,10 +3,10 @@
 Layout: every group is a directory holding ``.group.json`` (always
 ``{"kind": "group", "attributes": {}}``: groups only mark the tree, and
 attributes live on arrays); every array is a directory holding
-``.array.json`` plus one file per materialized chunk named ``c.<key>``,
-where the key joins the grid coordinates with dots (``0.3.1``).
-Chunks always cover the full chunk shape (edge chunks are fill-padded) and are
-stored little-endian.
+``.array.json`` plus one file per written chunk named ``c.<key>``, where
+the key joins the grid coordinates with dots (``0.3.1``). Chunks always
+cover the full chunk shape (edge chunks are zero-padded past the array's
+edge and read back clipped) and are stored little-endian.
 
 A chunk is byte-shuffled into ``itemsize`` byte planes: plane ``j`` holds
 byte ``j`` of every element, so the slowly varying high bytes of floats lie
@@ -26,8 +26,10 @@ before it, seeded with the crc32 of the chunk key, so a chunk file copied to
 another coordinate fails its check like a corrupt one. A chunk whose crc
 holds but whose plane table or planes do not decode to the chunk's size
 fails too, naming the chunk.
-Missing chunk files read back as fill values, so a freshly created array is
-all-fill without occupying space.
+
+The store holds only what was written. A write covers whole chunks, so no
+chunk is ever read, patched and rewritten, and there are no fill values: a
+chunk that was never written raises IntegrityError naming it when read.
 
 Array metadata is written once, by ``create_array``, and never rewritten; a
 handle reads it once when it opens. It carries ``"format": 4``; arrays
@@ -105,16 +107,20 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
 
 
 class Store:
-    """Root handle. Opening a path creates the root group when absent."""
+    """Root handle. Opening a path creates the root group when absent; a
+    path that is, or lies under, a regular file raises StoreConflictError."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         meta = self.root / GROUP_META
-        if not meta.exists():
-            if self.root.exists() and any(self.root.iterdir()):
-                raise StoreConflictError(f"{self.root} exists and is not a store")
-            self.root.mkdir(parents=True, exist_ok=True)
-            _write_json_atomic(meta, _GROUP)
+        try:
+            if not meta.exists():
+                if self.root.exists() and any(self.root.iterdir()):
+                    raise StoreConflictError(f"{self.root} exists and is not a store")
+                self.root.mkdir(parents=True, exist_ok=True)
+                _write_json_atomic(meta, _GROUP)
+        except OSError as exc:
+            raise StoreConflictError(f"store {self.root}: {exc.strerror}") from None
 
     # -- node helpers
 
@@ -138,9 +144,10 @@ class Store:
                 d.mkdir(parents=True, exist_ok=True)
                 _write_json_atomic(d / GROUP_META, _GROUP)
 
-    def create_array(self, path: str, shape, chunks, dtype: str, fill=0,
+    def create_array(self, path: str, shape, chunks, dtype: str,
                      attributes: dict | None = None) -> "StoredArray":
-        """Declare an array; chunks materialize lazily on first write."""
+        """Declare an array, writing its metadata only: a chunk exists once a
+        ``write_region`` covers it, and reading it before then raises."""
         parts = _split(path)
         if len(parts) < 1:
             raise ParameterError("array path is empty")
@@ -166,7 +173,6 @@ class Store:
             "shape": list(shape),
             "chunks": list(chunks),
             "dtype": dtype,
-            "fill": fill,
             "attributes": attributes or {},
         }
         _write_json_atomic(d / ARRAY_META, meta)
@@ -257,7 +263,6 @@ class StoredArray:
     """Handle on one array; its metadata is read once, when the handle opens."""
 
     def __init__(self, store: Store, path: str):
-        self.store = store
         self.path = path
         self.dir = store._dir(path)
         try:
@@ -271,7 +276,6 @@ class StoredArray:
         self.attributes: dict = meta["attributes"]
         self._chunks = tuple(meta["chunks"])
         self._dtype = DTYPE_CODES[meta["dtype"]]
-        self._fill = meta["fill"]
 
     def _check_region(self, offsets, extents) -> tuple[tuple[int, ...], tuple[int, ...]]:
         offsets = tuple(int(o) for o in offsets)
@@ -295,7 +299,7 @@ class StoredArray:
         try:
             blob = memoryview((self.dir / ("c." + key)).read_bytes())
         except FileNotFoundError:
-            return np.full(self._chunks, self._fill, dtype=self._dtype)
+            raise IntegrityError(f"missing chunk {key} of {self.path!r}") from None
         payload = blob[:-4]
         if len(blob) < 4 or int.from_bytes(blob[-4:], "little") != _crc(key, payload):
             raise IntegrityError(f"checksum mismatch on chunk {key} of {self.path!r}")
@@ -335,31 +339,25 @@ class StoredArray:
             raise undecodable(f"{len(payload) - at} bytes follow the last plane")
         return out
 
-    def _covers(self, key: str, in_chunk) -> bool:
-        """Whether ``in_chunk`` spans every in-bounds cell of chunk ``key``."""
-        return all(s.start == 0 and s.stop == min(c, n - int(k) * c)
-                   for s, c, n, k in zip(in_chunk, self._chunks, self.shape,
-                                         key.split(".")))
-
     # -- public IO
 
     def write_region(self, offsets, data: np.ndarray) -> None:
-        """Write ``data`` at ``offsets``. A chunk the region covers is
-        replaced without reading it; a partly covered one is read, patched
-        and rewritten; one it covers whole is encoded straight from the
-        region."""
+        """Write ``data`` at ``offsets``, replacing every chunk the region
+        covers without reading it. The region must cover whole chunks, an
+        edge chunk up to the array's edge (it is zero-padded past it);
+        one that cuts a chunk raises ParameterError and writes nothing."""
         data = np.asarray(data)
         offsets, extents = self._check_region(offsets, data.shape)
+        if any(o % c or (o + e) % c and o + e != s
+               for o, e, c, s in zip(offsets, extents, self._chunks, self.shape)):
+            raise ParameterError(f"region offset {offsets} extent {extents} cuts a "
+                                 f"{self._chunks} chunk of {self.path!r}")
         data = data.astype(self._dtype, copy=False)
         with _Lock(self.dir):
-            for key, in_chunk, in_region in _walk_chunks(self._chunks, offsets, extents):
-                part = data[in_region]
-                if part.shape == self._chunks:
-                    block = part
-                else:
-                    block = (np.full(self._chunks, self._fill, dtype=self._dtype)
-                             if self._covers(key, in_chunk) else self._load_chunk(key))
-                    block[in_chunk] = part
+            for key, _, in_region in _walk_chunks(self._chunks, offsets, extents):
+                block = data[in_region]
+                if block.shape != self._chunks:  # an edge chunk
+                    block = np.pad(block, [(0, c - n) for c, n in zip(self._chunks, block.shape)])
                 tmp = self.dir / ("tmp-c." + key)
                 tmp.write_bytes(self._encode(key, block))
                 os.replace(tmp, self.dir / ("c." + key))

@@ -19,7 +19,10 @@ coarser components are nearest-neighbor upsampled to the label tile size.
 Sample ignore masks are the union of the stored (cloud) mask and
 label-nodata pixels. Relative output paths resolve against ``out_dir``; each
 command makes their directories, and refuses a directory where one of its
-files goes, before its work (training, inference).
+files goes, before its work (training, inference). Split, train, evaluate
+and predict refuse a store path that is not there rather than create an
+empty store, and evaluate and predict refuse a checkpoint whose classes or
+[C, H, W] input do not fit the store's samples.
 
 Samples hold the store's float32 images and u8 class labels, label-nodata
 pixels as class 0 under the ignore mask. Every graph the commands make
@@ -56,7 +59,7 @@ from .datasplit import (
     presence_labels,
     stratified_kfold_partition,
 )
-from .errors import ConfigError, DataError, WktParseError, read_input
+from .errors import ConfigError, DataError, StoreNotFoundError, WktParseError, read_input
 from .georaster import (
     GeoRaster,
     TileGrid,
@@ -201,10 +204,10 @@ def cmd_ingest(config: PipelineConfig) -> Store:
         attributes={**geo_attrs, "weeks": ing.weeks, "nodata": raster.nodata})
     msk = store.create_array(
         _node(config, MASK_ARRAY),
-        [ing.weeks, nty, ntx, ts, ts], [1, 1, ntx, ts, ts], "u8", fill=1)
+        [ing.weeks, nty, ntx, ts, ts], [1, 1, ntx, ts, ts], "u8")
     lbl = store.create_array(
         _node(config, LABEL_ARRAY),
-        [nty, ntx, ts, ts], [1, ntx, ts, ts], "u8", fill=ing.label_nodata,
+        [nty, ntx, ts, ts], [1, ntx, ts, ts], "u8",
         attributes={**geo_attrs, "num_classes": ing.num_classes,
                     "label_nodata": ing.label_nodata})
 
@@ -235,10 +238,19 @@ def cmd_ingest(config: PipelineConfig) -> Store:
     return store
 
 
+def _ingested_store(config: PipelineConfig) -> Store:
+    """The store at ``config.store``, which split, train, evaluate and
+    predict only read from or add to: a path that is not there raises,
+    instead of becoming an empty store."""
+    if not Path(config.store).exists():
+        raise StoreNotFoundError(f"store {config.store}: not found")
+    return Store(config.store)
+
+
 def cmd_split(config: PipelineConfig):
     """Stratified fold assignment over label tiles, persisted in the store."""
     sp = _section(config, "split")
-    store = Store(config.store)
+    store = _ingested_store(config)
     lbl = store.array(_node(config, LABEL_ARRAY))
     nty, ntx, th, tw = lbl.shape
     nodata = lbl.attributes.get("label_nodata", 255)
@@ -351,7 +363,7 @@ def _fold_ids(store: Store, config: PipelineConfig, fold: int, key: str) -> np.n
 def cmd_train(config: PipelineConfig, out_dir=".") -> History:
     """Build samples from the store, train the configured topology."""
     t = _section(config, "train")
-    store = Store(config.store)
+    store = _ingested_store(config)
     src = _SampleSource(config, store, t)
     weeks = src.week_range(*t.slice_timestamps)
     if t.topology.num_classes != src.num_classes:
@@ -389,28 +401,35 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
     return history
 
 
-def _checkpoint_path(config: PipelineConfig, section, out_dir) -> Path:
-    path = section.checkpoint
+def _load_graph(config: PipelineConfig, name: str, src: _SampleSource, out_dir):
+    """The checkpoint that section ``name`` (or else train) names, in
+    ``ENGINE_DTYPE``. One whose class count or [C, H, W] input differs from
+    the samples ``src`` reads raises a ConfigError naming the section."""
+    path = getattr(config, name).checkpoint
     if path is None and config.train is not None:
         path = config.train.checkpoint
     if path is None:
         raise ConfigError("config: no checkpoint path in this section or train")
-    return _resolve(path, out_dir)
+    graph, _ = checkpoint_load(str(_resolve(path, out_dir)))
+    classes = graph.shape_of(graph.output_name)[0]
+    if classes != src.num_classes:
+        raise ConfigError(f"config.{name}: checkpoint predicts {classes} classes but "
+                          f"the store labels carry {src.num_classes}")
+    want = (src.channels, src.th, src.tw)
+    if graph.input_shape != want:
+        raise ConfigError(f"config.{name}: checkpoint takes [C, H, W] input "
+                          f"{list(graph.input_shape)} but the store's samples are {list(want)}")
+    graph.set_dtype(ENGINE_DTYPE)
+    return graph
 
 
 def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
     """Aggregate confusion matrix over held-out tiles; write the report."""
     e = _section(config, "evaluate")
     t = _section(config, "train")
-    store = Store(config.store)
+    store = _ingested_store(config)
     src = _SampleSource(config, store, t)
-    graph, _ = checkpoint_load(str(_checkpoint_path(config, e, out_dir)))
-    graph.set_dtype(ENGINE_DTYPE)
-    out_classes = graph.shape_of(graph.output_name)[0]
-    if out_classes != src.num_classes:
-        raise ConfigError(
-            f"config.evaluate: checkpoint predicts {out_classes} classes but the "
-            f"store labels carry {src.num_classes}")
+    graph = _load_graph(config, "evaluate", src, out_dir)
     base = _output_path(e.out or "report", out_dir, "report", _txt_json)
 
     keep = None
@@ -432,12 +451,11 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     """Argmax class masks for one week, mosaicked and written as PGM."""
     p = _section(config, "predict")
     t = _section(config, "train")
-    store = Store(config.store)
+    store = _ingested_store(config)
     src = _SampleSource(config, store, t)
     if p.week >= src.weeks:  # config.predict checks week >= 0
         raise DataError(f"config.predict.week: {p.week} outside the {src.weeks}-week store")
-    graph, _ = checkpoint_load(str(_checkpoint_path(config, p, out_dir)))
-    graph.set_dtype(ENGINE_DTYPE)
+    graph = _load_graph(config, "predict", src, out_dir)
     exts = (".pgm", ".json") + (("_preview.ppm",) if p.preview else ())
     base = _output_path(p.out, out_dir, "prediction",
                         lambda b: [b.with_name(b.name + ext) for ext in exts])

@@ -1,6 +1,7 @@
-"""Chunked array store: lazy fill-value chunks, region IO across chunk
-boundaries checked against a dense reference array, integrity checking,
-locking, and byte-level determinism of the on-disk tree."""
+"""Chunked array store: chunks written whole and only when written, region
+IO across chunk boundaries checked against a dense reference array,
+integrity checking, locking, and byte-level determinism of the on-disk
+tree."""
 
 import hashlib
 import json
@@ -82,6 +83,14 @@ class TestGroups:
         with pytest.raises(StoreConflictError):
             Store(d)
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_refuses_a_regular_file_or_a_path_under_one(self, tmp_path, under):
+        (tmp_path / "afile").write_text("hello")
+        root = tmp_path / "afile" / "s" if under else tmp_path / "afile"
+        with pytest.raises(StoreConflictError, match=rf"^store {root}: Not a directory$"):
+            Store(root)
+        assert (tmp_path / "afile").read_text() == "hello"
+
     def test_nested_create_and_idempotence(self, store):
         store.create_group("a/b/c/d")
         store.create_group("a/b/c/d")
@@ -104,17 +113,12 @@ class TestGroups:
 class TestArrayCreation:
     def test_metadata_only_creation_is_cheap(self, store):
         big = store.create_array("scene/bands", shape=(12, 4096, 4096),
-                                 chunks=(1, 256, 256), dtype="u16", fill=0)
+                                 chunks=(1, 256, 256), dtype="u16")
         files = [p for p in (store.root / "scene" / "bands").iterdir()]
         assert [p.name for p in files] == [".array.json"]
         assert big.shape == (12, 4096, 4096)
-
-    def test_fill_reads_without_chunks(self, store):
-        a = store.create_array("a", shape=(100, 100), chunks=(32, 32),
-                               dtype="f32", fill=-1.5)
-        out = a.read_region((10, 90), (5, 10))
-        assert out.shape == (5, 10)
-        assert np.all(out == np.float32(-1.5))
+        meta = json.loads(files[0].read_text(encoding="utf-8"))
+        assert sorted(meta) == ["attributes", "chunks", "dtype", "format", "kind", "shape"]
 
     def test_validation(self, store):
         with pytest.raises(ParameterError):
@@ -171,7 +175,7 @@ class TestRegionIO:
                                              shape, kinds, long_planes, seed):
         # each byte plane of the data is constant, noise, long runs, or
         # constant over the probed prefix and noise after it, so a chunk mixes
-        # raw and deflated planes; chunks are fill-padded at the edges, and a
+        # raw and deflated planes; chunks are zero-padded at the edges, and a
         # long array has planes longer than the probed prefix
         dt = DTYPE_CODES[dtype]
         if long_planes:
@@ -195,8 +199,7 @@ class TestRegionIO:
             cols.append(col)
         values = np.stack(cols, axis=1).reshape(-1).view(dt).reshape(shape)
         root = tmp_path_factory.mktemp("store")
-        a = Store(root).create_array("a", shape, chunks, dtype,
-                                     fill=data.draw(st.integers(0, 100)))
+        a = Store(root).create_array("a", shape, chunks, dtype)
         a.write_region((0,) * len(shape), values)
         again = Store(root).array("a").read_region((0,) * len(shape), shape)
         assert again.dtype == dt and again.tobytes() == values.tobytes()
@@ -224,9 +227,9 @@ class TestRegionIO:
     @pytest.mark.parametrize("dtype", sorted(DTYPE_CODES))
     def test_deflate_stores_shuffled_bytes(self, store, rng, dtype):
         # a 5x7 array in 4x4 chunks: chunk 1.1 holds one row of three cells,
-        # the rest is fill padding
+        # the rest is zero padding
         dt = DTYPE_CODES[dtype]
-        a = store.create_array(dtype, shape=(5, 7), chunks=(4, 4), dtype=dtype, fill=3)
+        a = store.create_array(dtype, shape=(5, 7), chunks=(4, 4), dtype=dtype)
         if dt.kind == "f":
             data = rng.normal(0, 1e3, (5, 7)).astype(dt)
         else:
@@ -235,7 +238,7 @@ class TestRegionIO:
         a.write_region((0, 0), data)
         assert a.read_region((0, 0), (5, 7)).tobytes() == data.tobytes()
         blob = (store.root / dtype / "c.1.1").read_bytes()
-        chunk = np.full((4, 4), 3, dtype=dt)
+        chunk = np.zeros((4, 4), dtype=dt)
         chunk[:1, :3] = data[4:, 4:]
         shuffled = chunk.view(np.uint8).reshape(16, dt.itemsize).T
         assert planes_of(blob, dt.itemsize) == [p.tobytes() for p in shuffled]
@@ -255,23 +258,26 @@ class TestRegionIO:
         assert loaded == ["1.0.0.0"]
 
     def test_region_straddling_four_chunks(self, store, rng):
-        a = store.create_array("a", shape=(30, 30), chunks=(10, 10), dtype="i32",
-                               fill=7)
-        dense = np.full((30, 30), 7, dtype=np.int32)
-        patch = rng.integers(-50, 50, (12, 14)).astype(np.int32)
-        a.write_region((5, 6), patch)
-        dense[5:17, 6:20] = patch
+        a = store.create_array("a", shape=(30, 30), chunks=(10, 10), dtype="i32")
+        dense = rng.integers(-50, 50, (30, 30)).astype(np.int32)
+        a.write_region((0, 0), dense[:20, :20] - 1)
+        a.write_region((0, 0), dense[:20, :20])  # the four chunks 0.0 to 1.1, replaced
+        a.write_region((20, 0), dense[20:])
+        a.write_region((0, 20), dense[:20, 20:])
         assert np.array_equal(a.read_region((0, 0), (30, 30)), dense)
         assert np.array_equal(a.read_region((4, 5), (15, 16)), dense[4:19, 5:21])
 
-    def test_read_modify_write_partial_chunk(self, store):
-        a = store.create_array("a", shape=(8, 8), chunks=(8, 8), dtype="u8", fill=0)
-        a.write_region((0, 0), np.full((8, 8), 5, dtype=np.uint8))
-        a.write_region((2, 2), np.full((3, 3), 9, dtype=np.uint8))
-        out = a.read_region((0, 0), (8, 8))
-        assert np.all(out[2:5, 2:5] == 9)
-        out[2:5, 2:5] = 5
-        assert np.all(out == 5)
+    @pytest.mark.parametrize("offsets, shape", [
+        ((2, 0), (6, 8)), ((0, 0), (8, 6)), ((4, 4), (2, 6)), ((0, 8), (10, 1)),
+    ], ids=["starts-inside", "ends-inside", "ends-inside-row", "ends-inside-edge-chunk"])
+    def test_write_cutting_a_chunk_raises_and_writes_nothing(self, store, offsets, shape):
+        a = store.create_array("a", shape=(10, 10), chunks=(4, 4), dtype="u8")
+        a.write_region((0, 0), np.ones((10, 10), np.uint8))
+        before = tree_digest(store.root)
+        with pytest.raises(ParameterError, match=r"cuts a \(4, 4\) chunk of 'a'$"):
+            a.write_region(offsets, np.zeros(shape, np.uint8))
+        assert tree_digest(store.root) == before  # no chunk, no .lock, no tmp-c.*
+        assert np.all(a.read_region((0, 0), (10, 10)) == 1)
 
     def test_edge_chunks_padded_but_reads_clip(self, store, rng):
         a = store.create_array("a", shape=(10, 13), chunks=(4, 4), dtype="u16")
@@ -288,9 +294,9 @@ class TestRegionIO:
         shape, chunks = (7, 11, 5), (2, 4, 3)
         data = (rng.normal(0, 1e3, shape) if planes == "raw"
                 else np.full(shape, 2.5)).astype(np.float32)
-        one = Store(tmp_path / "one").create_array("a", shape, chunks, "f32", fill=-1)
+        one = Store(tmp_path / "one").create_array("a", shape, chunks, "f32")
         one.write_region((0, 0, 0), data)
-        per = Store(tmp_path / "per").create_array("a", shape, chunks, "f32", fill=-1)
+        per = Store(tmp_path / "per").create_array("a", shape, chunks, "f32")
         for idx in reversed(list(np.ndindex(4, 3, 2))):
             lo = [i * c for i, c in zip(idx, chunks)]
             region = tuple(slice(o, min(o + c, n)) for o, c, n in zip(lo, chunks, shape))
@@ -305,9 +311,9 @@ class TestRegionIO:
         assert {f for f, _ in plane_table(blob, 4)} == {planes == "deflate"}
 
     def test_full_chunk_is_encoded_from_the_region(self, store, rng, monkeypatch):
-        a = store.create_array("a", shape=(8, 6), chunks=(4, 6), dtype="u16", fill=9)
+        a = store.create_array("a", shape=(8, 6), chunks=(4, 6), dtype="u16")
         data = rng.integers(0, 999, (8, 6)).astype(np.uint16)
-        monkeypatch.setattr(np, "full", lambda *a, **k: pytest.fail("np.full called"))
+        monkeypatch.setattr(np, "pad", lambda *a, **k: pytest.fail("np.pad called"))
         a.write_region((0, 0), data)
         monkeypatch.undo()
         assert np.array_equal(a.read_region((0, 0), (8, 6)), data)
@@ -315,9 +321,10 @@ class TestRegionIO:
     def test_overwrites_accumulate(self, store, rng):
         a = store.create_array("a", shape=(16,), chunks=(4,), dtype="f64")
         dense = np.zeros(16)
+        a.write_region((0,), dense)
         for _ in range(10):
-            off = int(rng.integers(0, 12))
-            ext = int(rng.integers(1, 16 - off + 1))
+            off = 4 * int(rng.integers(0, 4))
+            ext = 4 * int(rng.integers(1, 4 - off // 4 + 1))
             vals = rng.uniform(-1, 1, ext)
             a.write_region((off,), vals)
             dense[off : off + ext] = vals
@@ -353,6 +360,26 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match="checksum"):
             a.read_region((0, 0), (8, 8))
 
+    def test_missing_chunk_raises_naming_it(self, store):
+        a = store.create_array("g/a", shape=(100, 100), chunks=(32, 32), dtype="f32")
+        with pytest.raises(IntegrityError, match=r"^missing chunk 0\.2 of 'g/a'$"):
+            a.read_region((10, 90), (5, 10))
+        a.write_region((0, 0), np.ones((100, 100), np.float32))
+        (store.root / "g" / "a" / "c.3.1").unlink()
+        assert np.all(a.read_region((0, 0), (96, 100)) == 1)
+        with pytest.raises(IntegrityError, match=r"^missing chunk 3\.1 of 'g/a'$"):
+            a.read_region((0, 0), (100, 100))
+
+    def test_format_4_metadata_with_a_fill_key_opens(self, store):
+        # arrays written before fill values went carry a "fill" key, unread
+        store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+        meta = store.root / "a" / ".array.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        meta.write_text(json.dumps({**doc, "fill": 9}), encoding="utf-8")
+        a = store.array("a")
+        a.write_region((0,), np.arange(4, dtype=np.uint8))
+        assert a.read_region((0,), (4,)).tolist() == [0, 1, 2, 3]
+
     def test_unrecorded_chunk_detected(self, store):
         a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
         (store.root / "a" / "c.0").write_bytes(b"\x00" * 4)
@@ -375,31 +402,23 @@ class TestIntegrity:
         assert a.read_region((0,), (6,)).tolist() == [7, 7, 7, 7, 9, 9]
 
     def test_partial_write_over_a_corrupt_chunk_raises(self, store):
+        # refused for cutting the chunk, before the chunk is read or replaced
         a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
         a.write_region((0,), np.arange(4, dtype=np.uint8))
         self.corrupt(store.root / "a" / "c.0")
-        with pytest.raises(IntegrityError, match="checksum mismatch on chunk 0"):
+        before = tree_digest(store.root)
+        with pytest.raises(ParameterError, match="cuts a"):
             a.write_region((1,), np.zeros(3, dtype=np.uint8))
-
-    def test_multi_chunk_write_over_corrupt_partial_chunks_raises_the_first(self, store):
-        # chunks 0 and 2 are corrupt and only partly covered; 1 is covered
-        a = store.create_array("a", shape=(16,), chunks=(4,), dtype="u8")
-        a.write_region((0,), np.arange(16, dtype=np.uint8))
-        self.corrupt(store.root / "a" / "c.0")
-        self.corrupt(store.root / "a" / "c.2")
-        with pytest.raises(IntegrityError, match="checksum mismatch on chunk 0 of"):
-            a.write_region((2,), np.zeros(8, dtype=np.uint8))
-        left = sorted(p.name for p in (store.root / "a").iterdir())
-        assert left == [".array.json", "c.0", "c.1", "c.2", "c.3"]  # no .lock, no tmp-c.*
-        a.write_region((0,), np.zeros(16, dtype=np.uint8))  # the lock was released
+        assert tree_digest(store.root) == before
+        a.write_region((0,), np.zeros(4, dtype=np.uint8))  # no lock was left taken
 
     def test_metadata_is_written_once(self, store, rng):
         a = store.create_array("a", shape=(10, 10), chunks=(4, 4), dtype="f32")
         meta = store.root / "a" / ".array.json"
         created = meta.read_bytes()
         for _ in range(4):
-            off = rng.integers(0, 6, 2)
-            a.write_region(off, rng.uniform(0, 1, (4, 4)))
+            off = 4 * rng.integers(0, 3, 2)
+            a.write_region(off, rng.uniform(0, 1, np.minimum(4, 10 - off)))
         assert meta.read_bytes() == created
 
     def test_chunk_moved_to_another_coordinate_detected(self, store):
@@ -475,17 +494,16 @@ class TestIntegrity:
         with pytest.raises(IntegrityError) as raised:
             a.read_region((0,), (4,))
         assert str(raised.value).startswith(f"undecodable chunk 0 of 'a': {why}")
-        with pytest.raises(IntegrityError, match=r"^undecodable chunk 0 of 'a': "):
-            a.write_region((1,), np.zeros(2, dtype=np.float32))
         a.write_region((0,), np.arange(4, dtype=np.float32))  # a full write replaces it
         assert a.read_region((0,), (4,)).tolist() == [0, 1, 2, 3]
 
     def test_handle_sees_writes_made_through_another(self, store):
-        store.create_array("a", shape=(6,), chunks=(4,), dtype="i32", fill=-1)
+        store.create_array("a", shape=(6,), chunks=(4,), dtype="i32")
         early = store.array("a")
-        assert np.all(early.read_region((0,), (6,)) == -1)
-        store.array("a").write_region((2,), np.arange(4, dtype=np.int32))
-        assert early.read_region((0,), (6,)).tolist() == [-1, -1, 0, 1, 2, 3]
+        store.array("a").write_region((0,), np.arange(6, dtype=np.int32))
+        assert early.read_region((0,), (6,)).tolist() == [0, 1, 2, 3, 4, 5]
+        store.array("a").write_region((4,), np.array([-1, -2], dtype=np.int32))
+        assert early.read_region((0,), (6,)).tolist() == [0, 1, 2, 3, -1, -2]
 
     def test_lock_excludes_second_writer(self, store):
         a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
@@ -604,9 +622,9 @@ class TestTreeOps:
         def build(root):
             s = Store(root)
             s.create_group("scene")
-            a = s.create_array("scene/labels", (9, 9), (4, 4), "u8", fill=255)
+            a = s.create_array("scene/labels", (9, 9), (4, 4), "u8")
             a.write_region((0, 0), payload)
-            a.write_region((3, 3), payload[:2, :2])
+            a.write_region((4, 4), payload[:5, :5])
             return tree_digest(Path(root))
 
         assert build(tmp_path / "one") == build(tmp_path / "two")

@@ -1284,6 +1284,72 @@ class TestCli:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_missing_chunk_exits_3_in_one_line(self, tmp_path, capsys, command):
+        # an image chunk file gone, as from an ingest stopped between writes
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path, train={"epochs": 1})
+        out = str(tmp_path / "run")
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--out", out]) == 0
+        (tmp_path / "store" / IMAGE_ARRAY / "c.0.1.0.0.0.0").unlink()
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: missing chunk 0.1.0.0.0.0 of '{IMAGE_ARRAY}'\n")
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["ingest", "split"])
+    def test_store_path_of_a_regular_file_exits_3_in_one_line(self, tmp_path, capsys,
+                                                              command, under):
+        write_scene(tmp_path)
+        (tmp_path / "afile").write_text("hello")
+        store = tmp_path / "afile" / "store" if under else tmp_path / "afile"
+        cfg = self.write_config(tmp_path, store=str(store))
+        # split opens only a store that is there, and none is under a file
+        why = "not found" if command == "split" and under else "Not a directory"
+        assert main([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"error[data]: store {store}: {why}\n"
+        assert (tmp_path / "afile").read_text() == "hello"
+
+    @pytest.mark.parametrize("command", ["split", "train", "evaluate", "predict"])
+    def test_store_that_is_not_there_exits_3_leaving_the_path_absent(
+            self, tmp_path, capsys, monkeypatch, command):
+        cfg = self.write_config(tmp_path, store=str(tmp_path / "stor"))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: store {tmp_path / 'stor'}: not found\n")
+        assert not (tmp_path / "stor").exists()
+
+    @pytest.mark.parametrize("spec, input_hw, why", [
+        ({"num_classes": CLASSES + 1}, (TILE, TILE),
+         f"checkpoint predicts {CLASSES + 1} classes but the store labels carry {CLASSES}"),
+        ({}, (TILE // 2, TILE // 2),
+         f"checkpoint takes [C, H, W] input [{CHANNELS}, {TILE // 2}, {TILE // 2}] but "
+         f"the store's samples are [{CHANNELS}, {TILE}, {TILE}]"),
+        ({"in_channels": CHANNELS + 1}, (TILE, TILE),
+         f"checkpoint takes [C, H, W] input [{CHANNELS + 1}, {TILE}, {TILE}] but "
+         f"the store's samples are [{CHANNELS}, {TILE}, {TILE}]"),
+    ], ids=["classes", "tile-size", "channels"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_checkpoint_that_does_not_fit_the_store_exits_2_in_one_line(
+            self, tmp_path, capsys, command, spec, input_hw, why):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        graph = build_topology(
+            TopologySpec(**{"kind": "unet", "depth": 1, "base_channels": 4,
+                            "in_channels": CHANNELS, "num_classes": CLASSES, **spec}),
+            input_hw=input_hw, seed=1)
+        checkpoint_save(graph, str(tmp_path / "other.ckpt"))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--checkpoint", str(tmp_path / "other.ckpt")]) == 2
+        assert capsys.readouterr().err == f"error[config]: config.{command}: {why}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
     def test_checkpoint_override_needs_the_section(self, tmp_path, capsys, command):
         cfg = self.write_config(tmp_path, **{command: DROP})
         assert main([command, "--config", cfg, "--checkpoint", "x.ckpt"]) == 2
