@@ -11,6 +11,9 @@ class TerrasegError(Exception):
 
     category = "runtime"
 
+    def __reduce__(self):  # whole, without a subclass's own __init__ arguments
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class ShapeError(TerrasegError):
     """An array or tensor has extents incompatible with the operation."""

@@ -1,14 +1,15 @@
-"""Forked worker processes, one per usable core, for ``fit`` and ``infer_tiles``.
+"""Forked worker processes, one per usable core, one pool per command.
 
 :class:`Workers` forks its children when its block is entered. Each child
 serves tasks with a function the caller defined before the fork, so it sees
 the caller's state as it was then, and an array from :func:`shared_array`
 made before the fork as memory it shares with the caller. Tasks and results
-are length-prefixed pickles on one pipe each way per child. A child always
-leaves by ``os._exit``: at EOF on its task pipe, or when it cannot write a
-result. Leaving the block closes the caller's pipe ends and reaps every
-child, so no process, thread or pipe outlives it; a child that dies raises a
-TerrasegError (exit 4) at the caller's next exchange with it.
+are length-prefixed pickles on one pipe each way per child; bulk inputs go
+through shared memory, so a result holds only what the caller keeps. A
+child always leaves by ``os._exit``: at EOF on its task pipe, or when it
+cannot write a result. Leaving the block closes the caller's pipe ends and
+reaps every child, so no process, thread or pipe outlives it; a child that
+dies raises a TerrasegError (exit 4) at the caller's next exchange with it.
 
 Inside a block with children, every process runs OpenBLAS on one thread,
 as two BLAS threads per process oversubscribe the cores; the caller's count
@@ -65,14 +66,10 @@ def _blas_threads():
     return None
 
 
-def processes(limit: int | None = None) -> int:
-    """How many processes, the caller counting as one, should share work of
-    ``limit`` parts: one per usable core, at most ``limit``, and 1 where the
-    BLAS thread count cannot be set."""
-    if _blas_threads() is None:
-        return 1
-    cores = usable_cores()
-    return min(cores, limit or cores)
+def processes() -> int:
+    """How many processes, the caller counting as one, should share work:
+    one per usable core, and 1 where the BLAS thread count cannot be set."""
+    return 1 if _blas_threads() is None else usable_cores()
 
 
 def shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -91,14 +88,10 @@ def _write(fd: int, obj) -> None:
 
 
 def _read_exact(fd: int, n: int) -> bytes | None:
-    parts = []
-    while n:
-        part = os.read(fd, n)
-        if not part:
-            return None
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
+    data = b""
+    while len(data) < n and (part := os.read(fd, n - len(data))):
+        data += part
+    return data if len(data) == n else None
 
 
 def _read(fd: int):

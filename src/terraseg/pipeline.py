@@ -12,17 +12,12 @@ tiled array holds one row of tiles per chunk; Sentinel-3 only when
     Labels/CLC_10m/labels           u8  [ty, tx, th, tw]             [1, tx, th, tw]
     Labels/CLC_10m/multilabel_stratified_kfolds   i32 [ty*tx]        [ty*tx]
 
-Train, evaluate and predict read samples one week block at a time: one read
-per input array and one for the mask per week, and the labels once.
-Training samples concatenate the configured input components channel-wise;
-coarser components are nearest-neighbor upsampled to the label tile size.
-Sample ignore masks are the union of the stored (cloud) mask and
-label-nodata pixels. Relative output paths resolve against ``out_dir``; each
-command makes their directories, and refuses a directory where one of its
-files goes, before its work (training, inference). Split, train, evaluate
-and predict refuse a store path that is not there rather than create an
-empty store, and evaluate and predict refuse a checkpoint whose classes or
-[C, H, W] input do not fit the store's samples.
+Training samples concatenate the configured input components channel-wise
+(``_SampleSource``); coarser components are nearest-neighbor upsampled to
+the label tile size. Sample ignore masks are the union of the stored
+(cloud) mask and label-nodata pixels. Relative output paths resolve against
+``out_dir``; each command makes their directories, and refuses a directory
+where one of its files goes, before its work (training, inference).
 
 Samples hold the store's float32 images and u8 class labels, label-nodata
 pixels as class 0 under the ignore mask. Every graph the commands make
@@ -30,13 +25,9 @@ pixels as class 0 under the ignore mask. Every graph the commands make
 ``ENGINE_DTYPE``, float32. Checkpoints store float64, which holds every
 float32 value exactly.
 
-Train steps one tile [C, H, W] at a time. Evaluate, predict and train's
-per-epoch validation infer through ``training.infer_tiles``: it skips tiles
-whose every pixel is ignored and stacks the rest, in order, into blocks of
-tiles [N, C, H, W], one ``NetworkGraph.infer`` call per block, which keeps
-no cache, on the graph's batch-norm fold (``NetworkGraph.folded``). A block
-holds as many tiles as keep the graph's widest layer output within
-``training.BLOCK_BYTES`` (``training.tiles_per_block``).
+Train steps one tile [C, H, W] at a time; evaluate, predict and train's
+validation infer blocks of tiles on one pool of workers per command
+(``training._infer_tiles``), which send back counts, losses or u8 planes.
 """
 
 from __future__ import annotations
@@ -71,10 +62,10 @@ from .georaster import (
     write_pgm,
     write_ppm,
 )
-from .metrics import ConfusionMatrix, confusion_update, render_report, report, report_json
+from .metrics import ConfusionMatrix, render_report, report, report_json
 from .tensor import mix_seed
 from .topologies import build_topology
-from .training import History, Sample, fit, infer_tiles
+from .training import History, Sample, _infer_tiles, fit
 from .wkt import parse_wkt
 
 log = logging.getLogger("terraseg")
@@ -437,10 +428,10 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
         keep = _fold_ids(store, config, e.fold, "config.evaluate.fold") == e.fold
     cm = ConfusionMatrix.zeros(src.num_classes)
     samples = src.samples(src.week_range(*t.slice_timestamps), keep)
-    with closing(infer_tiles(graph, ((s, s.image, s.ignore) for _, s in samples))) as blocks:
-        for block, probs in blocks:
-            confusion_update(cm, probs.argmax(axis=1), np.stack([s.labels for s in block]),
-                             np.stack([s.ignore for s in block]))
+    tiles = ((i, s.image, s.labels, s.ignore) for i, s in samples)
+    with closing(_infer_tiles(graph, tiles, "counts")) as blocks:
+        for _, counts in blocks:
+            cm.counts += counts
     values = report(cm)
     base.with_suffix(".txt").write_text(render_report(values), encoding="utf-8")
     base.with_suffix(".json").write_text(report_json(values), encoding="utf-8")
@@ -461,11 +452,12 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
                         lambda b: [b.with_name(b.name + ext) for ext in exts])
 
     images, ignore = src.week(p.week)
-    # a tile infer_tiles skips is ignored in every pixel, so stays all 255
+    # a tile _infer_tiles skips is ignored in every pixel, so stays all 255
     classes = np.full((len(images), src.th, src.tw), 255, dtype=np.uint8)
-    with closing(infer_tiles(graph, zip(range(len(images)), images, ignore))) as blocks:
-        for keys, probs in blocks:
-            classes[keys] = np.where(ignore[keys] == 1, 255, probs.argmax(axis=1))
+    tiles = ((i, image, None, mask) for i, (image, mask) in enumerate(zip(images, ignore)))
+    with closing(_infer_tiles(graph, tiles, "classes")) as blocks:
+        for keys, planes in blocks:
+            classes[keys] = np.where(ignore[keys] == 1, 255, planes)
     attrs = store.array(_node(config, IMAGE_ARRAY)).attributes
     grid = TileGrid(int(attrs["scene_width"]), int(attrs["scene_height"]),
                     tuple(attrs["geotransform"]), attrs["crs"], 255.0)

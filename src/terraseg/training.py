@@ -6,22 +6,22 @@ Per epoch the sample order is reshuffled with a seed derived from
 batch, and at epoch end the callbacks run in the fixed order
 plateau -> early stopping -> checkpoint. Training steps run one sample
 [C, H, W] at a time; inference (validation here, evaluate and predict in
-the pipeline) runs through :func:`infer_tiles`, one ``infer`` per block of
-:func:`tiles_per_block` tiles on the batch-norm fold (``graph.folded()``).
+the pipeline) runs on blocks of :func:`tiles_per_block` tiles on the
+batch-norm fold (:func:`_infer_tiles`).
 
-Both run on every usable core (``parallel``): ``fit`` and each
-``infer_tiles`` call fork one worker per core beyond the caller's own, and
-the caller keeps every step whose order shows in the bytes, so outputs are
-the same at any process count. With one usable core nothing is forked.
+Both run on one pool of worker processes per command (:func:`_workers`),
+which ``fit`` forks once; workers send back losses and statistics, argmax
+planes or confusion counts, and this process combines them in an order that
+gives the same bytes at any process count.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,14 +34,16 @@ from .graph import BatchNorm2d, Dropout, NetworkGraph
 from .optim import apply_step
 from .tensor import SeededRng, mix_seed
 
-__all__ = ["Sample", "History", "fit", "evaluate_samples", "infer_tiles",
-           "tiles_per_block", "BLOCK_BYTES"]
+__all__ = ["Sample", "History", "fit", "evaluate_samples", "tiles_per_block", "BLOCK_BYTES"]
 
 # bytes a block's widest node output may take, so that a block's working set
 # stays near 1 MiB: U-Net base 16 on 8 float32 tiles peaked at 3.3 MiB, and
 # glibc returned that heap after each block and faulted it back in on the
 # next (12x the page faults of one-tile calls); at 2 tiles it faulted none
 BLOCK_BYTES = 256 * 1024
+
+# id(graph) -> the block scorer of the pool open on it, one pass at a time
+_HELD: dict = {}
 
 
 @dataclass(frozen=True)
@@ -104,83 +106,59 @@ def tiles_per_block(graph: NetworkGraph) -> int:
 
 
 def _blocks(graph: NetworkGraph, size: int, tiles):
-    """``(keys, images)`` of each block of ``size`` tiles of ``tiles``, the
-    last what is left, skipping fully ignored tiles."""
-    keys, images = [], []
-    for key, image, ignore in tiles:
-        if ignore is not None and ignore.all():
-            continue
-        if image.shape != graph.input_shape:
-            raise ShapeError(f"input shape {image.shape} != graph input {graph.input_shape}")
-        keys.append(key)
-        images.append(image)
-        if len(images) == size:
-            yield keys, images
-            keys, images = [], []
-    if images:
-        yield keys, images
+    """``(keys, images, labels, ignore)`` per block of ``size`` tiles (the last
+    what is left; labels and masks stacked), read as blocks fill, skipping
+    tiles whose mask ignores every pixel; a missing mask ignores nothing."""
+    tiles = (tile for tile in tiles if tile[3] is None or not tile[3].all())
+    while block := list(islice(tiles, size)):
+        keys, images, labels, masks = map(list, zip(*block))
+        for image in images:
+            if image.shape != graph.input_shape:
+                raise ShapeError(f"input shape {image.shape} != graph input {graph.input_shape}")
+        masks = [np.zeros(image.shape[1:], bool) if m is None else m for m in masks]
+        yield keys, images, None if labels[0] is None else np.stack(labels), np.stack(masks)
 
 
-def infer_tiles(graph: NetworkGraph, tiles):
-    """Yield ``(keys, probs)`` per block of the ``(key, image, ignore)`` of
-    ``tiles``, in order, skipping tiles whose ``ignore`` mask (nonzero =
-    ignored, or None) covers every pixel.
+def _score(graph: NetworkGraph, images: np.ndarray, labels, ignore, want: str):
+    """What a caller keeps of ``graph.infer(images)``: for ``want`` "classes"
+    the argmax planes (u8 [N, H, W]); for "counts" the confusion counts
+    (int64) against ``labels`` where ``ignore`` is 0; for "losses" each
+    tile's loss (NaN where its probabilities are not finite) and the counts."""
+    probs = graph.infer(images)
+    classes = probs.argmax(axis=1)
+    if want == "classes":
+        return classes.astype(np.uint8)
+    cm = M.ConfusionMatrix.zeros(probs.shape[1])
+    counts = M.confusion_update(cm, classes, labels, ignore).counts
+    if want == "counts":
+        return counts
+    losses = [ops.categorical_cross_entropy(p, t, m)[0] if np.isfinite(p).all() else np.nan
+              for p, t, m in zip(probs, labels, ignore)]
+    return losses, counts
 
-    ``probs`` [N, classes, H, W] is one ``infer`` call on the block's images
-    [C, H, W] on ``graph.folded()``, built once per call, read from
-    ``tiles`` only as blocks fill: a tile's probabilities are what
-    ``graph.forward`` gives for it up to the batch-norm fold's rounding
-    (SegNet; a graph without a conv -> batch-norm pair runs as it is). A
-    block holds :func:`tiles_per_block` tiles, the last what is left.
 
-    Once as many blocks have filled as there are usable cores, one worker
-    per core beyond this process's own is forked, with two blocks' room in
-    shared memory each. Blocks go whole to a worker's free room; this
-    process runs the next block itself while the oldest outstanding one is
-    not back (and always when nothing is forked), and yields in order. A
-    block's bytes do not depend on which process ran it. Close the
-    generator when stopping early, which reaps the workers.
+def _infer_tiles(graph: NetworkGraph, tiles, want: str):
+    """Yield ``(keys, scores)`` per block of the ``(key, image, labels,
+    ignore)`` of ``tiles``, in order: what :func:`_score` keeps for ``want``
+    of one ``infer`` call on ``graph.folded()``. Blocks run on the pool open
+    on ``graph`` (``fit``'s), or on one opened once as many blocks have
+    filled as there are usable cores (or all); close the generator when
+    stopping early, which reaps it.
     """
-    graph = graph.folded()
-    size = tiles_per_block(graph)
-    blocks = _blocks(graph, size, tiles)
-    ahead = deque(islice(blocks, parallel.processes()))  # each dropped once taken
-    n = max(0, len(ahead) - 1)
-    if n:
-        ins = parallel.shared_array((n, 2, size, *graph.input_shape), graph.dtype)
-        outs = parallel.shared_array((n, 2, size, *graph.shape_of(graph.output_name)),
-                                     graph.dtype)
+    blocks = _blocks(graph, tiles_per_block(graph), tiles)
+    held = id(graph) in _HELD
+    ahead = deque() if held else deque(islice(blocks, parallel.processes()))
+    taken = (ahead.popleft() for _ in range(len(ahead)))  # so each is dropped once taken
+    with nullcontext() if held else _workers(graph, procs=max(1, len(ahead))):
+        yield from _HELD[id(graph)](chain(taken, blocks), want)
 
-    def serve(room):
-        k, a, m = room
-        outs[k, a, :m] = graph.infer(ins[k, a, :m])
 
-    def take():
-        return ahead.popleft() if ahead else next(blocks, None)
+class _NonFinite(DataError):
+    """The probabilities of sample ``key`` are not finite."""
 
-    with parallel.Workers(n, serve) as pool:
-        rooms = deque((k, a) for a in range(2) for k in range(n))  # the free ones
-        queue = deque()  # (keys, probs run here or None, worker room or None), in order
-        block = take()
-        while block or queue:
-            head_back = queue and (queue[0][2] is None or pool.ready(queue[0][2][0]))
-            if block and rooms:
-                (k, a), (keys, images) = rooms.popleft(), block
-                np.stack(images, out=ins[k, a, :len(keys)], casting="unsafe")
-                pool.send(k, (k, a, len(keys)))
-                queue.append((keys, None, (k, a)))
-            elif block and not head_back and len(queue) <= 4 * n:  # bounds the memory held
-                keys, images = block
-                queue.append((keys, graph.infer(np.stack(images)), None))
-            else:
-                keys, probs, room = queue.popleft()
-                if room:
-                    pool.recv(room[0])
-                    probs = outs[room][: len(keys)].copy()
-                    rooms.append(room)
-                yield keys, probs
-                continue
-            block = take()
+    def __init__(self, key):
+        super().__init__("probabilities do not sum to 1 along the channel axis")
+        self.key = key
 
 
 def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MIoU")):
@@ -188,24 +166,23 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
 
     Returns (val_loss, metrics dict, confusion matrix). Metrics aggregate one
     confusion matrix across every non-ignored pixel of every sample; a
-    sample whose every pixel is ignored counts in neither.
+    sample whose every pixel is ignored counts in neither. A sample whose
+    probabilities are not finite raises a DataError.
     """
     for name in metric_names:
         if name not in M.REPORT_KEYS:
             raise ParameterError(f"unknown metric {name!r}")
-    num_classes = graph.shape_of(graph.output_name)[0]
-    cm = M.ConfusionMatrix.zeros(num_classes)
+    cm = M.ConfusionMatrix.zeros(graph.shape_of(graph.output_name)[0])
     total_loss, n = 0.0, 0
-    with closing(infer_tiles(graph, ((s, s.image, s.ignore) for s in samples))) as blocks:
-        for block, probs in blocks:
-            for s, p in zip(block, probs):
-                loss, _ = ops.categorical_cross_entropy(p, s.labels, s.ignore)
+    tiles = ((i, s.image, s.labels, s.ignore) for i, s in enumerate(samples))
+    with closing(_infer_tiles(graph, tiles, "losses")) as blocks:
+        for keys, (losses, counts) in blocks:
+            for i, loss in zip(keys, losses):
+                if np.isnan(loss):
+                    raise _NonFinite(i)
                 total_loss += loss
                 n += 1
-            ignore = [np.zeros(s.labels.shape, bool) if s.ignore is None else s.ignore
-                      for s in block]
-            M.confusion_update(cm, probs.argmax(axis=1), np.stack([s.labels for s in block]),
-                               np.stack(ignore))
+            cm.counts += counts
     if n == 0:
         raise ParameterError("cannot evaluate without a sample that has an unignored pixel")
     scores = M.report(cm)
@@ -218,21 +195,34 @@ def _diverged(epoch: int, what: str) -> DataError:
 
 
 @contextmanager
-def _sample_steps(graph: NetworkGraph, train_data, seed: int, batch_size: int):
-    """Yield ``run(epoch, batch, grads)``, which trains each sample of
-    ``batch`` in order, adds its gradient into ``grads`` and its statistics
-    into the batch norms' running ones, and returns the samples' losses.
+def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int = 1,
+             procs: int | None = None):
+    """One pool for a command on ``graph``: this process and the workers it
+    forks once, ``procs`` in all (``parallel.processes()``). Yields
+    ``run(epoch, batch, grads)``, which trains the samples of ``batch`` in
+    order, adds their gradients into ``grads`` and statistics into the
+    running ones, and returns their losses. Each worker takes a contiguous
+    run of the batch after this process's own, puts each gradient in a row
+    of shared memory and returns the losses and statistics, added here in
+    sample order. ``flat`` sits in shared memory while the pool is open, so
+    a step here reaches the workers.
 
-    The batch is shared out in contiguous runs, the first to this process
-    and each later one to a worker, which puts each sample's gradient in a
-    row of shared memory and returns its loss and batch-norm statistics.
-    Adding those here in sample order gives the serial loop's bytes. ``flat``
-    sits in shared memory while the block is open, so a step here reaches
-    the workers.
+    While it is open, :func:`_infer_tiles` on ``graph`` runs on it: a block
+    goes to a free one of a worker's two rooms of shared memory, or is scored
+    here while the oldest outstanding one is not back. A pass's first block
+    to a worker carries the running statistics it folds its graph on. A pass
+    stopped early must end the pool's use.
     """
-    logits = graph.logits_name()
     dropout = any(isinstance(node.layer, Dropout) for node in graph.nodes)
     norms = [i for i, node in enumerate(graph.nodes) if isinstance(node.layer, BatchNorm2d)]
+    procs = procs or parallel.processes()
+    ins = parallel.shared_array((procs - 1, 2, tiles_per_block(graph), *graph.input_shape),
+                                graph.dtype)
+    if procs > 1:  # a row for each sample of a full batch that a worker runs
+        rows = parallel.shared_array((batch_size - -(-batch_size // procs), graph.flat.size),
+                                     graph.dtype)
+        graph.place(parallel.shared_array(graph.flat.shape, graph.dtype))
+    fold = None  # in a worker, the fold of the current pass
 
     def step(epoch: int, si: int, grads: np.ndarray):
         s = train_data[si]
@@ -244,10 +234,18 @@ def _sample_steps(graph: NetworkGraph, train_data, seed: int, batch_size: int):
             if np.isfinite(probs).all():
                 raise
             raise _diverged(epoch, f"the loss of training sample {si}") from None
-        graph.backward(cache, {logits: glogits}, grads)
+        graph.backward(cache, {graph.logits_name(): glogits}, grads)
         return loss, [(cache.ctxs[i]["mu"], cache.ctxs[i]["var"]) for i in norms]
 
     def serve(task):  # in a worker
+        nonlocal fold
+        if task[0] == "score":
+            _, room, stats, labels, ignore, want = task
+            if stats is not None:
+                for name, arr in graph.state_arrays().items():
+                    arr[...] = stats[name]
+                fold = graph.folded()
+            return _score(fold, ins[room][: len(ignore)], labels, ignore, want)
         epoch, share = task
         for _, row in share:
             rows[row] = 0
@@ -270,15 +268,37 @@ def _sample_steps(graph: NetworkGraph, train_data, seed: int, batch_size: int):
             grads += rows[row]
         return losses
 
-    procs = parallel.processes(batch_size)
-    if procs > 1:  # a row for each sample of a full batch that a worker runs
-        rows = parallel.shared_array((batch_size - -(-batch_size // procs), graph.flat.size),
-                                     graph.dtype)
-        graph.place(parallel.shared_array(graph.flat.shape, graph.dtype))
+    def scores(blocks, want: str):
+        here, stats, told = graph.folded(), graph.state_arrays(), set()  # told: workers sent stats
+        rooms = deque((k, a) for a in range(2) for k in range(procs - 1))  # the free ones
+        queue = deque()  # (keys, scores run here or None, worker room or None), in order
+        block = next(blocks, None)
+        while block or queue:
+            head_back = queue and (queue[0][2] is None or pool.ready(queue[0][2][0]))
+            if block and rooms:
+                (k, a), (keys, images, labels, ignore) = rooms.popleft(), block
+                np.stack(images, out=ins[k, a, : len(keys)], casting="unsafe")
+                pool.send(k, ("score", (k, a), None if k in told else stats, labels, ignore, want))
+                told.add(k)
+                queue.append((keys, None, (k, a)))
+            elif block and not head_back and len(queue) <= 4 * (procs - 1):  # bounds the memory
+                keys, images, labels, ignore = block
+                queue.append((keys, _score(here, np.stack(images), labels, ignore, want), None))
+            else:
+                keys, result, room = queue.popleft()
+                if room:
+                    result = pool.recv(room[0])
+                    rooms.append(room)
+                yield keys, result
+                continue
+            block = next(blocks, None)
+
     try:
         with parallel.Workers(procs - 1, serve) as pool:
+            _HELD[id(graph)] = scores
             yield run
     finally:
+        _HELD.pop(id(graph), None)
         if procs > 1:
             graph.place()
 
@@ -299,9 +319,6 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
     epoch and samples, in place of numpy's overflow warnings; a loss is
     non-finite where the forward's probabilities are. The monitored
     metric is not checked: MIoU or precision are NaN when a class is absent.
-
-    The samples of a batch run on every usable core (:func:`_sample_steps`);
-    this process alone steps, validates and saves.
     """
     if len(train_data) == 0:
         raise ParameterError("training set is empty")
@@ -313,7 +330,7 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
     saved = np.nan  # the monitor of this run's last checkpoint write
     wait_stop = wait_plateau = 0
 
-    with _sample_steps(graph, train_data, seed, train.batch_size) as run:
+    with _workers(graph, train_data, seed, train.batch_size) as run:
         for epoch in range(train.epochs):
             if train.randomise:
                 order = SeededRng(mix_seed(seed, "epoch", epoch)).permutation(len(train_data))
@@ -334,14 +351,8 @@ def fit(graph: NetworkGraph, train_data, train: TrainSection, seed: int,
             train_loss = epoch_loss / len(order)
             try:
                 val_loss, vals, _ = evaluate_samples(graph, val, train.metrics)
-            except DataError:
-                tiles = ((i, v.image, v.ignore) for i, v in enumerate(val))
-                with closing(infer_tiles(graph, tiles)) as blocks:
-                    bad = next((i for keys, probs in blocks for i, p in zip(keys, probs)
-                                if not np.isfinite(p).all()), None)
-                if bad is None:
-                    raise
-                raise _diverged(epoch, f"the val_loss of validation sample {bad}") from None
+            except _NonFinite as exc:
+                raise _diverged(epoch, f"the val_loss of validation sample {exc.key}") from None
             record = {"epoch": epoch, "lr": optimizer.lr, "train_loss": train_loss,
                       "val_loss": val_loss, **vals}
             monitored = record[train.monitor]

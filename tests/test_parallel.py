@@ -1,13 +1,15 @@
-"""Worker processes: ``fit`` and ``infer_tiles`` give the serial bytes at any
-process count, report a worker's failure as the serial loop would, and leave
-no process or thread behind.
+"""Worker processes: ``fit`` and ``_infer_tiles`` give the serial bytes at any
+process count, fork one pool per call, report a worker's failure as the
+serial loop would, and leave no process or thread behind.
 
 The process count is forced through ``parallel.usable_cores``, the one place
 that reads the affinity mask, so 2 and 3 processes run on any machine.
 """
 
 import errno
+import inspect
 import os
+import pickle
 import signal
 import threading
 import weakref
@@ -15,13 +17,13 @@ import weakref
 import numpy as np
 import pytest
 
-from terraseg import ops, parallel
+from terraseg import errors, ops, parallel
 from terraseg.config import OptimizerConfig, TrainSection
-from terraseg.errors import DataError, TerrasegError
-from terraseg.graph import NetworkGraph
+from terraseg.errors import CheckpointFormatError, DataError, TerrasegError, WktParseError
+from terraseg.graph import BatchNorm2d, Conv2d, NetworkGraph, Softmax
 from terraseg.tensor import SeededRng
 from terraseg.topologies import TopologySpec, build_topology
-from terraseg.training import Sample, fit, infer_tiles
+from terraseg.training import Sample, _infer_tiles, evaluate_samples, fit, tiles_per_block
 
 HW = 16
 NEVER = 1000  # a patience no run reaches
@@ -64,18 +66,27 @@ def samples(n: int, seed: int, channels: int = 2, classes: int = 3) -> list[Samp
 
 
 def graph_of(kind: str, base: int = 4) -> NetworkGraph:
-    spec = TopologySpec(kind=kind, depth=1, base_channels=base, in_channels=2, num_classes=3)
-    graph = build_topology(spec, (HW, HW), seed=3)
+    """A topology, or "norm-input": a batch norm on the input, which the
+    batch-norm fold keeps, so that inference reads its running statistics."""
+    if kind == "norm-input":
+        graph = NetworkGraph((2, HW, HW))
+        graph.add("norm", BatchNorm2d(2), ["input"])
+        graph.add("conv", Conv2d(2, 3, 3, 1, 1, rng=SeededRng(3)))
+        graph.add("probs", Softmax())
+    else:
+        spec = TopologySpec(kind=kind, depth=1, base_channels=base, in_channels=2,
+                            num_classes=3)
+        graph = build_topology(spec, (HW, HW), seed=3)
     graph.set_dtype(np.float32)
     return graph
 
 
-def trained(kind, optimizer, batch, ckpt, train_data, val_data):
+def trained(kind, optimizer, batch, ckpt, train_data, val_data, epochs=2, base=4):
     """The bytes of everything ``fit`` leaves: parameters, running
     statistics, history and checkpoint."""
-    graph = graph_of(kind)
-    train = TrainSection(optimizer=optimizer, epochs=2, batch_size=batch, checkpoint=str(ckpt),
-                         early_stop_patience=NEVER, plateau_patience=1)
+    graph = graph_of(kind, base)
+    train = TrainSection(optimizer=optimizer, epochs=epochs, batch_size=batch,
+                         checkpoint=str(ckpt), early_stop_patience=NEVER, plateau_patience=1)
     history = fit(graph, train_data, train, 5, val_data)
     stats = b"".join(a.tobytes() for a in graph.state_arrays().values())
     return graph.flat.tobytes(), stats, history.to_json(), ckpt.read_bytes()
@@ -86,12 +97,12 @@ class TestFit:
     @pytest.mark.parametrize("optimizer", [OptimizerConfig("sgd", 0.05),
                                            OptimizerConfig("adam", 0.01)],
                              ids=["sgd", "adam"])
-    @pytest.mark.parametrize("kind", ["unet", "segnet", "resunet"])
+    @pytest.mark.parametrize("kind", ["unet", "segnet", "resunet", "norm-input"])
     def test_every_process_count_gives_the_same_bytes(self, tmp_path, cores, kind,
                                                       optimizer, batch):
         # 7 samples: at batch 3 the last batch holds 1, fewer than the
         # processes; at batch 8 the only batch is short. 40 validation tiles
-        # make several blocks, so validation forks too
+        # make several blocks, so validation runs on the workers too
         train_data, val_data = samples(7, 1), samples(40, 2)
         runs = []
         for procs in (1, 2, 3):
@@ -179,6 +190,110 @@ class TestFit:
         assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+def tiles_of(tiles):
+    return ((i, s.image, s.labels, s.ignore) for i, s in enumerate(tiles))
+
+
+def counting_forks(monkeypatch) -> list:
+    """The pids that ``os.fork`` returns in this process from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+class TestOnePool:
+    @needs_workers
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_a_call_forks_once_per_worker(self, tmp_path, cores, monkeypatch, procs):
+        # 150 validation tiles make several blocks a pass; fit used to fork
+        # again for each epoch's validation
+        cores(procs)
+        forks = counting_forks(monkeypatch)
+        val = samples(150, 2)
+        for epochs in (1, 4):
+            trained("segnet", OptimizerConfig("sgd", 0.05), 3, tmp_path / "m.ckpt",
+                    samples(7, 1), val, epochs, base=8)
+            assert len(forks) == procs - 1
+            forks.clear()
+        graph = graph_of("segnet", base=8)
+        assert -(-len(val) // tiles_per_block(graph)) >= procs
+        evaluate_samples(graph, val)  # as evaluate scores
+        assert len(forks) == procs - 1
+        forks.clear()
+        for _ in _infer_tiles(graph, tiles_of(val), "classes"):  # as predict scores
+            pass
+        assert len(forks) == procs - 1
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_a_non_finite_val_loss_takes_one_inference_pass(self, tmp_path, cores, monkeypatch,
+                                                            procs):
+        # the bad tile is in the last block, so the pass scores every block
+        # once; finding the tile by a second pass would score them again
+        cores(procs)
+        calls = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        infer = NetworkGraph.infer
+
+        def counted(graph, x):  # in any process
+            os.write(calls, b".")
+            return infer(graph, x)
+
+        monkeypatch.setattr(NetworkGraph, "infer", counted)
+        val = samples(150, 2)
+        val[149] = Sample(np.full((2, HW, HW), np.nan, np.float32), val[149].labels,
+                          val[149].ignore)
+        try:
+            with pytest.raises(DataError) as err:
+                trained("segnet", OptimizerConfig("sgd", 0.05), 3, tmp_path / "m.ckpt",
+                        samples(7, 1), val, base=8)
+        finally:
+            os.close(calls)
+        assert str(err.value) == ("training diverged at epoch 0: the val_loss of validation "
+                                  "sample 149 is not finite")
+        blocks = -(-len(val) // tiles_per_block(graph_of("segnet", base=8)))
+        assert blocks >= 4 and (tmp_path / "calls").stat().st_size == blocks
+        assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestErrors:
+    def every_error(self):
+        for cls in vars(errors).values():
+            if inspect.isclass(cls) and issubclass(cls, TerrasegError):
+                offset = "offset" in inspect.signature(cls.__init__).parameters
+                yield cls("a message", 17) if offset else cls("a message")
+
+    def test_every_error_pickles_whole(self):
+        errs = list(self.every_error())
+        assert {WktParseError, CheckpointFormatError} <= {type(e) for e in errs}
+        for err in errs:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(err, protocol))
+                assert type(back) is type(err) and str(back) == str(err)
+                assert back.category == err.category
+                assert getattr(back, "offset", None) == getattr(err, "offset", None)
+
+    @needs_workers
+    @pytest.mark.parametrize("error", [WktParseError("ring not closed", 12),
+                                       CheckpointFormatError("truncated array", 40)],
+                             ids=["wkt", "checkpoint"])
+    def test_a_worker_error_is_raised_here_as_raised_there(self, cores, error):
+        def serve(task):
+            raise error
+
+        with parallel.Workers(1, serve) as pool:
+            pool.send(0, "a task")
+            with pytest.raises(type(error)) as err:
+                pool.recv(0)
+        assert str(err.value) == str(error) and err.value.offset == error.offset
+        assert err.value.category == "data"
+
+
 class TestInferTiles:
     @pytest.mark.parametrize("kind", ["segnet", "unet"])
     def test_every_process_count_gives_the_same_blocks(self, cores, kind):
@@ -191,12 +306,17 @@ class TestInferTiles:
         for procs in (1, 2, 3):
             cores(procs)
             threads = threading.active_count()
-            blocks = list(infer_tiles(graph, ((i, s.image, s.ignore)
-                                              for i, s in enumerate(tiles))))
+            run = {}
+            for want in ("classes", "counts", "losses"):
+                blocks = list(_infer_tiles(graph, tiles_of(tiles), want))
+                run[want] = ([keys for keys, _ in blocks],
+                             b"".join(np.asarray(part).tobytes() for _, scores in blocks
+                                      for part in (scores if want == "losses" else [scores])))
             nothing_left(threads)
-            runs.append(([keys for keys, _ in blocks],
-                         b"".join(probs.tobytes() for _, probs in blocks)))
-        assert len(runs[0][0]) >= 4 and 7 not in sum(runs[0][0], [])
+            runs.append(run)
+        keys = runs[0]["classes"][0]
+        assert len(keys) >= 4 and 7 not in sum(keys, [])
+        assert all(run[want][0] == keys for run in runs for want in run)
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize("procs", [1, 2])
@@ -210,10 +330,10 @@ class TestInferTiles:
             for _ in range(3):
                 week = SeededRng(len(weeks)).uniform(-1, 1, (64, 2, HW, HW)).astype(np.float32)
                 weeks.append(weakref.ref(week))
-                yield from ((len(weeks), image, None) for image in week)
+                yield from ((len(weeks), image, None, None) for image in week)
 
         graph = graph_of("segnet", base=8)  # 32 tiles a block, 2 a week
-        for i, _ in enumerate(infer_tiles(graph, tiles())):
+        for i, _ in enumerate(_infer_tiles(graph, tiles(), "classes")):
             if i == 4:  # the first block of the last week
                 assert weeks[0]() is None
 
@@ -221,8 +341,7 @@ class TestInferTiles:
     def test_closing_early_reaps_the_workers(self, cores):
         cores(3)
         threads = threading.active_count()
-        blocks = infer_tiles(graph_of("segnet", base=8),
-                             ((i, s.image, None) for i, s in enumerate(samples(150, 3))))
+        blocks = _infer_tiles(graph_of("segnet", base=8), tiles_of(samples(150, 3)), "counts")
         next(blocks)
         blocks.close()
         nothing_left(threads)
@@ -233,7 +352,7 @@ class TestInferTiles:
         main, infer = os.getpid(), NetworkGraph.infer
         monkeypatch.setattr(NetworkGraph, "infer",
                             lambda g, x: os._exit(9) if os.getpid() != main else infer(g, x))
-        tiles = ((i, s.image, None) for i, s in enumerate(samples(150, 3)))
         with pytest.raises(TerrasegError, match="exit code 9"):
-            for _ in infer_tiles(graph_of("segnet", base=8), tiles):
+            for _ in _infer_tiles(graph_of("segnet", base=8), tiles_of(samples(150, 3)),
+                                  "classes"):
                 pass

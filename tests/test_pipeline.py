@@ -1441,6 +1441,7 @@ class TestWorkers:
                         reason="the loaded BLAS's thread count cannot be set")
     @pytest.mark.parametrize("command, owner, name", [
         ("train", ops, "categorical_cross_entropy"),  # a training worker, mid-batch
+        ("train", NetworkGraph, "infer"),  # a worker scoring a validation block
         ("evaluate", NetworkGraph, "infer")])
     def test_a_worker_that_dies_exits_4_in_one_line(self, tmp_path, capsys, monkeypatch,
                                                     command, owner, name):

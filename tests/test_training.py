@@ -18,9 +18,9 @@ from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import (
     Sample,
     _improved,
+    _infer_tiles,
     evaluate_samples,
     fit,
-    infer_tiles,
     monitor_mode,
     tiles_per_block,
 )
@@ -328,14 +328,15 @@ class TestEvaluateSamples:
         g = build_topology(spec, (32, 32), seed=1)
         g.set_dtype(np.float32)
         assert tiles_per_block(g) == tiles_per_block(g.folded()) == block
-        # on the class, as infer_tiles calls infer on g.folded() (SegNet's is a new graph),
+        # on the class, as _infer_tiles calls infer on g.folded() (SegNet's is a new graph),
         # and in this process alone, which a worker's calls would not reach
         monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
         sizes, infer = [], NetworkGraph.infer
         monkeypatch.setattr(NetworkGraph, "infer",
                             lambda self, x: sizes.append(len(x)) or infer(self, x))
         images = np.zeros((11, 4, 32, 32), np.float32)
-        got = [k for k, _ in infer_tiles(g, ((i, image, None) for i, image in enumerate(images)))]
+        tiles = ((i, image, None, None) for i, image in enumerate(images))
+        got = [k for k, _ in _infer_tiles(g, tiles, "classes")]
         assert got == [list(range(i, min(i + block, 11))) for i in range(0, 11, block)]
         assert sizes == [len(keys) for keys in got]
 
@@ -354,13 +355,26 @@ class TestEvaluateSamples:
         block = tiles_per_block(g)
         want = np.concatenate([folded.infer(images[i : i + block])
                                for i in range(0, len(images), block)])
-        got = np.concatenate([p for _, p in infer_tiles(g, ((i, im, None)
-                                                            for i, im in enumerate(images)))])
-        assert got.tobytes() == want.tobytes()
-        for probs, image in zip(got, images):
+        labels = SeededRng(4).integers(0, 4, (5, 32, 32)).astype(np.uint8)
+        ignore = (SeededRng(5).uniform(0, 1, (5, 32, 32)) < 0.2).astype(np.uint8)
+
+        def scores(what):
+            tiles = zip(range(5), images, labels, ignore)
+            return [s for _, s in _infer_tiles(g, tiles, what)]
+
+        planes = np.concatenate(scores("classes"))
+        assert planes.dtype == np.uint8
+        assert np.array_equal(planes, want.argmax(axis=1))
+        cm = M.confusion_update(M.ConfusionMatrix.zeros(4), want.argmax(axis=1), labels, ignore)
+        assert np.array_equal(sum(scores("counts")), cm.counts)
+        losses, counts = zip(*scores("losses"))
+        assert np.array_equal(sum(counts), cm.counts)
+        assert sum(losses, []) == [ops.categorical_cross_entropy(p, t, m)[0]
+                                   for p, t, m in zip(want, labels, ignore)]
+        for probs, plane, image in zip(want, planes, images):
             ref, _ = g.forward(image)
             assert np.allclose(probs, ref, rtol=0, atol=1e-6)
-            assert np.array_equal(probs.argmax(axis=0), ref.argmax(axis=0))
+            assert np.array_equal(plane, ref.argmax(axis=0))
 
     def test_blocks_give_the_per_tile_loop_bits(self):
         # dyadic operands with short mantissas keep every conv sum exact, so
