@@ -24,16 +24,14 @@ decision.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 import zlib
 
 import numpy as np
 
-from .errors import CheckpointFormatError, DataError, TerrasegError, read_input
+from .errors import CheckpointFormatError, TerrasegError, read_input, write_output
 from .graph import NetworkGraph
 
 __all__ = ["checkpoint_save", "checkpoint_load"]
@@ -84,21 +82,9 @@ class _Reader:
 
 
 def checkpoint_save(graph: NetworkGraph, path: str, monitor_value: float | None = None) -> None:
-    """Write the graph to ``path`` through a ``.tmp`` file and ``os.replace``.
-
-    An OSError (the path is a directory, its parent a regular file, the disk
-    is full) becomes one DataError naming the path, and leaves no ``.tmp``.
-    """
-    blob = _encode(graph, monitor_value)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise DataError(f"checkpoint {path}: {exc.strerror}") from None
+    """Write the graph to ``path`` whole or not at all (`write_output`): a
+    failed write raises one DataError ``checkpoint <path>: <why>``."""
+    write_output(path, _encode(graph, monitor_value), "checkpoint")
 
 
 def _header(r: _Reader) -> float:

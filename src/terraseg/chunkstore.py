@@ -38,8 +38,9 @@ chunk trailer) and must be re-ingested.
 
 Writers take an advisory lock file (``.lock``, O_EXCL) per array for the
 duration of a write. It holds the writer's pid, so a held lock is reported
-with its pid and whether that process still runs. Each chunk is written to
-a temp name and renamed into place, so a chunk replace is one atomic rename.
+with its pid and whether that process still runs. Every store file is
+written by `write_output`, through a ``tmp-`` sibling renamed into place, so
+a chunk replace is one atomic rename and a leftover never looks like a chunk.
 Nothing in the store depends on time or randomness: two identical ingest
 runs produce byte-identical trees.
 """
@@ -47,7 +48,6 @@ runs produce byte-identical trees.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import re
 import shutil
@@ -63,6 +63,9 @@ from .errors import (
     StoreConflictError,
     StoreLockError,
     StoreNotFoundError,
+    read_json,
+    to_json,
+    write_output,
 )
 from .georaster import DTYPE_CODES
 
@@ -93,19 +96,6 @@ def _split(path: str) -> list[str]:
     return parts
 
 
-def _read_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 class Store:
     """Root handle. Opening a path creates the root group when absent; a
     path that is, or lies under, a regular file raises StoreConflictError."""
@@ -118,7 +108,7 @@ class Store:
                 if self.root.exists() and any(self.root.iterdir()):
                     raise StoreConflictError(f"{self.root} exists and is not a store")
                 self.root.mkdir(parents=True, exist_ok=True)
-                _write_json_atomic(meta, _GROUP)
+                write_output(meta, to_json(_GROUP), "store metadata")
         except OSError as exc:
             raise StoreConflictError(f"store {self.root}: {exc.strerror}") from None
 
@@ -142,7 +132,7 @@ class Store:
                 )
             if not (d / GROUP_META).exists():
                 d.mkdir(parents=True, exist_ok=True)
-                _write_json_atomic(d / GROUP_META, _GROUP)
+                write_output(d / GROUP_META, to_json(_GROUP), "store metadata")
 
     def create_array(self, path: str, shape, chunks, dtype: str,
                      attributes: dict | None = None) -> "StoredArray":
@@ -175,7 +165,7 @@ class Store:
             "dtype": dtype,
             "attributes": attributes or {},
         }
-        _write_json_atomic(d / ARRAY_META, meta)
+        write_output(d / ARRAY_META, to_json(meta), "store metadata")
         return StoredArray(self, "/".join(parts))
 
     def array(self, path: str) -> "StoredArray":
@@ -204,8 +194,7 @@ class Store:
 
         def walk(d: Path, rel: str) -> None:
             if (d / ARRAY_META).exists():
-                meta = _read_json(d / ARRAY_META)
-                out.append((rel, "array", tuple(meta["shape"])))
+                out.append((rel, "array", StoredArray(self, rel).shape))
                 return
             out.append((rel, "group", None))
             for child in sorted(p.name for p in d.iterdir() if p.is_dir()):
@@ -265,17 +254,21 @@ class StoredArray:
     def __init__(self, store: Store, path: str):
         self.path = path
         self.dir = store._dir(path)
-        try:
-            meta = _read_json(self.dir / ARRAY_META)
-        except FileNotFoundError:
-            raise StoreNotFoundError(f"no array at {path!r}") from None
-        if meta.get("format") != FORMAT:
+        file = self.dir / ARRAY_META
+        if not file.exists():
+            raise StoreNotFoundError(f"no array at {path!r}")
+        meta = read_json(file, f"array {path!r} metadata", IntegrityError)
+        if not isinstance(meta, dict) or meta.get("format") != FORMAT:
             raise IntegrityError(
                 f"array {path!r} predates store format {FORMAT}; re-ingest the store")
-        self.shape: tuple[int, ...] = tuple(meta["shape"])
-        self.attributes: dict = meta["attributes"]
-        self._chunks = tuple(meta["chunks"])
-        self._dtype = DTYPE_CODES[meta["dtype"]]
+        try:
+            self.shape: tuple[int, ...] = tuple(int(n) for n in meta["shape"])
+            self.attributes: dict = dict(meta["attributes"])
+            self._chunks = tuple(int(n) for n in meta["chunks"])
+            self._dtype = DTYPE_CODES[meta["dtype"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(f"array {path!r} metadata {file} is malformed: "
+                                 f"{type(exc).__name__}: {exc}") from None
 
     def _check_region(self, offsets, extents) -> tuple[tuple[int, ...], tuple[int, ...]]:
         offsets = tuple(int(o) for o in offsets)
@@ -358,9 +351,7 @@ class StoredArray:
                 block = data[in_region]
                 if block.shape != self._chunks:  # an edge chunk
                     block = np.pad(block, [(0, c - n) for c, n in zip(self._chunks, block.shape)])
-                tmp = self.dir / ("tmp-c." + key)
-                tmp.write_bytes(self._encode(key, block))
-                os.replace(tmp, self.dir / ("c." + key))
+                write_output(self.dir / ("c." + key), self._encode(key, block), "store chunk")
 
     def read_region(self, offsets, extents) -> np.ndarray:
         offsets, extents = self._check_region(offsets, extents)

@@ -8,7 +8,7 @@
     terraseg query    --config cfg.yaml [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 anything else.
-Set TERRASEG_LOG=info (or debug) for progress logging on stderr.
+Set TERRASEG_LOG=info (or debug, with tracebacks) for logging on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 from . import pipeline
 from .config import PipelineConfig, parse_config
-from .errors import ConfigError, TerrasegError, exit_code_for, read_input
+from .errors import ConfigError, TerrasegError, exit_code_for, read_input, write_output
 
 log = logging.getLogger("terraseg")
 
@@ -105,7 +105,7 @@ def _dispatch(args) -> int:
         out = pipeline._output_path("query.txt", args.out, "query") if args.out != "." else None
         print(url)
         if out is not None:
-            out.write_text(url + "\n", encoding="utf-8")
+            write_output(out, url + "\n", "query")
     return 0
 
 
@@ -117,8 +117,8 @@ def main(argv=None) -> int:
     except TerrasegError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except Exception as exc:  # pragma: no cover - a safety net for the CLI
-        log.exception("unexpected failure")
+    except Exception as exc:  # a safety net for the CLI
+        log.debug("unexpected failure", exc_info=True)
         print(f"error[runtime]: {exc}", file=sys.stderr)
         return 4
 

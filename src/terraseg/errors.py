@@ -1,9 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its file I/O.
 
 Every error carries a machine-parsable ``category`` that the CLI maps to an
-exit code: "config" -> 2, "data" -> 3, anything else -> 4. `read_input`
-reads an input file, so that one it cannot read is one of these errors too.
+exit code: "config" -> 2, "data" -> 3, anything else -> 4. The package reads
+files through `read_input` and `read_json` and writes them, whole or not at
+all, through `write_output`, so a file it cannot read, parse or write is one
+of these errors naming it. `to_json` is the one form of every JSON output.
 """
+
+import contextlib
+import json
+import os
 
 
 class TerrasegError(Exception):
@@ -96,3 +102,35 @@ def read_input(path, what: str, error: type[TerrasegError] = DataError) -> bytes
     except OSError as exc:
         why = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         raise error(f"{what} {path}: {why}") from None
+
+
+def read_json(path, what: str, error: type[TerrasegError] = DataError):
+    """The JSON document in input file ``path``, read as `read_input` reads
+    it; one that does not parse raises one ``error`` naming the path."""
+    raw = read_input(path, what, error)
+    try:
+        return json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are no Unicode
+        raise error(f"{what} {path}: not valid JSON: {exc}") from None
+
+
+def to_json(obj) -> str:
+    """``obj`` as JSON text: sorted keys, 2-space indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_output(path, data: bytes | str, what: str) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path`` whole or not at all:
+    through a ``tmp-<name>`` sibling and one ``os.replace``. An OSError (the
+    path is a directory, the disk is full) removes the sibling and becomes
+    one DataError naming ``what`` and the path."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, "tmp-" + name)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise DataError(f"{what} {path}: {exc.strerror or exc}") from None

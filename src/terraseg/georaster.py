@@ -21,12 +21,12 @@ own; ``mosaic`` transposes the blocks back and crops the padding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError, read_input
+from .errors import DataError, ParameterError, ShapeError, read_input, read_json
+from .errors import to_json, write_output
 from .wkt import WktGeometry
 
 __all__ = [
@@ -334,38 +334,30 @@ def _sidecar(raster: GeoRaster) -> dict:
     }
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def write_raster(raster: GeoRaster, basepath: str) -> None:
     """Write <base>.bin (plane-major, little-endian) and <base>.json."""
-    code = dtype_code(raster.data.dtype)
-    with open(basepath + ".bin", "wb") as fh:
-        fh.write(np.ascontiguousarray(raster.data, dtype=DTYPE_CODES[code]).tobytes())
-    _write_json(basepath + ".json", _sidecar(raster))
+    payload = np.ascontiguousarray(raster.data, dtype=DTYPE_CODES[dtype_code(raster.data.dtype)])
+    write_output(basepath + ".bin", payload.tobytes(), "raster payload")
+    write_output(basepath + ".json", to_json(_sidecar(raster)), "raster sidecar")
 
 
 def read_raster(basepath: str) -> GeoRaster:
+    sidecar = basepath + ".json"
+    meta = read_json(sidecar, "raster sidecar")
     try:
-        meta = json.loads(read_input(basepath + ".json", "raster sidecar"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"bad raster sidecar {basepath}.json: {e}") from None
-    for key in ("width", "height", "channels", "dtype", "geotransform", "crs", "nodata"):
-        if key not in meta:
-            raise DataError(f"raster sidecar {basepath}.json lacks {key!r}")
-    if meta["dtype"] not in DTYPE_CODES:
-        raise DataError(f"raster sidecar has unknown dtype {meta['dtype']!r}")
-    dt = DTYPE_CODES[meta["dtype"]]
-    w, h, c = int(meta["width"]), int(meta["height"]), int(meta["channels"])
+        dt = DTYPE_CODES[meta["dtype"]]
+        w, h, c = int(meta["width"]), int(meta["height"]), int(meta["channels"])
+        gt, nodata = tuple(float(v) for v in meta["geotransform"]), float(meta["nodata"])
+        crs = meta["crs"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"raster sidecar {sidecar} is malformed: "
+                        f"{type(exc).__name__}: {exc}") from None
     raw = read_input(basepath + ".bin", "raster payload")
     expect = w * h * c * dt.itemsize
     if len(raw) != expect:
-        raise DataError(f"raster payload is {len(raw)} bytes, expected {expect}")
+        raise DataError(f"raster payload {basepath}.bin is {len(raw)} bytes, expected {expect}")
     data = np.frombuffer(raw, dtype=dt).reshape(c, h, w).copy()
-    return GeoRaster(data, tuple(meta["geotransform"]), meta["crs"], float(meta["nodata"]))
+    return GeoRaster(data, gt, crs, nodata)
 
 
 def write_pgm(raster: GeoRaster, basepath: str) -> None:
@@ -377,10 +369,10 @@ def write_pgm(raster: GeoRaster, basepath: str) -> None:
         if plane.min() < 0 or plane.max() > 255:
             raise DataError("mask values do not fit 8 bits")
         plane = plane.astype(np.uint8)
-    with open(basepath + ".pgm", "wb") as fh:
-        fh.write(f"P5\n{raster.width} {raster.height}\n255\n".encode())
-        fh.write(plane.tobytes())
-    _write_json(basepath + ".json", _sidecar(raster) | {"dtype": "u8"})
+    header = f"P5\n{raster.width} {raster.height}\n255\n".encode()
+    write_output(basepath + ".pgm", header + plane.tobytes(), "mask")
+    write_output(basepath + ".json", to_json(_sidecar(raster) | {"dtype": "u8"}),
+                 "raster sidecar")
 
 
 _PALETTE = [
@@ -400,6 +392,5 @@ def write_ppm(raster: GeoRaster, basepath: str) -> None:
         if value == 255:
             continue
         rgb[plane == value] = _PALETTE[int(value) % len(_PALETTE)]
-    with open(basepath + ".ppm", "wb") as fh:
-        fh.write(f"P6\n{raster.width} {raster.height}\n255\n".encode())
-        fh.write(rgb.tobytes())
+    header = f"P6\n{raster.width} {raster.height}\n255\n".encode()
+    write_output(basepath + ".ppm", header + rgb.tobytes(), "mask preview")

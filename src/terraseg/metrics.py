@@ -11,12 +11,11 @@ are excluded from macro averages.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError, UndefinedMetricError
+from .errors import DataError, ShapeError, UndefinedMetricError, to_json
 
 __all__ = [
     "ConfusionMatrix",
@@ -175,4 +174,4 @@ def render_report(values: dict[str, float]) -> str:
 
 
 def report_json(values: dict[str, float]) -> str:
-    return json.dumps({k: values[k] for k in REPORT_KEYS}, sort_keys=True, indent=2) + "\n"
+    return to_json({k: values[k] for k in REPORT_KEYS})

@@ -50,7 +50,8 @@ from .datasplit import (
     presence_labels,
     stratified_kfold_partition,
 )
-from .errors import ConfigError, DataError, StoreNotFoundError, WktParseError, read_input
+from .errors import ConfigError, DataError, StoreNotFoundError, WktParseError, read_json
+from .errors import write_output
 from .georaster import (
     GeoRaster,
     TileGrid,
@@ -122,25 +123,23 @@ def _txt_json(base: Path) -> list[Path]:
 
 
 def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
-    try:
-        doc = json.loads(read_input(path, "label file"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"label file {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "label file")
     if not isinstance(doc, list):
         raise DataError(f"label file {path} must hold a JSON list")
     remap = dict(class_map) if class_map is not None else None
     shapes = []
     for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or "class" not in entry or "wkt" not in entry:
-            raise DataError(f"label entry {i} needs 'class' and 'wkt' keys")
+        if not (isinstance(entry, dict) and "class" in entry
+                and isinstance(entry.get("wkt"), str)):
+            raise DataError(f"label file {path}: entry {i} needs a 'class' and a 'wkt' string")
         code = entry["class"]
-        if isinstance(code, bool):  # an int to isinstance, and a key equal to 0 or 1
+        if isinstance(code, bool) or not isinstance(code, int):  # True is an int too
             raise DataError(f"label entry {i}: class {json.dumps(code)} is not an integer")
         if remap is not None:
             if code not in remap:
                 raise DataError(f"label entry {i}: class code {code} not in class_map")
             code = remap[code]
-        if not isinstance(code, int) or not 0 <= code < num_classes:
+        if not 0 <= code < num_classes:
             raise DataError(
                 f"label entry {i}: class index {code} outside [0, {num_classes})"
             )
@@ -385,8 +384,8 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
                            seed=mix_seed(config.seed, "init"))
     graph.set_dtype(ENGINE_DTYPE)
     history = fit(graph, train_samples, t, config.seed, val_samples or None)
-    base.with_suffix(".txt").write_text(history.table(), encoding="utf-8")
-    base.with_suffix(".json").write_text(history.to_json(), encoding="utf-8")
+    write_output(base.with_suffix(".txt"), history.table(), "history")
+    write_output(base.with_suffix(".json"), history.to_json(), "history")
     log.info("trained %d epochs on %d samples", len(history.records),
              len(train_samples))
     return history
@@ -433,8 +432,8 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
         for _, counts in blocks:
             cm.counts += counts
     values = report(cm)
-    base.with_suffix(".txt").write_text(render_report(values), encoding="utf-8")
-    base.with_suffix(".json").write_text(report_json(values), encoding="utf-8")
+    write_output(base.with_suffix(".txt"), render_report(values), "report")
+    write_output(base.with_suffix(".json"), report_json(values), "report")
     return values
 
 

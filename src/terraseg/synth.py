@@ -7,10 +7,9 @@ which keeps end-to-end runs cheap.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
+from .errors import to_json
 from .tensor import SeededRng, mix_seed
 from .wkt import WktGeometry, to_wkt
 
@@ -90,10 +89,7 @@ def scene_label_shapes(height: int, width: int, num_classes: int, block: int,
 
 def shapes_to_json(shapes) -> str:
     """Label shapes as a JSON list of {"class": int, "wkt": str}."""
-    return json.dumps(
-        [{"class": int(cls), "wkt": to_wkt(geom)} for cls, geom in shapes],
-        indent=2,
-    ) + "\n"
+    return to_json([{"class": int(cls), "wkt": to_wkt(geom)} for cls, geom in shapes])
 
 
 def make_scl(height: int, width: int, cloud_rows: int = 4, cloud_cols: int = 4,

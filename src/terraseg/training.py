@@ -17,7 +17,6 @@ gives the same bytes at any process count.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from . import metrics as M
 from . import ops, parallel
 from .checkpoint import checkpoint_save
 from .config import TrainSection
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, to_json
 from .graph import BatchNorm2d, Dropout, NetworkGraph
 from .optim import apply_step
 from .tensor import SeededRng, mix_seed
@@ -75,10 +74,7 @@ class History:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"records": self.records, "stopped_early": self.stopped_early},
-            sort_keys=True, indent=2,
-        ) + "\n"
+        return to_json({"records": self.records, "stopped_early": self.stopped_early})
 
 
 def _cell(v) -> str:

@@ -351,7 +351,7 @@ class TestCorruption:
         target.mkdir()
         with pytest.raises(DataError, match=f"^checkpoint {target}: Is a directory$"):
             checkpoint_save(small_graph(), str(target), monitor_value=0.5)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]  # no .tmp left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]  # no tmp- sibling left
 
     def test_saving_under_a_regular_file_is_a_data_error(self, tmp_path):
         (tmp_path / "file").write_bytes(b"")

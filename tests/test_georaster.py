@@ -4,6 +4,7 @@ and the flat-binary and PNM file formats."""
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -345,7 +346,7 @@ class TestRasterIO:
         base = str(tmp_path / "scene")
         with open(base + ".json", "w") as fh:
             fh.write("{not json")
-        with pytest.raises(DataError, match="bad raster sidecar"):
+        with pytest.raises(DataError, match=f"^raster sidecar {re.escape(base)}.json: not valid JSON: "):
             read_raster(base)
 
 

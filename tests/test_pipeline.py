@@ -8,8 +8,11 @@ the training steps cheap.
 
 import collections
 import dataclasses
+import errno
 import json
 import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -1013,6 +1016,120 @@ class TestCli:
         assert err == f"error[data]: {what} {out / name}: is a directory\n"
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before and not ckpt.exists()
+
+    @pytest.mark.parametrize("command, what, target", [
+        ("ingest", "store chunk", f"store/{IMAGE_ARRAY}/c.0.0.0.0.0.0"),
+        ("ingest", "store metadata", f"store/{IMAGE_ARRAY}/.array.json"),
+        ("train", "checkpoint", "run/model.ckpt"),
+        ("train", "history", "run/history.txt"),
+        ("evaluate", "report", "run/report.json"),
+        ("predict", "mask", "run/prediction.pgm"),
+        ("predict", "mask preview", "run/prediction_preview.ppm"),
+        ("query", "query", "run/query.txt"),
+    ])
+    def test_a_failed_write_exits_3_naming_the_file_and_leaves_no_tmp(
+            self, tmp_path, capsys, monkeypatch, command, what, target):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path, train={"history": "history"},
+                                predict={"out": "prediction", "preview": True})
+        model = tmp_path / "model.ckpt"
+        if command != "ingest":
+            assert main(["ingest", "--config", cfg]) == 0
+            checkpoint_save(build_topology(make_config(tmp_path).train.topology,
+                                           input_hw=(TILE, TILE)), str(model))
+        capsys.readouterr()
+        path = tmp_path / target
+        replace = os.replace
+
+        def full_disk(src, dst):
+            if os.fspath(dst) == str(path):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        extra = [] if command == "ingest" else ["--out", str(tmp_path / "run")]
+        if command in ("evaluate", "predict"):
+            extra += ["--checkpoint", str(model)]
+        assert main([command, "--config", cfg, *extra]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {what} {path}: No space left on device\n")
+        assert not path.exists() and not list(tmp_path.rglob("tmp-*"))
+
+    def test_ingest_past_the_file_size_limit_exits_3_naming_the_chunk(self, tmp_path):
+        # the kernel refuses a write past RLIMIT_FSIZE with EFBIG (CPython
+        # ignores SIGXFSZ); 4 KiB holds the store's metadata but no image chunk
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        script = ("import resource, sys; from terraseg.cli import main; "
+                  "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY)); "
+                  f"sys.exit(main(['ingest', '--config', {cfg!r}]))")
+        done = self.run_python(script)
+        chunk = tmp_path / "store" / IMAGE_ARRAY / "c.0.0.0.0.0.0"
+        assert (done.returncode, done.stderr) == (
+            3, f"error[data]: store chunk {chunk}: File too large\n")
+        assert not list(tmp_path.rglob("tmp-*"))
+
+    @pytest.mark.parametrize("command, doc, edit, fragment", [
+        ("ingest", "labels.json", lambda d: d[1].update(wkt=5),
+         ": entry 1 needs a 'class' and a 'wkt' string"),
+        ("ingest", "image.json", lambda d: d.update(width="abc"),
+         " is malformed: ValueError: invalid literal for int()"),
+        ("ingest", "image.json", lambda d: d.update(geotransform=5),
+         " is malformed: TypeError: 'int' object is not iterable"),
+        ("train", f"store/{IMAGE_ARRAY}/.array.json", lambda d: d.pop("shape"),
+         " is malformed: KeyError: 'shape'"),
+        ("train", f"store/{IMAGE_ARRAY}/.array.json", lambda d: d.update(dtype="f16"),
+         " is malformed: KeyError: 'f16'"),
+        ("train", f"store/{IMAGE_ARRAY}/.array.json", None,
+         ": not valid JSON: Unterminated string"),
+    ], ids=["wkt not a string", "width not a number", "geotransform not a list",
+            "no shape", "unknown dtype", "truncated"])
+    def test_a_json_input_that_does_not_parse_or_fit_exits_3_naming_it(
+            self, tmp_path, capsys, command, doc, edit, fragment):
+        # before, each exited 4 with a traceback and a message naming no file
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        if command == "train":
+            assert main(["ingest", "--config", cfg]) == 0
+        path = tmp_path / doc
+        text = path.read_text(encoding="utf-8")
+        if edit is None:
+            text = text[:40]  # cut inside a string
+        else:
+            value = json.loads(text)
+            edit(value)
+            text = json.dumps(value)
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        extra = ["--out", str(tmp_path / "run")] if command == "train" else []
+        assert main([command, "--config", cfg, *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and err.count("\n") == 1
+        assert f"{path}{fragment}" in err
+
+    @staticmethod
+    def run_python(script, **env):
+        """``python -c script`` on this package, TERRASEG_LOG unset unless given."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "TERRASEG_LOG"} | env
+        env |= {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("log", [{}, {"TERRASEG_LOG": "debug"}], ids=["default", "debug"])
+    def test_an_unexpected_failure_shows_its_traceback_only_at_debug(self, tmp_path, log):
+        cfg = self.write_config(tmp_path)
+        script = ("import sys; from terraseg import cli, pipeline\n"
+                  "def boom(config): raise OSError('boom')\n"
+                  "pipeline.cmd_query = boom\n"
+                  f"sys.exit(cli.main(['query', '--config', {cfg!r}]))")
+        done = self.run_python(script, **log)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 4 and lines[-1] == "error[runtime]: boom"
+        if log:
+            assert "Traceback (most recent call last):" in done.stderr
+        else:
+            assert lines == ["error[runtime]: boom"]
 
     @pytest.mark.parametrize("train, key, array", [
         ({"inputs": [MASK_ARRAY]}, "inputs[0]", MASK_ARRAY),
