@@ -65,6 +65,16 @@ def dtype_code(dt: np.dtype) -> str:
     raise ParameterError(f"unsupported dtype {dt}")
 
 
+def _geotransform(values) -> tuple[float, ...]:
+    """``values`` as the six floats of an invertible transform."""
+    gt = tuple(float(v) for v in values)
+    if len(gt) != 6:
+        raise ParameterError(f"geotransform needs 6 coefficients, got {len(gt)}")
+    if gt[1] * gt[5] - gt[2] * gt[4] == 0:
+        raise ParameterError("geotransform is singular")
+    return gt
+
+
 @dataclass
 class GeoRaster:
     """A [channels, height, width] array plus its georeferencing."""
@@ -77,12 +87,7 @@ class GeoRaster:
     def __post_init__(self):
         if not isinstance(self.data, np.ndarray) or self.data.ndim != 3:
             raise ShapeError("raster data must be a [C, H, W] ndarray")
-        gt = tuple(float(v) for v in self.geotransform)
-        if len(gt) != 6:
-            raise ParameterError(f"geotransform needs 6 coefficients, got {len(gt)}")
-        if gt[1] * gt[5] - gt[2] * gt[4] == 0:
-            raise ParameterError("geotransform is singular")
-        self.geotransform = gt
+        self.geotransform = _geotransform(self.geotransform)
 
     @property
     def channels(self) -> int:
@@ -95,13 +100,6 @@ class GeoRaster:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-
-def _require_axis_aligned(gt: tuple[float, ...]) -> None:
-    if gt[2] != 0.0 or gt[4] != 0.0:
-        raise ParameterError("rotated geotransforms are not supported")
-    if gt[1] * gt[5] == 0:
-        raise ParameterError("geotransform is singular")
 
 
 def _check_value(value, dt: np.dtype, what: str) -> None:
@@ -223,8 +221,9 @@ def rasterize(shapes, width: int, height: int, geotransform,
     """
     if width < 1 or height < 1:
         raise ParameterError(f"grid extents must be positive, got {width}x{height}")
-    gt = tuple(float(v) for v in geotransform)
-    _require_axis_aligned(gt)
+    gt = _geotransform(geotransform)
+    if gt[2] != 0.0 or gt[4] != 0.0:
+        raise ParameterError("rotated geotransforms are not supported")
     if dtype not in DTYPE_CODES:
         raise ParameterError(f"unknown dtype code {dtype!r}")
     dt = DTYPE_CODES[dtype]
@@ -347,9 +346,9 @@ def read_raster(basepath: str) -> GeoRaster:
     try:
         dt = DTYPE_CODES[meta["dtype"]]
         w, h, c = int(meta["width"]), int(meta["height"]), int(meta["channels"])
-        gt, nodata = tuple(float(v) for v in meta["geotransform"]), float(meta["nodata"])
+        gt, nodata = _geotransform(meta["geotransform"]), float(meta["nodata"])
         crs = meta["crs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise DataError(f"raster sidecar {sidecar} is malformed: "
                         f"{type(exc).__name__}: {exc}") from None
     raw = read_input(basepath + ".bin", "raster payload")

@@ -1,15 +1,18 @@
 """Forked worker processes, one per usable core, one pool per command.
 
-:class:`Workers` forks its children when its block is entered. Each child
-serves tasks with a function the caller defined before the fork, so it sees
-the caller's state as it was then, and an array from :func:`shared_array`
-made before the fork as memory it shares with the caller. Tasks and results
-are length-prefixed pickles on one pipe each way per child; bulk inputs go
-through shared memory, so a result holds only what the caller keeps. A
-child always leaves by ``os._exit``: at EOF on its task pipe, or when it
-cannot write a result. Leaving the block closes the caller's pipe ends and
-reaps every child, so no process, thread or pipe outlives it; a child that
-dies raises a TerrasegError (exit 4) at the caller's next exchange with it.
+:class:`Workers` forks its children at its first task, not when its block
+is entered: what the caller reads for that task then lands in its own
+pages, not in heap pages it shares copy-on-write with them, which a write
+faults and copies one by one. Each child serves tasks with a function the
+caller defined before the fork, so it sees the caller's state as it was
+then, and an array from :func:`shared_array` made before the fork as memory
+it shares with the caller. Tasks and results are length-prefixed pickles on
+one pipe each way per child; bulk inputs go through shared memory, so a
+result holds only what the caller keeps. A child always leaves by
+``os._exit``: at EOF on its task pipe, or when it cannot write a result.
+Leaving the block closes the caller's pipe ends and reaps every child, so
+no process, thread or pipe outlives it; a child that dies raises a
+TerrasegError (exit 4) at the caller's next exchange with it.
 
 Inside a block with children, every process runs OpenBLAS on one thread,
 as two BLAS threads per process oversubscribe the cores; the caller's count
@@ -136,12 +139,6 @@ class Workers:
             get, put = _blas_threads()
             self._blas = get()
             put(1)
-        try:
-            for _ in range(self.n):
-                self._fork()
-        except BaseException:
-            self.__exit__(None, None, None)
-            raise
         return self
 
     def _fork(self) -> None:
@@ -169,6 +166,9 @@ class Workers:
                              f"before returning its result")
 
     def send(self, k: int, task) -> None:
+        if not self._pids:  # the first task forks every child; leaving the block reaps them
+            for _ in range(self.n):
+                self._fork()
         try:
             _write(self._fds[k][0], task)
         except BrokenPipeError:

@@ -12,12 +12,15 @@ tiled array holds one row of tiles per chunk; Sentinel-3 only when
     Labels/CLC_10m/labels           u8  [ty, tx, th, tw]             [1, tx, th, tw]
     Labels/CLC_10m/multilabel_stratified_kfolds   i32 [ty*tx]        [ty*tx]
 
-Training samples concatenate the configured input components channel-wise
-(``_SampleSource``); coarser components are nearest-neighbor upsampled to
-the label tile size. Sample ignore masks are the union of the stored
-(cloud) mask and label-nodata pixels. Relative output paths resolve against
-``out_dir``; each command makes their directories, and refuses a directory
-where one of its files goes, before its work (training, inference).
+Train, evaluate and predict read tiles through one reader,
+``_SampleSource.samples``, as ``(tile index, Sample)`` pairs. Samples
+concatenate the configured input components channel-wise; coarser
+components are nearest-neighbor upsampled to the label tile size. Sample
+ignore masks are the union of the stored (cloud) mask and label-nodata
+pixels; predict reads no labels, and writes 255 where the stored mask is
+set. Relative output paths resolve against ``out_dir``; each command makes
+their directories, and refuses a directory where one of its files goes,
+before its work (training, inference).
 
 Samples hold the store's float32 images and u8 class labels, label-nodata
 pixels as class 0 under the ignore mask. Every graph the commands make
@@ -129,24 +132,23 @@ def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
     remap = dict(class_map) if class_map is not None else None
     shapes = []
     for i, entry in enumerate(doc):
+        where = f"label file {path}: entry {i}"
         if not (isinstance(entry, dict) and "class" in entry
                 and isinstance(entry.get("wkt"), str)):
-            raise DataError(f"label file {path}: entry {i} needs a 'class' and a 'wkt' string")
+            raise DataError(f"{where} needs a 'class' and a 'wkt' string")
         code = entry["class"]
         if isinstance(code, bool) or not isinstance(code, int):  # True is an int too
-            raise DataError(f"label entry {i}: class {json.dumps(code)} is not an integer")
+            raise DataError(f"{where}: class {json.dumps(code)} is not an integer")
         if remap is not None:
             if code not in remap:
-                raise DataError(f"label entry {i}: class code {code} not in class_map")
+                raise DataError(f"{where}: class code {code} not in class_map")
             code = remap[code]
         if not 0 <= code < num_classes:
-            raise DataError(
-                f"label entry {i}: class index {code} outside [0, {num_classes})"
-            )
+            raise DataError(f"{where}: class index {code} outside [0, {num_classes})")
         try:
             shapes.append((code, parse_wkt(entry["wkt"])))
         except WktParseError as exc:
-            raise DataError(f"label entry {i}: {exc}") from None
+            raise DataError(f"{where}: {exc}") from None
     return shapes
 
 
@@ -263,9 +265,10 @@ def cmd_split(config: PipelineConfig):
 
 
 class _SampleSource:
-    """Reads an ingested store one week block at a time: one ``read_region``
-    per input array and one for the mask per week, and the labels once.
-    An input or mask array of the wrong kind raises a DataError."""
+    """The one reader of an ingested store's tiles for train, evaluate and
+    predict. It reads one week block at a time: one ``read_region`` per input
+    array and one for the mask per week, and the labels once (predict reads
+    none). An input or mask array of the wrong kind raises a DataError."""
 
     def __init__(self, config: PipelineConfig, store: Store, train: TrainSection):
         self.labels = store.array(_node(config, LABEL_ARRAY))
@@ -301,39 +304,37 @@ class _SampleSource:
                             f"{self.weeks}-week store")
         return range(lo, hi)
 
-    def week(self, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Week ``w``'s images [ty*tx, C, th, tw] in the stored dtype, coarser
-        inputs nearest-upsampled to the tile, and its ignore mask
-        [ty*tx, th, tw] (u8, 1 = ignored)."""
-        n = self.nty * self.ntx
-        planes = []
-        for arr in self.inputs:
-            _, _, _, h, wd, c = arr.shape
-            block = arr.read_region((w, 0, 0, 0, 0, 0), (1,) + arr.shape[1:])
-            block = block.reshape(n, h, wd, c).transpose(0, 3, 1, 2)
-            if (h, wd) != (self.th, self.tw):
-                block = block.repeat(self.th // h, axis=2).repeat(self.tw // wd, axis=3)
-            planes.append(block)
-        images = planes[0] if len(planes) == 1 else np.concatenate(planes, axis=1)
-        if self.masks is None:
-            return images, np.zeros((n, self.th, self.tw), dtype=np.uint8)
-        mask = self.masks.read_region((w, 0, 0, 0, 0), (1,) + self.masks.shape[1:])
-        return images, (mask.reshape(n, self.th, self.tw) != 0).astype(np.uint8)
-
-    def samples(self, weeks, keep=None):
+    def samples(self, weeks, keep=None, _unlabelled=False):
         """Yield (tile index, Sample) over ``weeks`` in (week, tile) C order,
         skipping tiles where ``keep`` (bool per tile) is false or every pixel
-        is ignored. Each sample's image is a view of its week block."""
-        labels = self.labels.read_region((0,) * 4, self.labels.shape).reshape(-1, self.th, self.tw)
-        nodata = labels == self.nodata
-        labels = np.where(nodata, 0, labels)
+        is ignored. An image is a view of its week block in the stored dtype,
+        coarser inputs nearest-upsampled. ``_unlabelled`` (predict) reads no
+        labels: its samples carry none and ignore the stored mask alone."""
+        n = self.nty * self.ntx
+        labels, nodata = [None] * n, np.zeros((n, self.th, self.tw), bool)
+        if not _unlabelled:
+            labels = self.labels.read_region((0,) * 4, self.labels.shape).reshape(nodata.shape)
+            nodata = labels == self.nodata
+            labels = np.where(nodata, 0, labels)
         for w in weeks:
-            images, ignore = self.week(w)
-            masks = ignore | nodata
+            planes = []
+            for arr in self.inputs:
+                _, _, _, h, wd, c = arr.shape
+                block = arr.read_region((w, 0, 0, 0, 0, 0), (1,) + arr.shape[1:])
+                block = block.reshape(n, h, wd, c).transpose(0, 3, 1, 2)
+                if (h, wd) != (self.th, self.tw):
+                    block = block.repeat(self.th // h, axis=2).repeat(self.tw // wd, axis=3)
+                planes.append(block)
+            images = planes[0] if len(planes) == 1 else np.concatenate(planes, axis=1)
+            masks = nodata
+            if self.masks is not None:
+                mask = self.masks.read_region((w, 0, 0, 0, 0), (1,) + self.masks.shape[1:])
+                masks = (mask.reshape(nodata.shape) != 0) | nodata
+            full = masks.all(axis=(1, 2))
             for i, mask in enumerate(masks):
                 if keep is not None and not keep[i]:
                     continue
-                if mask.all():
+                if full[i]:
                     log.info("skipping fully ignored tile %d of week %d", i, w)
                     continue
                 yield i, Sample(images[i], labels[i], mask)
@@ -427,8 +428,7 @@ def cmd_evaluate(config: PipelineConfig, out_dir=".") -> dict:
         keep = _fold_ids(store, config, e.fold, "config.evaluate.fold") == e.fold
     cm = ConfusionMatrix.zeros(src.num_classes)
     samples = src.samples(src.week_range(*t.slice_timestamps), keep)
-    tiles = ((i, s.image, s.labels, s.ignore) for i, s in samples)
-    with closing(_infer_tiles(graph, tiles, "counts")) as blocks:
+    with closing(_infer_tiles(graph, samples, "counts")) as blocks:
         for _, counts in blocks:
             cm.counts += counts
     values = report(cm)
@@ -450,13 +450,12 @@ def cmd_predict(config: PipelineConfig, out_dir=".") -> Path:
     base = _output_path(p.out, out_dir, "prediction",
                         lambda b: [b.with_name(b.name + ext) for ext in exts])
 
-    images, ignore = src.week(p.week)
-    # a tile _infer_tiles skips is ignored in every pixel, so stays all 255
-    classes = np.full((len(images), src.th, src.tw), 255, dtype=np.uint8)
-    tiles = ((i, image, None, mask) for i, (image, mask) in enumerate(zip(images, ignore)))
-    with closing(_infer_tiles(graph, tiles, "classes")) as blocks:
+    # a tile the samples skip is ignored in every pixel, so stays all 255
+    classes = np.full((src.nty * src.ntx, src.th, src.tw), 255, dtype=np.uint8)
+    samples = src.samples([p.week], _unlabelled=True)
+    with closing(_infer_tiles(graph, samples, "classes")) as blocks:
         for keys, planes in blocks:
-            classes[keys] = np.where(ignore[keys] == 1, 255, planes)
+            classes[keys] = planes
     attrs = store.array(_node(config, IMAGE_ARRAY)).attributes
     grid = TileGrid(int(attrs["scene_width"]), int(attrs["scene_height"]),
                     tuple(attrs["geotransform"]), attrs["crs"], 255.0)

@@ -9,10 +9,11 @@ plateau -> early stopping -> checkpoint. Training steps run one sample
 the pipeline) runs on blocks of :func:`tiles_per_block` tiles on the
 batch-norm fold (:func:`_infer_tiles`).
 
-Both run on one pool of worker processes per command (:func:`_workers`),
-which ``fit`` forks once; workers send back losses and statistics, argmax
-planes or confusion counts, and this process combines them in an order that
-gives the same bytes at any process count.
+Both run on one pool of ``parallel.processes() - 1`` worker processes per
+command (:func:`_workers`), forked once; inference takes ``(key, Sample)``
+pairs. Workers send back losses and statistics, argmax planes or confusion
+counts, and this process combines them in an order that gives the same
+bytes at any process count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class Sample:
     dtype and checks its shape; the loss checks the labels and the mask."""
 
     image: np.ndarray  # [C, H, W], any float dtype
-    labels: np.ndarray  # [H, W], integer class ids in [0, num_classes)
+    labels: np.ndarray | None  # [H, W] ids in [0, num_classes); None to score classes only
     ignore: np.ndarray | None = None  # [H, W], nonzero = excluded from loss
 
 
@@ -101,29 +102,33 @@ def tiles_per_block(graph: NetworkGraph) -> int:
     return max(1, BLOCK_BYTES // (widest * graph.dtype.itemsize))
 
 
-def _blocks(graph: NetworkGraph, size: int, tiles):
-    """``(keys, images, labels, ignore)`` per block of ``size`` tiles (the last
-    what is left; labels and masks stacked), read as blocks fill, skipping
-    tiles whose mask ignores every pixel; a missing mask ignores nothing."""
-    tiles = (tile for tile in tiles if tile[3] is None or not tile[3].all())
-    while block := list(islice(tiles, size)):
-        keys, images, labels, masks = map(list, zip(*block))
-        for image in images:
-            if image.shape != graph.input_shape:
-                raise ShapeError(f"input shape {image.shape} != graph input {graph.input_shape}")
-        masks = [np.zeros(image.shape[1:], bool) if m is None else m for m in masks]
-        yield keys, images, None if labels[0] is None else np.stack(labels), np.stack(masks)
+def _blocks(graph: NetworkGraph, size: int, samples):
+    """``(keys, images, labels, ignore)`` per block of ``size`` ``(key, Sample)``
+    pairs (the last what is left; labels, or None, and masks stacked), read
+    as blocks fill, skipping samples whose mask ignores every pixel; a
+    missing mask ignores nothing."""
+    samples = ((k, s) for k, s in samples if s.ignore is None or not s.ignore.all())
+    while block := list(islice(samples, size)):
+        keys, block = map(list, zip(*block))
+        for s in block:
+            if s.image.shape != graph.input_shape:
+                raise ShapeError(f"input shape {s.image.shape} != graph input {graph.input_shape}")
+        labels = None if block[0].labels is None else np.stack([s.labels for s in block])
+        masks = [np.zeros(s.image.shape[1:], bool) if s.ignore is None else s.ignore
+                 for s in block]
+        yield keys, [s.image for s in block], labels, np.stack(masks)
 
 
 def _score(graph: NetworkGraph, images: np.ndarray, labels, ignore, want: str):
     """What a caller keeps of ``graph.infer(images)``: for ``want`` "classes"
-    the argmax planes (u8 [N, H, W]); for "counts" the confusion counts
-    (int64) against ``labels`` where ``ignore`` is 0; for "losses" each
-    tile's loss (NaN where its probabilities are not finite) and the counts."""
+    the argmax planes (u8 [N, H, W]), 255 where ``ignore`` is set, and
+    ``labels`` may be None; for "counts" the confusion counts (int64) against
+    ``labels`` where ``ignore`` is 0; for "losses" each tile's loss (NaN where
+    its probabilities are not finite) and the counts."""
     probs = graph.infer(images)
     classes = probs.argmax(axis=1)
     if want == "classes":
-        return classes.astype(np.uint8)
+        return np.where(ignore, 255, classes).astype(np.uint8)
     cm = M.ConfusionMatrix.zeros(probs.shape[1])
     counts = M.confusion_update(cm, classes, labels, ignore).counts
     if want == "counts":
@@ -133,20 +138,16 @@ def _score(graph: NetworkGraph, images: np.ndarray, labels, ignore, want: str):
     return losses, counts
 
 
-def _infer_tiles(graph: NetworkGraph, tiles, want: str):
-    """Yield ``(keys, scores)`` per block of the ``(key, image, labels,
-    ignore)`` of ``tiles``, in order: what :func:`_score` keeps for ``want``
-    of one ``infer`` call on ``graph.folded()``. Blocks run on the pool open
-    on ``graph`` (``fit``'s), or on one opened once as many blocks have
-    filled as there are usable cores (or all); close the generator when
-    stopping early, which reaps it.
+def _infer_tiles(graph: NetworkGraph, samples, want: str):
+    """Yield ``(keys, scores)`` per block of the ``(key, Sample)`` pairs of
+    ``samples``, in order: what :func:`_score` keeps for ``want`` of one
+    ``infer`` call on ``graph.folded()``; labels may be None when ``want`` is
+    "classes". Blocks run on the pool open on ``graph`` (``fit``'s), or on
+    one opened for the call; close the generator when stopping early.
     """
-    blocks = _blocks(graph, tiles_per_block(graph), tiles)
-    held = id(graph) in _HELD
-    ahead = deque() if held else deque(islice(blocks, parallel.processes()))
-    taken = (ahead.popleft() for _ in range(len(ahead)))  # so each is dropped once taken
-    with nullcontext() if held else _workers(graph, procs=max(1, len(ahead))):
-        yield from _HELD[id(graph)](chain(taken, blocks), want)
+    blocks = _blocks(graph, tiles_per_block(graph), samples)
+    with nullcontext() if id(graph) in _HELD else _workers(graph):
+        yield from _HELD[id(graph)](blocks, want)
 
 
 class _NonFinite(DataError):
@@ -170,8 +171,7 @@ def evaluate_samples(graph: NetworkGraph, samples, metric_names=("accuracy", "MI
             raise ParameterError(f"unknown metric {name!r}")
     cm = M.ConfusionMatrix.zeros(graph.shape_of(graph.output_name)[0])
     total_loss, n = 0.0, 0
-    tiles = ((i, s.image, s.labels, s.ignore) for i, s in enumerate(samples))
-    with closing(_infer_tiles(graph, tiles, "losses")) as blocks:
+    with closing(_infer_tiles(graph, enumerate(samples), "losses")) as blocks:
         for keys, (losses, counts) in blocks:
             for i, loss in zip(keys, losses):
                 if np.isnan(loss):
@@ -191,10 +191,9 @@ def _diverged(epoch: int, what: str) -> DataError:
 
 
 @contextmanager
-def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int = 1,
-             procs: int | None = None):
+def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int = 1):
     """One pool for a command on ``graph``: this process and the workers it
-    forks once, ``procs`` in all (``parallel.processes()``). Yields
+    forks once, ``parallel.processes()`` in all. Yields
     ``run(epoch, batch, grads)``, which trains the samples of ``batch`` in
     order, adds their gradients into ``grads`` and statistics into the
     running ones, and returns their losses. Each worker takes a contiguous
@@ -211,7 +210,7 @@ def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int 
     """
     dropout = any(isinstance(node.layer, Dropout) for node in graph.nodes)
     norms = [i for i, node in enumerate(graph.nodes) if isinstance(node.layer, BatchNorm2d)]
-    procs = procs or parallel.processes()
+    procs = parallel.processes()
     ins = parallel.shared_array((procs - 1, 2, tiles_per_block(graph), *graph.input_shape),
                                 graph.dtype)
     if procs > 1:  # a row for each sample of a full batch that a worker runs

@@ -190,10 +190,6 @@ class TestFit:
         assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-def tiles_of(tiles):
-    return ((i, s.image, s.labels, s.ignore) for i, s in enumerate(tiles))
-
-
 def counting_forks(monkeypatch) -> list:
     """The pids that ``os.fork`` returns in this process from now on."""
     forks, fork = [], os.fork
@@ -227,9 +223,18 @@ class TestOnePool:
         evaluate_samples(graph, val)  # as evaluate scores
         assert len(forks) == procs - 1
         forks.clear()
-        for _ in _infer_tiles(graph, tiles_of(val), "classes"):  # as predict scores
+        for _ in _infer_tiles(graph, enumerate(val), "classes"):  # as predict scores
             pass
         assert len(forks) == procs - 1
+
+    @needs_workers
+    def test_workers_fork_at_the_first_task(self, cores, monkeypatch):
+        # so that what the caller reads for it is not in pages shared copy-on-write
+        forks = counting_forks(monkeypatch)
+        with parallel.Workers(2, lambda task: task) as pool:
+            assert forks == []
+            pool.send(1, "a task")
+            assert len(forks) == 2 and pool.recv(1) == "a task"
 
     @pytest.mark.parametrize("procs", [1, 2])
     def test_a_non_finite_val_loss_takes_one_inference_pass(self, tmp_path, cores, monkeypatch,
@@ -302,13 +307,16 @@ class TestInferTiles:
             graph.forward(s.image, training=True)
         tiles = samples(150, 3)
         tiles[7] = Sample(tiles[7].image, tiles[7].labels, np.ones((HW, HW), np.uint8))
+        half = np.zeros((HW, HW), np.uint8)
+        half[:, : HW // 2] = 1
+        tiles[8] = Sample(tiles[8].image, tiles[8].labels, half)
         runs = []
         for procs in (1, 2, 3):
             cores(procs)
             threads = threading.active_count()
             run = {}
             for want in ("classes", "counts", "losses"):
-                blocks = list(_infer_tiles(graph, tiles_of(tiles), want))
+                blocks = list(_infer_tiles(graph, enumerate(tiles), want))
                 run[want] = ([keys for keys, _ in blocks],
                              b"".join(np.asarray(part).tobytes() for _, scores in blocks
                                       for part in (scores if want == "losses" else [scores])))
@@ -316,6 +324,11 @@ class TestInferTiles:
             runs.append(run)
         keys = runs[0]["classes"][0]
         assert len(keys) >= 4 and 7 not in sum(keys, [])
+        # predict's rule: 255 exactly at the ignored pixels (half of tile 8's)
+        kept = sum(keys, [])
+        planes = np.frombuffer(runs[0]["classes"][1], np.uint8).reshape(len(kept), HW, HW)
+        assert 8 in kept
+        assert np.array_equal(planes == 255, np.stack([tiles[i].ignore != 0 for i in kept]))
         assert all(run[want][0] == keys for run in runs for want in run)
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -330,7 +343,7 @@ class TestInferTiles:
             for _ in range(3):
                 week = SeededRng(len(weeks)).uniform(-1, 1, (64, 2, HW, HW)).astype(np.float32)
                 weeks.append(weakref.ref(week))
-                yield from ((len(weeks), image, None, None) for image in week)
+                yield from ((len(weeks), Sample(image, None)) for image in week)
 
         graph = graph_of("segnet", base=8)  # 32 tiles a block, 2 a week
         for i, _ in enumerate(_infer_tiles(graph, tiles(), "classes")):
@@ -341,7 +354,7 @@ class TestInferTiles:
     def test_closing_early_reaps_the_workers(self, cores):
         cores(3)
         threads = threading.active_count()
-        blocks = _infer_tiles(graph_of("segnet", base=8), tiles_of(samples(150, 3)), "counts")
+        blocks = _infer_tiles(graph_of("segnet", base=8), enumerate(samples(150, 3)), "counts")
         next(blocks)
         blocks.close()
         nothing_left(threads)
@@ -353,6 +366,6 @@ class TestInferTiles:
         monkeypatch.setattr(NetworkGraph, "infer",
                             lambda g, x: os._exit(9) if os.getpid() != main else infer(g, x))
         with pytest.raises(TerrasegError, match="exit code 9"):
-            for _ in _infer_tiles(graph_of("segnet", base=8), tiles_of(samples(150, 3)),
+            for _ in _infer_tiles(graph_of("segnet", base=8), enumerate(samples(150, 3)),
                                   "classes"):
                 pass

@@ -770,6 +770,8 @@ class TestWeekReader:
         out = tmp_path / "run"
         out.mkdir()
         self.save_untrained(out)
+        # one core, so the block runs in this process, where the spy sees it
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
         calls = []
         infer = NetworkGraph.infer
 
@@ -1072,17 +1074,24 @@ class TestCli:
     @pytest.mark.parametrize("command, doc, edit, fragment", [
         ("ingest", "labels.json", lambda d: d[1].update(wkt=5),
          ": entry 1 needs a 'class' and a 'wkt' string"),
+        ("ingest", "labels.json", lambda d: d[1].update({"class": 99}),
+         f": entry 1: class index 99 outside [0, {CLASSES})"),
         ("ingest", "image.json", lambda d: d.update(width="abc"),
          " is malformed: ValueError: invalid literal for int()"),
         ("ingest", "image.json", lambda d: d.update(geotransform=5),
          " is malformed: TypeError: 'int' object is not iterable"),
+        ("ingest", "image.json", lambda d: d.update(geotransform=d["geotransform"][:5]),
+         " is malformed: ParameterError: geotransform needs 6 coefficients, got 5"),
+        ("ingest", "image.json", lambda d: d.update(geotransform=[0, 1, 0, 0, 0, 0]),
+         " is malformed: ParameterError: geotransform is singular"),
         ("train", f"store/{IMAGE_ARRAY}/.array.json", lambda d: d.pop("shape"),
          " is malformed: KeyError: 'shape'"),
         ("train", f"store/{IMAGE_ARRAY}/.array.json", lambda d: d.update(dtype="f16"),
          " is malformed: KeyError: 'f16'"),
         ("train", f"store/{IMAGE_ARRAY}/.array.json", None,
          ": not valid JSON: Unterminated string"),
-    ], ids=["wkt not a string", "width not a number", "geotransform not a list",
+    ], ids=["wkt not a string", "class out of range", "width not a number",
+            "geotransform not a list", "geotransform of 5", "singular geotransform",
             "no shape", "unknown dtype", "truncated"])
     def test_a_json_input_that_does_not_parse_or_fit_exits_3_naming_it(
             self, tmp_path, capsys, command, doc, edit, fragment):
@@ -1195,7 +1204,8 @@ class TestCli:
         cfg = self.write_config(tmp_path, ingest={"class_map": class_map})
         assert main(["ingest", "--config", cfg]) == 3
         err = capsys.readouterr().err
-        assert err == "error[data]: label entry 1: class true is not an integer\n"
+        assert err == (f"error[data]: label file {tmp_path / 'labels.json'}: entry 1: "
+                       "class true is not an integer\n")
 
     def test_overflowing_label_vertex_exits_3(self, tmp_path, capsys):
         write_scene(tmp_path)
@@ -1205,8 +1215,8 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         assert main(["ingest", "--config", cfg]) == 3
         err = capsys.readouterr().err
-        assert err == ("error[data]: label entry 2: number 1e999 overflows a float "
-                       "(byte offset 14)\n")
+        assert err == (f"error[data]: label file {tmp_path / 'labels.json'}: entry 2: "
+                       "number 1e999 overflows a float (byte offset 14)\n")
 
     def test_held_store_lock_exits_4(self, tmp_path, capsys):
         write_scene(tmp_path)

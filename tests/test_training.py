@@ -335,7 +335,7 @@ class TestEvaluateSamples:
         monkeypatch.setattr(NetworkGraph, "infer",
                             lambda self, x: sizes.append(len(x)) or infer(self, x))
         images = np.zeros((11, 4, 32, 32), np.float32)
-        tiles = ((i, image, None, None) for i, image in enumerate(images))
+        tiles = enumerate(Sample(image, None) for image in images)
         got = [k for k, _ in _infer_tiles(g, tiles, "classes")]
         assert got == [list(range(i, min(i + block, 11))) for i in range(0, 11, block)]
         assert sizes == [len(keys) for keys in got]
@@ -359,22 +359,22 @@ class TestEvaluateSamples:
         ignore = (SeededRng(5).uniform(0, 1, (5, 32, 32)) < 0.2).astype(np.uint8)
 
         def scores(what):
-            tiles = zip(range(5), images, labels, ignore)
+            tiles = enumerate(map(Sample, images, labels, ignore))
             return [s for _, s in _infer_tiles(g, tiles, what)]
 
         planes = np.concatenate(scores("classes"))
         assert planes.dtype == np.uint8
-        assert np.array_equal(planes, want.argmax(axis=1))
+        assert np.array_equal(planes, np.where(ignore, 255, want.argmax(axis=1)))
         cm = M.confusion_update(M.ConfusionMatrix.zeros(4), want.argmax(axis=1), labels, ignore)
         assert np.array_equal(sum(scores("counts")), cm.counts)
         losses, counts = zip(*scores("losses"))
         assert np.array_equal(sum(counts), cm.counts)
         assert sum(losses, []) == [ops.categorical_cross_entropy(p, t, m)[0]
                                    for p, t, m in zip(want, labels, ignore)]
-        for probs, plane, image in zip(want, planes, images):
+        for probs, plane, image, mask in zip(want, planes, images, ignore):
             ref, _ = g.forward(image)
             assert np.allclose(probs, ref, rtol=0, atol=1e-6)
-            assert np.array_equal(plane, ref.argmax(axis=0))
+            assert np.array_equal(plane, np.where(mask, 255, ref.argmax(axis=0)))
 
     def test_blocks_give_the_per_tile_loop_bits(self):
         # dyadic operands with short mantissas keep every conv sum exact, so
