@@ -51,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML pipeline config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        if name in ("train", "evaluate", "predict", "query"):
-            p.add_argument("--out", default=".",
+        if name in ("train", "evaluate", "predict", "query"):  # query.txt only given --out
+            p.add_argument("--out", default=None if name == "query" else ".",
                            help="directory for relative output paths")
         if name in ("train", "evaluate", "predict"):
             p.add_argument("--checkpoint", default=None,
@@ -102,7 +102,7 @@ def _dispatch(args) -> int:
         print(f"{base}.pgm")
     elif args.command == "query":
         url = pipeline.cmd_query(config)
-        out = pipeline._output_path("query.txt", args.out, "query") if args.out != "." else None
+        out = None if args.out is None else pipeline._output_path("query.txt", args.out, "query")
         print(url)
         if out is not None:
             write_output(out, url + "\n", "query")

@@ -100,6 +100,9 @@ class IngestSection:
         _at_least(2, num_classes=self.num_classes)
         if not 0 <= self.label_nodata <= 255:  # the label array is u8
             raise ParameterError(f"label_nodata must be in [0, 255], got {self.label_nodata}")
+        if self.label_nodata < self.num_classes:  # it would hide that class as "no label"
+            raise ParameterError(f"label_nodata {self.label_nodata} is a class index "
+                                 f"in [0, {self.num_classes})")
 
 
 @dataclass(frozen=True)

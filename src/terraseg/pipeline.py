@@ -56,6 +56,7 @@ from .datasplit import (
 from .errors import ConfigError, DataError, StoreNotFoundError, WktParseError, read_json
 from .errors import write_output
 from .georaster import (
+    DTYPE_CODES,
     GeoRaster,
     TileGrid,
     mosaic,
@@ -153,13 +154,15 @@ def _load_label_shapes(path: str, num_classes: int, class_map) -> list:
 
 
 def cmd_ingest(config: PipelineConfig) -> Store:
-    """Rasterize labels, tile everything, and (re)write the store arrays."""
+    """Rasterize labels, tile everything, and (re)write the store arrays.
+    Phase one reads and checks every input, rasterizes and tiles before the
+    store opens, so a failed check changes no store and makes none. Phase two
+    writes each array with one ``create_array`` and one ``write_region``."""
     ing = _section(config, "ingest")
     raster = read_raster(ing.image)
     shapes = _load_label_shapes(ing.labels, ing.num_classes, ing.class_map)
-    label_raster = rasterize(shapes, raster.width, raster.height,
-                             raster.geotransform, raster.crs,
-                             nodata=ing.label_nodata)
+    label_raster = rasterize(shapes, raster.width, raster.height, raster.geotransform,
+                             raster.crs, nodata=ing.label_nodata)
     if ing.scl is not None:
         scl = read_raster(ing.scl)
         if scl.crs != raster.crs:
@@ -171,61 +174,43 @@ def cmd_ingest(config: PipelineConfig) -> Store:
         mask = np.zeros((1, raster.height, raster.width), dtype=np.uint8)
     # pad value 1 marks synthetic edge pixels as ignored
     mask_raster = GeoRaster(mask, raster.geotransform, raster.crs, 1.0)
-
     # blocks [ty, tx, C, ts, ts], views of the scene unless edge tiles are padded
     _, img_blocks = tile(raster, ing.tile_size)
     _, lbl_blocks = tile(label_raster, ing.tile_size)
     _, mask_blocks = tile(mask_raster, ing.tile_size)
     nty, ntx, _, ts, _ = img_blocks.shape
-    geo_attrs = {
-        "geotransform": list(raster.geotransform),
-        "crs": raster.crs,
-        "scene_height": raster.height,
-        "scene_width": raster.width,
-        "tile_size": ts,
-    }
-
-    store = Store(config.store)
-    for rel in (IMAGE_ARRAY, MASK_ARRAY, COARSE_ARRAY, LABEL_ARRAY, FOLD_ARRAY):
-        store.remove(_node(config, rel))
-
-    img = store.create_array(
-        _node(config, IMAGE_ARRAY),
-        [ing.weeks, nty, ntx, ts, ts, raster.channels],
-        [1, 1, ntx, ts, ts, raster.channels], "f32",
-        attributes={**geo_attrs, "weeks": ing.weeks, "nodata": raster.nodata})
-    msk = store.create_array(
-        _node(config, MASK_ARRAY),
-        [ing.weeks, nty, ntx, ts, ts], [1, 1, ntx, ts, ts], "u8")
-    lbl = store.create_array(
-        _node(config, LABEL_ARRAY),
-        [nty, ntx, ts, ts], [1, ntx, ts, ts], "u8",
-        attributes={**geo_attrs, "num_classes": ing.num_classes,
-                    "label_nodata": ing.label_nodata})
-
-    lbl.write_region((0, 0, 0, 0), lbl_blocks[:, :, 0])
-    for w in range(ing.weeks):
-        img.write_region((w, 0, 0, 0, 0, 0), img_blocks.transpose(0, 1, 3, 4, 2)[None])
-        msk.write_region((w, 0, 0, 0, 0), mask_blocks[:, :, 0][None])
-
+    geo_attrs = {"geotransform": list(raster.geotransform), "crs": raster.crs,
+                 "scene_height": raster.height, "scene_width": raster.width, "tile_size": ts}
+    # (array, tiles [ty, tx, ...], dtype, attributes), one row of tiles per chunk
+    arrays = [
+        (LABEL_ARRAY, lbl_blocks[:, :, 0], "u8",
+         {**geo_attrs, "num_classes": ing.num_classes, "label_nodata": ing.label_nodata}),
+        (IMAGE_ARRAY, img_blocks.transpose(0, 1, 3, 4, 2), "f32",
+         {**geo_attrs, "weeks": ing.weeks, "nodata": raster.nodata}),
+        (MASK_ARRAY, mask_blocks[:, :, 0], "u8", None),
+    ]
     if ing.coarse_image is not None:
         coarse = read_raster(ing.coarse_image)
         if coarse.crs != raster.crs:
             raise DataError(f"coarse crs {coarse.crs!r} != image crs {raster.crs!r}")
         if coarse.height % nty or coarse.width % ntx:
-            raise DataError(
-                f"coarse extent {coarse.height}x{coarse.width} does not divide "
-                f"into the {nty}x{ntx} tile grid")
-        hc, wc = coarse.height // nty, coarse.width // ntx
-        arr = store.create_array(
-            _node(config, COARSE_ARRAY),
-            [ing.weeks, nty, ntx, hc, wc, coarse.channels],
-            [1, 1, ntx, hc, wc, coarse.channels], "f32",
-            attributes={"crs": coarse.crs,
-                        "geotransform": list(coarse.geotransform)})
-        blocks = coarse.data.reshape(coarse.channels, nty, hc, ntx, wc)
-        for w in range(ing.weeks):
-            arr.write_region((w, 0, 0, 0, 0, 0), blocks.transpose(1, 3, 2, 4, 0)[None])
+            raise DataError(f"coarse extent {coarse.height}x{coarse.width} does not "
+                            f"divide into the {nty}x{ntx} tile grid")
+        blocks = coarse.data.reshape(coarse.channels, nty, coarse.height // nty,
+                                     ntx, coarse.width // ntx)
+        arrays.append((COARSE_ARRAY, blocks.transpose(1, 3, 2, 4, 0), "f32",
+                       {"crs": coarse.crs, "geotransform": list(coarse.geotransform)}))
+
+    store = Store(config.store)
+    for rel in (IMAGE_ARRAY, MASK_ARRAY, COARSE_ARRAY, LABEL_ARRAY, FOLD_ARRAY):
+        store.remove(_node(config, rel))
+    for rel, tiles, dtype, attributes in arrays:
+        # cast before the week axis goes on, so a cast copies one scene, not every week
+        tiles, chunks = tiles.astype(DTYPE_CODES[dtype], copy=False), (1,) + tiles.shape[1:]
+        if rel != LABEL_ARRAY:  # a weekly array holds the one scene every week
+            tiles, chunks = np.broadcast_to(tiles, (ing.weeks,) + tiles.shape), (1,) + chunks
+        arr = store.create_array(_node(config, rel), tiles.shape, chunks, dtype, attributes)
+        arr.write_region((0,) * tiles.ndim, tiles)
     log.info("ingested %dx%d tiles of %d into %s", nty, ntx, ts, config.store)
     return store
 
@@ -376,6 +361,9 @@ def cmd_train(config: PipelineConfig, out_dir=".") -> History:
         (val_samples if held else train_samples).append(s)
     if not train_samples:
         raise DataError("no usable training tiles (all ignored or in the validation fold)")
+    if folds is not None and not val_samples:
+        raise DataError(f"config.train.validation_fold: fold {t.validation_fold} "
+                        "has no usable tile")
     if t.checkpoint:
         ckpt = _output_path(t.checkpoint, out_dir, "checkpoint")
         t = dataclasses.replace(t, checkpoint=str(ckpt))

@@ -267,6 +267,14 @@ class TestErrors:
         with pytest.raises(ConfigError, match=rf"^config\.{section}[.:].*{why}"):
             parse_config(MINIMAL + f"{section}: {body}\n")
 
+    def test_label_nodata_must_not_be_a_class_index(self):
+        # a nodata value that is a class index would hide that class as "no label"
+        body = "ingest: {image: i, labels: l, num_classes: 4, label_nodata: %d}\n"
+        with pytest.raises(ConfigError) as raised:
+            parse_config(MINIMAL + body % 3)
+        assert str(raised.value) == "config.ingest: label_nodata 3 is a class index in [0, 4)"
+        assert parse_config(MINIMAL + body % 4).ingest.label_nodata == 4
+
     def test_non_mapping_document(self):
         with pytest.raises(ConfigError, match="expected a mapping"):
             parse_config("- just\n- a\n- list\n")

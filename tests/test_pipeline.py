@@ -334,6 +334,21 @@ class TestIngest:
         w1 = img.read_region((1, 0, 0, 0, 0, 0), (1, 1, 1, TILE, TILE, CHANNELS))
         assert np.array_equal(w0, w1)
 
+    def test_each_array_is_written_with_one_call(self, scene, monkeypatch):
+        root, labels, gt = scene
+        write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32), gt, CRS, 0.0),
+                     str(root / "coarse"))
+        calls = collections.Counter()
+        write_region = StoredArray.write_region
+
+        def counted(arr, offsets, data):
+            calls[arr.path] += 1
+            return write_region(arr, offsets, data)
+
+        monkeypatch.setattr(StoredArray, "write_region", counted)
+        cmd_ingest(make_config(root, ingest={"weeks": 2, "coarse_image": str(root / "coarse")}))
+        assert calls == {LABEL_ARRAY: 1, IMAGE_ARRAY: 1, MASK_ARRAY: 1, COARSE_ARRAY: 1}
+
     def test_requires_ingest_section(self, scene):
         root, labels, gt = scene
         with pytest.raises(ConfigError, match="config.ingest"):
@@ -892,6 +907,15 @@ class TestCli:
         assert capsys.readouterr().out.startswith(BASE_URL)
         assert not (tmp_path / "query.txt").exists()
 
+    @pytest.mark.parametrize("out", [".", "./"])
+    def test_query_with_an_out_dir_writes_the_file(self, tmp_path, capsys, monkeypatch, out):
+        cfg = self.write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["query", "--config", cfg, "--out", out]) == 0
+        url = capsys.readouterr().out
+        assert url.startswith(BASE_URL)
+        assert (tmp_path / "query.txt").read_text(encoding="utf-8") == url
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["split", "--config", str(tmp_path / "absent.yaml")])
         assert code == 2
@@ -1360,6 +1384,56 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error[data]: config.train.validation_fold: fold 5 outside [0, 2) "
             "of the stored split\n")
+
+    @pytest.mark.parametrize("crs, extent, why", [
+        ("EPSG:9999", (4, 4), f"coarse crs 'EPSG:9999' != image crs '{CRS}'"),
+        (CRS, (3, 3), "coarse extent 3x3 does not divide into the 2x2 tile grid"),
+    ], ids=["crs", "extent"])
+    def test_an_ingest_that_fails_a_check_changes_no_store(self, tmp_path, capsys, crs,
+                                                           extent, why):
+        # every input is read and checked before the store is opened
+        _, gt = write_scene(tmp_path)
+        write_raster(GeoRaster(np.zeros((2, *extent), np.float32), gt, crs, 0.0),
+                     str(tmp_path / "coarse"))
+        bad = self.write_config(tmp_path, ingest={"coarse_image": str(tmp_path / "coarse")})
+        assert main(["ingest", "--config", bad]) == 3
+        assert capsys.readouterr().err == f"error[data]: {why}\n"
+        assert not (tmp_path / "store").exists()
+
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        store = store_bytes(tmp_path)
+        assert tmp_path / "store" / FOLD_ARRAY / ".array.json" in store
+        capsys.readouterr()
+        bad = self.write_config(tmp_path, ingest={"coarse_image": str(tmp_path / "coarse")})
+        assert main(["ingest", "--config", bad]) == 3
+        assert capsys.readouterr().err == f"error[data]: {why}\n"
+        assert store_bytes(tmp_path) == store
+
+    def test_a_validation_fold_with_no_usable_tile_exits_3_before_any_output(
+            self, tmp_path, capsys):
+        _, gt = write_scene(tmp_path)
+        cfg = self.write_config(tmp_path, train={"validation_fold": 0})
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        folds = Store(tmp_path / "store").array(FOLD_ARRAY).read_region((0,), (4,))
+        # clouds (SCL class 9) over every tile of fold 0; the labels, and so
+        # the split, stay as they were
+        held = (folds == 0).reshape(2, 2).repeat(TILE, axis=0).repeat(TILE, axis=1)
+        write_scl(tmp_path, gt, np.where(held, 9, 4))
+        cfg = self.write_config(tmp_path, ingest={"scl": str(tmp_path / "scl")},
+                                train={"validation_fold": 0})
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        assert np.array_equal(
+            Store(tmp_path / "store").array(FOLD_ARRAY).read_region((0,), (4,)), folds)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error[data]: config.train.validation_fold: fold 0 has no usable tile\n")
+        assert not out.exists()
 
     def test_ingest_replaces_a_store_of_the_old_format(self, tmp_path, capsys):
         write_scene(tmp_path)
