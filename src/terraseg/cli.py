@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="YAML pipeline config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if name in ("split", "train"):  # the commands that read config.seed
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name in ("train", "evaluate", "predict", "query"):  # query.txt only given --out
             p.add_argument("--out", default=None if name == "query" else ".",
                            help="directory for relative output paths")
@@ -68,7 +68,7 @@ def _load_config(args) -> PipelineConfig:
         raise ConfigError(f"config file {args.config} is not UTF-8 text "
                           f"(byte {exc.start}: {exc.reason})") from None
     config = parse_config(text)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
     ckpt = getattr(args, "checkpoint", None)
     if ckpt is not None:

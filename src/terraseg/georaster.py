@@ -346,6 +346,8 @@ def read_raster(basepath: str) -> GeoRaster:
     try:
         dt = DTYPE_CODES[meta["dtype"]]
         w, h, c = int(meta["width"]), int(meta["height"]), int(meta["channels"])
+        if min(w, h, c) < 1:
+            raise ValueError(f"width {w}, height {h} and channels {c} must be positive")
         gt, nodata = _geotransform(meta["geotransform"]), float(meta["nodata"])
         crs = meta["crs"]
     except (KeyError, TypeError, ValueError, ParameterError) as exc:

@@ -25,6 +25,8 @@ one 1-D buffer, :attr:`NetworkGraph.flat`, of every parameter in insertion
 order. Each layer's parameters are views of it, named by
 :meth:`NetworkGraph.parameters`; ``add`` and ``set_dtype`` repack it.
 :meth:`NetworkGraph.backward` adds into a gradient buffer of its layout.
+Only ``training.fit`` moves this state: it steps ``flat`` in place and
+folds in the batch-norm statistics that training forwards return.
 """
 
 from __future__ import annotations
@@ -231,8 +233,7 @@ class BatchNorm2d(Layer):
         return shapes[0]
 
     def forward(self, xs, training, rng):
-        return ops.batch_norm(xs[0], self.gamma, self.beta,
-                              self.stats, self.eps, self.momentum, training)
+        return ops.batch_norm(xs[0], self.gamma, self.beta, self.stats, self.eps, training)
 
     def backward(self, g, ctx):
         dx, dgamma, dbeta = ops.batch_norm_backward(g, ctx)
@@ -464,10 +465,10 @@ class NetworkGraph:
             self._spans.setdefault(i, []).append((key, span, arr.shape))
             start = span.stop
 
-    def place(self, buf: np.ndarray | None = None) -> None:
-        """Move ``flat`` into ``buf``, a 1-D array of its size and dtype (a
-        new one when None), pointing every layer's parameters at it: ``fit``
-        places it in memory its worker processes share, and back."""
+    def place(self, buf: np.ndarray) -> None:
+        """Move ``flat`` into ``buf``, a 1-D array of its size and dtype,
+        pointing every layer's parameters at it: a worker pool places it in
+        shared memory, and back into the array it was when the pool closes."""
         self._pack(self.dtype, buf)
 
     def shape_of(self, name: str) -> tuple[int, ...]:
@@ -513,7 +514,8 @@ class NetworkGraph:
                 rng: SeededRng | None = None) -> tuple[np.ndarray, GraphCache]:
         """Evaluate every node on one sample [C, H, W], keeping each node's
         output and layer context for :meth:`backward`; ``rng`` seeds the
-        dropout masks in training.
+        dropout masks in training, where a batch norm's context holds the
+        sample's statistics, "mu" and "var", for ``fit`` to fold in.
 
         Each Dropout node draws from ``rng.spawn(node_name)``, so its mask
         depends only on the seed and the node's name.
@@ -666,32 +668,28 @@ def grad_check(graph: NetworkGraph, x: np.ndarray, labels: np.ndarray,
 
     The loss is the categorical cross-entropy of the graph's softmax output
     against the class ids ``labels``. Returns the maximum relative error
-    |a - n| / max(|a|, |n|, 1e-6) over every parameter element. Keep the
-    graph small: the cost is two forwards per parameter.
+    |a - n| / max(|a|, |n|, 1e-6) over every parameter element, and leaves
+    the graph as it was. Keep it small: the cost is two forwards per parameter.
     """
     n_params = graph.count_parameters()
     if n_params > max_params:
         raise ParameterError(f"graph has {n_params} parameters, grad_check cap is {max_params}")
     logits = graph.logits_name()
 
-    def loss_of() -> float:
-        rng = SeededRng(0xD0)  # fixed so dropout masks repeat across evals
-        probs, _ = graph.forward(x, training=True, rng=rng)
-        loss, _ = ops.categorical_cross_entropy(probs, labels, ignore_mask)
-        return loss
+    def run():  # loss, logits gradient and cache; a fixed rng repeats the dropout masks
+        probs, cache = graph.forward(x, training=True, rng=SeededRng(0xD0))
+        return (*ops.categorical_cross_entropy(probs, labels, ignore_mask), cache)
 
-    rng = SeededRng(0xD0)
-    probs, cache = graph.forward(x, training=True, rng=rng)
-    _, glogits = ops.categorical_cross_entropy(probs, labels, ignore_mask)
+    _, glogits, cache = run()
     analytic = np.zeros_like(graph.flat)
     graph.backward(cache, {logits: glogits}, analytic)
     worst, flat = 0.0, graph.flat
     for i, a in enumerate(analytic):
         orig = flat[i]
         flat[i] = orig + step
-        lp = loss_of()
+        lp = run()[0]
         flat[i] = orig - step
-        lm = loss_of()
+        lm = run()[0]
         flat[i] = orig
         num = (lp - lm) / (2.0 * step)
         worst = max(worst, abs(a - num) / max(abs(a), abs(num), 1e-6))

@@ -2,10 +2,10 @@
 inference, on blocks of tiles [N, C, H, W].
 
 Ops take and return plain C-contiguous ndarrays and never write into their
-inputs (batch norm's running statistics are the one piece of state an op
-updates). Every op follows its input's dtype: each buffer it makes takes
-that dtype and nothing in it promotes to float64, so a float32 graph runs in
-float32 end to end while float64 stays what the gradient checks use.
+inputs or any other state. Every op follows its input's dtype: each buffer
+it makes takes that dtype and nothing in it promotes to float64, so a
+float32 graph runs in float32 end to end while float64 stays what the
+gradient checks use.
 
 Every differentiable op comes as a forward function plus a matching
 ``*_backward`` that implements the analytic adjoint; the test suite verifies
@@ -51,13 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyLossError,
-    IntegrityError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import DataError, EmptyLossError, IntegrityError, ParameterError, ShapeError
 from .tensor import SeededRng
 
 __all__ = [
@@ -528,15 +522,15 @@ class RunningStats:
 
 
 def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: RunningStats,
-               eps: float = 1e-5, momentum: float = 0.1, training: bool = True):
+               eps: float = 1e-5, training: bool = True):
     """Per-channel normalization of [C,H,W], returning (output, cache).
 
     Training mode normalizes with the sample's own spatial statistics (with
     one sample per step this is instance normalization, the regime the
-    pipeline runs in) and folds them into ``stats`` with the given momentum,
-    keeping them in ``cache`` as "mu" and "var"; inference mode uses
-    ``stats`` unchanged and takes leading axes, such as a block [N,C,H,W].
-    ``cache`` feeds batch_norm_backward.
+    pipeline runs in) and returns them in ``cache`` as "mu" and "var", for
+    the caller to fold into ``stats``; inference mode uses ``stats`` and
+    takes leading axes, such as a block [N,C,H,W]. Neither mode writes
+    ``stats``. ``cache`` feeds batch_norm_backward.
     """
     if x.ndim != 3 and (training or x.ndim < 3):
         raise ShapeError(f"batch_norm wants [C,H,W] (or leading axes in inference), got {x.shape}")
@@ -548,7 +542,6 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats: Runnin
     if training:
         mu = x.mean(axis=(1, 2))
         var = x.var(axis=(1, 2))
-        stats.update(mu, var, momentum)
     else:
         mu, var = stats.mean, stats.var
     inv_std = 1.0 / np.sqrt(var + eps)

@@ -196,6 +196,15 @@ def cmd_ingest(config: PipelineConfig) -> Store:
         if coarse.height % nty or coarse.width % ntx:
             raise DataError(f"coarse extent {coarse.height}x{coarse.width} does not "
                             f"divide into the {nty}x{ntx} tile grid")
+        # unrotated, each edge within half an image pixel of the tile grid's
+        x0, dx, _, y0, _, dy = raster.geotransform
+        cx0, cdx, crx, cy0, cry, cdy = coarse.geotransform
+        grid = (x0, y0, x0 + ntx * ts * dx, y0 + nty * ts * dy)
+        got = (cx0, cy0, cx0 + coarse.width * cdx, cy0 + coarse.height * cdy)
+        if crx or cry or any(abs(g - c) > abs(d) / 2 for g, c, d in zip(grid, got, (dx, dy) * 2)):
+            rotated = ", rotated" if crx or cry else ""
+            raise DataError(f"coarse footprint (x0, y0, x1, y1) {got}{rotated} is not the "
+                            f"tile grid's {grid}")
         blocks = coarse.data.reshape(coarse.channels, nty, coarse.height // nty,
                                      ntx, coarse.width // ntx)
         arrays.append((COARSE_ARRAY, blocks.transpose(1, 3, 2, 4, 0), "f32",
@@ -236,15 +245,13 @@ def cmd_split(config: PipelineConfig):
                for i, plane in enumerate(planes)]
     if sp.k > len(records):  # config.split checks k >= 2
         raise DataError(f"config.split.k: {sp.k} exceeds the {len(records)} stored tiles")
-    assignment = stratified_kfold_partition(records, sp.k,
-                                            mix_seed(config.seed, "split"))
+    assignment = stratified_kfold_partition(records, sp.k, mix_seed(config.seed, "split"))
     store.remove(_node(config, FOLD_ARRAY))
     n = len(records)
     arr = store.create_array(
         _node(config, FOLD_ARRAY), [n], [n], "i32",
         attributes=fold_manifest(assignment, records, config.seed))
-    arr.write_region((0,), np.array([assignment.fold_of(i) for i in range(n)],
-                                    dtype=np.int32))
+    arr.write_region((0,), np.array([assignment.fold_of(i) for i in range(n)], np.int32))
     log.info("assigned %d tiles to %d folds", n, sp.k)
     return assignment
 

@@ -196,11 +196,11 @@ def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int 
     forks once, ``parallel.processes()`` in all. Yields
     ``run(epoch, batch, grads)``, which trains the samples of ``batch`` in
     order, adds their gradients into ``grads`` and statistics into the
-    running ones, and returns their losses. Each worker takes a contiguous
-    run of the batch after this process's own, puts each gradient in a row
-    of shared memory and returns the losses and statistics, added here in
-    sample order. ``flat`` sits in shared memory while the pool is open, so
-    a step here reaches the workers.
+    running ones, in sample order, and returns their losses. Each worker
+    takes a contiguous run of the batch after this process's own, puts each
+    gradient in a row of shared memory and returns the losses and
+    statistics. ``flat`` sits in shared memory while the pool is open, so a
+    step here reaches the workers, and in the caller's own array after.
 
     While it is open, :func:`_infer_tiles` on ``graph`` runs on it: a block
     goes to a free one of a worker's two rooms of shared memory, or is scored
@@ -209,14 +209,15 @@ def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int 
     stopped early must end the pool's use.
     """
     dropout = any(isinstance(node.layer, Dropout) for node in graph.nodes)
-    norms = [i for i, node in enumerate(graph.nodes) if isinstance(node.layer, BatchNorm2d)]
+    norms = [(i, n.layer) for i, n in enumerate(graph.nodes) if isinstance(n.layer, BatchNorm2d)]
     procs = parallel.processes()
     ins = parallel.shared_array((procs - 1, 2, tiles_per_block(graph), *graph.input_shape),
                                 graph.dtype)
     if procs > 1:  # a row for each sample of a full batch that a worker runs
         rows = parallel.shared_array((batch_size - -(-batch_size // procs), graph.flat.size),
                                      graph.dtype)
-        graph.place(parallel.shared_array(graph.flat.shape, graph.dtype))
+        own = graph.flat
+        graph.place(parallel.shared_array(own.shape, own.dtype))
     fold = None  # in a worker, the fold of the current pass
 
     def step(epoch: int, si: int, grads: np.ndarray):
@@ -230,7 +231,7 @@ def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int 
                 raise
             raise _diverged(epoch, f"the loss of training sample {si}") from None
         graph.backward(cache, {graph.logits_name(): glogits}, grads)
-        return loss, [(cache.ctxs[i]["mu"], cache.ctxs[i]["var"]) for i in norms]
+        return loss, [(cache.ctxs[i]["mu"], cache.ctxs[i]["var"]) for i, _ in norms]
 
     def serve(task):  # in a worker
         nonlocal fold
@@ -253,15 +254,14 @@ def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int 
             if share.size:
                 pool.send(k, (epoch, [(int(si), row + j) for j, si in enumerate(share)]))
             row += share.size
-        losses = [step(epoch, int(si), grads)[0] for si in first]
-        done = [result for k, share in enumerate(shares) if share.size for result in pool.recv(k)]
-        for row, (loss, stats) in enumerate(done):
-            losses.append(loss)
-            for i, (mu, var) in zip(norms, stats):
-                layer = graph.nodes[i].layer
-                layer.stats.update(mu, var, layer.momentum)
+        done = [step(epoch, int(si), grads) for si in first]
+        done += [result for k, share in enumerate(shares) if share.size for result in pool.recv(k)]
+        for row in range(len(done) - len(first)):
             grads += rows[row]
-        return losses
+        for _, stats in done:
+            for (_, layer), (mu, var) in zip(norms, stats):
+                layer.stats.update(mu, var, layer.momentum)
+        return [loss for loss, _ in done]
 
     def scores(blocks, want: str):
         here, stats, told = graph.folded(), graph.state_arrays(), set()  # told: workers sent stats
@@ -295,7 +295,7 @@ def _workers(graph: NetworkGraph, train_data=(), seed: int = 0, batch_size: int 
     finally:
         _HELD.pop(id(graph), None)
         if procs > 1:
-            graph.place()
+            graph.place(own)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -47,9 +47,8 @@ def small_graph(seed=9):
 def warmed_graph(seed=9):
     """Graph with non-trivial batch-norm running statistics."""
     g = small_graph(seed)
-    x = SeededRng(seed + 1).uniform(-1.0, 1.0, (3, 6, 6))
-    for _ in range(3):
-        g.forward(x, training=True, rng=SeededRng(7))
+    for i, arr in enumerate(g.state_arrays().values()):
+        arr[...] = SeededRng(seed + i).uniform(0.5, 1.5, arr.shape)
     return g
 
 
@@ -105,7 +104,8 @@ class TestRoundTrip:
     def test_float32_graph_round_trips_bit_for_bit(self, tmp_path):
         g = warmed_graph()
         g.set_dtype(np.float32)
-        g.forward(SeededRng(5).uniform(-1.0, 1.0, (3, 6, 6)), training=True, rng=SeededRng(6))
+        for arr in g.state_arrays().values():  # moved in float32, as a float32 train moves them
+            arr *= np.float32(1.1)
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         checkpoint_save(g, p1, 0.25)
         g2, _ = checkpoint_load(p1)

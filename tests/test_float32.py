@@ -106,8 +106,12 @@ class TestBatchNorm:
         y32, cache32 = ops.batch_norm(x[0], gamma[0], beta[0], stats32, training=training)
         y64, cache64 = ops.batch_norm(x[1], gamma[1], beta[1], stats64, training=training)
         assert_close(y32, y64, 64)
+        if training:  # as fit folds a sample's statistics in
+            stats32.update(cache32["mu"], cache32["var"], 0.1)
+            stats64.update(cache64["mu"], cache64["var"], 0.1)
         # updated in place, so a graph's state arrays stay the ones it holds
         assert stats32.mean is held[0] and stats32.var is held[1]
+        assert stats32.mean.dtype == stats32.var.dtype == np.float32
         for s32, s64 in ((stats32.mean, stats64.mean), (stats32.var, stats64.var)):
             assert_close(s32, s64, 64)
         g32, g64 = pair(16, y64.shape)

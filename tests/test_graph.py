@@ -444,12 +444,13 @@ class TestFlat:
 
     def test_place_moves_flat_into_a_buffer_and_back(self):
         g = TestFolded().segnet()
-        before = g.flat.copy()
+        original, before = g.flat, g.flat.copy()
         buf = np.full(g.flat.size, np.nan, g.dtype)
         g.place(buf)
         assert g.flat is buf and buf.tobytes() == before.tobytes()
-        g.place()
-        assert not np.shares_memory(g.flat, buf) and g.flat.tobytes() == before.tobytes()
+        buf += 1  # a step while placed lands in the original on the way back
+        g.place(original)
+        assert g.flat is original and original.tobytes() == (before + 1).tobytes()
         self.assert_views(g)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -552,6 +553,16 @@ class TestGradCheck:
         mask = np.zeros((4, 4))
         mask[0, :] = 1
         assert grad_check(g, x, t, ignore_mask=mask) <= 1e-4
+
+    def test_segnet_leaves_the_running_statistics_alone(self):
+        # its 2N+1 training forwards each folded their statistics in
+        g = build_topology(TopologySpec(kind="segnet", depth=1, base_channels=2, in_channels=2,
+                                        num_classes=3), (8, 8), seed=4)
+        before = {name: arr.tobytes() for name, arr in g.state_arrays().items()}
+        x = rand_array(30, (2, 8, 8), low=-2, high=3)
+        assert grad_check(g, x, SeededRng(31).integers(0, 3, (8, 8))) <= 1e-4
+        assert len(before) == 4
+        assert {name: arr.tobytes() for name, arr in g.state_arrays().items()} == before
 
     def test_parameter_cap(self):
         g = NetworkGraph((8, 32, 32))

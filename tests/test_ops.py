@@ -588,11 +588,13 @@ class TestBatchNorm:
         # and inference must not move the stats
         assert np.array_equal(stats.mean, [1.0, -1.0])
 
-    def test_training_updates_running_stats(self):
-        stats = RunningStats.zeros(1)
-        x = np.full((1, 2, 2), 10.0)
-        ops.batch_norm(x, np.ones(1), np.zeros(1), stats, momentum=0.5)
-        assert stats.mean[0] == pytest.approx(5.0)
+    def test_training_returns_the_sample_statistics_and_moves_none(self):
+        stats = RunningStats.zeros(2)
+        x = rand_array(69, (2, 3, 3), low=-2, high=4)
+        _, cache = ops.batch_norm(x, np.ones(2), np.zeros(2), stats)
+        assert np.array_equal(cache["mu"], x.mean(axis=(1, 2)))
+        assert np.array_equal(cache["var"], x.var(axis=(1, 2)))
+        assert np.array_equal(stats.mean, [0.0, 0.0]) and np.array_equal(stats.var, [1.0, 1.0])
 
     def test_bad_eps(self):
         with pytest.raises(ParameterError):

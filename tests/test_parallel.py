@@ -266,6 +266,64 @@ class TestOnePool:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+class TestGraphState:
+    """``fit`` is the one writer of a graph's state, at any process count."""
+
+    @needs_workers
+    def test_flat_stays_the_caller_s_array(self, tmp_path, cores):
+        cores(2)
+        graph = graph_of("segnet", base=8)
+        flat, view = graph.flat, graph.parameters()["enc0_conv.weight"]
+        evaluate_samples(graph, samples(40, 2))
+        assert graph.flat is flat
+        train = TrainSection(optimizer=OptimizerConfig("sgd", 0.05), epochs=1, batch_size=4,
+                             checkpoint=str(tmp_path / "m.ckpt"))
+        before = flat.copy()
+        fit(graph, samples(7, 1), train, 5, samples(4, 2))
+        assert graph.flat is flat and not np.array_equal(flat, before)
+        assert np.shares_memory(view, graph.flat)
+        assert view.tobytes() == graph.parameters()["enc0_conv.weight"].tobytes()
+
+    @pytest.mark.parametrize("kind", ["segnet", "norm-input"])
+    def test_running_statistics_fold_each_sample_in_sample_order(self, tmp_path, cores,
+                                                                monkeypatch, kind):
+        # 7 samples at batch 4 make a full batch and a short one; at 1
+        # process a spy on the op sees every training sample's statistics
+        train_data = samples(7, 1)
+        train = TrainSection(optimizer=OptimizerConfig("sgd", 0.05), epochs=1, batch_size=4,
+                             checkpoint=str(tmp_path / "m.ckpt"))
+        seen, batch_norm = {}, ops.batch_norm
+
+        def spy(x, gamma, beta, stats, eps=1e-5, training=True):
+            y, cache = batch_norm(x, gamma, beta, stats, eps, training)
+            if training:
+                seen.setdefault(id(stats), []).append((cache["mu"], cache["var"]))
+            return y, cache
+
+        cores(1)
+        graph = graph_of(kind)
+        norms = [node.layer for node in graph.nodes if isinstance(node.layer, BatchNorm2d)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "batch_norm", spy)
+            fit(graph, train_data, train, 5)
+        want = []
+        for layer in norms:
+            folds = seen[id(layer.stats)]
+            assert len(folds) == len(train_data)
+            m = layer.momentum
+            mean, var = np.zeros(layer.channels, np.float32), np.ones(layer.channels, np.float32)
+            for mu, v in folds:
+                mean = mean * (1.0 - m) + m * mu
+                var = var * (1.0 - m) + m * v
+            want += [mean.tobytes(), var.tobytes()]
+        assert [a.tobytes() for a in graph.state_arrays().values()] == want
+        for procs in (2, 3):
+            cores(procs)
+            graph = graph_of(kind)
+            fit(graph, train_data, train, 5)
+            assert [a.tobytes() for a in graph.state_arrays().values()] == want
+
+
 class TestErrors:
     def every_error(self):
         for cls in vars(errors).values():
@@ -303,8 +361,9 @@ class TestInferTiles:
     @pytest.mark.parametrize("kind", ["segnet", "unet"])
     def test_every_process_count_gives_the_same_blocks(self, cores, kind):
         graph = graph_of(kind, base=8)
-        for s in samples(3, 4):  # running statistics off 0 and 1, so the fold moves bits
-            graph.forward(s.image, training=True)
+        # running statistics off 0 and 1, so the fold moves bits
+        for i, arr in enumerate(graph.state_arrays().values()):
+            arr[...] = SeededRng(i).uniform(0.5, 1.5, arr.shape)
         tiles = samples(150, 3)
         tiles[7] = Sample(tiles[7].image, tiles[7].labels, np.ones((HW, HW), np.uint8))
         half = np.zeros((HW, HW), np.uint8)

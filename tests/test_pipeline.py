@@ -291,8 +291,9 @@ class TestIngest:
         # a 2x3 tile grid over 3 weeks: each array-week holds 2 chunk files,
         # each a row of 3 tiles
         _, gt = write_scene(tmp_path, height=24, width=40)
-        coarse = np.zeros((2, 4, 6), dtype=np.float32)
-        write_raster(GeoRaster(coarse, gt, CRS, 0.0), str(tmp_path / "coarse"))
+        coarse = np.zeros((2, 4, 6), dtype=np.float32)  # 80 m over the 32x48 px grid
+        write_raster(GeoRaster(coarse, (gt[0], 80.0, 0.0, gt[3], 0.0, -80.0), CRS, 0.0),
+                     str(tmp_path / "coarse"))
         store = cmd_ingest(make_config(tmp_path, ingest={
             "weeks": 3, "coarse_image": str(tmp_path / "coarse")}))
 
@@ -305,6 +306,31 @@ class TestIngest:
         assert chunk_files(COARSE_ARRAY) == [f"{c}.0" for c in weekly]
         assert chunk_files(MASK_ARRAY) == weekly
         assert chunk_files(LABEL_ARRAY) == ["c.0.0.0.0", "c.1.0.0.0"]
+
+    @pytest.mark.parametrize("coarse_gt, got", [
+        ((5e6, 80.0, 0.0, -3e6, 0.0, -80.0), "(5000000.0, -3000000.0, 5000320.0, -3000320.0)"),
+        (("x0", 80.0, 0.0, "y0", 0.0, -40.0), "(1000.0, 2000.0, 1320.0, 1840.0)"),
+        (("x0+6", 80.0, 0.0, "y0", 0.0, -80.0), "(1006.0, 2000.0, 1326.0, 1680.0)"),
+        (("x0", 80.0, 1.0, "y0", 0.0, -80.0), "(1000.0, 2000.0, 1320.0, 1680.0), rotated"),
+    ], ids=["elsewhere", "short", "shifted", "rotated"])
+    def test_coarse_image_must_lie_on_the_tile_grid(self, scene, coarse_gt, got):
+        # the image's 2x2 grid of 16-px tiles at 10 m from (1000, 2000) spans 320 m
+        root, labels, gt = scene
+        assert gt == (1000.0, 10.0, 0.0, 2000.0, 0.0, -10.0)
+        at = {"x0": gt[0], "y0": gt[3], "x0+6": gt[0] + 6.0}
+        coarse_gt = tuple(at.get(v, v) for v in coarse_gt)
+        write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32), coarse_gt, CRS, 0.0),
+                     str(root / "coarse"))
+        config = make_config(root, ingest={"coarse_image": str(root / "coarse")})
+        with pytest.raises(DataError) as err:
+            cmd_ingest(config)
+        assert str(err.value) == (f"coarse footprint (x0, y0, x1, y1) {got} is not the "
+                                  "tile grid's (1000.0, 2000.0, 1320.0, 1680.0)")
+        # within half an image pixel of the grid's edges is on it
+        write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32),
+                               (gt[0] + 4.9, 80.0, 0.0, gt[3] - 4.9, 0.0, -80.0), CRS, 0.0),
+                     str(root / "coarse"))
+        assert COARSE_ARRAY in {p for p, *_ in cmd_ingest(config).list_tree("")}
 
     def test_coarse_extent_must_divide_the_grid(self, scene):
         root, labels, gt = scene
@@ -336,7 +362,8 @@ class TestIngest:
 
     def test_each_array_is_written_with_one_call(self, scene, monkeypatch):
         root, labels, gt = scene
-        write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32), gt, CRS, 0.0),
+        write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32),
+                               (gt[0], 80.0, 0.0, gt[3], 0.0, -80.0), CRS, 0.0),
                      str(root / "coarse"))
         calls = collections.Counter()
         write_region = StoredArray.write_region
@@ -1410,6 +1437,47 @@ class TestCli:
         assert main(["ingest", "--config", bad]) == 3
         assert capsys.readouterr().err == f"error[data]: {why}\n"
         assert store_bytes(tmp_path) == store
+
+    def test_a_misplaced_coarse_image_exits_3_and_changes_no_store(self, tmp_path, capsys):
+        # its crs and extent pass, but it lies 80 m east of the image
+        _, gt = write_scene(tmp_path)
+        write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32),
+                               (gt[0] + 80.0, 80.0, 0.0, gt[3], 0.0, -80.0), CRS, 0.0),
+                     str(tmp_path / "coarse"))
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        store = store_bytes(tmp_path)
+        capsys.readouterr()
+        bad = self.write_config(tmp_path, ingest={"coarse_image": str(tmp_path / "coarse")})
+        assert main(["ingest", "--config", bad]) == 3
+        assert capsys.readouterr().err == (
+            "error[data]: coarse footprint (x0, y0, x1, y1) (1080.0, 2000.0, 1400.0, 1680.0) "
+            "is not the tile grid's (1000.0, 2000.0, 1320.0, 1680.0)\n")
+        assert store_bytes(tmp_path) == store
+
+    @pytest.mark.parametrize("extent", [(1, 0, 0), (0, 4, 4), (1, -2, 4)],
+                             ids=["no-pixels", "no-channels", "negative-height"])
+    def test_a_sidecar_without_pixels_exits_3_naming_it(self, tmp_path, capsys, extent):
+        _, gt = write_scene(tmp_path)
+        sidecar = tmp_path / "image.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta.update(zip(("channels", "height", "width"), extent))
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        (tmp_path / "image.bin").write_bytes(b"")
+        assert main(["ingest", "--config", self.write_config(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[data]: raster sidecar {sidecar} is malformed: ValueError: ")
+        assert err.endswith(" must be positive\n") and err.count("\n") == 1
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "evaluate", "predict", "query"])
+    def test_seed_is_offered_only_where_a_seed_is_used(self, tmp_path, capsys, command):
+        cfg = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--config", cfg, "--seed", "3"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_a_validation_fold_with_no_usable_tile_exits_3_before_any_output(
             self, tmp_path, capsys):
