@@ -36,11 +36,16 @@ handle reads it once when it opens. It carries ``"format": 4``; arrays
 without that marker predate the plane table (or the byte shuffle, or the
 chunk trailer) and must be re-ingested.
 
-Writers take an advisory lock file (``.lock``, O_EXCL) per array for the
-duration of a write. It holds the writer's pid, so a held lock is reported
-with its pid and whether that process still runs. Every store file is
-written by `write_output`, through a ``tmp-`` sibling renamed into place, so
-a chunk replace is one atomic rename and a leftover never looks like a chunk.
+Chunks are independent units of encoding, so `write_regions`, the one
+chunk writer, shares a write's chunks over the usable cores: the caller
+takes an advisory lock file (``.lock``, O_EXCL) per array for the duration
+of the write, and while it holds them, it and the children it forks once
+pad, encode and write disjoint chunk files; a child takes no lock. A lock
+holds the caller's pid, so a held lock is reported with its pid and whether
+that process still runs. Every store file is written by `write_output`,
+through a ``tmp-`` sibling renamed into place, so a chunk replace is one
+atomic rename and a leftover never looks like a chunk; one that a dead
+child left is deleted before the locks are released.
 Nothing in the store depends on time or randomness: two identical ingest
 runs produce byte-identical trees.
 """
@@ -57,6 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     IntegrityError,
     ParameterError,
@@ -335,23 +341,8 @@ class StoredArray:
     # -- public IO
 
     def write_region(self, offsets, data: np.ndarray) -> None:
-        """Write ``data`` at ``offsets``, replacing every chunk the region
-        covers without reading it. The region must cover whole chunks, an
-        edge chunk up to the array's edge (it is zero-padded past it);
-        one that cuts a chunk raises ParameterError and writes nothing."""
-        data = np.asarray(data)
-        offsets, extents = self._check_region(offsets, data.shape)
-        if any(o % c or (o + e) % c and o + e != s
-               for o, e, c, s in zip(offsets, extents, self._chunks, self.shape)):
-            raise ParameterError(f"region offset {offsets} extent {extents} cuts a "
-                                 f"{self._chunks} chunk of {self.path!r}")
-        data = data.astype(self._dtype, copy=False)
-        with _Lock(self.dir):
-            for key, _, in_region in _walk_chunks(self._chunks, offsets, extents):
-                block = data[in_region]
-                if block.shape != self._chunks:  # an edge chunk
-                    block = np.pad(block, [(0, c - n) for c, n in zip(self._chunks, block.shape)])
-                write_output(self.dir / ("c." + key), self._encode(key, block), "store chunk")
+        """Write ``data`` at ``offsets``: the one region of `write_regions`."""
+        write_regions([(self, offsets, data)])
 
     def read_region(self, offsets, extents) -> np.ndarray:
         offsets, extents = self._check_region(offsets, extents)
@@ -359,6 +350,58 @@ class StoredArray:
         for key, in_chunk, in_region in _walk_chunks(self._chunks, offsets, extents):
             out[in_region] = self._load_chunk(key)[in_chunk]
         return out
+
+
+def write_regions(regions) -> None:
+    """Write each ``(array, offsets, data)`` of ``regions``, replacing every
+    chunk a region covers without reading it. A region must cover whole
+    chunks, an edge chunk up to the array's edge (it is zero-padded past
+    it), and no array may have two regions; every region is checked first,
+    and one that fails raises ParameterError, writing nothing.
+
+    This process holds every array's lock for the whole write. It and the
+    children it forks once, ``parallel.processes()`` processes in all but
+    never more than there are chunks, each pad, encode and write their share
+    of the chunk files, chunk ``i`` in process ``i % n``; children take no
+    lock. A failed write leaves no ``tmp-`` file, not even one a dead child
+    left."""
+    jobs, dirs = [], set()  # jobs: (array, chunk key, region-side block)
+    for arr, offsets, data in regions:
+        data = np.asarray(data)
+        offsets, extents = arr._check_region(offsets, data.shape)
+        if any(o % c or (o + e) % c and o + e != s
+               for o, e, c, s in zip(offsets, extents, arr._chunks, arr.shape)):
+            raise ParameterError(f"region offset {offsets} extent {extents} cuts a "
+                                 f"{arr._chunks} chunk of {arr.path!r}")
+        if arr.dir in dirs:
+            raise ParameterError(f"array {arr.path!r} has more than one region")
+        dirs.add(arr.dir)
+        data = data.astype(arr._dtype, copy=False)
+        jobs += [(arr, key, data[in_region])
+                 for key, _, in_region in _walk_chunks(arr._chunks, offsets, extents)]
+    procs = max(1, min(parallel.processes(), len(jobs)))
+
+    def write(share: range) -> None:  # here and in each child
+        for arr, key, block in map(jobs.__getitem__, share):
+            if block.shape != arr._chunks:  # an edge chunk
+                block = np.pad(block, [(0, c - n) for c, n in zip(arr._chunks, block.shape)])
+            write_output(arr.dir / ("c." + key), arr._encode(key, block), "store chunk")
+
+    with contextlib.ExitStack() as held:
+        for d in sorted(dirs):
+            held.enter_context(_Lock(d))
+        try:
+            with parallel.Workers(procs - 1, write) as pool:
+                for k in range(1, procs):
+                    pool.send(k - 1, range(k, len(jobs), procs))
+                write(range(0, len(jobs), procs))
+                for k in range(1, procs):
+                    pool.recv(k - 1)
+        except BaseException:  # every child is reaped, so none still writes
+            for d in dirs:
+                for tmp in d.glob("tmp-c.*"):
+                    tmp.unlink(missing_ok=True)
+            raise
 
 
 def _crc(key: str, payload) -> int:

@@ -21,6 +21,7 @@ own; ``mosaic`` transposes the blocks back and crops the padding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,12 @@ def dtype_code(dt: np.dtype) -> str:
 
 
 def _geotransform(values) -> tuple[float, ...]:
-    """``values`` as the six floats of an invertible transform."""
+    """``values`` as the six finite floats of an invertible transform."""
     gt = tuple(float(v) for v in values)
     if len(gt) != 6:
         raise ParameterError(f"geotransform needs 6 coefficients, got {len(gt)}")
+    if not all(map(math.isfinite, gt)):
+        raise ParameterError(f"geotransform coefficients {list(gt)} must be finite")
     if gt[1] * gt[5] - gt[2] * gt[4] == 0:
         raise ParameterError("geotransform is singular")
     return gt

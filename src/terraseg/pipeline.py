@@ -45,7 +45,7 @@ import numpy as np
 
 from .catalog import build_catalog_query
 from .checkpoint import checkpoint_load
-from .chunkstore import Store
+from .chunkstore import Store, write_regions
 from .config import PipelineConfig, TrainSection
 from .datasplit import (
     SampleRecord,
@@ -157,12 +157,18 @@ def cmd_ingest(config: PipelineConfig) -> Store:
     """Rasterize labels, tile everything, and (re)write the store arrays.
     Phase one reads and checks every input, rasterizes and tiles before the
     store opens, so a failed check changes no store and makes none. Phase two
-    writes each array with one ``create_array`` and one ``write_region``."""
+    declares each array with one ``create_array``, then writes them all with
+    one ``write_regions``, whose chunks are shared over the usable cores."""
     ing = _section(config, "ingest")
     raster = read_raster(ing.image)
+    if raster.geotransform[2] or raster.geotransform[4]:
+        raise DataError(f"raster sidecar {ing.image}.json: geotransform "
+                        f"{list(raster.geotransform)} is rotated, which ingest cannot tile")
     shapes = _load_label_shapes(ing.labels, ing.num_classes, ing.class_map)
     label_raster = rasterize(shapes, raster.width, raster.height, raster.geotransform,
                              raster.crs, nodata=ing.label_nodata)
+    if (label_raster.data == ing.label_nodata).all():
+        raise DataError(f"label file {ing.labels} labels no pixel of the image")
     if ing.scl is not None:
         scl = read_raster(ing.scl)
         if scl.crs != raster.crs:
@@ -213,13 +219,15 @@ def cmd_ingest(config: PipelineConfig) -> Store:
     store = Store(config.store)
     for rel in (IMAGE_ARRAY, MASK_ARRAY, COARSE_ARRAY, LABEL_ARRAY, FOLD_ARRAY):
         store.remove(_node(config, rel))
+    regions = []
     for rel, tiles, dtype, attributes in arrays:
         # cast before the week axis goes on, so a cast copies one scene, not every week
         tiles, chunks = tiles.astype(DTYPE_CODES[dtype], copy=False), (1,) + tiles.shape[1:]
         if rel != LABEL_ARRAY:  # a weekly array holds the one scene every week
             tiles, chunks = np.broadcast_to(tiles, (ing.weeks,) + tiles.shape), (1,) + chunks
         arr = store.create_array(_node(config, rel), tiles.shape, chunks, dtype, attributes)
-        arr.write_region((0,) * tiles.ndim, tiles)
+        regions.append((arr, (0,) * tiles.ndim, tiles))
+    write_regions(regions)
     log.info("ingested %dx%d tiles of %d into %s", nty, ntx, ts, config.store)
     return store
 

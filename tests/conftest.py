@@ -1,8 +1,12 @@
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from terraseg import ops
+from terraseg import ops, parallel
 from terraseg.tensor import SeededRng
 
 settings.register_profile(
@@ -44,3 +48,32 @@ def assert_plain_arrays(graph, x, labels, dtype=np.float64):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)
+
+
+needs_workers = pytest.mark.skipif(parallel._blas_threads() is None,
+                                   reason="the loaded BLAS's thread count cannot be set, "
+                                          "so everything runs serially")
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the usable core count; checks that no child or thread is left,
+    and fails a test that waits on a worker for more than a minute."""
+    def hung(*_):
+        raise TimeoutError("waited over a minute on a worker")
+
+    threads = threading.active_count()
+    handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield lambda n: monkeypatch.setattr(parallel, "usable_cores", lambda: n)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    nothing_left(threads)
+
+
+def nothing_left(threads: int) -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads

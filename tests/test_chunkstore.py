@@ -17,16 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terraseg import synth
-from terraseg.chunkstore import PROBE_BYTES, Store, StoredArray
+from terraseg import chunkstore, parallel, synth
+from terraseg.chunkstore import PROBE_BYTES, Store, StoredArray, write_regions
 from terraseg.georaster import DTYPE_CODES
 from terraseg.errors import (
+    DataError,
     IntegrityError,
     ParameterError,
     StoreConflictError,
     StoreLockError,
     StoreNotFoundError,
+    TerrasegError,
 )
+
+from conftest import needs_workers
 
 
 @pytest.fixture
@@ -568,6 +572,124 @@ class TestIntegrity:
         a.write_region((0,), np.ones(4, dtype=np.uint8))
         assert seen == [str(os.getpid())]
         assert not (store.root / "a" / ".lock").exists()
+
+
+def stray_files(root: Path) -> list[str]:
+    return sorted(p.name for p in root.rglob("*") if p.name.startswith("tmp-")
+                  or p.name == ".lock")
+
+
+class TestWriteRegions:
+    """One write of several arrays' regions, its chunks shared over processes."""
+
+    def regions(self, store, rng):
+        # 3 arrays of 4, 6 and 1 chunks, edge chunks padded on both axes
+        img = store.create_array("img", (7, 5, 3), (2, 5, 3), "f32")
+        mask = store.create_array("a/mask", (11, 4), (2, 4), "u8")
+        fold = store.create_array("fold", (5,), (5,), "i32")
+        return [(img, (0, 0, 0), rng.normal(0, 1e3, (7, 5, 3)).astype(np.float32)),
+                (mask, (0, 0), rng.integers(0, 2, (11, 4))),
+                (fold, (0,), np.arange(5))]
+
+    @pytest.mark.parametrize("procs", [1, 2, 3, 16])
+    def test_every_process_count_writes_the_bytes_of_one_write_per_array(
+            self, tmp_path, rng, cores, procs):
+        per = Store(tmp_path / "per")
+        for arr, offsets, data in self.regions(per, np.random.default_rng(5)):
+            arr.write_region(offsets, data)
+        cores(procs)
+        write_regions(self.regions(Store(tmp_path / "one"), np.random.default_rng(5)))
+        assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "per")
+        assert stray_files(tmp_path) == []
+
+    @needs_workers
+    def test_each_chunk_is_written_once_by_one_process_under_the_callers_lock(
+            self, store, cores, monkeypatch):
+        a = store.create_array("a", (9,), (1,), "u8")
+        writer, lock = (parallel.shared_array((9,), np.int64) for _ in range(2))
+        replace = os.replace
+
+        def spied(src, dst):
+            i = int(Path(dst).name.removeprefix("c."))
+            writer[i] += os.getpid()  # once per chunk: the pid of its one writer
+            lock[i] = int((store.root / "a" / ".lock").read_text(encoding="ascii"))
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spied)
+        cores(3)
+        a.write_region((0,), np.arange(9, dtype=np.uint8))
+        monkeypatch.undo()
+        assert lock.tolist() == [os.getpid()] * 9
+        assert os.getpid() in writer and len(set(writer.tolist())) == 3
+        assert a.read_region((0,), (9,)).tolist() == list(range(9))
+
+    @pytest.mark.parametrize("chunks, forks", [(1, 0), (2, 1), (5, 2)])
+    def test_a_write_forks_no_more_children_than_it_has_chunks(
+            self, store, cores, monkeypatch, chunks, forks):
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        a = store.create_array("a", (chunks,), (1,), "u8")
+        cores(3)
+        a.write_region((0,), np.ones(chunks, np.uint8))
+        assert len(forked) == (forks if parallel.processes() > 1 else 0)
+
+    def test_a_bad_region_writes_nothing(self, store, rng):
+        good = store.create_array("good", (4,), (2,), "u8")
+        bad = store.create_array("bad", (4,), (2,), "u8")
+        before = tree_digest(store.root)
+        with pytest.raises(ParameterError, match="cuts a"):
+            write_regions([(good, (0,), np.ones(4)), (bad, (1,), np.ones(2))])
+        with pytest.raises(ParameterError, match="more than one region"):
+            write_regions([(good, (0,), np.ones(2)), (store.array("good"), (2,), np.ones(2))])
+        assert tree_digest(store.root) == before
+
+    @needs_workers
+    @pytest.mark.parametrize("where", ["encode", "write"])
+    def test_a_child_that_dies_leaves_no_tmp_file_and_no_lock(
+            self, store, cores, monkeypatch, where):
+        main_pid, encode, write_output = os.getpid(), StoredArray._encode, chunkstore.write_output
+        left_at_release, release = [], chunkstore._Lock.__exit__
+
+        def dying_encode(arr, key, block):
+            return os._exit(9) if os.getpid() != main_pid else encode(arr, key, block)
+
+        def dying_write(path, data, what):  # dies half way through its tmp- file
+            if os.getpid() != main_pid:
+                path.with_name("tmp-" + path.name).write_bytes(data[: len(data) // 2])
+                os._exit(9)
+            return write_output(path, data, what)
+
+        def spied_release(lock, *exc):
+            left_at_release.extend(p.name for p in lock.path.parent.glob("tmp-*"))
+            return release(lock, *exc)
+
+        if where == "encode":
+            monkeypatch.setattr(StoredArray, "_encode", dying_encode)
+        else:
+            monkeypatch.setattr(chunkstore, "write_output", dying_write)
+        monkeypatch.setattr(chunkstore._Lock, "__exit__", spied_release)
+        a = store.create_array("a", (6, 3), (1, 3), "f32")
+        cores(2)
+        with pytest.raises(TerrasegError, match="ended with exit code 9 before returning"):
+            a.write_region((0, 0), np.ones((6, 3)))
+        assert left_at_release == [] and stray_files(store.root) == []
+
+    @needs_workers
+    def test_a_failed_write_in_a_child_raises_its_data_error(self, store, cores, monkeypatch):
+        main_pid, write_output = os.getpid(), chunkstore.write_output
+
+        def write_onto_a_directory(path, data, what):
+            if os.getpid() != main_pid and path.name == "c.1":
+                path.mkdir()
+            return write_output(path, data, what)
+
+        monkeypatch.setattr(chunkstore, "write_output", write_onto_a_directory)
+        a = store.create_array("a", (4,), (1,), "u8")
+        cores(2)
+        with pytest.raises(DataError) as err:
+            a.write_region((0,), np.ones(4, np.uint8))
+        assert str(err.value) == f"store chunk {store.root / 'a' / 'c.1'}: Is a directory"
+        assert stray_files(store.root) == []
 
 
 class TestTreeOps:

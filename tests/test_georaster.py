@@ -5,6 +5,7 @@ and the flat-binary and PNM file formats."""
 import json
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -127,6 +128,15 @@ class TestGeoRaster:
             GeoRaster(np.zeros((1, 4, 4)), (0, 1, 0, 0, 0))
         with pytest.raises(ParameterError):
             GeoRaster(np.zeros((1, 4, 4)), (0, 1, 0, 0, 1, 0))  # singular
+
+    @pytest.mark.parametrize("at", range(6))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_geotransform_coefficients_must_be_finite(self, at, value):
+        # nan * x - ... == 0 is false, so a NaN once passed the singularity check
+        gt = list(NORTH_UP)
+        gt[at] = value
+        with pytest.raises(ParameterError, match="must be finite"):
+            GeoRaster(np.zeros((1, 4, 4)), gt)
 
 
 class TestRasterize:
@@ -340,6 +350,17 @@ class TestRasterIO:
         with open(base + ".bin", "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(DataError, match="bytes"):
+            read_raster(base)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_geotransform_names_the_sidecar(self, value, tmp_path):
+        base = str(tmp_path / "scene")
+        write_raster(GeoRaster(np.zeros((1, 4, 4), np.uint8), NORTH_UP), base)
+        meta = json.loads(Path(base + ".json").read_text(encoding="utf-8"))
+        meta["geotransform"][0] = value
+        Path(base + ".json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^raster sidecar {re.escape(base)}.json is "
+                                            "malformed: ParameterError: .* must be finite$"):
             read_raster(base)
 
     def test_corrupt_sidecar(self, tmp_path):

@@ -10,7 +10,6 @@ import errno
 import inspect
 import os
 import pickle
-import signal
 import threading
 import weakref
 
@@ -25,37 +24,10 @@ from terraseg.tensor import SeededRng
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.training import Sample, _infer_tiles, evaluate_samples, fit, tiles_per_block
 
+from conftest import needs_workers, nothing_left
+
 HW = 16
 NEVER = 1000  # a patience no run reaches
-
-needs_workers = pytest.mark.skipif(parallel._blas_threads() is None,
-                                   reason="the loaded BLAS's thread count cannot be set, "
-                                          "so everything runs serially")
-
-
-@pytest.fixture
-def cores(monkeypatch):
-    """Sets the usable core count; checks that no child or thread is left,
-    and fails a test that waits on a worker for more than a minute."""
-    def hung(*_):
-        raise TimeoutError("waited over a minute on a worker")
-
-    threads = threading.active_count()
-    handler = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        yield lambda n: monkeypatch.setattr(parallel, "usable_cores", lambda: n)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
-    nothing_left(threads)
-
-
-def nothing_left(threads: int) -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert threading.active_count() == threads
-
 
 def samples(n: int, seed: int, channels: int = 2, classes: int = 3) -> list[Sample]:
     rng = SeededRng(seed)

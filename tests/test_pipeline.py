@@ -14,12 +14,13 @@ import os
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from terraseg import ops, parallel, synth
+from terraseg import chunkstore, ops, parallel, pipeline, synth
 from terraseg.catalog import BASE_URL, CatalogQuery, build_catalog_query
 from terraseg.checkpoint import checkpoint_load, checkpoint_save
 from terraseg.chunkstore import Store, StoredArray
@@ -361,20 +362,27 @@ class TestIngest:
         assert np.array_equal(w0, w1)
 
     def test_each_array_is_written_with_one_call(self, scene, monkeypatch):
+        # one write, through the one chunk writer, covers every array's whole region once
         root, labels, gt = scene
         write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32),
                                (gt[0], 80.0, 0.0, gt[3], 0.0, -80.0), CRS, 0.0),
                      str(root / "coarse"))
-        calls = collections.Counter()
-        write_region = StoredArray.write_region
+        calls = []
+        write_regions = chunkstore.write_regions
 
-        def counted(arr, offsets, data):
-            calls[arr.path] += 1
-            return write_region(arr, offsets, data)
+        def counted(regions):
+            calls.append([(arr.path, tuple(offsets), np.shape(data), arr.shape)
+                          for arr, offsets, data in regions])
+            return write_regions(regions)
 
-        monkeypatch.setattr(StoredArray, "write_region", counted)
+        monkeypatch.setattr(chunkstore, "write_regions", counted)  # under write_region
+        monkeypatch.setattr(pipeline, "write_regions", counted)
         cmd_ingest(make_config(root, ingest={"weeks": 2, "coarse_image": str(root / "coarse")}))
-        assert calls == {LABEL_ARRAY: 1, IMAGE_ARRAY: 1, MASK_ARRAY: 1, COARSE_ARRAY: 1}
+        assert len(calls) == 1
+        assert sorted(path for path, *_ in calls[0]) == sorted(
+            [LABEL_ARRAY, IMAGE_ARRAY, MASK_ARRAY, COARSE_ARRAY])
+        for path, offsets, extents, shape in calls[0]:
+            assert offsets == (0,) * len(shape) and extents == shape, path
 
     def test_requires_ingest_section(self, scene):
         root, labels, gt = scene
@@ -1471,6 +1479,56 @@ class TestCli:
         assert err.endswith(" must be positive\n") and err.count("\n") == 1
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_geotransform_exits_3_naming_the_sidecar(self, tmp_path, capsys,
+                                                                   value):
+        _, gt = write_scene(tmp_path)
+        sidecar = tmp_path / "image.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta["geotransform"][1] = value
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["ingest", "--config", self.write_config(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[data]: raster sidecar {sidecar} is malformed: "
+                              "ParameterError: geotransform coefficients ")
+        assert err.endswith(" must be finite\n") and err.count("\n") == 1
+        assert not (tmp_path / "store").exists()
+
+    def test_a_rotated_image_exits_3_naming_its_sidecar_and_changes_no_store(
+            self, tmp_path, capsys):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        store = store_bytes(tmp_path)
+        capsys.readouterr()
+        sidecar = tmp_path / "image.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta["geotransform"][2] = 0.5
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["ingest", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: raster sidecar {sidecar}: geotransform "
+            "[1000.0, 10.0, 0.5, 2000.0, 0.0, -10.0] is rotated, which ingest cannot tile\n")
+        assert store_bytes(tmp_path) == store
+
+    @pytest.mark.parametrize("where", ["none", "outside"])
+    def test_a_label_file_that_labels_no_pixel_exits_3_naming_it(self, tmp_path, capsys,
+                                                                 where):
+        _, gt = write_scene(tmp_path)
+        doc = []
+        if where == "outside":  # a square east of the 320 m wide scene
+            x0, y0 = gt[0] + 400.0, gt[3] - 100.0
+            ring = [(x0, y0), (x0 + 50, y0), (x0 + 50, y0 + 50), (x0, y0 + 50), (x0, y0)]
+            doc = [{"class": 1, "wkt": "POLYGON ((" + ", ".join(
+                f"{x} {y}" for x, y in ring) + "))"}]
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ingest", "--config", self.write_config(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: label file {labels} labels no pixel of the image\n")
+        assert not (tmp_path / "store").exists()
+
     @pytest.mark.parametrize("command", ["ingest", "evaluate", "predict", "query"])
     def test_seed_is_offered_only_where_a_seed_is_used(self, tmp_path, capsys, command):
         cfg = self.write_config(tmp_path)
@@ -1690,6 +1748,94 @@ class TestWorkers:
         assert main(["ingest", "--config", str(cfg)]) == 0
         assert main(["split", "--config", str(cfg)]) == 0
         return str(cfg)
+
+    def ingest(self, root, store):
+        """Ingest the scene under ``root`` into ``store``: (exit code, store files)."""
+        cfg = root / "ingest.yaml"
+        cfg.write_text(yaml.safe_dump(merged(base_doc(root), {
+            "store": str(store),
+            "ingest": {"weeks": 2, "coarse_image": str(root / "coarse")}})), encoding="utf-8")
+        code = main(["ingest", "--config", str(cfg)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, {p.relative_to(store): p.read_bytes()
+                      for p in sorted(store.rglob("*")) if p.is_file()}
+
+    def write_ingest(self, root):
+        # 96 px at tile 16: a 6x6 tile grid, 80 m coarse pixels 2 to a tile side
+        _, gt = write_scene(root, height=96, width=96)
+        write_raster(GeoRaster(np.linspace(0, 1, 2 * 12 * 12, dtype=np.float32).reshape(2, 12, 12),
+                               (gt[0], 80.0, 0.0, gt[3], 0.0, -80.0), CRS, 0.0),
+                     str(root / "coarse"))
+
+    def test_ingest_writes_the_same_store_at_every_process_count(self, tmp_path, monkeypatch):
+        self.write_ingest(tmp_path)
+        trees = []
+        for procs in (1, None, 3):  # None: every usable core
+            with monkeypatch.context() as m:
+                if procs == 1:
+                    m.setattr(parallel, "processes", lambda: 1)
+                elif procs:
+                    m.setattr(parallel, "usable_cores", lambda: procs)
+                code, tree = self.ingest(tmp_path, tmp_path / f"store-{procs}")
+            assert code == 0
+            trees.append(tree)
+        # 6 tile rows: 6 label chunks, and 12 of each weekly array
+        assert sum(p.name.startswith("c.") for p in trees[0]) == 6 + 3 * 12
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+
+    @pytest.mark.skipif(parallel._blas_threads() is None,
+                        reason="the loaded BLAS's thread count cannot be set")
+    @pytest.mark.parametrize("where", ["encode", "write"])
+    def test_an_ingest_worker_that_dies_exits_4_leaving_no_tmp_file_or_lock(
+            self, tmp_path, capsys, monkeypatch, where):
+        self.write_ingest(tmp_path)
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        main_pid, encode, write_output = os.getpid(), StoredArray._encode, chunkstore.write_output
+
+        def dying_encode(arr, key, block):
+            return os._exit(9) if os.getpid() != main_pid else encode(arr, key, block)
+
+        def dying_write(path, data, what):  # a worker dies half way through its tmp- file
+            if os.getpid() != main_pid:
+                path.with_name("tmp-" + path.name).write_bytes(data[: len(data) // 2])
+                os._exit(9)
+            return write_output(path, data, what)
+
+        if where == "encode":
+            monkeypatch.setattr(StoredArray, "_encode", dying_encode)
+        else:
+            monkeypatch.setattr(chunkstore, "write_output", dying_write)
+        capsys.readouterr()
+        code, tree = self.ingest(tmp_path, tmp_path / "store")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[runtime]: worker process ") and err.count("\n") == 1
+        assert "ended with exit code 9 before returning its result" in err
+        assert [p for p in tree if p.name.startswith("tmp-") or p.name == ".lock"] == []
+
+    @pytest.mark.skipif(parallel._blas_threads() is None,
+                        reason="the loaded BLAS's thread count cannot be set")
+    def test_a_failed_chunk_write_in_an_ingest_worker_exits_3_naming_the_chunk(
+            self, tmp_path, capsys, monkeypatch):
+        self.write_ingest(tmp_path)
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        main_pid, write_output = os.getpid(), chunkstore.write_output
+
+        def write_onto_a_directory(path, data, what):
+            if os.getpid() != main_pid:
+                path.mkdir()
+            return write_output(path, data, what)
+
+        monkeypatch.setattr(chunkstore, "write_output", write_onto_a_directory)
+        capsys.readouterr()
+        code, tree = self.ingest(tmp_path, tmp_path / "store")
+        assert code == 3
+        err = capsys.readouterr().err
+        chunk = err.removeprefix("error[data]: store chunk ").removesuffix(": Is a directory\n")
+        assert chunk != err and (tmp_path / "store") in Path(chunk).parents
+        assert Path(chunk).name.startswith("c.") and Path(chunk).is_dir()
+        assert [p for p in tree if p.name.startswith("tmp-") or p.name == ".lock"] == []
 
     def test_every_process_count_writes_the_same_files(self, tmp_path, capsys, monkeypatch):
         cfg = self.write(tmp_path)
