@@ -38,14 +38,15 @@ chunk trailer) and must be re-ingested.
 
 Chunks are independent units of encoding, so `write_regions`, the one
 chunk writer, shares a write's chunks over the usable cores: the caller
-takes an advisory lock file (``.lock``, O_EXCL) per array for the duration
-of the write, and while it holds them, it and the children it forks once
-pad, encode and write disjoint chunk files; a child takes no lock. A lock
-holds the caller's pid, so a held lock is reported with its pid and whether
-that process still runs. Every store file is written by `write_output`,
-through a ``tmp-`` sibling renamed into place, so a chunk replace is one
-atomic rename and a leftover never looks like a chunk; one that a dead
-child left is deleted before the locks are released.
+holds every array's lock for the duration of the write, and while it does,
+it and the children it forks once pad, encode and write disjoint chunk
+files. An array's lock, which `Store.remove` takes too, is an exclusive
+flock(2) on its ``.array.json``, so no file records it: the kernel drops
+it once its holder, and every child forked while it is held, has closed it
+or died, so no lock outlives its writer. Every store file is written by
+`write_output`, through a ``tmp-`` sibling renamed into place, so a chunk
+replace is one atomic rename and a leftover never looks like a chunk; one
+that a dead child left is deleted before the locks are released.
 Nothing in the store depends on time or randomness: two identical ingest
 runs produce byte-identical trees.
 """
@@ -53,6 +54,7 @@ runs produce byte-identical trees.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import os
 import re
 import shutil
@@ -64,6 +66,7 @@ import numpy as np
 
 from . import parallel
 from .errors import (
+    DataError,
     IntegrityError,
     ParameterError,
     StoreConflictError,
@@ -177,18 +180,19 @@ class Store:
     def array(self, path: str) -> "StoredArray":
         return StoredArray(self, "/".join(_split(path)))
 
-    def remove(self, path: str) -> None:
-        """Delete a group or array subtree (no-op when absent), holding every
-        array's writer lock: a held one raises StoreLockError, deleting nothing."""
-        parts = _split(path)
-        if not parts:
+    def remove(self, *paths: str) -> None:
+        """Delete each group or array subtree of ``paths`` (a no-op where one
+        is absent). Every array in them is locked once before any is deleted:
+        a held lock raises StoreLockError, deleting nothing."""
+        if not all(map(_split, paths)):
             raise ParameterError("refusing to remove the store root")
-        d = self._dir(path)
-        if d.exists():
-            with contextlib.ExitStack() as held:
-                for meta in sorted(d.rglob(ARRAY_META)):
-                    held.enter_context(_Lock(meta.parent))
-                shutil.rmtree(d)
+        dirs = [self._dir(path) for path in paths]
+        with contextlib.ExitStack() as held:
+            for meta in sorted({m for d in dirs for m in d.rglob(ARRAY_META)}):
+                held.enter_context(_Lock(meta.parent))
+            for d in dirs:
+                if d.exists():  # not when under a path removed before it
+                    shutil.rmtree(d)
 
     def list_tree(self, path: str = "") -> list[tuple[str, str, tuple[int, ...] | None]]:
         """Deterministic sorted listing of (path, kind, shape-or-None)."""
@@ -211,46 +215,33 @@ class Store:
 
 
 class _Lock:
-    """O_EXCL lock file holding its writer's pid, so a held lock names its owner."""
+    """The array's lock, held while the block is open: an exclusive,
+    non-blocking flock(2) on its ``.array.json`` through an open of its own,
+    so a second one, in this process or another, is refused. The kernel
+    drops it once every descriptor of that open is closed, so also when its
+    holders die; children forked while it is held share it."""
 
     def __init__(self, directory: Path):
-        self.path = directory / ".lock"
-        self.fd: int | None = None
+        self.path = directory / ARRAY_META
 
     def __enter__(self):
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLockError(self._held()) from None
-        try:
-            os.write(self.fd, str(os.getpid()).encode())
-        except OSError:
-            self.__exit__()
-            raise
+            self.fd = os.open(self.path, os.O_RDONLY)
+            try:
+                fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                os.close(self.fd)
+                raise
+        except BlockingIOError:
+            raise StoreLockError(f"store array {self.path.parent} is busy: its lock is "
+                                 "held by another write or remove") from None
+        except OSError as exc:  # say, ENOLCK on a filesystem without locks
+            raise DataError(f"store array {self.path.parent}: cannot lock its "
+                            f"{ARRAY_META}: {exc.strerror}") from None
         return self
 
-    def _held(self) -> str:
-        """Why the lock cannot be taken, naming the holder's pid when it left one."""
-        try:
-            pid = int(self.path.read_text(encoding="ascii"))
-        except (OSError, ValueError):
-            pid = 0
-        if pid <= 0:  # gone, taken but not yet written, or not a pid
-            return f"another writer holds {self.path}"
-        try:
-            os.kill(pid, 0)
-        except OverflowError:  # too large for a pid, so not one
-            return f"another writer holds {self.path}"
-        except ProcessLookupError:
-            return f"stale lock {self.path}: its writer, pid {pid}, is not running"
-        except PermissionError:  # running, as another user
-            pass
-        return f"writer pid {pid} holds {self.path}"
-
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)  # gone when Store.remove held it
+        os.close(self.fd)
         return False
 
 
@@ -362,9 +353,9 @@ def write_regions(regions) -> None:
     This process holds every array's lock for the whole write. It and the
     children it forks once, ``parallel.processes()`` processes in all but
     never more than there are chunks, each pad, encode and write their share
-    of the chunk files, chunk ``i`` in process ``i % n``; children take no
-    lock. A failed write leaves no ``tmp-`` file, not even one a dead child
-    left."""
+    of the chunk files, chunk ``i`` in process ``i % n``, the children under
+    the locks they share. A failed write leaves no ``tmp-`` file, not even
+    one a dead child left."""
     jobs, dirs = [], set()  # jobs: (array, chunk key, region-side block)
     for arr, offsets, data in regions:
         data = np.asarray(data)

@@ -65,8 +65,9 @@ class IntegrityError(DataError):
     """Stored bytes fail their checksum."""
 
 
-class StoreLockError(TerrasegError):
-    """A concurrent writer holds the advisory lock."""
+class StoreLockError(DataError):
+    """Another write or remove holds a store array's lock, the flock on its
+    ``.array.json``; the message names the array's directory."""
 
 
 class CheckpointFormatError(DataError):

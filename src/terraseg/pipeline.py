@@ -157,8 +157,10 @@ def cmd_ingest(config: PipelineConfig) -> Store:
     """Rasterize labels, tile everything, and (re)write the store arrays.
     Phase one reads and checks every input, rasterizes and tiles before the
     store opens, so a failed check changes no store and makes none. Phase two
-    declares each array with one ``create_array``, then writes them all with
-    one ``write_regions``, whose chunks are shared over the usable cores."""
+    removes the old arrays with one ``Store.remove``, which deletes none while
+    another holds one's lock, declares each array with one ``create_array``,
+    then writes them all with one ``write_regions``, whose chunks are shared
+    over the usable cores."""
     ing = _section(config, "ingest")
     raster = read_raster(ing.image)
     if raster.geotransform[2] or raster.geotransform[4]:
@@ -171,10 +173,12 @@ def cmd_ingest(config: PipelineConfig) -> Store:
         raise DataError(f"label file {ing.labels} labels no pixel of the image")
     if ing.scl is not None:
         scl = read_raster(ing.scl)
-        if scl.crs != raster.crs:
-            raise DataError(f"SCL crs {scl.crs!r} != image crs {raster.crs!r}")
-        if scl.data.shape[1:] != raster.data.shape[1:]:
-            raise DataError("SCL plane does not match the image extent")
+        for what, got, want in [("band count", scl.channels, 1), ("crs", scl.crs, raster.crs),
+                                ("geotransform", scl.geotransform, raster.geotransform),
+                                ("extent", scl.data.shape[1:], raster.data.shape[1:])]:
+            if got != want:
+                raise DataError(f"raster sidecar {ing.scl}.json: {what} {got} does not "
+                                f"match the image's SCL {what}, {want}")
         mask = scl_to_ignore_mask(scl, ing.cloud_classes).data
     else:
         mask = np.zeros((1, raster.height, raster.width), dtype=np.uint8)
@@ -217,8 +221,8 @@ def cmd_ingest(config: PipelineConfig) -> Store:
                        {"crs": coarse.crs, "geotransform": list(coarse.geotransform)}))
 
     store = Store(config.store)
-    for rel in (IMAGE_ARRAY, MASK_ARRAY, COARSE_ARRAY, LABEL_ARRAY, FOLD_ARRAY):
-        store.remove(_node(config, rel))
+    store.remove(*(_node(config, rel) for rel in
+                   (IMAGE_ARRAY, MASK_ARRAY, COARSE_ARRAY, LABEL_ARRAY, FOLD_ARRAY)))
     regions = []
     for rel, tiles, dtype, attributes in arrays:
         # cast before the week axis goes on, so a cast copies one scene, not every week

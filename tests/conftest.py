@@ -1,6 +1,9 @@
+import contextlib
+import fcntl
 import os
 import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,3 +80,22 @@ def nothing_left(threads: int) -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert threading.active_count() == threads
+
+
+@contextlib.contextmanager
+def held_lock(array_dir):
+    """Holds a store array's lock as another writer would: an flock on its
+    ``.array.json`` through an open of the test's own."""
+    with open(Path(array_dir) / ".array.json", "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+
+
+def is_locked(array_dir) -> bool:
+    """Whether a fresh open of the array's ``.array.json`` is refused its flock."""
+    with open(Path(array_dir) / ".array.json", "rb") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return True
+    return False

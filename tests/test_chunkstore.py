@@ -3,12 +3,13 @@ IO across chunk boundaries checked against a dense reference array,
 integrity checking, locking, and byte-level determinism of the on-disk
 tree."""
 
+import errno
+import fcntl
 import hashlib
 import json
 import os
+import signal
 import struct
-import subprocess
-import sys
 import zlib
 from pathlib import Path
 
@@ -28,9 +29,10 @@ from terraseg.errors import (
     StoreLockError,
     StoreNotFoundError,
     TerrasegError,
+    exit_code_for,
 )
 
-from conftest import needs_workers
+from conftest import held_lock, is_locked, needs_workers
 
 
 @pytest.fixture
@@ -280,7 +282,7 @@ class TestRegionIO:
         before = tree_digest(store.root)
         with pytest.raises(ParameterError, match=r"cuts a \(4, 4\) chunk of 'a'$"):
             a.write_region(offsets, np.zeros(shape, np.uint8))
-        assert tree_digest(store.root) == before  # no chunk, no .lock, no tmp-c.*
+        assert tree_digest(store.root) == before  # no chunk, no tmp-c.*
         assert np.all(a.read_region((0, 0), (10, 10)) == 1)
 
     def test_edge_chunks_padded_but_reads_clip(self, store, rng):
@@ -510,73 +512,88 @@ class TestIntegrity:
         assert early.read_region((0,), (6,)).tolist() == [0, 1, 2, 3, -1, -2]
 
     def test_lock_excludes_second_writer(self, store):
+        # another open of .array.json holds the lock, as another writer would
         a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
-        os.close(os.open(store.root / "a" / ".lock",
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        try:
-            with pytest.raises(StoreLockError):
-                a.write_region((0,), np.zeros(4, dtype=np.uint8))
-        finally:
-            os.unlink(store.root / "a" / ".lock")
+        a.write_region((0,), np.zeros(4, dtype=np.uint8))
+        before = tree_digest(store.root)
+        with held_lock(store.root / "a"):
+            with pytest.raises(StoreLockError) as raised:
+                a.write_region((0,), np.ones(4, dtype=np.uint8))
+            assert str(raised.value) == (f"store array {store.root / 'a'} is busy: "
+                                         "its lock is held by another write or remove")
+            assert exit_code_for(raised.value) == 3
+            assert tree_digest(store.root) == before
         a.write_region((0,), np.ones(4, dtype=np.uint8))  # released lock frees it
         assert np.all(a.read_region((0,), (4,)) == 1)
 
-    def test_held_lock_names_a_running_writer(self, store):
-        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
-        (store.root / "a" / ".lock").write_text(str(os.getpid()), encoding="ascii")
-        with pytest.raises(StoreLockError, match=rf"^writer pid {os.getpid()} holds .*\.lock$"):
-            a.write_region((0,), np.zeros(4, dtype=np.uint8))
-
-    @pytest.mark.parametrize("content", ["-1", "not a pid", "99999999999999999999"])
-    def test_lock_without_a_pid_names_no_writer(self, store, content):
-        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
-        (store.root / "a" / ".lock").write_text(content, encoding="ascii")
-        with pytest.raises(StoreLockError, match=r"^another writer holds .*\.lock$"):
-            a.write_region((0,), np.zeros(4, dtype=np.uint8))
-
-    def test_lock_whose_pid_write_fails_is_released(self, store, monkeypatch):
-        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
-
-        def write(fd, data):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(os, "write", write)
-        with pytest.raises(OSError, match="No space left"):
-            a.write_region((0,), np.zeros(4, dtype=np.uint8))
-        assert not (store.root / "a" / ".lock").exists()
-
-    def test_stale_lock_names_its_dead_writer(self, store):
-        a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
-        a.write_region((0,), np.ones(4, dtype=np.uint8))
-        before = tree_digest(store.root)
-        child = subprocess.Popen([sys.executable, "-c", ""])
-        child.wait()  # reaped, so its pid names no process
-        (store.root / "a" / ".lock").write_text(str(child.pid), encoding="ascii")
-        with pytest.raises(StoreLockError,
-                           match=rf"stale lock .*\.lock: its writer, pid {child.pid}, is not running"):
-            a.write_region((0,), np.zeros(4, dtype=np.uint8))
-        os.unlink(store.root / "a" / ".lock")
-        assert tree_digest(store.root) == before
+    def test_a_killed_writer_leaves_no_stale_lock(self, store):
+        # a forked child takes the lock and is killed holding it
+        a = store.create_array("g/a", shape=(4,), chunks=(4,), dtype="u8")
+        (took, taken), (wait, release) = os.pipe(), os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(took)
+                os.close(release)
+                with chunkstore._Lock(store.root / "g" / "a"):
+                    os.write(taken, b"1")
+                    os.read(wait, 1)  # until killed, or this test ends
+            finally:
+                os._exit(1)
+        os.close(taken)
+        os.close(wait)
+        try:
+            assert os.read(took, 1) == b"1"  # b"" if the child ended first
+            with pytest.raises(StoreLockError):
+                a.write_region((0,), np.ones(4, dtype=np.uint8))
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.close(took)
+            os.close(release)
+            assert os.waitpid(pid, 0)[1] == signal.SIGKILL
+        assert sorted(p.name for p in (store.root / "g" / "a").iterdir()) == [".array.json"]
+        a.write_region((0,), np.ones(4, dtype=np.uint8))  # no clean-up by hand
         assert np.all(a.read_region((0,), (4,)) == 1)
+        store.remove("g/a")
+        assert not (store.root / "g" / "a").exists()
 
-    def test_lock_holds_the_writer_pid_only_while_writing(self, store, monkeypatch):
+    def test_a_lock_the_filesystem_refuses_is_a_data_error(self, store, monkeypatch):
         a = store.create_array("a", shape=(4,), chunks=(4,), dtype="u8")
+
+        def no_locks(fd, op):
+            raise OSError(errno.ENOLCK, "No locks available")
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        with pytest.raises(DataError) as raised:
+            a.write_region((0,), np.zeros(4, dtype=np.uint8))
+        assert type(raised.value) is DataError
+        assert str(raised.value) == (f"store array {store.root / 'a'}: cannot lock its "
+                                     ".array.json: No locks available")
+        monkeypatch.undo()
+        a.write_region((0,), np.zeros(4, dtype=np.uint8))  # its descriptor was closed
+
+    def test_lock_is_held_only_while_writing_and_is_no_file(self, store, monkeypatch):
+        a = store.create_array("a", shape=(8,), chunks=(4,), dtype="u8")
         seen = []
         real_replace = os.replace
 
-        def replace(src, dst):
-            seen.append((store.root / "a" / ".lock").read_text(encoding="ascii"))
+        def replace(src, dst):  # each chunk write, in this process for 2 chunks or 1 core
+            seen.append((is_locked(store.root / "a"),
+                         sorted(p.name for p in (store.root / "a").iterdir())))
             return real_replace(src, dst)
 
+        monkeypatch.setattr(parallel, "processes", lambda: 1)
         monkeypatch.setattr(os, "replace", replace)
-        a.write_region((0,), np.ones(4, dtype=np.uint8))
-        assert seen == [str(os.getpid())]
-        assert not (store.root / "a" / ".lock").exists()
+        a.write_region((0,), np.ones(8, dtype=np.uint8))
+        assert seen == [(True, [".array.json", "tmp-c.0"]),
+                        (True, [".array.json", "c.0", "tmp-c.1"])]
+        assert not is_locked(store.root / "a")
+        assert sorted(p.name for p in (store.root / "a").iterdir()) == [
+            ".array.json", "c.0", "c.1"]
 
 
 def stray_files(root: Path) -> list[str]:
-    return sorted(p.name for p in root.rglob("*") if p.name.startswith("tmp-")
-                  or p.name == ".lock")
+    return sorted(p.name for p in root.rglob("*") if p.name.startswith("tmp-"))
 
 
 class TestWriteRegions:
@@ -606,20 +623,20 @@ class TestWriteRegions:
     def test_each_chunk_is_written_once_by_one_process_under_the_callers_lock(
             self, store, cores, monkeypatch):
         a = store.create_array("a", (9,), (1,), "u8")
-        writer, lock = (parallel.shared_array((9,), np.int64) for _ in range(2))
+        writer, locked = (parallel.shared_array((9,), np.int64) for _ in range(2))
         replace = os.replace
 
         def spied(src, dst):
             i = int(Path(dst).name.removeprefix("c."))
             writer[i] += os.getpid()  # once per chunk: the pid of its one writer
-            lock[i] = int((store.root / "a" / ".lock").read_text(encoding="ascii"))
+            locked[i] = is_locked(store.root / "a")  # a fresh flock, here too, is refused
             return replace(src, dst)
 
         monkeypatch.setattr(os, "replace", spied)
         cores(3)
         a.write_region((0,), np.arange(9, dtype=np.uint8))
         monkeypatch.undo()
-        assert lock.tolist() == [os.getpid()] * 9
+        assert locked.tolist() == [1] * 9 and not is_locked(store.root / "a")
         assert os.getpid() in writer and len(set(writer.tolist())) == 3
         assert a.read_region((0,), (9,)).tolist() == list(range(9))
 
@@ -673,6 +690,7 @@ class TestWriteRegions:
         with pytest.raises(TerrasegError, match="ended with exit code 9 before returning"):
             a.write_region((0, 0), np.ones((6, 3)))
         assert left_at_release == [] and stray_files(store.root) == []
+        assert not is_locked(store.root / "a")
 
     @needs_workers
     def test_a_failed_write_in_a_child_raises_its_data_error(self, store, cores, monkeypatch):
@@ -726,17 +744,29 @@ class TestTreeOps:
         store.create_array("a/free", (4,), (4,), "u8")
         held = store.create_array("a/img", (4,), (4,), "u8")
         held.write_region((0,), np.arange(4, dtype=np.uint8))
-        lock = store.root / "a" / "img" / ".lock"
-        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         before = tree_digest(store.root)
-        for path in ("a/img", "a"):
-            with pytest.raises(StoreLockError):
-                store.remove(path)
-            assert tree_digest(store.root) == before  # no file gone, no lock left taken
-        os.unlink(lock)
+        with held_lock(store.root / "a" / "img"):
+            for path in ("a/img", "a"):
+                with pytest.raises(StoreLockError, match="a/img is busy"):
+                    store.remove(path)
+                assert tree_digest(store.root) == before  # no file gone
         assert held.read_region((0,), (4,)).tolist() == [0, 1, 2, 3]
         store.remove("a")  # released lock frees it
         assert not (store.root / "a").exists()
+
+    def test_remove_of_several_paths_locks_every_array_before_deleting_any(self, store):
+        store.create_array("a/free", (4,), (4,), "u8")
+        store.create_array("b", (4,), (4,), "u8")
+        store.create_array("c/held", (4,), (4,), "u8")
+        before = tree_digest(store.root)
+        with held_lock(store.root / "c" / "held"):
+            with pytest.raises(StoreLockError, match="c/held is busy"):
+                store.remove("a", "b", "c/held")
+            assert tree_digest(store.root) == before
+        with pytest.raises(ParameterError, match="store root"):
+            store.remove("a", "")
+        store.remove("a", "a/free", "b", "c/held", "absent")  # a/free goes with a
+        assert store.list_tree() == [("", "group", None), ("c", "group", None)]
 
     def test_two_identical_builds_are_byte_identical(self, tmp_path, rng):
         payload = rng.integers(0, 255, (9, 9)).astype(np.uint8)

@@ -11,6 +11,7 @@ import dataclasses
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 import zlib
@@ -51,6 +52,8 @@ from terraseg.pipeline import (
 )
 from terraseg.topologies import TopologySpec, build_topology
 from terraseg.wkt import parse_wkt, to_wkt
+
+from conftest import held_lock, is_locked
 
 CRS = "EPSG:32633"
 SIZE = 32
@@ -1277,16 +1280,47 @@ class TestCli:
         assert err == (f"error[data]: label file {tmp_path / 'labels.json'}: entry 2: "
                        "number 1e999 overflows a float (byte offset 14)\n")
 
-    def test_held_store_lock_exits_4(self, tmp_path, capsys):
+    def test_a_held_store_lock_exits_3_naming_the_array_and_changes_no_store(
+            self, tmp_path, capsys):
+        # a running split holds the fold array's lock: the re-ingest deletes nothing
         write_scene(tmp_path)
         cfg = self.write_config(tmp_path)
         assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        store = store_bytes(tmp_path)
         capsys.readouterr()
-        lock = tmp_path / "store" / IMAGE_ARRAY / ".lock"
-        lock.write_text(str(os.getpid()), encoding="ascii")  # a running writer
-        assert main(["ingest", "--config", cfg]) == 4
+        fold = tmp_path / "store" / FOLD_ARRAY
+        with held_lock(fold):
+            assert main(["ingest", "--config", cfg]) == 3
         assert capsys.readouterr().err == (
-            f"error[runtime]: writer pid {os.getpid()} holds {lock}\n")
+            f"error[data]: store array {fold} is busy: its lock is held by another "
+            "write or remove\n")
+        assert store_bytes(tmp_path) == store
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        assert store_bytes(tmp_path) == store
+
+    def test_a_writer_killed_holding_the_locks_leaves_a_store_ingest_takes(
+            self, tmp_path, capsys):
+        write_scene(tmp_path)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        store = store_bytes(tmp_path)
+        arrays = sorted(p.parent for p in (tmp_path / "store").rglob(".array.json"))
+        assert len(arrays) == 4
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for d in arrays:
+                    chunkstore._Lock(d).__enter__()
+                os.kill(os.getpid(), signal.SIGKILL)
+            finally:
+                os._exit(1)
+        assert os.waitpid(pid, 0)[1] == signal.SIGKILL
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        assert store_bytes(tmp_path) == store
 
     @pytest.mark.parametrize("command, overrides, why", [
         ("split", {"split": {"k": 9}}, "config.split.k: 9 exceeds the 4 stored tiles"),
@@ -1510,6 +1544,40 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error[data]: raster sidecar {sidecar}: geotransform "
             "[1000.0, 10.0, 0.5, 2000.0, 0.0, -10.0] is rotated, which ingest cannot tile\n")
+        assert store_bytes(tmp_path) == store
+
+    @pytest.mark.parametrize("case, why", [
+        ("bands", "band count 2 does not match the image's SCL band count, 1"),
+        ("crs", "crs EPSG:4326 does not match the image's SCL crs, EPSG:32633"),
+        ("geotransform", "geotransform (1320.0, 10.0, 0.0, 1680.0, 0.0, -10.0) does not "
+                         "match the image's SCL geotransform, "
+                         "(1000.0, 10.0, 0.0, 2000.0, 0.0, -10.0)"),
+        ("extent", f"extent ({SIZE}, {SIZE // 2}) does not match the image's SCL extent, "
+                   f"({SIZE}, {SIZE})"),
+    ])
+    def test_an_scl_off_the_image_grid_exits_3_naming_its_sidecar_and_changes_no_store(
+            self, tmp_path, capsys, case, why):
+        _, gt = write_scene(tmp_path)
+        assert gt == (1000.0, 10.0, 0.0, 2000.0, 0.0, -10.0)
+        cfg = self.write_config(tmp_path)
+        assert main(["ingest", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        store = store_bytes(tmp_path)
+        capsys.readouterr()
+        plane, crs = np.full((1, SIZE, SIZE), 4, np.uint8), CRS
+        if case == "bands":
+            plane = np.full((2, SIZE, SIZE), 4, np.uint8)
+        elif case == "crs":
+            crs = "EPSG:4326"
+        elif case == "geotransform":  # 32 px east and south of the image
+            gt = (1320.0, 10.0, 0.0, 1680.0, 0.0, -10.0)
+        else:
+            plane = plane[:, :, : SIZE // 2]
+        write_raster(GeoRaster(plane, gt, crs, 0.0), str(tmp_path / "scl"))
+        cfg = self.write_config(tmp_path, ingest={"scl": str(tmp_path / "scl")})
+        assert main(["ingest", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: raster sidecar {tmp_path / 'scl'}.json: {why}\n")
         assert store_bytes(tmp_path) == store
 
     @pytest.mark.parametrize("where", ["none", "outside"])
@@ -1812,7 +1880,9 @@ class TestWorkers:
         err = capsys.readouterr().err
         assert err.startswith("error[runtime]: worker process ") and err.count("\n") == 1
         assert "ended with exit code 9 before returning its result" in err
-        assert [p for p in tree if p.name.startswith("tmp-") or p.name == ".lock"] == []
+        assert [p for p in tree if p.name.startswith("tmp-")] == []
+        assert not any(is_locked(tmp_path / "store" / p.parent)
+                       for p in tree if p.name == ".array.json")
 
     @pytest.mark.skipif(parallel._blas_threads() is None,
                         reason="the loaded BLAS's thread count cannot be set")
@@ -1835,7 +1905,9 @@ class TestWorkers:
         chunk = err.removeprefix("error[data]: store chunk ").removesuffix(": Is a directory\n")
         assert chunk != err and (tmp_path / "store") in Path(chunk).parents
         assert Path(chunk).name.startswith("c.") and Path(chunk).is_dir()
-        assert [p for p in tree if p.name.startswith("tmp-") or p.name == ".lock"] == []
+        assert [p for p in tree if p.name.startswith("tmp-")] == []
+        assert not any(is_locked(tmp_path / "store" / p.parent)
+                       for p in tree if p.name == ".array.json")
 
     def test_every_process_count_writes_the_same_files(self, tmp_path, capsys, monkeypatch):
         cfg = self.write(tmp_path)
