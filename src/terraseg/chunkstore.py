@@ -72,6 +72,7 @@ from .errors import (
     StoreConflictError,
     StoreLockError,
     StoreNotFoundError,
+    TerrasegError,
     read_json,
     to_json,
     write_output,
@@ -355,7 +356,9 @@ def write_regions(regions) -> None:
     never more than there are chunks, each pad, encode and write their share
     of the chunk files, chunk ``i`` in process ``i % n``, the children under
     the locks they share. A failed write leaves no ``tmp-`` file, not even
-    one a dead child left."""
+    one a dead child left. A child whose caller has died (its parent is no
+    longer the caller) stops before its next chunk, so it neither writes for
+    a command that is gone nor holds the locks past its current chunk."""
     jobs, dirs = [], set()  # jobs: (array, chunk key, region-side block)
     for arr, offsets, data in regions:
         data = np.asarray(data)
@@ -371,9 +374,13 @@ def write_regions(regions) -> None:
         jobs += [(arr, key, data[in_region])
                  for key, _, in_region in _walk_chunks(arr._chunks, offsets, extents)]
     procs = max(1, min(parallel.processes(), len(jobs)))
+    caller = os.getpid()
 
     def write(share: range) -> None:  # here and in each child
         for arr, key, block in map(jobs.__getitem__, share):
+            if caller not in (os.getpid(), os.getppid()):
+                raise TerrasegError(f"store write's caller, process {caller}, ended; "
+                                    f"stopped before chunk {key} of {arr.path!r}")
             if block.shape != arr._chunks:  # an edge chunk
                 block = np.pad(block, [(0, c - n) for c, n in zip(arr._chunks, block.shape)])
             write_output(arr.dir / ("c." + key), arr._encode(key, block), "store chunk")

@@ -37,13 +37,43 @@ class SampleRecord:
 
 def presence_labels(label_tile: np.ndarray, min_pixels: int = 1,
                     ignore_value: int = 255) -> frozenset[int]:
-    """Classes counting at least ``min_pixels`` pixels in a label tile."""
+    """Classes counting at least ``min_pixels`` pixels in a label tile: the
+    one-tile case of :func:`presence_labels_tiles`."""
+    return presence_labels_tiles(np.asarray(label_tile)[None], min_pixels, ignore_value)[0]
+
+
+def presence_labels_tiles(label_tiles: np.ndarray, min_pixels: int = 1,
+                          ignore_value: int = 255) -> list[frozenset[int]]:
+    """For each tile of [n, ...] ``label_tiles``, the classes counting at
+    least ``min_pixels`` pixels, ``ignore_value`` never among them.
+
+    One ``bincount`` of (tile, value) keys counts the values of a batch of
+    whole tiles, batches of about 2**20 keys, so its int32 keys and its
+    counts stay a few MB however many tiles there are. Unsigned values
+    smaller than a tile's pixel count (or 256) are their own codes; other
+    values are coded by their rank among the distinct values."""
     if min_pixels < 1:
         raise ParameterError(f"min_pixels must be >= 1, got {min_pixels}")
-    tile = np.asarray(label_tile).reshape(-1)
-    tile = tile[tile != ignore_value]
-    values, counts = np.unique(tile, return_counts=True)
-    return frozenset(int(v) for v, c in zip(values, counts) if c >= min_pixels)
+    tiles = np.asarray(label_tiles)
+    n = len(tiles)
+    if tiles.size == 0:
+        return [frozenset()] * n
+    flat = tiles.reshape(n, -1)
+    if flat.dtype.kind in "bu" and (top := int(flat.max())) < max(flat.shape[1], 256):
+        values, codes = np.arange(top + 1), flat
+    else:
+        values, codes = np.unique(flat, return_inverse=True)
+        codes = codes.reshape(flat.shape)
+    span, ignored = len(values), values == ignore_value
+    per = max(1, (1 << 20) // max(flat.shape[1], span))
+    out = []
+    for batch in (codes[a : a + per] for a in range(0, n, per)):
+        keys = np.arange(0, len(batch) * span, span, dtype=np.int32)[:, None] + batch
+        counts = np.bincount(keys.ravel(), minlength=len(batch) * span).reshape(-1, span)
+        present = counts >= min_pixels
+        present[:, ignored] = False
+        out += [frozenset(map(int, values[row].tolist())) for row in present]
+    return out
 
 
 @dataclass

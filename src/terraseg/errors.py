@@ -2,9 +2,10 @@
 
 Every error carries a machine-parsable ``category`` that the CLI maps to an
 exit code: "config" -> 2, "data" -> 3, anything else -> 4. The package reads
-files through `read_input` and `read_json` and writes them, whole or not at
-all, through `write_output`, so a file it cannot read, parse or write is one
-of these errors naming it. `to_json` is the one form of every JSON output.
+files through `open_input` (`read_input` and `read_json` read with it) and
+writes them, whole or not at all, through `write_output`, so a file it
+cannot read, parse or write is one of these errors naming it. `to_json` is
+the one form of every JSON output.
 """
 
 import contextlib
@@ -94,15 +95,23 @@ def exit_code_for(exc: BaseException) -> int:
     return 4
 
 
-def read_input(path, what: str, error: type[TerrasegError] = DataError) -> bytes:
-    """The bytes of input file ``path``; an OSError (missing, a directory,
-    unreadable) becomes one ``error`` naming ``what`` and the path."""
+@contextlib.contextmanager
+def open_input(path, what: str, error: type[TerrasegError] = DataError):
+    """Input file ``path`` open for binary reading; an OSError opening or
+    reading it (missing, a directory, unreadable) becomes one ``error``
+    naming ``what`` and the path."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         why = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         raise error(f"{what} {path}: {why}") from None
+
+
+def read_input(path, what: str, error: type[TerrasegError] = DataError) -> bytes:
+    """The bytes of input file ``path``, read through `open_input`."""
+    with open_input(path, what, error) as fh:
+        return fh.read()
 
 
 def read_json(path, what: str, error: type[TerrasegError] = DataError):

@@ -22,11 +22,13 @@ own; ``mosaic`` transposes the blocks back and crops the padding.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError, read_input, read_json
+from .errors import DataError, ParameterError, ShapeError, open_input, read_json
 from .errors import to_json, write_output
 from .wkt import WktGeometry
 
@@ -219,8 +221,8 @@ def rasterize(shapes, width: int, height: int, geotransform,
     (the vertex array and a few words per edge), less than the polygons
     themselves take as Python tuples, plus 32 bytes per span. Untouched
     pixels keep ``nodata``. A value or ``nodata`` the dtype cannot hold
-    raises ParameterError, as do non-finite vertices. Only axis-aligned
-    geotransforms are accepted.
+    raises ParameterError, as do vertices that are not finite (x, y) pairs.
+    Only axis-aligned geotransforms are accepted.
     """
     if width < 1 or height < 1:
         raise ParameterError(f"grid extents must be positive, got {width}x{height}")
@@ -232,19 +234,23 @@ def rasterize(shapes, width: int, height: int, geotransform,
     dt = DTYPE_CODES[dtype]
     _check_value(nodata, dt, "nodata")
     plane = np.full((height, width), nodata, dtype=dt)
-    values, points, ring_len, ring_owner = [], [], [], []
+    values, rings, ring_len, ring_owner = [], [], [], []
     for i, (value, geom) in enumerate(shapes):
         if not isinstance(geom, WktGeometry):
             raise ParameterError("shapes must be (value, WktGeometry) pairs")
         values.append(value)
         for ring in filter(None, geom.rings):
-            points += ring
+            rings.append(ring)
             ring_len.append(len(ring))
             ring_owner.append(i)
     for value in set(values):
         _check_value(value, dt, "burn value")
-    if len(points) > len(ring_len):  # some ring has an edge
-        points = np.array(points, dtype=np.float64)
+    vertices = sum(ring_len)
+    if vertices > len(ring_len):  # some ring has an edge
+        points = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), np.float64)
+        if points.size != 2 * vertices:
+            raise ParameterError("polygon vertices must be (x, y) pairs")
+        points = points.reshape(-1, 2)
         if not np.isfinite(points).all():
             raise ParameterError("polygon vertices must be finite")
         # vertex pair (j, j + 1) is an edge unless j is the last of its ring
@@ -356,11 +362,14 @@ def read_raster(basepath: str) -> GeoRaster:
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise DataError(f"raster sidecar {sidecar} is malformed: "
                         f"{type(exc).__name__}: {exc}") from None
-    raw = read_input(basepath + ".bin", "raster payload")
-    expect = w * h * c * dt.itemsize
-    if len(raw) != expect:
-        raise DataError(f"raster payload {basepath}.bin is {len(raw)} bytes, expected {expect}")
-    data = np.frombuffer(raw, dtype=dt).reshape(c, h, w).copy()
+    payload, expect = basepath + ".bin", w * h * c * dt.itemsize
+    with open_input(payload, "raster payload") as fh:  # sized before the array is made
+        size = os.fstat(fh.fileno()).st_size
+        if size == expect:
+            data = np.empty((c, h, w), dtype=dt)
+            size = fh.readinto(data)  # the one copy of the payload
+    if size != expect:
+        raise DataError(f"raster payload {payload} is {size} bytes, expected {expect}")
     return GeoRaster(data, gt, crs, nodata)
 
 

@@ -50,7 +50,7 @@ from .config import PipelineConfig, TrainSection
 from .datasplit import (
     SampleRecord,
     fold_manifest,
-    presence_labels,
+    presence_labels_tiles,
     stratified_kfold_partition,
 )
 from .errors import ConfigError, DataError, StoreNotFoundError, WktParseError, read_json
@@ -253,8 +253,8 @@ def cmd_split(config: PipelineConfig):
     nty, ntx, th, tw = lbl.shape
     nodata = lbl.attributes.get("label_nodata", 255)
     planes = lbl.read_region((0, 0, 0, 0), lbl.shape).reshape(nty * ntx, th, tw)
-    records = [SampleRecord(i, presence_labels(plane, sp.min_pixels, ignore_value=nodata))
-               for i, plane in enumerate(planes)]
+    records = [SampleRecord(i, labels) for i, labels in
+               enumerate(presence_labels_tiles(planes, sp.min_pixels, ignore_value=nodata))]
     if sp.k > len(records):  # config.split checks k >= 2
         raise DataError(f"config.split.k: {sp.k} exceeds the {len(records)} stored tiles")
     assignment = stratified_kfold_partition(records, sp.k, mix_seed(config.seed, "split"))

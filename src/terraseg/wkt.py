@@ -11,6 +11,18 @@ Rings must repeat their first vertex last (closed) and contain at least four
 vertices including the closure. A number too large for a float (``1e999``)
 is rejected, not read as infinity. Parse failures raise WktParseError
 carrying the byte offset of the offending character.
+
+Two readers give one result. The fast path takes a whole polygon in one
+``fullmatch`` whose every ring holds points of two whitespace-separated
+runs of ASCII digits, ``.``, signs and ``e``/``E``, set apart by ``,``; it
+splits each ring on ``,`` and on whitespace and reads each token with
+``float``. Over those characters ``float`` accepts exactly the strings
+``_NUMBER`` matches, and ``str.split()`` splits on exactly what ``\\s``
+matches, so it reads the values the token path reads. On any doubt (text
+the ``fullmatch`` refuses, a token ``float`` refuses, a value that is not
+finite, a ring of fewer than 4 vertices or not closed) it gives way to the
+token path, a scanner over the grammar above, which reads the text again
+and places every error.
 """
 
 from __future__ import annotations
@@ -26,11 +38,11 @@ __all__ = ["WktGeometry", "parse_wkt", "to_wkt"]
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _KEYWORD = re.compile(r"[A-Za-z]+")
 _SPACE = re.compile(r"\s*")  # \s is exactly what str.isspace() accepts
-# a point whose numbers are set apart by whitespace and which ends at
-# whitespace, ',' or ')', with the ',' that follows it if one does: where it
-# matches, it reads what the token path (two ``_Scanner.number`` calls, then
-# ``peek``/``expect``) reads
-_POINT = re.compile(rf"\s*({_NUMBER.pattern})\s+({_NUMBER.pattern})(?=[\s,)])\s*(,?)")
+# the fast path's input: a whole POLYGON whose every ring is "(x y, ..., x y)",
+# each x and y a run of the characters numbers are made of
+_COORD = r"[0-9.+\-eE]+"
+_RING = rf"\(\s*{_COORD}\s+{_COORD}(?:\s*,\s*{_COORD}\s+{_COORD})*\s*\)"
+_POLYGON = re.compile(rf"\s*POLYGON\s*\(\s*{_RING}(?:\s*,\s*{_RING})*\s*\)\s*")
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,27 @@ class _Scanner:
 
 
 def parse_wkt(text: str) -> WktGeometry:
+    return _parse_polygon(text) or _parse_tokens(text)
+
+
+def _parse_polygon(text: str) -> WktGeometry | None:
+    """The fast path: the polygon, or None where the token path must decide."""
+    if not _POLYGON.fullmatch(text):
+        return None
+    rings = []
+    for body in text.split("(")[2:]:  # each ring's "x y, ..., x y)" and what follows
+        try:
+            v = list(map(float, body[: body.index(")")].replace(",", " ").split()))
+        except ValueError:
+            return None
+        if len(v) < 8 or v[:2] != v[-2:] or not math.isfinite(sum(v)):
+            return None  # (a sum of finite values that overflows goes there too)
+        rings.append(tuple(zip(v[::2], v[1::2])))
+    return WktGeometry("POLYGON", tuple(rings))
+
+
+def _parse_tokens(text: str) -> WktGeometry:
+    """The token path, which reads any text and places every parse error."""
     sc = _Scanner(text)
     sc.skip_ws()
     m = _KEYWORD.match(sc.text, sc.pos)
@@ -99,20 +132,10 @@ def _ring(sc: _Scanner) -> tuple[tuple[float, float], ...]:
     sc.skip_ws()
     start = sc.byte_offset()
     sc.expect("(")
-    points = []
-    while True:
-        m = _POINT.match(sc.text, sc.pos)
-        x, y = (float(m[1]), float(m[2])) if m else (math.nan, math.nan)
-        if math.isfinite(x) and math.isfinite(y):
-            sc.pos = m.end()
-            points.append((x, y))
-            if not m[3]:
-                break
-        else:  # the token path, which also places every parse error
-            points.append((sc.number(), sc.number()))
-            if sc.peek() != ",":
-                break
-            sc.expect(",")
+    points = [(sc.number(), sc.number())]
+    while sc.peek() == ",":
+        sc.expect(",")
+        points.append((sc.number(), sc.number()))
     sc.expect(")")
     if len(points) < 4:
         raise WktParseError(f"ring has {len(points)} vertices, need at least 4", start)

@@ -10,6 +10,9 @@ import json
 import os
 import signal
 import struct
+import subprocess
+import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -592,6 +595,15 @@ class TestIntegrity:
             ".array.json", "c.0", "c.1"]
 
 
+def gone(pid: int) -> bool:
+    """Whether process ``pid`` has ended: it is not there, or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
 def stray_files(root: Path) -> list[str]:
     return sorted(p.name for p in root.rglob("*") if p.name.startswith("tmp-"))
 
@@ -691,6 +703,54 @@ class TestWriteRegions:
             a.write_region((0, 0), np.ones((6, 3)))
         assert left_at_release == [] and stray_files(store.root) == []
         assert not is_locked(store.root / "a")
+
+    @needs_workers
+    def test_a_child_whose_caller_is_killed_stops_before_its_next_chunk(self, tmp_path):
+        # a write of 40 chunks on 2 processes, each chunk's encode slowed to 0.1 s
+        # and logged with its process's pid; the caller is killed mid-write
+        script = """if True:
+            import os, sys, time
+            import numpy as np
+            from terraseg import parallel
+            from terraseg.chunkstore import Store, StoredArray
+            parallel.usable_cores = lambda: 2
+            encode = StoredArray._encode
+            def slow(arr, key, block):
+                with open(sys.argv[2], "a") as fh:
+                    fh.write(f"{os.getpid()} {key}\\n")
+                time.sleep(0.1)
+                return encode(arr, key, block)
+            StoredArray._encode = slow
+            arr = Store(sys.argv[1]).create_array("a", (40,), (1,), "u8")
+            arr.write_region((0,), np.arange(40, dtype=np.uint8))
+        """
+        log = tmp_path / "encoded"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+        caller = subprocess.Popen([sys.executable, "-c", script, str(tmp_path / "st"), str(log)],
+                                  env=os.environ | {"PYTHONPATH": src})
+
+        def encoded_by_children() -> dict[int, int]:
+            lines = log.read_text().split("\n")[:-1] if log.exists() else []
+            pids = [int(line.split()[0]) for line in lines]
+            return {pid: pids.count(pid) for pid in set(pids) - {caller.pid}}
+
+        try:
+            deadline = time.monotonic() + 60
+            while not encoded_by_children():
+                assert caller.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            caller.kill()
+            caller.wait()
+        [(child, before)] = encoded_by_children().items()
+        deadline = time.monotonic() + 10
+        while not gone(child):
+            assert time.monotonic() < deadline, "the orphaned child is still writing"
+            time.sleep(0.01)
+        # at most the chunk it had begun, of the 20 in its share
+        assert encoded_by_children()[child] - before <= 1
+        assert not is_locked(tmp_path / "st" / "a")
+        assert stray_files(tmp_path / "st") == []
 
     @needs_workers
     def test_a_failed_write_in_a_child_raises_its_data_error(self, store, cores, monkeypatch):

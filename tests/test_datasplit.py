@@ -15,6 +15,7 @@ from terraseg.datasplit import (
     fold_manifest,
     kfold_partition,
     presence_labels,
+    presence_labels_tiles,
     stratified_kfold_partition,
 )
 from terraseg.errors import DataError, ParameterError
@@ -55,6 +56,52 @@ class TestPresenceLabels:
     def test_min_pixels_validation(self):
         with pytest.raises(ParameterError):
             presence_labels(np.zeros((2, 2)), min_pixels=0)
+
+    @staticmethod
+    def sorted_counts(tile, min_pixels, ignore_value):
+        """The reference: one np.unique sort of the tile's kept pixels."""
+        tile = np.asarray(tile).reshape(-1)
+        values, counts = np.unique(tile[tile != ignore_value], return_counts=True)
+        return frozenset(int(v) for v, c in zip(values, counts) if c >= min_pixels)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ignore_value", [255, 7])
+    @pytest.mark.parametrize("min_pixels", [1, 2, 3, 4, 5])
+    def test_every_tile_at_once_counts_as_each_tile_alone(self, seed, ignore_value,
+                                                          min_pixels):
+        rng = np.random.default_rng(seed)
+        n, th, tw = (int(v) for v in rng.integers(1, 9, 3) * (8, 1, 1))
+        # 4 classes, values at and above that (7 among them) and the 255 fill
+        values = np.array([0, 1, 2, 3, 4, 7, 9, 200, 254, 255], np.uint8)
+        stack = rng.choice(values, (n, th, tw), p=[.2, .2, .15, .15] + [.05] * 6)
+        stack[0] = ignore_value  # an all-ignored tile
+        got = presence_labels_tiles(stack, min_pixels, ignore_value)
+        assert got[0] == frozenset()
+        assert got == [self.sorted_counts(t, min_pixels, ignore_value) for t in stack]
+        assert got == [presence_labels(t, min_pixels, ignore_value) for t in stack]
+
+    def test_every_tile_at_once_validates_min_pixels(self):
+        with pytest.raises(ParameterError):
+            presence_labels_tiles(np.zeros((3, 2, 2), np.uint8), min_pixels=0)
+
+    def test_no_tiles_or_empty_tiles_count_no_class(self):
+        assert presence_labels_tiles(np.zeros((0, 4, 4), np.uint8)) == []
+        assert presence_labels_tiles(np.zeros((2, 0), np.uint8)) == [frozenset()] * 2
+
+    @pytest.mark.parametrize("dtype, values", [
+        (np.uint8, [0, 3, 255]),  # its own codes, over several batches of tiles
+        (np.int16, [-3, 0, 5, 255]),  # ranks: a negative value
+        (np.uint32, [2, 70000, 255]),  # ranks: values past the tile's pixel count
+        (np.float64, [0.0, 2.0, 255.0]),
+    ])
+    def test_any_integer_labels_count_as_the_sort_counts_them(self, dtype, values):
+        rng = np.random.default_rng(4)
+        stack = rng.choice(np.array(values, dtype), (300, 64, 64))
+        stack[1] = 255
+        stack[1, :, 0] = values[0]  # exactly min_pixels of one class
+        got = presence_labels_tiles(stack, 64, 255)
+        assert got == [self.sorted_counts(t, 64, 255) for t in stack]
+        assert got[1] == frozenset({int(values[0])})
 
 
 class TestKfold:

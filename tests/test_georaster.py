@@ -5,6 +5,7 @@ and the flat-binary and PNM file formats."""
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -235,6 +236,12 @@ class TestRasterize:
         with pytest.raises(ParameterError, match="finite"):
             rasterize([(1, inf)], 4, 4, NORTH_UP)
 
+    def test_vertices_that_are_not_pairs_rejected(self):
+        xyz = WktGeometry("POLYGON", (((0.0, 0.0, 1.0), (4.0, 0.0, 1.0), (0.0, 4.0, 1.0),
+                                       (0.0, 0.0, 1.0)),))
+        with pytest.raises(ParameterError, match=r"must be \(x, y\) pairs"):
+            rasterize([(1, xyz)], 4, 4, NORTH_UP)
+
     def test_polygon_with_hole(self):
         geom = parse_wkt("POLYGON((0 0, 10 0, 10 10, 0 10, 0 0), "
                          "(3 3, 7 3, 7 7, 3 7, 3 3))")
@@ -351,6 +358,50 @@ class TestRasterIO:
             fh.write(b"\x00")
         with pytest.raises(DataError, match="bytes"):
             read_raster(base)
+
+    @pytest.mark.parametrize("case, why", [
+        ("missing", ": not found"),
+        ("truncated", " is 15 bytes, expected 16"),
+        ("directory", ": Is a directory"),
+    ])
+    def test_a_payload_it_cannot_read_whole_names_it(self, tmp_path, case, why):
+        base = str(tmp_path / "scene")
+        write_raster(GeoRaster(np.zeros((1, 4, 4), np.uint8), NORTH_UP), base)
+        payload = Path(base + ".bin")
+        if case == "truncated":
+            payload.write_bytes(payload.read_bytes()[:-1])
+        else:
+            payload.unlink()
+            if case == "directory":
+                payload.mkdir()
+        with pytest.raises(DataError) as err:
+            read_raster(base)
+        assert str(err.value) == f"raster payload {payload}{why}"
+
+    def test_a_sidecar_claiming_more_than_memory_is_checked_against_the_payload(self, tmp_path):
+        base = str(tmp_path / "scene")
+        write_raster(GeoRaster(np.zeros((1, 4, 4), np.uint8), NORTH_UP), base)
+        sidecar = Path(base + ".json")
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(meta | {"width": 10**6, "height": 10**6, "channels": 4,
+                                              "dtype": "f64"}))
+        with pytest.raises(DataError) as err:  # a size check, not a 32 TB allocation
+            read_raster(base)
+        assert str(err.value) == (f"raster payload {base}.bin is 16 bytes, "
+                                  f"expected {32 * 10**12}")
+
+    def test_the_payload_is_held_once(self, tmp_path):
+        data = np.random.default_rng(8).random((4, 512, 512), dtype=np.float32)
+        base = str(tmp_path / "scene")
+        write_raster(GeoRaster(data, NORTH_UP), base)
+        tracemalloc.start()
+        try:
+            back = read_raster(base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, data)
+        assert peak < 1.2 * data.nbytes
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_geotransform_names_the_sidecar(self, value, tmp_path):

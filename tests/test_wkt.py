@@ -1,5 +1,6 @@
 """POLYGON reader/writer: grammar conformance, byte-offset error reporting,
-round trips, and the derived area helper."""
+round trips, the derived area helper, and the fast path read against the
+token path."""
 
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terraseg import wkt
 from terraseg.errors import WktParseError
 from terraseg.wkt import WktGeometry, parse_wkt, to_wkt
 
@@ -141,3 +143,101 @@ class TestRoundTrip:
         geom = WktGeometry("POLYGON", (ring,))
         assert parse_wkt(to_wkt(geom)).rings == geom.rings
 
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: the geometry's repr (which tells
+    -0.0 from 0.0), or the parse error's message and offset."""
+    try:
+        return repr(parse(text))
+    except WktParseError as exc:
+        return str(exc), exc.offset
+
+
+@st.composite
+def polygon_texts(draw):
+    """Valid POLYGON texts in the spellings real files use: integers, reprs,
+    exponents, signs, bare points, and assorted whitespace."""
+    number = st.one_of(
+        st.integers(-10**6, 10**6).map(str),
+        st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+        st.tuples(st.sampled_from(["", "+", "-"]), st.sampled_from(["1", "2.", ".5", "30.25"]),
+                  st.sampled_from(["", "e3", "E-2", "e+1"])).map("".join))
+    space = st.sampled_from([" ", "  ", "\t", "\n", " \n "])
+    comma = st.sampled_from([",", ", ", " , ", ",\n"])
+    rings = []
+    for _ in range(draw(st.integers(1, 3))):
+        points = draw(st.lists(st.tuples(number, number), min_size=3, max_size=6))
+        items = [x + draw(space) + y for x, y in points + points[:1]]
+        rings.append("(" + draw(comma).join(items) + ")")
+    return (draw(st.sampled_from(["", " "])) + "POLYGON" + draw(st.sampled_from(["", " "]))
+            + "(" + draw(comma).join(rings) + ")" + draw(st.sampled_from(["", " ", "\n"])))
+
+
+# characters the grammar uses, and ones either path must refuse or treat
+# as Unicode does: a no-break space and U+001C are whitespace, '٣' a digit
+MUTATION_CHARS = "0123456789.+-eE, \t\n()POLYGNX_ié\u00a0\x1c\u0663"
+
+
+@st.composite
+def mutated_polygon_texts(draw):
+    text = draw(polygon_texts())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        char = "" if op == "delete" else draw(st.sampled_from(MUTATION_CHARS))
+        text = text[:i] + char + text[i + (op != "insert"):]
+    return text
+
+
+class TestFastPath:
+    """parse_wkt reads a whole well-formed polygon in one pass and gives way
+    to the token path on any doubt: either way it returns what the token
+    path returns, and raises its message at its offset."""
+
+    @given(polygon_texts())
+    @settings(derandomize=True)
+    def test_valid_polygons_take_the_fast_path(self, text):
+        fast = wkt._parse_polygon(text)
+        assert fast is not None and repr(fast) == repr(wkt._parse_tokens(text))
+
+    @given(mutated_polygon_texts())
+    @settings(max_examples=max(settings.default.max_examples, 300), derandomize=True)
+    def test_mutated_polygons_read_as_the_token_path_reads_them(self, text):
+        assert outcome(parse_wkt, text) == outcome(wkt._parse_tokens, text)
+
+    @pytest.mark.parametrize("text, fast, want", [
+        ("POLYGON((0 0, nan 0, 1 1, 0 0))", False, ("expected a number", 14)),
+        ("POLYGON((0 0, inf 0, 1 1, 0 0))", False, ("expected a number", 14)),
+        ("POLYGON((0 0, 1_0 0, 1 1, 0 0))", False, ("expected a number", 15)),
+        ("POLYGON((0 0, 1e999 0, 1 1, 0 0))", False, ("number 1e999 overflows a float", 14)),
+        ("POLYGON((0 0, 1 -1E999, 1 1, 0 0))", False, ("number -1E999 overflows a float", 16)),
+        ("POLYGON((0 0, 1.0.5, 1 1, 0 0))", False, ((0, 0), (1, 0.5), (1, 1), (0, 0))),
+        ("POLYGON((0 0, 1 0, 1 1, 0 1))", False, ("ring is not closed", 8)),
+        ("POLYGON((0 0, 1 0, 0 0))", False, ("ring has 3 vertices, need at least 4", 8)),
+        ("POLYGON((0 0, 1 0, 1 1, 0 0),())", False, ("expected a number", 30)),
+        ("POLYGON((0 0, 1 0 0, 1 1, 0 0))", False, ("expected ')'", 18)),
+        ("POLYGON((0\t0,\n1 0,\t1\n1,\r\n0 0))\n", True, ((0, 0), (1, 0), (1, 1), (0, 0))),
+        ("POLYGON((0\u00a00, 1 0, 1 1, 0 0))", True, ((0, 0), (1, 0), (1, 1), (0, 0))),
+        ("POLYGON((0 0, \u0663 0, 1 1, 0 0))", False, ((0, 0), (3, 0), (1, 1), (0, 0))),
+        ("POLYGON((1e308 1e308, 1e308 0, 0 1, 1e308 1e308))", False,
+         ((1e308, 1e308), (1e308, 0), (0, 1), (1e308, 1e308))),
+        ("POLYGON((-0 0, 1 0, 1 1, -0 0))", True, ((-0.0, 0), (1, 0), (1, 1), (-0.0, 0))),
+    ])
+    def test_edge_cases(self, text, fast, want):
+        assert (wkt._parse_polygon(text) is not None) == fast
+        assert outcome(parse_wkt, text) == outcome(wkt._parse_tokens, text)
+        if isinstance(want[1], int):
+            message, offset = want
+            with pytest.raises(WktParseError, match=re.escape(message)) as err:
+                parse_wkt(text)
+            assert err.value.offset == offset
+        else:
+            assert parse_wkt(text).rings[0] == want
+
+    def test_every_ring_of_a_multi_ring_polygon(self):
+        text = ("POLYGON((0 0, 8 0, 8 8, 0 8, 0 0), (1 1, 2 1, 2 2, 1 1),"
+                "\n(4 4, 5e0 4, 5 +5, .4e1 4))")
+        geom = wkt._parse_polygon(text)
+        assert geom == wkt._parse_tokens(text) == parse_wkt(text)
+        assert [len(r) for r in geom.rings] == [5, 4, 4]
+        assert geom.rings[2] == ((4, 4), (5, 4), (5, 5), (4, 4))
