@@ -40,13 +40,18 @@ Chunks are independent units of encoding, so `write_regions`, the one
 chunk writer, shares a write's chunks over the usable cores: the caller
 holds every array's lock for the duration of the write, and while it does,
 it and the children it forks once pad, encode and write disjoint chunk
-files. An array's lock, which `Store.remove` takes too, is an exclusive
-flock(2) on its ``.array.json``, so no file records it: the kernel drops
-it once its holder, and every child forked while it is held, has closed it
-or died, so no lock outlives its writer. Every store file is written by
-`write_output`, through a ``tmp-`` sibling renamed into place, so a chunk
-replace is one atomic rename and a leftover never looks like a chunk; one
-that a dead child left is deleted before the locks are released.
+files. Chunks of one array whose blocks are the same view of the same
+memory (an ingest's weeks, broadcast from one scene) hold the same bytes,
+so such a block is padded and encoded once and its payload written under
+each of its keys, each with that key's crc; the share is over these
+distinct blocks. An array's lock, which `Store.remove` takes too, is an
+exclusive flock(2) on its ``.array.json``, so no file records it: the
+kernel drops it once its holder, and every child forked while it is held,
+has closed it or died, so no lock outlives its writer. Every store file
+is written by `write_output`, through a ``tmp-`` sibling renamed into
+place, so a chunk replace is one atomic rename and a leftover never looks
+like a chunk; one that a dead child left is deleted before the locks are
+released.
 Nothing in the store depends on time or randomness: two identical ingest
 runs produce byte-identical trees.
 """
@@ -283,8 +288,7 @@ class StoredArray:
         return offsets, extents
 
     def _encode(self, key: str, block: np.ndarray) -> bytes:
-        payload = _encode_planes(np.ascontiguousarray(block, dtype=self._dtype))
-        return payload + _crc(key, payload).to_bytes(4, "little")
+        return _with_crc(key, _encode_planes(np.ascontiguousarray(block, dtype=self._dtype)))
 
     def _load_chunk(self, key: str) -> np.ndarray:
         try:
@@ -351,15 +355,22 @@ def write_regions(regions) -> None:
     it), and no array may have two regions; every region is checked first,
     and one that fails raises ParameterError, writing nothing.
 
+    A region's chunk blocks that are the same view of the same memory (same
+    data address, strides and shape, as the weeks of a broadcast scene are)
+    form one job: the block is padded and encoded once, for its first key,
+    and the payload is written under every key, each with its own crc.
+    Nothing compares bytes, so equal bytes elsewhere in memory are encoded
+    again.
+
     This process holds every array's lock for the whole write. It and the
     children it forks once, ``parallel.processes()`` processes in all but
-    never more than there are chunks, each pad, encode and write their share
-    of the chunk files, chunk ``i`` in process ``i % n``, the children under
-    the locks they share. A failed write leaves no ``tmp-`` file, not even
-    one a dead child left. A child whose caller has died (its parent is no
-    longer the caller) stops before its next chunk, so it neither writes for
-    a command that is gone nor holds the locks past its current chunk."""
-    jobs, dirs = [], set()  # jobs: (array, chunk key, region-side block)
+    never more than there are jobs, each write their share of the jobs, job
+    ``i`` in process ``i % n``, the children under the locks they share. A
+    failed write leaves no ``tmp-`` file, not even one a dead child left. A
+    child whose caller has died (its parent is no longer the caller) stops
+    before its next chunk file, so it neither writes for a command that is
+    gone nor holds the locks past its current chunk."""
+    jobs, dirs = [], set()  # jobs: (array, chunk keys, region-side block)
     for arr, offsets, data in regions:
         data = np.asarray(data)
         offsets, extents = arr._check_region(offsets, data.shape)
@@ -371,19 +382,29 @@ def write_regions(regions) -> None:
             raise ParameterError(f"array {arr.path!r} has more than one region")
         dirs.add(arr.dir)
         data = data.astype(arr._dtype, copy=False)
-        jobs += [(arr, key, data[in_region])
-                 for key, _, in_region in _walk_chunks(arr._chunks, offsets, extents)]
+        views = {}  # (data address, strides, shape) -> that view's chunk keys
+        for key, _, in_region in _walk_chunks(arr._chunks, offsets, extents):
+            block = data[in_region]
+            keys = views.setdefault(
+                (block.__array_interface__["data"][0], block.strides, block.shape), [])
+            if not keys:  # the first chunk of this view: a new job
+                jobs.append((arr, keys, block))
+            keys.append(key)
     procs = max(1, min(parallel.processes(), len(jobs)))
     caller = os.getpid()
 
     def write(share: range) -> None:  # here and in each child
-        for arr, key, block in map(jobs.__getitem__, share):
-            if caller not in (os.getpid(), os.getppid()):
-                raise TerrasegError(f"store write's caller, process {caller}, ended; "
-                                    f"stopped before chunk {key} of {arr.path!r}")
+        for arr, keys, block in map(jobs.__getitem__, share):
             if block.shape != arr._chunks:  # an edge chunk
                 block = np.pad(block, [(0, c - n) for c, n in zip(arr._chunks, block.shape)])
-            write_output(arr.dir / ("c." + key), arr._encode(key, block), "store chunk")
+            chunk = None
+            for key in keys:
+                if caller not in (os.getpid(), os.getppid()):
+                    raise TerrasegError(f"store write's caller, process {caller}, ended; "
+                                        f"stopped before chunk {key} of {arr.path!r}")
+                # the one encode of this block; each further key reseals its payload
+                chunk = arr._encode(key, block) if chunk is None else _with_crc(key, chunk[:-4])
+                write_output(arr.dir / ("c." + key), chunk, "store chunk")
 
     with contextlib.ExitStack() as held:
         for d in sorted(dirs):
@@ -405,6 +426,11 @@ def write_regions(regions) -> None:
 def _crc(key: str, payload) -> int:
     """crc32 of a chunk's encoded bytes, seeded with the crc32 of its key."""
     return zlib.crc32(payload, zlib.crc32(key.encode()))
+
+
+def _with_crc(key: str, payload: bytes) -> bytes:
+    """Chunk ``key``'s file: ``payload`` and its 4-byte crc trailer."""
+    return payload + _crc(key, payload).to_bytes(4, "little")
 
 
 def _encode_planes(a: np.ndarray) -> bytes:

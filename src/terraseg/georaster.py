@@ -349,16 +349,27 @@ def write_raster(raster: GeoRaster, basepath: str) -> None:
     write_output(basepath + ".json", to_json(_sidecar(raster)), "raster sidecar")
 
 
+def _json_int(meta: dict, name: str) -> int:
+    """Sidecar field ``name``, which must be a JSON integer: a float such as
+    64.9 or a bool is refused, not truncated."""
+    value = meta[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"invalid literal for int(): {name} {value!r} is not a JSON integer")
+    return value
+
+
 def read_raster(basepath: str) -> GeoRaster:
     sidecar = basepath + ".json"
     meta = read_json(sidecar, "raster sidecar")
     try:
         dt = DTYPE_CODES[meta["dtype"]]
-        w, h, c = int(meta["width"]), int(meta["height"]), int(meta["channels"])
+        w, h, c = (_json_int(meta, name) for name in ("width", "height", "channels"))
         if min(w, h, c) < 1:
             raise ValueError(f"width {w}, height {h} and channels {c} must be positive")
         gt, nodata = _geotransform(meta["geotransform"]), float(meta["nodata"])
         crs = meta["crs"]
+        if not isinstance(crs, str):
+            raise TypeError(f"crs {crs!r} is not a string")
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise DataError(f"raster sidecar {sidecar} is malformed: "
                         f"{type(exc).__name__}: {exc}") from None

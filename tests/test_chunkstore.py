@@ -672,6 +672,78 @@ class TestWriteRegions:
             write_regions([(good, (0,), np.ones(2)), (store.array("good"), (2,), np.ones(2))])
         assert tree_digest(store.root) == before
 
+    @pytest.mark.parametrize("procs", [1, 2, 3, 16])
+    def test_each_distinct_block_is_encoded_once(self, tmp_path, rng, cores, monkeypatch,
+                                                 procs):
+        # 3 weeks of one 4-row scene, broadcast as ingest stores its weeks
+        scene = rng.normal(0, 1e3, (4, 5)).astype(np.float32)
+        encoded, encode = parallel.shared_array((4,), np.int64), StoredArray._encode
+
+        def spied(arr, key, block):
+            encoded[int(key.split(".")[1])] += 1  # each row's encodes, in any process
+            return encode(arr, key, block)
+
+        monkeypatch.setattr(StoredArray, "_encode", spied)
+        cores(procs)
+        copies = np.broadcast_to(scene, (3, 4, 5))
+        for name, data, per_row in [("copies", copies, 1),
+                                    ("dense", np.ascontiguousarray(copies), 3)]:
+            encoded[:] = 0
+            arr = Store(tmp_path / name).create_array("a", (3, 4, 5), (1, 1, 5), "f32")
+            write_regions([(arr, (0, 0, 0), data)])
+            assert encoded.tolist() == [per_row] * 4, name
+        assert tree_digest(tmp_path / "copies") == tree_digest(tmp_path / "dense")
+        for row in range(4):  # every week's file is week 0's, resealed with its own crc
+            first = (tmp_path / "copies" / "a" / f"c.0.{row}.0").read_bytes()
+            for week in (1, 2):
+                key = f"{week}.{row}.0"
+                assert (tmp_path / "copies" / "a" / f"c.{key}").read_bytes() == \
+                    with_crc(key, first[:-4])
+        assert stray_files(tmp_path) == []
+
+    def test_only_the_same_view_of_the_same_memory_is_one_job(self, store, cores,
+                                                             monkeypatch):
+        keys, encode = [], StoredArray._encode
+        monkeypatch.setattr(StoredArray, "_encode",
+                            lambda arr, key, block: keys.append(key) or encode(arr, key, block))
+        cores(1)
+        windows = np.lib.stride_tricks.as_strided(np.arange(10, dtype=np.uint8), (4, 4), (2, 1))
+        cases = [
+            # equal bytes in distinct memory: nothing compares content
+            ("equal", np.zeros((3, 4), np.uint8), ["0.0", "1.0", "2.0"]),
+            # overlapping windows of one buffer, at different offsets
+            ("windows", windows, ["0.0", "1.0", "2.0", "3.0"]),
+            # columns broadcast from one value per row: a full chunk and an edge
+            # chunk start at the same address, but their shapes differ
+            ("columns", np.broadcast_to(np.array([[7], [9]], np.uint8), (2, 6)),
+             ["0.0", "0.1", "1.0", "1.1"]),
+        ]
+        for name, data, encoded in cases:
+            keys.clear()
+            arr = store.create_array(name, data.shape, (1, 4), "u8")
+            arr.write_region((0, 0), data)
+            assert keys == encoded, name
+            assert np.array_equal(arr.read_region((0, 0), data.shape), data), name
+
+    def test_a_broadcast_edge_block_is_padded_once_and_reads_back_clipped(
+            self, store, cores, monkeypatch):
+        scene = np.arange(1, 16, dtype=np.float32).reshape(5, 3)
+        arr = store.create_array("a", (3, 5, 3), (1, 2, 3), "f32")  # rows 0-1, 2-3 and 4
+        padded, pad = [], np.pad
+        monkeypatch.setattr(np, "pad", lambda block, widths: padded.append(block.shape)
+                            or pad(block, widths))
+        cores(1)
+        arr.write_region((0, 0, 0), np.broadcast_to(scene, (3, 5, 3)))
+        monkeypatch.undo()
+        assert padded == [(1, 1, 3)]
+        for week in range(3):
+            assert np.array_equal(arr.read_region((week, 0, 0), (1, 5, 3))[0], scene)
+            blob = (store.root / "a" / f"c.{week}.2.0").read_bytes()
+            assert planes_of(blob, 4) == planes_of(
+                (store.root / "a" / "c.0.2.0").read_bytes(), 4)
+        assert (store.root / "a" / "c.1.2.0").read_bytes() == with_crc(
+            "1.2.0", (store.root / "a" / "c.0.2.0").read_bytes()[:-4])
+
     @needs_workers
     @pytest.mark.parametrize("where", ["encode", "write"])
     def test_a_child_that_dies_leaves_no_tmp_file_and_no_lock(
@@ -749,6 +821,58 @@ class TestWriteRegions:
             time.sleep(0.01)
         # at most the chunk it had begun, of the 20 in its share
         assert encoded_by_children()[child] - before <= 1
+        assert not is_locked(tmp_path / "st" / "a")
+        assert stray_files(tmp_path / "st") == []
+
+    @needs_workers
+    def test_a_child_whose_caller_is_killed_stops_between_copies_of_one_block(self, tmp_path):
+        # 20 weeks of a 2-chunk scene, broadcast, on 2 processes: each encodes one
+        # block and writes its 20 copies, each chunk file slowed to 0.1 s and logged
+        # with its process's pid; the caller is killed mid-write
+        script = """if True:
+            import os, sys, time
+            import numpy as np
+            from terraseg import chunkstore, parallel
+            from terraseg.chunkstore import Store
+            parallel.usable_cores = lambda: 2
+            arr = Store(sys.argv[1]).create_array("a", (20, 2), (1, 1), "u8")
+            write_output = chunkstore.write_output
+            def slow(path, data, what):
+                with open(sys.argv[2], "a") as fh:
+                    fh.write(f"{os.getpid()} {path.name}\\n")
+                time.sleep(0.1)
+                return write_output(path, data, what)
+            chunkstore.write_output = slow
+            arr.write_region((0, 0), np.broadcast_to(np.arange(2, dtype=np.uint8), (20, 2)))
+        """
+        log = tmp_path / "written"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+        caller = subprocess.Popen([sys.executable, "-c", script, str(tmp_path / "st"), str(log)],
+                                  env=os.environ | {"PYTHONPATH": src})
+
+        def written_by_children() -> list[tuple[int, str]]:
+            lines = log.read_text().split("\n")[:-1] if log.exists() else []
+            return [(int(pid), name) for pid, name in map(str.split, lines)
+                    if int(pid) != caller.pid]
+
+        try:
+            deadline = time.monotonic() + 60
+            while not written_by_children():
+                assert caller.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            caller.kill()
+            caller.wait()
+        [child] = {pid for pid, _ in written_by_children()}
+        before = len(written_by_children())
+        deadline = time.monotonic() + 10
+        while not gone(child):
+            assert time.monotonic() < deadline, "the orphaned child is still writing"
+            time.sleep(0.01)
+        # copies of its one block only, and at most the file it had begun after the kill
+        names = [name for _, name in written_by_children()]
+        assert all(name.endswith(".1") for name in names) and len(names) - before <= 1
+        assert len(names) < 20
         assert not is_locked(tmp_path / "st" / "a")
         assert stray_files(tmp_path / "st") == []
 

@@ -414,6 +414,28 @@ class TestRasterIO:
                                             "malformed: ParameterError: .* must be finite$"):
             read_raster(base)
 
+    @pytest.mark.parametrize("field, value, why", [
+        ("width", 4.9, "ValueError: invalid literal for int(): width 4.9 is not a JSON integer"),
+        ("height", 4.0, "ValueError: invalid literal for int(): height 4.0 is not a JSON integer"),
+        ("channels", True,
+         "ValueError: invalid literal for int(): channels True is not a JSON integer"),
+        ("width", "4", "ValueError: invalid literal for int(): width '4' is not a JSON integer"),
+        ("crs", 5, "TypeError: crs 5 is not a string"),
+        ("crs", None, "TypeError: crs None is not a string"),
+    ], ids=["float-width", "float-height", "bool-channels", "string-width", "number-crs",
+            "null-crs"])
+    def test_a_sidecar_field_of_another_json_type_is_malformed(self, tmp_path, field, value,
+                                                                 why):
+        # before, each was read as the value that fits the 16-byte payload, or kept as is
+        base = str(tmp_path / "scene")
+        write_raster(GeoRaster(np.zeros((1, 4, 4), np.uint8), NORTH_UP), base)
+        meta = json.loads(Path(base + ".json").read_text(encoding="utf-8"))
+        meta[field] = value
+        Path(base + ".json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_raster(base)
+        assert str(err.value) == f"raster sidecar {base}.json is malformed: {why}"
+
     def test_corrupt_sidecar(self, tmp_path):
         base = str(tmp_path / "scene")
         with open(base + ".json", "w") as fh:

@@ -1513,6 +1513,38 @@ class TestCli:
         assert err.endswith(" must be positive\n") and err.count("\n") == 1
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("raster, field, value, why", [
+        ("image", "width", SIZE + 0.9,
+         f"ValueError: invalid literal for int(): width {SIZE + 0.9} is not a JSON integer"),
+        ("image", "crs", 5, "TypeError: crs 5 is not a string"),
+        ("scl", "channels", True,
+         "ValueError: invalid literal for int(): channels True is not a JSON integer"),
+        ("coarse", "height", 4.0,
+         "ValueError: invalid literal for int(): height 4.0 is not a JSON integer"),
+    ], ids=["image-width", "image-crs", "scl-channels", "coarse-height"])
+    def test_a_sidecar_field_of_another_json_type_exits_3_naming_it(
+            self, tmp_path, capsys, raster, field, value, why):
+        # before, the float width and height were truncated, the bool read as 1 band
+        # and the number kept as the stored arrays' crs, and each ingest exited 0
+        _, gt = write_scene(tmp_path)
+        write_scl(tmp_path, gt, np.full((SIZE, SIZE), 4))
+        write_raster(GeoRaster(np.zeros((2, 4, 4), np.float32),
+                               (gt[0], 80.0, 0.0, gt[3], 0.0, -80.0), CRS, 0.0),
+                     str(tmp_path / "coarse"))
+        cfg = self.write_config(tmp_path, ingest={"scl": str(tmp_path / "scl"),
+                                                  "coarse_image": str(tmp_path / "coarse")})
+        assert main(["ingest", "--config", cfg]) == 0
+        store = store_bytes(tmp_path)
+        capsys.readouterr()
+        sidecar = tmp_path / f"{raster}.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta[field] = value
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["ingest", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: raster sidecar {sidecar} is malformed: {why}\n")
+        assert store_bytes(tmp_path) == store
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_a_non_finite_geotransform_exits_3_naming_the_sidecar(self, tmp_path, capsys,
                                                                    value):
